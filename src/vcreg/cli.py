@@ -273,13 +273,26 @@ def _cmd_stable_partition(args, files):
     return outputs, verification, ok
 
 
+# Deepest tree the dyadic subcommands accept: level pair counts reach
+# 2^(2 depth - 1), and 2^14283 still has no more than 4300 decimal digits,
+# the default limit on printing a Python int.
+MAX_DYADIC_DEPTH = 7142
+
+
+def _check_depth(args) -> None:
+    require(args.depth is not None, "--depth is required")
+    require(args.depth <= MAX_DYADIC_DEPTH,
+            f"--depth {args.depth} is above {MAX_DYADIC_DEPTH}: exact counts at that "
+            f"depth exceed the 4300-digit limit on printing an integer")
+
+
 def _balls_from_args(args):
     prefixes = args.prefix if args.prefix else [""]
     return parse_balls(prefixes)
 
 
 def _cmd_dyadic_density(args, files):
-    require(args.depth is not None, "--depth is required")
+    _check_depth(args)
     balls = _balls_from_args(args)
     d = odd_split_density(balls, args.depth, parity=args.parity)
     counts = level_pair_counts(balls, args.depth)
@@ -298,7 +311,7 @@ def _cmd_dyadic_density(args, files):
 
 
 def _cmd_dyadic_report(args, files):
-    require(args.depth is not None, "--depth is required")
+    _check_depth(args)
     rows = ball_parity_report(args.depth, parity=args.parity)
     outputs = {"rows": jsonable(rows), "parity": args.parity}
     verification = {"all_rows_within_bound": all(r["ok"] for r in rows)}
@@ -306,7 +319,7 @@ def _cmd_dyadic_report(args, files):
 
 
 def _cmd_dyadic_bound(args, files):
-    require(args.depth is not None, "--depth is required")
+    _check_depth(args)
     balls = _balls_from_args(args)
     rep = anti_homogeneity_bound_check(balls, balls[0], args.depth,
                                        parity=args.parity)
@@ -357,6 +370,7 @@ def _cmd_rodl_search(args, files):
     require(args.epsilon is not None, "--eps is required")
     if args.infile is None:
         require(args.depth is not None, "--depth (ball mode) or --in (graph mode)")
+        _check_depth(args)
         rep = ball_family_search(args.depth, args.epsilon, parity=args.parity)
         outputs = {"mode": "ball-family", "found": rep.found,
                    "prefix_length": rep.prefix_length,

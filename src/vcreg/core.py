@@ -40,14 +40,16 @@ class Hypergraph:
 
     def __post_init__(self):
         require(len(self.part_sizes) >= 1, "hypergraph needs at least one part")
-        require(all(isinstance(n, int) and n >= 1 for n in self.part_sizes),
+        # type(.) is int: bool is an int subclass, but true/false are not
+        # sizes or vertices
+        require(all(type(n) is int and n >= 1 for n in self.part_sizes),
                 "part sizes must be positive integers")
         k = len(self.part_sizes)
         for e in self.edges:
             require(isinstance(e, tuple) and len(e) == k,
                     f"edge {e!r} does not have arity {k}")
             for i, v in enumerate(e):
-                require(isinstance(v, int) and 0 <= v < self.part_sizes[i],
+                require(type(v) is int and 0 <= v < self.part_sizes[i],
                         f"edge {e!r} out of range in coordinate {i}")
         if self.symmetric:
             require(len(set(self.part_sizes)) == 1,
@@ -77,9 +79,13 @@ class Hypergraph:
         require(isinstance(obj, dict), "hypergraph JSON must be an object")
         for key in ("k", "part_sizes", "edges"):
             require(key in obj, f"hypergraph JSON missing key {key!r}")
-        sizes = tuple(obj["part_sizes"])
+        try:
+            sizes = tuple(obj["part_sizes"])
+            edges = frozenset(tuple(e) for e in obj["edges"])
+        except TypeError:
+            raise InputError("part_sizes must be a list of integers and edges "
+                             "a list of integer lists") from None
         require(obj["k"] == len(sizes), "k does not match part_sizes length")
-        edges = frozenset(tuple(e) for e in obj["edges"])
         return Hypergraph(sizes, edges, bool(obj.get("symmetric", False)))
 
 
@@ -205,9 +211,6 @@ class SpaceWeights:
     def np_nums(self):
         return self._np
 
-    def mass_of_positions(self, positions) -> Fraction:
-        return Fraction(sum(self.nums[p] for p in positions), self.den)
-
     def mass_of_bool(self, mask: np.ndarray) -> Fraction:
         if self._np is not None:
             return Fraction(int(self._np[mask].sum()), self.den)
@@ -217,6 +220,36 @@ class SpaceWeights:
         if self._np is not None:
             return int(self._np[mask].sum())
         return sum(self.nums[p] for p in np.flatnonzero(mask))
+
+
+def ceil_fraction(q: Fraction) -> int:
+    return -(-q.numerator // q.denominator)
+
+
+def weighted_inner(a: np.ndarray, b: np.ndarray, nums, den: int) -> np.ndarray:
+    """Exact a . diag(nums) . b^T for boolean rows a and b over the same
+    positions, where the nonnegative integer nums sum to den.
+
+    Every partial sum is an integer in [0, den], so float64 BLAS is exact
+    while den < 2^53; the result is then float64. Above that the weights are
+    split into limbs small enough that each limb product is again exact in
+    float64, and the limb products are recombined in int64 while den is below
+    INT64_SAFE, else in Python integers (object dtype)."""
+    af = a.astype(np.float64)
+    bt = b.astype(np.float64).T
+    if den < (1 << 53):
+        return (af * np.asarray(nums, dtype=np.float64)) @ bt
+    bits = 53 - max(1, a.shape[1]).bit_length()   # width * 2^bits <= 2^53
+    low = (1 << bits) - 1
+    big = den >= INT64_SAFE
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=object if big else np.int64)
+    shift = 0
+    while den >> shift:
+        limb = np.asarray([(n >> shift) & low for n in nums], dtype=np.float64)
+        part = ((af * limb) @ bt).astype(np.int64)
+        out += part.astype(object) << shift if big else part << shift
+        shift += bits
+    return out
 
 
 class BinaryView:
@@ -241,9 +274,10 @@ class BinaryView:
         require(self.left_size <= MAX_DENSE_SPACE and self.right_size <= MAX_DENSE_SPACE,
                 "binary view too large for dense fiber cache")
         fib = np.zeros((self.right_size, self.left_size), dtype=bool)
-        lpos, rpos = self.left_pos, self.right_pos
-        for e in H.edges:
-            fib[rpos(tuple(e[i] for i in self.right)), lpos(tuple(e[i] for i in left))] = True
+        cells = edge_array(H).T
+        rows = np.ravel_multi_index(cells[list(self.right)], self.right_sizes) \
+            if self.right else 0
+        fib[rows, np.ravel_multi_index(cells[list(left)], self.left_sizes)] = True
         self.fibers = fib
 
     def left_pos(self, t: tuple[int, ...]) -> int:
@@ -271,6 +305,13 @@ class BinaryView:
             out.append(p % n)
             p //= n
         return tuple(reversed(out))
+
+
+def edge_array(H: Hypergraph) -> np.ndarray:
+    """The edges as an (#edges, k) index array, in no particular order."""
+    flat = np.fromiter(itertools.chain.from_iterable(H.edges), dtype=np.intp,
+                       count=len(H.edges) * H.k)
+    return flat.reshape(len(H.edges), H.k)
 
 
 @lru_cache(maxsize=32)
@@ -358,8 +399,7 @@ class ProductSpace:
                 f"product space of size {self.size} exceeds the dense-array guard")
         self.weights = SpaceWeights(self.measures, tuple(range(H.k)), self.sizes)
         mask = np.zeros(self.size, dtype=bool)
-        for e in H.edges:
-            mask[self.pos(e)] = True
+        mask[np.ravel_multi_index(edge_array(H).T, self.sizes)] = True
         self.edge_mask = mask
 
     def pos(self, t) -> int:

@@ -8,6 +8,8 @@ the CLI selftest compare engine outputs against these, exactly.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from .core import Box, Hypergraph, ProductMeasure, check_measures
@@ -110,6 +112,105 @@ def brute_vc_dimension(members, ground_size: int, cap: int = 8) -> int:
             return d
         d = t
     return d
+
+
+def _brute_heavy(members, weights, eps: Fraction) -> list[tuple[int, ...]]:
+    return sorted(tuple(sorted(m)) for m in members
+                  if sum((weights[v] for v in m), Fraction(0)) >= eps)
+
+
+def _brute_greedy(heavy) -> list[int]:
+    points: list[int] = []
+    unhit = list(heavy)
+    while unhit:
+        best_pt, best_hits = None, -1
+        for v in unhit[0]:
+            hits = sum(1 for m in unhit if v in m)
+            if hits >= best_hits:
+                best_pt, best_hits = v, hits
+        points.append(best_pt)
+        unhit = [m for m in unhit if best_pt not in m]
+    return points
+
+
+def brute_greedy_net(members, weights, eps: Fraction) -> tuple[list[int], int]:
+    """The greedy eps-net by plain set operations, and the number of heavy
+    members (Fraction weight sum >= eps): repeatedly take the lex-least unhit
+    heavy member and add its point hitting the most unhit heavy members,
+    ties to the largest index."""
+    heavy = _brute_heavy(members, weights, eps)
+    return _brute_greedy(heavy), len(heavy)
+
+
+def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
+                     max_retries: int = 10) -> dict:
+    """The seeded random eps-net: 8 d (1/eps) ln(1/eps) draws from the
+    weights in lowest terms per attempt, the greedy net after max_retries
+    failed attempts."""
+    heavy = _brute_heavy(members, weights, eps)
+    inv = 1 / float(eps)
+    size = math.ceil(8 * max(1, dimension) * inv * max(1.0, math.log(inv)))
+    den = math.lcm(*(w.denominator for w in weights))
+    cum = list(itertools.accumulate(int(w * den) for w in weights))
+    rng = random.Random(seed)
+    for attempt in range(1, max_retries + 1):
+        pts = []
+        for _ in range(size):
+            x = rng.randrange(den)
+            pts.append(next(i for i, c in enumerate(cum) if x < c))
+        if all(set(pts).intersection(m) for m in heavy):
+            return {"points": pts, "attempts": attempt, "size_ln": size}
+    return {"points": _brute_greedy(heavy), "attempts": max_retries,
+            "size_ln": size, "fallback": "greedy"}
+
+
+def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
+                          strategy: str = "greedy", seed: int = 0) -> dict:
+    """The delta partition by sets: every pairwise fiber difference, the
+    eps/2-net of the heavy ones, classes as fingerprint atoms over the net
+    (or by equal fibers when the net is not smaller than the measured side).
+    For eps <= 1 and inputs small enough for brute_vc_dimension."""
+    left = tuple(sorted(measured_parts))
+    right = tuple(i for i in range(H.k) if i not in left)
+    measures = check_measures(H, measures)
+    lefts = list(itertools.product(*[range(H.part_sizes[i]) for i in left]))
+    rights = list(itertools.product(*[range(H.part_sizes[i]) for i in right]))
+    weights = [math.prod((measures[i].weights[v] for i, v in zip(left, a)), start=Fraction(1))
+               for a in lefts]
+    index = {a: p for p, a in enumerate(lefts)}
+    fibers = [frozenset(index[a] for a in brute_fiber(H, left, b)) for b in rights]
+    distinct = sorted({tuple(sorted(f)) for f in fibers})
+    d = brute_vc_dimension(distinct, len(lefts), cap=8)
+    meta = {"fiber_dimension": f">={d}" if d == 8 else str(d),
+            "trivial_params": len(lefts)}
+    keys = fibers
+    params = list(range(len(lefts)))
+    path = "trivial"
+    if len(distinct) > 1:
+        diffs = {tuple(sorted(set(f) ^ set(g)))
+                 for f, g in itertools.combinations(distinct, 2)}
+        if strategy == "greedy":
+            points, _ = brute_greedy_net(diffs, weights, eps / 2)
+        else:
+            dd = brute_vc_dimension(diffs, len(lefts), cap=8)
+            points = brute_random_net(diffs, weights, eps / 2, dd, seed)["points"]
+        net = sorted(set(points))
+        bound = math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
+        meta.update({"net_size": len(net), "net_param_bound": bound,
+                     "net_strategy": strategy})
+        if len(net) < len(lefts) and len(net) <= bound:
+            keys = [frozenset(f & set(net)) for f in fibers]
+            params, path = net, "net"
+    groups: dict = {}
+    for r, key in enumerate(keys):
+        groups.setdefault(key, []).append(r)
+    classes = sorted(groups.values())
+    worst = max((sum((weights[p] for p in fibers[x] ^ fibers[y]), Fraction(0))
+                 for c in classes for x, y in itertools.combinations(c, 2)),
+                default=Fraction(0))
+    return {"classes": tuple(tuple(rights[r] for r in c) for c in classes),
+            "params": tuple(lefts[p] for p in params), "path": path,
+            "max_pair_distance": worst, "meta": meta}
 
 
 def dyadic_leaves(balls, depth: int) -> list[int]:

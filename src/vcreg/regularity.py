@@ -29,10 +29,11 @@ from math import prod
 import numpy as np
 
 from .core import (Box, Hypergraph, Measure, ProductSpace, SpaceWeights,
-                   binary_view, check_measures)
+                   binary_view, ceil_fraction, check_measures, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
-from .vc import SetFamily, epsilon_net, sauer_bound, vc_dimension
+from .vc import (ROW_BLOCK_BYTES, heavy_net, lex_keys, net_dimension,
+                 sauer_bound, vc_dimension_matrix)
 
 
 @dataclass
@@ -65,21 +66,59 @@ def net_param_bound(d: int, eps: Fraction) -> int:
     return math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
 
 
+# Largest fiber-difference matrix (one byte per fiber pair and left
+# position) the delta partition will allocate; `reg partition` on a 384x384
+# half-graph at eps 1/4 needs about 27 MB, a 1024x1024 one about 504 MB.
+MAX_DIFF_BYTES = 1 << 28
+
+
+def _difference_rows(fibers: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The distinct rows fibers[ii] ^ fibers[jj], in the lex order of their
+    member tuples."""
+    width = fibers.shape[1]
+    need = len(ii) * width
+    if need > MAX_DIFF_BYTES:
+        raise InputError(
+            f"delta_approx_partition: the fiber-difference matrix needs about "
+            f"{need} bytes ({len(ii)} fiber pairs x {width} left positions), "
+            f"over the {MAX_DIFF_BYTES}-byte guard")
+    if not len(ii):
+        return np.zeros((0, width), dtype=bool)
+    # XOR-ed and keyed in blocks: only the packed keys, a quarter of the
+    # rows' size, are held for every pair at once
+    step = max(1, ROW_BLOCK_BYTES // max(1, width))
+    keys = np.concatenate([lex_keys(fibers[ii[s:s + step]] ^ fibers[jj[s:s + step]])
+                           for s in range(0, len(ii), step)])
+    _, first = np.unique(keys, return_index=True)
+    return fibers[ii[first]] ^ fibers[jj[first]]
+
+
+def _groups(labels) -> dict:
+    """Right positions grouped by label, each group in increasing order."""
+    groups: dict = {}
+    for r, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(r)
+    return groups
+
+
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
                            strategy: str = "greedy", seed: int = 0,
                            d_budget: int = 200_000) -> DeltaPartition:
     """Partition the complement of `measured_parts` into classes of pairwise
-    fiber distance < eps, with the parameter set the classes are atoms over."""
+    fiber distance < eps, with the parameter set the classes are atoms over.
+
+    The eps/2-net for the fiber-difference family is built from the distinct
+    fibers alone: one exact weighted distance matrix picks the heavy pairs,
+    only those are XOR-ed, and the greedy net runs on the heavy rows."""
     require(isinstance(eps, Fraction) and eps > 0, "eps must be a positive Fraction")
     measures = check_measures(H, measures)
     left = tuple(sorted(measured_parts))
     require(len(left) < H.k, "measured side must leave something to split")
     view = binary_view(H, left)
     lw = SpaceWeights(measures, view.left, H.part_sizes)
-    right_positions = list(range(view.right_size))
 
     if eps > 1:
-        members = tuple(view.right_tuple(r) for r in right_positions)
+        members = tuple(view.right_tuple(r) for r in range(view.right_size))
         return DeltaPartition(left, view.right, (members,), (members[0],), (),
                               eps, "single",
                               _pairwise_max_distance(view.fibers, lw))
@@ -98,29 +137,27 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         return DeltaPartition(left, view.right, classes, reps, params, eps,
                               path, worst, meta)
 
-    trivial_groups: dict = {}
-    for r in right_positions:
-        trivial_groups.setdefault(view.fibers[r].tobytes(), []).append(r)
-
-    fam = SetFamily.from_matrix(view.fibers)
-    dim = vc_dimension(fam, cap=8, budget=d_budget)
+    fibers, fiber_of = np.unique(view.fibers, axis=0, return_inverse=True)
+    fiber_of = fiber_of.reshape(-1)
+    dim = vc_dimension_matrix(fibers, cap=8, budget=d_budget)
     d_bound = dim.value if not dim.budget_exhausted else max(
-        dim.value, int(math.floor(math.log2(max(1, len(fam.members))))))
+        dim.value, int(math.floor(math.log2(max(1, len(fibers))))))
     meta = {"fiber_dimension": dim.display(), "trivial_params": view.left_size}
 
-    # fiber-difference family, deduplicated, without the empty set
-    diff_rows = {}
-    for i in range(view.right_size):
-        diffs = view.fibers[i] ^ view.fibers[i + 1:]
-        for row in diffs:
-            if row.any():
-                diff_rows.setdefault(row.tobytes(), row)
-    if diff_rows:
-        diff_keys = sorted(diff_rows)
-        diff_fam = SetFamily.from_matrix(np.stack([diff_rows[k] for k in diff_keys]))
-        ground_measure = Measure(0, tuple(Fraction(n, lw.den) for n in lw.nums))
-        net = epsilon_net(diff_fam, ground_measure, eps / 2,
-                          strategy=strategy, seed=seed)
+    if len(fibers) > 1:
+        # D[i, j] = m_i + m_j - 2 G[i, j], exact in every arithmetic regime
+        gram = weighted_inner(fibers, fibers, lw.nums, lw.den)
+        mass = gram.diagonal()
+        dist = (mass[:, None] - gram) + (mass[None, :] - gram)
+        half = eps / 2
+        heavy_pair = np.triu(dist >= min(ceil_fraction(half * lw.den), lw.den + 1), 1)
+        heavy = _difference_rows(fibers, *np.nonzero(heavy_pair))
+        # the random sampler draws from the measure in lowest terms
+        g = math.gcd(lw.den, *lw.nums)
+        net = heavy_net(heavy, [n // g for n in lw.nums], lw.den // g, half,
+                        lambda: net_dimension(_difference_rows(
+                            fibers, *np.triu_indices(len(fibers), 1))),
+                        strategy=strategy, seed=seed)
         if not net.verified:
             raise VerificationError("difference-family net failed verification")
         net_points = sorted(set(net.points))
@@ -128,15 +165,16 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         meta.update({"net_size": len(net_points), "net_param_bound": bound,
                      "net_strategy": strategy})
         if len(net_points) < view.left_size and len(net_points) <= bound:
-            cols = np.asarray(net_points, dtype=np.intp)
-            groups: dict = {}
-            for r in right_positions:
-                groups.setdefault(view.fibers[r, cols].tobytes(), []).append(r)
+            if net_points:
+                _, atom = np.unique(fibers[:, net_points], axis=0, return_inverse=True)
+                labels = atom.reshape(-1)[fiber_of].tolist()
+            else:
+                labels = [0] * view.right_size
             params = tuple(view.left_tuple(p) for p in net_points)
-            return finish(groups, params, "net", meta)
+            return finish(_groups(labels), params, "net", meta)
 
     params = tuple(view.left_tuple(p) for p in range(view.left_size))
-    return finish(trivial_groups, params, "trivial", meta)
+    return finish(_groups(fiber_of.tolist()), params, "trivial", meta)
 
 
 @dataclass
@@ -152,8 +190,9 @@ class RectApprox:
 
 
 def _sub_relation(H: Hypergraph, last_vertex: int) -> Hypergraph:
-    edges = frozenset(e[:-1] for e in H.edges if e[-1] == last_vertex)
-    return Hypergraph(H.part_sizes[:-1], edges, False)
+    view = binary_view(H, tuple(range(H.k - 1)))
+    cells = np.argwhere(view.fibers[last_vertex].reshape(view.left_sizes))
+    return Hypergraph(H.part_sizes[:-1], frozenset(map(tuple, cells.tolist())), False)
 
 
 def _boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:

@@ -10,6 +10,7 @@ back to the provable upper bound floor(log2(#members)).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -19,14 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Hypergraph, Measure, binary_view
+from .core import (Hypergraph, Measure, binary_view, ceil_fraction,
+                   weighted_inner)
 from .errors import InputError
 from .jsonio import require
 
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A finite family of subsets of {0..ground_size-1}, deduplicated."""
+    """A finite family of subsets of {0..ground_size-1}, deduplicated;
+    members are sorted tuples, in sorted order."""
     ground_size: int
     members: tuple[tuple[int, ...], ...]
 
@@ -47,8 +50,10 @@ class SetFamily:
 
     def matrix(self) -> np.ndarray:
         mat = np.zeros((len(self.members), self.ground_size), dtype=bool)
-        for i, m in enumerate(self.members):
-            mat[i, list(m)] = True
+        sizes = [len(m) for m in self.members]
+        cols = np.fromiter(itertools.chain.from_iterable(self.members),
+                           dtype=np.intp, count=sum(sizes))
+        mat[np.repeat(np.arange(len(sizes)), sizes), cols] = True
         return mat
 
     def to_obj(self) -> dict:
@@ -85,17 +90,18 @@ def _collapsed_columns(mat: np.ndarray) -> list[int]:
     return sorted(seen.values())
 
 
-def _shattered(mat: np.ndarray, cols) -> bool:
-    t = len(cols)
-    codes = mat[:, list(cols)].astype(np.int64) @ (np.int64(1) << np.arange(t, dtype=np.int64))
-    return len(np.unique(codes)) == (1 << t)
-
-
 def vc_dimension(family: SetFamily, cap: int = 8, budget: int | None = None) -> VCDimension:
     """Largest d <= cap with some shattered d-subset of the ground set."""
     require(cap >= 1, "cap must be >= 1")
-    mat = family.matrix()
-    m = len(family.members)
+    return vc_dimension_matrix(family.matrix(), cap, budget)
+
+
+def vc_dimension_matrix(mat: np.ndarray, cap: int = 8,
+                        budget: int | None = None) -> VCDimension:
+    """vc_dimension of the family whose members are the rows of a boolean
+    matrix; the rows must be pairwise distinct (their order is irrelevant)."""
+    require(cap >= 1, "cap must be >= 1")
+    m = mat.shape[0]
     if m == 0:
         return VCDimension(0)
     log_bound = 0 if m == 1 else int(math.floor(math.log2(m)))
@@ -229,39 +235,57 @@ class EpsNet:
     meta: dict = field(default_factory=dict)
 
 
-def _heavy_members(family: SetFamily, weights, den: int, eps: Fraction):
-    heavy = []
-    for m in family.members:
-        num = sum(weights[v] for v in m)
-        if Fraction(num, den) >= eps:
-            heavy.append(m)
-    return heavy
+# Row blocks copied out of a large boolean matrix are kept near this size.
+ROW_BLOCK_BYTES = 1 << 22
 
 
-def _verify_net(heavy, points) -> bool:
-    pts = set(points)
-    return all(pts.intersection(m) for m in heavy)
+def lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width bytes key per boolean row; keys sort like the rows'
+    sorted member-index tuples, and equal keys mean equal rows.
+
+    Position p gets 1 if it is a member, 2 if it is a gap before a later
+    member and 0 past the last member, packed two bits per position,
+    big-endian, so bytewise comparison is tuple comparison (a proper prefix
+    sorts first because 0 < 1, 2)."""
+    n, width = rows.shape
+    key = np.logical_or.accumulate(rows[:, ::-1], axis=1)[:, ::-1].astype(np.uint8)
+    key <<= 1
+    key -= rows.view(np.uint8)
+    nbytes = max(1, -(-width // 4))
+    packed = np.zeros((n, nbytes), dtype=np.uint8)
+    for s in range(4):
+        lane = key[:, s::4]
+        lane <<= 6 - 2 * s
+        packed[:, :lane.shape[1]] |= lane
+    return packed.view(np.dtype((np.bytes_, nbytes)))[:, 0]
 
 
-def _greedy_net(heavy) -> list[int]:
-    """Deterministic greedy: take the lex-least unhit heavy member, add the
-    point of it hitting the most currently-unhit heavy members (ties by
-    largest index, the classic right-endpoint rule on interval families)."""
+def greedy_net(heavy: np.ndarray) -> list[int]:
+    """Deterministic greedy over heavy rows sorted in the lex order of their
+    member tuples: take the lex-least unhit row, add the point of it hitting
+    the most currently-unhit rows (ties by largest index, the classic
+    right-endpoint rule on interval families)."""
     points: list[int] = []
-    unhit = sorted(heavy)
-    unhit_sets = [frozenset(m) for m in unhit]
-    while unhit:
-        target = unhit[0]
-        best_pt, best_hits = None, -1
-        for v in target:
-            hits = sum(1 for ms in unhit_sets if v in ms)
-            if hits >= best_hits:
-                best_pt, best_hits = v, hits
-        points.append(best_pt)
-        keep = [i for i, ms in enumerate(unhit_sets) if best_pt not in ms]
-        unhit = [unhit[i] for i in keep]
-        unhit_sets = [unhit_sets[i] for i in keep]
+    hits = heavy.sum(axis=0)
+    unhit = np.ones(heavy.shape[0], dtype=bool)
+    step = max(1, ROW_BLOCK_BYTES // max(1, heavy.shape[1]))
+    first = 0
+    while first < heavy.shape[0]:
+        members = np.flatnonzero(heavy[first])
+        score = hits[members]
+        best = int(members[len(members) - 1 - int(np.argmax(score[::-1]))])
+        points.append(best)
+        newly = np.flatnonzero(unhit & heavy[:, best])
+        for s in range(0, len(newly), step):
+            hits -= heavy[newly[s:s + step]].sum(axis=0)
+        unhit[newly] = False
+        rest = unhit[first:]
+        first += int(np.argmax(rest)) if rest.any() else len(rest)
     return points
+
+
+def net_hits_all(heavy: np.ndarray, points) -> bool:
+    return bool(heavy[:, np.asarray(points, dtype=np.intp)].any(axis=1).all())
 
 
 def net_size_formula(d: int, eps: Fraction) -> dict:
@@ -276,11 +300,16 @@ def net_size_formula(d: int, eps: Fraction) -> dict:
     }
 
 
+def net_dimension(mat: np.ndarray) -> VCDimension:
+    """Dimension used to size random nets, over distinct member rows."""
+    return vc_dimension_matrix(mat, cap=8, budget=500_000)
+
+
 @lru_cache(maxsize=32)
 def _net_dimension(family: SetFamily) -> VCDimension:
     # the sampling size depends only on the family; repeated seeded draws on
     # the same family should not pay for the dimension search each time
-    return vc_dimension(family, cap=8, budget=500_000)
+    return net_dimension(family.matrix())
 
 
 def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
@@ -293,15 +322,29 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     require(len(mu.weights) == family.ground_size,
             "measure length does not match the ground set")
     weights, den = mu.numerators()
-    heavy = _heavy_members(family, weights, den, eps)
-    meta: dict = {"heavy_members": len(heavy)}
+    mat = family.matrix()
+    mass = weighted_inner(mat, np.ones((1, mat.shape[1]), dtype=bool), weights, den)[:, 0]
+    # members are sorted tuples in sorted order, so the rows are in lex order
+    heavy = mat[mass >= min(ceil_fraction(eps * den), den + 1)]
+    return heavy_net(heavy, weights, den, eps, lambda: _net_dimension(family),
+                     strategy, seed, max_retries)
+
+
+def heavy_net(heavy: np.ndarray, weights, den: int, eps: Fraction, dimension,
+              strategy: str = "greedy", seed: int | None = None,
+              max_retries: int = 10) -> EpsNet:
+    """An eps-net for the heavy rows (members of measure >= eps under the
+    weights/den measure), given in lex order of their member tuples.
+
+    `dimension` is called only by the random strategy and returns the
+    VCDimension of the whole family the heavy rows were taken from."""
+    meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
-        pts = _greedy_net(heavy)
-        ok = _verify_net(heavy, pts)
-        return EpsNet(tuple(pts), eps, ok, "greedy", meta)
+        pts = greedy_net(heavy)
+        return EpsNet(tuple(pts), eps, net_hits_all(heavy, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
-    dim = _net_dimension(family)
+    dim = dimension()
     sizes = net_size_formula(dim.value, eps)
     meta.update(sizes)
     meta["dimension"] = dim.display()
@@ -310,21 +353,12 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     attempts = 0
     for attempt in range(max_retries):
         attempts += 1
-        pts = []
-        for _ in range(sizes["size_ln"]):
-            x = rng.randrange(den)
-            lo, hi = 0, len(cum) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if x < cum[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            pts.append(lo)
-        if _verify_net(heavy, pts):
+        pts = [bisect.bisect_right(cum, rng.randrange(den))
+               for _ in range(sizes["size_ln"])]
+        if net_hits_all(heavy, pts):
             meta["attempts"] = attempts
             return EpsNet(tuple(pts), eps, True, "random", meta)
     meta["attempts"] = attempts
     meta["fallback"] = "greedy"
-    pts = _greedy_net(heavy)
-    return EpsNet(tuple(pts), eps, _verify_net(heavy, pts), "random", meta)
+    pts = greedy_net(heavy)
+    return EpsNet(tuple(pts), eps, net_hits_all(heavy, pts), "random", meta)

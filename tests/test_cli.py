@@ -205,3 +205,34 @@ def test_rational_outputs_never_use_floats(tmp_path):
     body = dict(rep)
     body.pop("timing")  # wall-clock seconds are the one sanctioned float
     no_float(body)
+
+
+@pytest.mark.parametrize("hobj", [
+    {"k": 2, "part_sizes": [2, 2], "edges": 5},
+    {"k": 2, "part_sizes": [True, 2], "edges": []},
+    {"k": 2, "part_sizes": [2, 2], "edges": [5]},
+    {"k": 2, "part_sizes": [2, 2], "edges": [[True, 0]]},
+])
+def test_malformed_instance_is_input_error(write_json, hobj):
+    p = write_json("bad.json", hobj)
+    code, rep = report(["reg", "partition", "--in", p, "--epsilon", "1/4"])
+    assert code == 2
+    assert rep["error"]["kind"] == "input" and not rep["ok"]
+
+
+def test_dyadic_depth_beyond_print_limit_is_input_error():
+    code, rep = report(["dyadic", "density", "--depth", "100000"])
+    assert code == 2
+    assert rep["error"]["kind"] == "input"
+    assert "7142" in rep["error"]["message"]
+
+
+def test_difference_guard_is_input_error(tmp_path, monkeypatch):
+    import vcreg.regularity
+    inst = str(tmp_path / "half24.json")
+    report(["gen", "half-graph", "--sizes", "24,24", "--out", inst])
+    monkeypatch.setattr(vcreg.regularity, "MAX_DIFF_BYTES", 1000)
+    code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 2
+    assert rep["error"]["kind"] == "input"
+    assert "delta_approx_partition" in rep["error"]["message"]

@@ -1,0 +1,136 @@
+"""The matrix eps-net and delta-partition kernels against the set-based
+oracles, in all three arithmetic regimes of the left-side denominator."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vcreg import (Hypergraph, Measure, SetFamily, delta_approx_partition,
+                   epsilon_net)
+from vcreg.core import INT64_SAFE, SpaceWeights, weighted_inner
+from vcreg.oracles import (brute_delta_partition, brute_greedy_net,
+                           brute_random_net, brute_vc_dimension)
+
+# primes, so weights n/p with 0 < n < p keep the denominator p in lowest terms
+P_INT64 = 2 ** 55 - 55     # left denominators in [2^53, 2^62)
+P_BIG = 2 ** 63 - 25       # left denominators >= 2^62 (Python integers)
+REGIMES = ("float64", "int64", "bigint")
+
+
+def _regime(den: int) -> str:
+    return "float64" if den < 2 ** 53 else "int64" if den < INT64_SAFE else "bigint"
+
+
+def _weights(rng, n, den):
+    """n weights over den, about a fifth of them zero, at least two nonzero
+    when n > 1."""
+    cuts = sorted(rng.randrange(1, den) for _ in range(n - 1))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    for i in range(n):
+        others = [j for j in range(n) if j != i and nums[j]]
+        if len(others) > 1 and rng.random() < 0.2:
+            nums[rng.choice(others)] += nums[i]
+            nums[i] = 0
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def _instance(rng, regime):
+    k = rng.choice((2, 3))
+    sizes = tuple(rng.randint(2, 6 if k == 2 else 3) for _ in range(k))
+    left = (0,) if k == 2 else rng.choice(((0, 1), (0,), (1, 2)))
+    cells = list(itertools.product(*[range(n) for n in sizes]))
+    if rng.random() < 0.5:
+        edges = {t for t in cells if rng.getrandbits(1)}
+    else:   # threshold-like relations keep the VC dimension low
+        edges = {t for t in cells if t[0] <= t[-1] + rng.randint(-1, 1)}
+    H = Hypergraph(sizes, frozenset(edges))
+    dens = [rng.randint(n, 40) for n in sizes]
+    if regime != "float64":
+        dens[left[0]] = P_INT64 if regime == "int64" else P_BIG
+    measures = tuple(Measure(i, _weights(rng, n, d))
+                     for i, (n, d) in enumerate(zip(sizes, dens)))
+    assert _regime(SpaceWeights(measures, left, sizes).den) == regime
+    return H, measures, left
+
+
+@pytest.mark.parametrize("den, dtype", [(2 ** 53 - 1, np.float64),
+                                        (INT64_SAFE - 1, np.int64),
+                                        (3 ** 200, object)])
+@pytest.mark.parametrize("width", [1, 7, 300])
+def test_weighted_inner_is_exact(den, dtype, width):
+    rng = random.Random(width)
+    cuts = sorted(rng.randrange(den + 1) for _ in range(width - 1))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    a = np.array([[rng.random() < 0.6 for _ in range(width)] for _ in range(5)])
+    b = np.vstack([a[:2], np.ones((1, width), dtype=bool)])
+    got = weighted_inner(a, b, nums, den)
+    assert got.dtype == dtype
+    for i, j in itertools.product(range(len(a)), range(len(b))):
+        want = sum(n for n, x, y in zip(nums, a[i], b[j]) if x and y)
+        assert int(got[i, j]) == want
+
+
+def _same_partition(dp, want):
+    assert dp.classes == want["classes"]
+    assert dp.params == want["params"]
+    assert dp.path == want["path"]
+    assert dp.max_pair_distance == want["max_pair_distance"]
+    assert dp.meta == want["meta"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5),
+                            Fraction(1, 8), Fraction(1)]))
+def test_delta_partition_matches_oracle(seed, regime, eps):
+    H, measures, left = _instance(random.Random(seed), regime)
+    dp = delta_approx_partition(H, measures, eps, left)
+    _same_partition(dp, brute_delta_partition(H, measures, eps, left))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       n=st.integers(1, 9), count=st.integers(0, 14),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(2, 7)]))
+def test_greedy_net_matches_oracle(seed, regime, n, count, eps):
+    rng = random.Random(seed)
+    if regime != "float64":
+        n = max(n, 2)
+    den = {"float64": rng.randint(n, 60), "int64": P_INT64, "bigint": P_BIG}[regime]
+    mu = Measure(0, _weights(rng, n, den))
+    fam = SetFamily.from_sets(n, [[v for v in range(n) if rng.random() < 0.4]
+                                  for _ in range(count)])
+    net = epsilon_net(fam, mu, eps)
+    points, heavy = brute_greedy_net(fam.members, mu.weights, eps)
+    assert net.verified
+    assert list(net.points) == points
+    assert net.meta == {"heavy_members": heavy}
+
+
+def test_random_strategy_matches_oracle():
+    rng = random.Random(5)
+    for regime in REGIMES:
+        for _ in range(4):
+            H, measures, left = _instance(rng, regime)
+            dp = delta_approx_partition(H, measures, Fraction(1, 3), left,
+                                        strategy="random", seed=11)
+            _same_partition(dp, brute_delta_partition(
+                H, measures, Fraction(1, 3), left, strategy="random", seed=11))
+        n = 8
+        den = {"float64": 24, "int64": P_INT64, "bigint": P_BIG}[regime]
+        mu = Measure(0, _weights(rng, n, den))
+        fam = SetFamily.from_sets(n, [[v for v in range(n) if rng.random() < 0.5]
+                                      for _ in range(12)])
+        net = epsilon_net(fam, mu, Fraction(1, 4), strategy="random", seed=3)
+        want = brute_random_net(fam.members, mu.weights, Fraction(1, 4),
+                                brute_vc_dimension(fam.members, n), 3)
+        assert net.verified
+        assert list(net.points) == want["points"]
+        assert net.meta["attempts"] == want["attempts"]
+        assert net.meta["size_ln"] == want["size_ln"]
+        assert net.meta.get("fallback") == want.get("fallback")
+
