@@ -3,9 +3,18 @@
 Vertices of part i are the integers 0..part_sizes[i]-1 and relations live in
 V_0 x ... x V_{k-1}. All measure arithmetic is exact: weights are nonnegative
 Fractions summing to 1 per part, and internally everything runs on integer
-numerators over a per-part common denominator. numpy is used for boolean mask
-and integer accumulation kernels, guarded so int64 can never overflow; inputs
-that exceed the guard fall back to arbitrary-precision Python integers.
+numerators over a common denominator den (the product of the per-part ones
+over a product of parts). The counting kernels live here once each:
+
+  SpaceWeights.sums     weight sums of boolean rows: int64 while den is below
+                        INT64_SAFE = 2^62 (no partial sum exceeds den), Python
+                        integers beyond;
+  ProductSpace.box_sums per-box sums over a partition: a float64 bincount
+                        while den < 2^53, Python integers beyond;
+  weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
+                        float64 limbs recombined in int64 or Python integers
+                        above;
+  boxes_mask, atoms     box masks and fingerprint atoms (boolean only).
 
 Coordinate splits: for an index set I of parts, V_I is the product of those
 parts in increasing part order, enumerated row-major. A BinaryView presents
@@ -208,18 +217,15 @@ class SpaceWeights:
         if self.den < INT64_SAFE and self.size <= MAX_DENSE_SPACE:
             self._np = np.asarray(self.nums, dtype=np.int64)
 
-    def np_nums(self):
-        return self._np
-
-    def mass_of_bool(self, mask: np.ndarray) -> Fraction:
+    def sums(self, mask: np.ndarray):
+        """Exact numerator sum of the positions a boolean row selects (an int),
+        or of each row of a boolean matrix (a list of ints)."""
         if self._np is not None:
-            return Fraction(int(self._np[mask].sum()), self.den)
-        return Fraction(sum(self.nums[p] for p in np.flatnonzero(mask)), self.den)
-
-    def nums_of_bool(self, mask: np.ndarray) -> int:
-        if self._np is not None:
-            return int(self._np[mask].sum())
-        return sum(self.nums[p] for p in np.flatnonzero(mask))
+            return (mask @ self._np).tolist()
+        nums = self.nums
+        out = [sum(map(nums.__getitem__, np.flatnonzero(row).tolist()))
+               for row in np.atleast_2d(mask)]
+        return out if mask.ndim > 1 else out[0]
 
 
 def ceil_fraction(q: Fraction) -> int:
@@ -353,9 +359,6 @@ class ProductMeasure:
     def k(self) -> int:
         return len(self.measures)
 
-    def __call__(self, box: Box) -> Fraction:
-        return self.box_mass(box)
-
     def box_mass(self, box: Box) -> Fraction:
         require(len(box.sides) == self.k, "box arity mismatch")
         out = Fraction(1)
@@ -386,8 +389,8 @@ def product_measure(measures) -> ProductMeasure:
 class ProductSpace:
     """Dense per-tuple arrays for one hypergraph under one measure vector.
 
-    Flattened row-major over all k parts: edge mask, integer weight
-    numerators (int64 when exact, else Python ints on demand).
+    Flattened row-major over all k parts: the edge mask and the exact
+    weights, with per-box sums over a partition.
     """
 
     def __init__(self, H: Hypergraph, measures):
@@ -402,35 +405,61 @@ class ProductSpace:
         mask[np.ravel_multi_index(edge_array(H).T, self.sizes)] = True
         self.edge_mask = mask
 
-    def pos(self, t) -> int:
-        p = 0
-        for v, n in zip(t, self.sizes):
-            p = p * n + v
-        return p
-
-    def tuple_of(self, p: int) -> tuple[int, ...]:
+    def box_sums(self, classes_by_part, masks=()) -> tuple:
+        """(class counts, per-box weight sums, per-box sums of each boolean
+        mask), the sums as Python ints in row-major box order. Exact: a
+        float64 bincount while den < 2^53, Python integers beyond."""
+        counts = [len(c) for c in classes_by_part]
+        ids = np.zeros(self.sizes, dtype=np.int64)
+        for i, classes in enumerate(classes_by_part):
+            cls_of = np.zeros(self.sizes[i], dtype=np.int64)
+            for ci, c in enumerate(classes):
+                cls_of[list(c)] = ci
+            shape = [1] * len(self.sizes)
+            shape[i] = self.sizes[i]
+            ids = ids * counts[i] + cls_of.reshape(shape)
+        ids = ids.reshape(-1)
+        nboxes = prod(counts)
+        if self.weights.den < (1 << 53):
+            wf = self.weights._np.astype(np.float64)
+            return counts, *(np.rint(np.bincount(ids[m], weights=wf[m], minlength=nboxes))
+                             .astype(np.int64).tolist()
+                             for m in (slice(None), *masks))
+        nums = np.array(self.weights.nums, dtype=object)
         out = []
-        for n in reversed(self.sizes):
-            out.append(p % n)
-            p //= n
-        return tuple(reversed(out))
+        for m in (slice(None), *masks):
+            acc = np.zeros(nboxes, dtype=object)
+            np.add.at(acc, ids[m], nums[m])
+            out.append(acc.tolist())
+        return counts, *out
 
-    def box_mask(self, box: Box) -> np.ndarray:
-        m = np.zeros(self.sizes, dtype=bool)
-        idx = np.ix_(*[np.asarray(s, dtype=np.intp) for s in box.sides]) if all(
-            len(s) for s in box.sides) else None
-        if idx is not None:
-            m[idx] = True
-        return m.reshape(-1)
 
-    def boxes_mask(self, boxes) -> np.ndarray:
-        m = np.zeros(self.size, dtype=bool)
-        for b in boxes:
-            m |= self.box_mask(b)
-        return m
+def boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:
+    """Flat row-major boolean mask over the product of `shape` of the union
+    of boxes, each box given by its sides."""
+    m = np.zeros(shape, dtype=bool)
+    for sides in boxes:
+        m[np.ix_(*[np.asarray(s, dtype=np.intp) for s in sides])] = True
+    return m.reshape(-1)
 
-    def mass_of(self, mask: np.ndarray) -> Fraction:
-        return self.weights.mass_of_bool(mask)
+
+def atoms(signatures: np.ndarray) -> list[list[int]]:
+    """Row indices grouped by equal rows of a boolean signature matrix, each
+    group ascending, groups ordered by their first member."""
+    groups: dict = {}
+    if len(signatures):
+        _, label = np.unique(np.packbits(signatures, axis=1), axis=0,
+                             return_inverse=True)
+        for r, lab in enumerate(label.reshape(-1).tolist()):
+            groups.setdefault(lab, []).append(r)
+    return list(groups.values())
+
+
+def fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
+    """The vertices of one part grouped by membership in the fibers of the
+    given parameters, tuples over the other parts in increasing order."""
+    view = binary_view(H, (part,))
+    return atoms(view.fibers[[view.right_pos(b) for b in params]].T)
 
 
 def edge_mass(H: Hypergraph, measures) -> Fraction:
@@ -475,7 +504,7 @@ def weak_fubini_check(H: Hypergraph, measures, eps: Fraction) -> dict:
     view = binary_view(H, (0,))
     lw = SpaceWeights(measures, (0,), H.part_sizes)
     rnums, rden = measures[1].numerators()
-    fiber_masses = [lw.mass_of_bool(view.fibers[r]) for r in range(view.right_size)]
+    fiber_masses = [Fraction(n, lw.den) for n in lw.sums(view.fibers)]
     max_fiber = max(fiber_masses, default=Fraction(0))
     total = sum((Fraction(rnums[r], rden) * fm for r, fm in enumerate(fiber_masses)),
                 Fraction(0))
@@ -492,7 +521,5 @@ def fubini_mass(H: Hypergraph, measures, left_parts) -> Fraction:
     view = binary_view(H, tuple(left_parts))
     lw = SpaceWeights(measures, view.left, H.part_sizes)
     rw = SpaceWeights(measures, view.right, H.part_sizes)
-    total = 0
-    for r in range(view.right_size):
-        total += rw.nums[r] * lw.nums_of_bool(view.fibers[r])
+    total = sum(r * f for r, f in zip(rw.nums, lw.sums(view.fibers)))
     return Fraction(total, rw.den * lw.den)

@@ -92,6 +92,24 @@ def brute_atoms_by_combinations(H: Hypergraph, parts, params) -> list[frozenset]
     return atoms
 
 
+def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
+    """The vertices of one part grouped by the membership of each tuple that
+    puts the vertex at `part` and spreads a parameter over the other parts,
+    groups ordered by their first member."""
+    comp = tuple(i for i in range(H.k) if i != part)
+    groups: dict = {}
+    for v in range(H.part_sizes[part]):
+        sig = []
+        for b in params:
+            t = [None] * H.k
+            t[part] = v
+            for idx, val in zip(comp, b):
+                t[idx] = val
+            sig.append(tuple(t) in H.edges)
+        groups.setdefault(tuple(sig), []).append(v)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
 def brute_shatters(members, subset) -> bool:
     subset = tuple(subset)
     traces = {tuple(v in m for v in subset) for m in members}

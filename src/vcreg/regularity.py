@@ -28,8 +28,9 @@ from math import prod
 
 import numpy as np
 
-from .core import (Box, Hypergraph, Measure, ProductSpace, SpaceWeights,
-                   binary_view, ceil_fraction, check_measures, weighted_inner)
+from .core import (Box, Hypergraph, Measure, ProductSpace, SpaceWeights, atoms,
+                   binary_view, boxes_mask, ceil_fraction, check_measures,
+                   fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, lex_keys, net_dimension,
@@ -50,15 +51,8 @@ class DeltaPartition:
 
 
 def _pairwise_max_distance(rows: np.ndarray, lw: SpaceWeights) -> Fraction:
-    best = 0
-    w = lw.np_nums()
-    for i in range(len(rows) - 1):
-        diff = rows[i] ^ rows[i + 1:]
-        if w is not None:
-            m = int((diff @ w).max()) if diff.size else 0
-        else:
-            m = max((lw.nums_of_bool(d) for d in diff), default=0)
-        best = max(best, m)
+    best = max((max(lw.sums(rows[i] ^ rows[i + 1:])) for i in range(len(rows) - 1)),
+               default=0)
     return Fraction(best, lw.den)
 
 
@@ -93,14 +87,6 @@ def _difference_rows(fibers: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
     return fibers[ii[first]] ^ fibers[jj[first]]
 
 
-def _groups(labels) -> dict:
-    """Right positions grouped by label, each group in increasing order."""
-    groups: dict = {}
-    for r, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(r)
-    return groups
-
-
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
                            strategy: str = "greedy", seed: int = 0,
                            d_budget: int = 200_000) -> DeltaPartition:
@@ -123,8 +109,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
                               eps, "single",
                               _pairwise_max_distance(view.fibers, lw))
 
-    def finish(groups: dict, params: tuple, path: str, meta: dict) -> DeltaPartition:
-        ordered = sorted(groups.values(), key=lambda ps: ps[0])
+    def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
         classes = tuple(tuple(view.right_tuple(p) for p in ps) for ps in ordered)
         reps = tuple(c[0] for c in classes)
         worst = Fraction(0)
@@ -137,8 +122,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         return DeltaPartition(left, view.right, classes, reps, params, eps,
                               path, worst, meta)
 
-    fibers, fiber_of = np.unique(view.fibers, axis=0, return_inverse=True)
-    fiber_of = fiber_of.reshape(-1)
+    fibers = np.unique(view.fibers, axis=0)
     dim = vc_dimension_matrix(fibers, cap=8, budget=d_budget)
     d_bound = dim.value if not dim.budget_exhausted else max(
         dim.value, int(math.floor(math.log2(max(1, len(fibers))))))
@@ -165,16 +149,11 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         meta.update({"net_size": len(net_points), "net_param_bound": bound,
                      "net_strategy": strategy})
         if len(net_points) < view.left_size and len(net_points) <= bound:
-            if net_points:
-                _, atom = np.unique(fibers[:, net_points], axis=0, return_inverse=True)
-                labels = atom.reshape(-1)[fiber_of].tolist()
-            else:
-                labels = [0] * view.right_size
             params = tuple(view.left_tuple(p) for p in net_points)
-            return finish(_groups(labels), params, "net", meta)
+            return finish(atoms(view.fibers[:, net_points]), params, "net", meta)
 
     params = tuple(view.left_tuple(p) for p in range(view.left_size))
-    return finish(_groups(fiber_of.tolist()), params, "trivial", meta)
+    return finish(atoms(view.fibers), params, "trivial", meta)
 
 
 @dataclass
@@ -193,14 +172,6 @@ def _sub_relation(H: Hypergraph, last_vertex: int) -> Hypergraph:
     view = binary_view(H, tuple(range(H.k - 1)))
     cells = np.argwhere(view.fibers[last_vertex].reshape(view.left_sizes))
     return Hypergraph(H.part_sizes[:-1], frozenset(map(tuple, cells.tolist())), False)
-
-
-def _boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:
-    m = np.zeros(shape, dtype=bool)
-    for b in boxes:
-        if all(len(s) for s in b.sides):
-            m[np.ix_(*[np.asarray(s, dtype=np.intp) for s in b.sides])] = True
-    return m.reshape(-1)
 
 
 def rectangular_approximation(H: Hypergraph, measures, eps: Fraction,
@@ -250,12 +221,9 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
             for c in sub_params[j]:
                 param_sets[j].add(tuple(c) + (rep_v,))
         # exact error contribution: nu(b) * mu_left(fiber_b Delta A_class)
-        amask = _boxes_mask(view.left_sizes, sub_boxes)
-        w = lw.np_nums()
-        for b in cls:
-            diff = view.fibers[view.right_pos(b)] ^ amask
-            contrib = int(diff @ w) if w is not None else lw.nums_of_bool(diff)
-            err_num += rnums[b[0]] * contrib
+        amask = boxes_mask(view.left_sizes, (b.sides for b in sub_boxes))
+        diffs = lw.sums(view.fibers[[view.right_pos(b) for b in cls]] ^ amask)
+        err_num += sum(rnums[b[0]] * d for b, d in zip(cls, diffs))
     for c in dp.params:
         param_sets[k - 1].add(tuple(c))
 
@@ -304,40 +272,30 @@ class RegularPartition:
         require(isinstance(obj, dict) and "classes" in obj and "epsilon" in obj,
                 "partition JSON needs classes and epsilon")
         from .jsonio import parse_rational
-        classes = tuple(tuple(tuple(c) for c in part) for part in obj["classes"])
-        sigma = tuple(tuple(s) for s in obj.get("sigma", []))
-        labels = {tuple(kbox): int(v) for kbox, v in obj.get("labels", [])}
-        prov = tuple(tuple(tuple(p) for p in part) for part in obj.get("provenance", []))
-        return RegularPartition(classes, parse_rational(obj["epsilon"]), sigma,
-                                labels, prov)
+        pairs = obj.get("labels", [])
+        require(isinstance(pairs, list) and all(isinstance(x, list) and len(x) == 2
+                                                for x in pairs),
+                "partition field 'labels' must be a list of [box, label] pairs")
+        labels = {_int_lists(kbox, 1, "labels"): _int_lists(v, 0, "labels")
+                  for kbox, v in pairs}
+        return RegularPartition(_int_lists(obj["classes"], 3, "classes"),
+                                parse_rational(obj["epsilon"]),
+                                _int_lists(obj.get("sigma", []), 2, "sigma"), labels,
+                                _int_lists(obj.get("provenance", []), 3, "provenance"))
+
+
+def _int_lists(obj, depth: int, name: str):
+    """A partition field of integers nested `depth` lists deep, as tuples."""
+    if depth == 0:
+        require(type(obj) is int, f"partition field {name!r} must hold integers")
+        return obj
+    require(isinstance(obj, list), f"partition field {name!r} must be nested lists")
+    return tuple(_int_lists(x, depth - 1, name) for x in obj)
 
 
 def _atoms_over_sides(n: int, sides) -> list[list[int]]:
-    groups: dict = {}
-    side_sets = [frozenset(s) for s in sides]
-    for v in range(n):
-        key = tuple(v in s for s in side_sets)
-        groups.setdefault(key, []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
-def _atoms_over_params(H: Hypergraph, part: int, params) -> list[list[int]]:
-    """Fingerprint classes of one part over recorded parameter tuples.
-
-    For symmetric pooled parameters the vertex is tested in coordinate 0;
-    otherwise the parameter is spread over the complementary parts."""
-    comp = tuple(i for i in range(H.k) if i != part)
-    groups: dict = {}
-    for v in range(H.part_sizes[part]):
-        sig = []
-        for b in params:
-            t = [None] * H.k
-            t[part] = v
-            for idx, val in zip(comp, b):
-                t[idx] = val
-            sig.append(tuple(t) in H.edges)
-        groups.setdefault(tuple(sig), []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
+    member = boxes_mask((n, len(sides)), ((s, (j,)) for j, s in enumerate(sides)))
+    return atoms(member.reshape(n, len(sides)))
 
 
 def _merge_zero_measure(classes: list[list[int]], measure: Measure) -> list[list[int]]:
@@ -350,32 +308,6 @@ def _merge_zero_measure(classes: list[list[int]], measure: Measure) -> list[list
     for c in dead:
         keep[0].extend(c)
     return [sorted(c) for c in keep]
-
-
-def _box_accumulate(ps: ProductSpace, ids: np.ndarray, nboxes: int, masks: dict):
-    """Per-box integer numerator sums for each named boolean mask (plus the
-    total), exact under the declared guards."""
-    w = ps.weights.np_nums()
-    out = {}
-    if w is not None and ps.weights.den < (1 << 53):
-        wf = w.astype(np.float64)
-        out["total"] = np.rint(np.bincount(ids, weights=wf, minlength=nboxes)).astype(np.int64)
-        for name, m in masks.items():
-            out[name] = np.rint(np.bincount(ids[m], weights=wf[m], minlength=nboxes)).astype(np.int64)
-        return out
-    totals = [0] * nboxes
-    per = {name: [0] * nboxes for name in masks}
-    nums = ps.weights.nums
-    for p in range(ps.size):
-        b = int(ids[p])
-        totals[b] += nums[p]
-        for name, m in masks.items():
-            if m[p]:
-                per[name][b] += nums[p]
-    out["total"] = totals
-    for name in masks:
-        out[name] = per[name]
-    return out
 
 
 def regular_partition(H: Hypergraph, measures, eps: Fraction,
@@ -394,9 +326,9 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     per_part_classes = []
     if uniform:
         pooled = sorted(set(itertools.chain.from_iterable(ra.params)))
-        atoms = _atoms_over_params(H, 0, pooled)
+        pooled_atoms = fiber_atoms(H, 0, pooled)
         for i in range(H.k):
-            per_part_classes.append([list(a) for a in atoms])
+            per_part_classes.append([list(a) for a in pooled_atoms])
         provenance = tuple(tuple(pooled) for _ in range(H.k))
     else:
         for i in range(H.k):
@@ -408,38 +340,23 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     ]
 
     ps = ProductSpace(H, measures)
-    counts = [len(c) for c in per_part_classes]
-    ids = np.zeros(H.part_sizes, dtype=np.int64)
-    for i, classes in enumerate(per_part_classes):
-        cls_of = np.zeros(H.part_sizes[i], dtype=np.int64)
-        for ci, c in enumerate(classes):
-            cls_of[list(c)] = ci
-        shape = [1] * H.k
-        shape[i] = H.part_sizes[i]
-        ids = ids * counts[i] + cls_of.reshape(shape)
-    ids = ids.reshape(-1)
-    nboxes = prod(counts)
-
-    amask = ps.boxes_mask(ra.boxes)
-    emask = ps.edge_mask
-    sym = amask ^ emask
-    acc = _box_accumulate(ps, ids, nboxes, {"edge": emask, "sym": sym, "inA": amask})
-    tot, w_edge, w_sym, w_a = acc["total"], acc["edge"], acc["sym"], acc["inA"]
+    amask = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes))
+    counts, tot, w_edge, w_sym, w_a = ps.box_sums(
+        per_part_classes, (ps.edge_mask, amask ^ ps.edge_mask, amask))
 
     en, ed = eps.numerator, eps.denominator
     sigma_idx, labels = [], {}
     sigma_num = 0
-    for b in range(nboxes):
-        t = int(tot[b])
+    for key, t, e, sym, a in zip(itertools.product(*map(range, counts)),
+                                 tot, w_edge, w_sym, w_a):
         if t == 0:
             continue
-        key = tuple(int(x) for x in np.unravel_index(b, counts))
-        if int(w_sym[b]) * ed >= en * t:
+        if sym * ed >= en * t:
             sigma_idx.append(key)
             sigma_num += t
             continue
-        lab = 1 if 2 * int(w_a[b]) >= t else 0
-        off = (t - int(w_edge[b])) if lab == 1 else int(w_edge[b])
+        lab = 1 if 2 * a >= t else 0
+        off = (t - e) if lab == 1 else e
         if off * ed >= en * t:
             raise VerificationError(
                 f"box {key} (label {lab}) fails the 0-1 density condition")
@@ -482,6 +399,17 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     when absent); classes are unions of fingerprint atoms over the recorded
     parameters."""
     measures = check_measures(H, measures)
+    require(len(partition.classes) == H.k,
+            f"partition has {len(partition.classes)} parts, the relation {H.k}")
+    require(len(partition.provenance) in (0, H.k),
+            f"provenance has {len(partition.provenance)} parts, the relation {H.k}")
+    for i, params in enumerate(partition.provenance):
+        comp = H.complement_parts((i,))
+        for b in params:
+            require(len(b) == len(comp) and all(type(v) is int and 0 <= v < H.part_sizes[j]
+                                                for v, j in zip(b, comp)),
+                    f"provenance parameter {list(b)} of part {i} is not a vertex "
+                    f"tuple over parts {list(comp)}")
     eps = partition.epsilon
     violations = []
     for i, part_classes in enumerate(partition.classes):
@@ -492,30 +420,15 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
         return {"ok": False, "violations": violations}
 
     ps = ProductSpace(H, measures)
-    counts = [len(c) for c in partition.classes]
-    ids = np.zeros(H.part_sizes, dtype=np.int64)
-    for i, classes in enumerate(partition.classes):
-        cls_of = np.zeros(H.part_sizes[i], dtype=np.int64)
-        for ci, c in enumerate(classes):
-            cls_of[list(c)] = ci
-        shape = [1] * H.k
-        shape[i] = H.part_sizes[i]
-        ids = ids * counts[i] + cls_of.reshape(shape)
-    ids = ids.reshape(-1)
-    nboxes = prod(counts)
-    acc = _box_accumulate(ps, ids, nboxes, {"edge": ps.edge_mask})
-    tot, w_edge = acc["total"], acc["edge"]
+    counts, tot, w_edge = ps.box_sums(partition.classes, (ps.edge_mask,))
 
     sigma = {tuple(s) for s in partition.sigma}
     en, ed = eps.numerator, eps.denominator
     sigma_num = 0
-    for b in range(nboxes):
-        key = tuple(int(x) for x in np.unravel_index(b, counts))
-        t = int(tot[b])
+    for key, t, e in zip(itertools.product(*map(range, counts)), tot, w_edge):
         if key in sigma:
             sigma_num += t
             continue
-        e = int(w_edge[b])
         low = e * ed < en * t
         high = (t - e) * ed < en * t
         if t == 0:
@@ -537,21 +450,21 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
         for i, params in enumerate(partition.provenance):
             if not params:
                 continue
-            atoms = _atoms_over_params(H, i, params)
+            part_atoms = fiber_atoms(H, i, params)
             atom_of = {}
-            for ai, a in enumerate(atoms):
+            for ai, a in enumerate(part_atoms):
                 for v in a:
                     atom_of[v] = ai
             for ci, c in enumerate(partition.classes[i]):
                 hit_atoms = {atom_of[v] for v in c}
                 for a in hit_atoms:
-                    if not set(atoms[a]).issubset(c):
+                    if not set(part_atoms[a]).issubset(c):
                         violations.append({"kind": "class_not_definable",
                                            "part": i, "class": ci})
                         break
     return {"ok": not violations, "violations": violations,
             "sigma_mass": format_rational(sigma_mass),
-            "box_count": nboxes, "class_counts": counts}
+            "box_count": len(tot), "class_counts": counts}
 
 
 @dataclass
@@ -572,7 +485,7 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     require(isinstance(alpha, Fraction) and 0 < alpha <= 1, "alpha must be in (0, 1]")
     require(isinstance(eps, Fraction) and 0 < eps < 1, "eps must be in (0, 1)")
     ps = ProductSpace(H, measures)
-    e_mass = ps.mass_of(ps.edge_mask)
+    e_mass = Fraction(ps.weights.sums(ps.edge_mask), ps.weights.den)
     if e_mass < alpha:
         raise InputError(f"relation mass {e_mass} is below alpha={alpha}")
     eps_p = min(alpha, eps) / 4
@@ -598,8 +511,7 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
     sides = [part.classes[i][best_key[i]] for i in range(H.k)]
     box = Box.of(sides)
-    hit = sum(ps.weights.nums[ps.pos(e)] for e in H.edges
-              if all(e[i] in set(sides[i]) for i in range(H.k)))
+    hit = ps.weights.sums(ps.edge_mask & boxes_mask(H.part_sizes, [sides]))
     dens = Fraction(hit, ps.weights.den) / best_mass
     if not dens > 1 - eps_p:
         raise VerificationError(f"dense box density {dens} not above {1 - eps_p}")

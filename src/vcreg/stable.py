@@ -20,12 +20,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 
-from .core import (Box, Hypergraph, ProductSpace, SpaceWeights, binary_view,
-                   check_measures)
+from .core import (Box, Hypergraph, ProductSpace, SpaceWeights, atoms,
+                   binary_view, boxes_mask, check_measures, fiber_atoms)
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
 from .jsonio import require
@@ -144,20 +143,11 @@ def _normalize_subset(A) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def _fiber_hits(view, lw: SpaceWeights, positions) -> tuple[np.ndarray | list, int]:
+def _fiber_hits(view, lw: SpaceWeights, positions) -> tuple[list, int]:
     """Per-parameter numerator mass of fiber∩A, plus the mass of A."""
-    idx = np.asarray(positions, dtype=np.intp)
-    w = lw.np_nums()
-    if w is not None:
-        sub = w[idx]
-        hits = view.fibers[:, idx].astype(np.int64) @ sub
-        return hits, int(sub.sum())
-    hits = []
-    total = sum(lw.nums[p] for p in positions)
-    for r in range(view.right_size):
-        row = view.fibers[r]
-        hits.append(sum(lw.nums[p] for p in positions if row[p]))
-    return hits, total
+    in_a = np.zeros(view.left_size, dtype=bool)
+    in_a[positions] = True
+    return lw.sums(view.fibers & in_a), lw.sums(in_a)
 
 
 def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessReport:
@@ -180,7 +170,7 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
     en, ed = eps.numerator, eps.denominator
     worst_r, worst_key = None, None
     for r in range(view.right_size):
-        h = int(hits[r])
+        h = hits[r]
         if h * ed < en * a_num or (a_num - h) * ed < en * a_num:
             continue
         key = abs(2 * h - a_num)
@@ -190,7 +180,7 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
         return GoodnessReport(True, eps, parts, tuple(subset), scanned=view.right_size)
     return GoodnessReport(False, eps, parts, tuple(subset),
                           witness=view.right_tuple(worst_r),
-                          witness_density=Fraction(int(hits[worst_r]), a_num),
+                          witness_density=Fraction(hits[worst_r], a_num),
                           scanned=view.right_size)
 
 
@@ -229,7 +219,7 @@ def _descent_extract(view, lw, support: list[int], eps_half: Fraction, depth_cap
         hits, a_num = _fiber_hits(view, lw, current)
         worst_r, worst_key = None, None
         for r in range(view.right_size):
-            h = int(hits[r])
+            h = hits[r]
             if h * ed < en * a_num or (a_num - h) * ed < en * a_num:
                 continue
             key = abs(2 * h - a_num)
@@ -297,8 +287,7 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     def is_good(vertices, level: Fraction) -> bool:
         hits, a_num = _fiber_hits(view, lw, sorted(vertices))
         en, ed = level.numerator, level.denominator
-        return all(int(h) * ed < en * a_num or (a_num - int(h)) * ed < en * a_num
-                   for h in hits)
+        return all(h * ed < en * a_num or (a_num - h) * ed < en * a_num for h in hits)
 
     if residue:
         merged = sorted(pieces[0] + residue)
@@ -309,12 +298,11 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
             pieces[0] = merged
             residue_action = "merged_first_at_eps"
         else:
-            rw = SpaceWeights(measures, view.right, H.part_sizes) if view.right else None
+            rw = SpaceWeights(measures, view.right, H.part_sizes)
             rep_res = residue[0]
             best_i, best_d = None, None
             for i, piece in enumerate(pieces):
-                diff = view.fibers[:, piece[0]] ^ view.fibers[:, rep_res]
-                d = rw.nums_of_bool(diff) if rw is not None else int(diff.sum())
+                d = rw.sums(view.fibers[:, piece[0]] ^ view.fibers[:, rep_res])
                 if best_d is None or d < best_d:
                     best_i, best_d = i, d
             trial = sorted(pieces[best_i] + residue)
@@ -335,27 +323,10 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     # attach zero-weight vertices by fingerprint atom
     params = sorted(witnesses)
     if zeros:
-        piece_of = {}
-        for i, piece in enumerate(pieces):
-            for v in piece:
-                piece_of[v] = i
-        comp = view.right
-
-        def trace(v):
-            sig = []
-            for b in params:
-                t = [None] * H.k
-                t[part] = v
-                for idx, val in zip(comp, b):
-                    t[idx] = val
-                sig.append(tuple(t) in H.edges)
-            return tuple(sig)
-
-        atom_class: dict = {}
-        for v in support:
-            atom_class.setdefault(trace(v), piece_of[v])
-        for v in zeros:
-            pieces[atom_class.get(trace(v), 0)].append(v)
+        piece_of = {v: i for i, piece in enumerate(pieces) for v in piece}
+        for atom in fiber_atoms(H, part, params):
+            home = next((piece_of[v] for v in atom if v in piece_of), 0)
+            pieces[home].extend(v for v in atom if v not in piece_of)
         pieces = [sorted(p) for p in pieces]
 
     merged_at_eps = {0} if residue_action.startswith("merged") else set()
@@ -380,45 +351,10 @@ def descent_step_bound(eps: Fraction, d: int) -> float:
     return math.log(x ** (d + 1)) / math.log(1 - x ** d)
 
 
-def _box_stats(ps: ProductSpace, classes_by_part) -> tuple:
-    counts = [len(c) for c in classes_by_part]
-    ids = np.zeros(ps.sizes, dtype=np.int64)
-    for i, classes in enumerate(classes_by_part):
-        cls_of = np.zeros(ps.sizes[i], dtype=np.int64)
-        for ci, c in enumerate(classes):
-            cls_of[list(c)] = ci
-        shape = [1] * len(ps.sizes)
-        shape[i] = ps.sizes[i]
-        ids = ids * counts[i] + cls_of.reshape(shape)
-    ids = ids.reshape(-1)
-    nboxes = prod(counts)
-    w = ps.weights.np_nums()
-    if w is not None and ps.weights.den < (1 << 53):
-        wf = w.astype(np.float64)
-        tot = np.rint(np.bincount(ids, weights=wf, minlength=nboxes)).astype(np.int64)
-        e = np.rint(np.bincount(ids[ps.edge_mask], weights=wf[ps.edge_mask],
-                                minlength=nboxes)).astype(np.int64)
-    else:
-        tot = [0] * nboxes
-        e = [0] * nboxes
-        for p in range(ps.size):
-            b = int(ids[p])
-            tot[b] += ps.weights.nums[p]
-            if ps.edge_mask[p]:
-                e[b] += ps.weights.nums[p]
-    return counts, tot, e
-
-
 def _violating(counts, tot, e, eps: Fraction) -> list[tuple[int, ...]]:
     en, ed = eps.numerator, eps.denominator
-    out = []
-    for b in range(prod(counts)):
-        t, eb = int(tot[b]), int(e[b])
-        if t == 0:
-            continue
-        if not (eb * ed < en * t or (t - eb) * ed < en * t):
-            out.append(tuple(int(x) for x in np.unravel_index(b, counts)))
-    return out
+    return [key for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e)
+            if t and not (eb * ed < en * t or (t - eb) * ed < en * t)]
 
 
 def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
@@ -456,7 +392,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     rounds_used = 0
     history = []
     for rnd in range(rounds):
-        counts, tot, e = _box_stats(ps, classes_by_part)
+        counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
         bad = _violating(counts, tot, e, eps)
         history.append(len(bad))
         if not bad:
@@ -466,51 +402,29 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
         other = tuple(j for j in range(H.k) if j != i)
         view = binary_view(H, other)
         ow = SpaceWeights(measures, other, H.part_sizes)
-        w = ow.np_nums()
-        box_masks = []
+        majority = []
         for key in bad:
-            sides = [classes_by_part[j][key[j]] for j in other]
-            m = np.zeros(view.left_sizes, dtype=bool)
-            if all(len(s) for s in sides):
-                m[np.ix_(*[np.asarray(s, dtype=np.intp) for s in sides])] = True
-            box_masks.append(m.reshape(-1))
-            if w is not None:
-                pos = np.flatnonzero(m.reshape(-1) & (w > 0))
-            else:
-                flat = m.reshape(-1)
-                pos = [p for p in np.flatnonzero(flat) if ow.nums[p] > 0]
-            params_by_part[i].update(view.left_tuple(int(p)) for p in pos)
-
-        def signature(v: int) -> tuple:
-            row = view.fibers[v]
-            sig = []
-            for m in box_masks:
-                inter = row & m
-                if w is not None:
-                    hv, wb = int(w[inter].sum()), int(w[m].sum())
-                else:
-                    hv = sum(ow.nums[p] for p in np.flatnonzero(inter))
-                    wb = sum(ow.nums[p] for p in np.flatnonzero(m))
-                sig.append(2 * hv > wb)
-            return tuple(sig)
+            m = boxes_mask(view.left_sizes, [[classes_by_part[j][key[j]] for j in other]])
+            params_by_part[i].update(view.left_tuple(p) for p in np.flatnonzero(m).tolist()
+                                     if ow.nums[p] > 0)
+            wb = ow.sums(m)
+            majority.append([2 * hv > wb for hv in ow.sums(view.fibers & m)])
+        signature = np.array(majority).T
 
         pos_set = set(positive_by_part[i])
         new_classes = []
         for c in classes_by_part[i]:
-            groups: dict = {}
-            for v in c:
-                if v in pos_set:
-                    groups.setdefault(signature(v), []).append(v)
+            members = [v for v in c if v in pos_set]
+            groups = [[members[j] for j in g] for g in atoms(signature[members])]
             if len(groups) <= 1:
                 new_classes.append(list(c))
                 continue
-            ordered = sorted(groups.values(), key=lambda g: g[0])
             zs = [v for v in c if v not in pos_set]
-            ordered[0].extend(zs)  # placeholder home; re-attached by atom below
-            new_classes.extend(sorted(g) for g in ordered)
+            groups[0].extend(zs)  # placeholder home; re-attached by atom below
+            new_classes.extend(sorted(g) for g in groups)
         classes_by_part[i] = new_classes
 
-    counts, tot, e = _box_stats(ps, classes_by_part)
+    counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
     bad = _violating(counts, tot, e, eps)
     if bad:
         err = RefinementFailed(
@@ -526,46 +440,22 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
         if not zeros:
             classes_by_part[i] = [sorted(c) for c in classes_by_part[i]]
             continue
-        comp = tuple(j for j in range(H.k) if j != i)
-
-        def trace(v: int) -> tuple:
-            sig = []
-            for b in params:
-                t = [None] * H.k
-                t[i] = v
-                for idx, val in zip(comp, b):
-                    t[idx] = val
-                sig.append(tuple(t) in H.edges)
-            return tuple(sig)
-
-        piece_of = {}
-        for ci, c in enumerate(classes_by_part[i]):
-            for v in c:
-                if nums[v] > 0:
-                    piece_of[v] = ci
-        atom_class: dict = {}
-        for v in positive_by_part[i]:
-            tr = trace(v)
-            if tr in atom_class and atom_class[tr] != piece_of[v]:
-                raise VerificationError("definability atom straddles classes")
-            atom_class[tr] = piece_of[v]
+        piece_of = {v: ci for ci, c in enumerate(classes_by_part[i])
+                    for v in c if nums[v] > 0}
         stripped = [[v for v in c if nums[v] > 0] for c in classes_by_part[i]]
         require(all(stripped), "internal: class lost its positive members")
-        for z in zeros:
-            stripped[atom_class.get(trace(z), 0)].append(z)
+        for atom in fiber_atoms(H, i, params):
+            homes = {piece_of[v] for v in atom if v in piece_of}
+            if len(homes) > 1:
+                raise VerificationError("definability atom straddles classes")
+            stripped[min(homes, default=0)].extend(v for v in atom if v not in piece_of)
         classes_by_part[i] = [sorted(c) for c in stripped]
 
-    counts, tot, e = _box_stats(ps, classes_by_part)
+    counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
     if _violating(counts, tot, e, eps):
         raise VerificationError("zero-weight reattachment changed box densities")
-    en, ed = eps.numerator, eps.denominator
-    labels = {}
-    for b in range(prod(counts)):
-        t, eb = int(tot[b]), int(e[b])
-        if t == 0:
-            continue
-        key = tuple(int(x) for x in np.unravel_index(b, counts))
-        labels[key] = 1 if 2 * eb >= t else 0
+    labels = {key: 1 if 2 * eb >= t else 0
+              for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e) if t}
 
     classes = tuple(tuple(tuple(c) for c in part) for part in classes_by_part)
     provenance = tuple(tuple(sorted(params_by_part[i])) for i in range(H.k))

@@ -236,3 +236,31 @@ def test_difference_guard_is_input_error(tmp_path, monkeypatch):
     assert code == 2
     assert rep["error"]["kind"] == "input"
     assert "delta_approx_partition" in rep["error"]["message"]
+
+
+_GOOD_PARTITION = {"epsilon": "1/2", "classes": [[[0, 1, 2, 3]], [[0, 1, 2, 3]]],
+                   "sigma": [], "labels": [], "provenance": [[[1]], [[2]]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"classes": 5},
+    {"classes": [[[0, 1, 2, True]], [[0, 1, 2, 3]]]},
+    {"classes": [[[0, 1, 2, 3]]]},
+    {"sigma": 5},
+    {"labels": [[0, 0]]},
+    {"provenance": [5, [[2]]]},
+    {"provenance": [[[99]], [[2]]]},
+    {"provenance": [[[1, 0]], [[2]]]},
+    {"provenance": [[["1"]], [[2]]]},
+    {"provenance": [[[1]]]},
+])
+def test_malformed_partition_is_input_error(tmp_path, write_json, change):
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "4,4", "--out", inst])
+    code, rep = report(["reg", "verify", "--in", inst, "--partition",
+                        write_json("p.json", _GOOD_PARTITION)])
+    assert code == 0 and rep["ok"]
+    code, rep = report(["reg", "verify", "--in", inst, "--partition",
+                        write_json("bad.json", {**_GOOD_PARTITION, **change})])
+    assert code == 2
+    assert rep["error"]["kind"] == "input" and not rep["ok"]

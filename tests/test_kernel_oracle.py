@@ -1,0 +1,92 @@
+"""The shared counting kernels of core (weight sums, box sums, box masks,
+fiber atoms) against the tuple-enumerating oracles, in all three arithmetic
+regimes of the product-space denominator."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
+from vcreg import Box, Hypergraph, Measure, fubini_mass
+from vcreg.core import ProductSpace, SpaceWeights, boxes_mask, fiber_atoms
+from vcreg.oracles import (brute_boxes_membership, brute_fiber_atoms,
+                           brute_set_mass)
+
+
+def _instance(rng, regime):
+    """A random relation on k <= 3 parts with zero weights, whose product
+    denominator lies in the given regime."""
+    k = rng.choice((1, 2, 3))
+    sizes = tuple(rng.randint(2, 5) for _ in range(k))
+    cells = list(itertools.product(*[range(n) for n in sizes]))
+    H = Hypergraph(sizes, frozenset(t for t in cells if rng.getrandbits(1)))
+    # small cofactors keep the int64 regime's product below 2^62
+    dens = [rng.randint(2, 8 if regime == "int64" else 40) for _ in sizes]
+    if regime != "float64":
+        dens[rng.randrange(k)] = P_INT64 if regime == "int64" else P_BIG
+    measures = tuple(Measure(i, _weights(rng, n, d))
+                     for i, (n, d) in enumerate(zip(sizes, dens)))
+    return H, measures
+
+
+def _classes(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def _box(rng, sizes):
+    return Box.of([v for v in range(n) if rng.random() < 0.5] for n in sizes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
+def test_box_sums_match_oracle(seed, regime):
+    rng = random.Random(seed)
+    H, measures = _instance(rng, regime)
+    ps = ProductSpace(H, measures)
+    assert _regime(ps.weights.den) == regime
+    classes = [_classes(rng, n) for n in H.part_sizes]
+    union = [_box(rng, H.part_sizes) for _ in range(rng.randint(0, 3))]
+    mask = boxes_mask(H.part_sizes, (b.sides for b in union))
+    counts, tot, edge, inside = ps.box_sums(classes, (ps.edge_mask, mask))
+    assert counts == [len(c) for c in classes]
+    keys = list(itertools.product(*map(range, counts)))
+    assert len(tot) == len(edge) == len(inside) == len(keys)
+    for key, t, e, a in zip(keys, tot, edge, inside):
+        cell = list(itertools.product(*[classes[i][c] for i, c in enumerate(key)]))
+        assert all(type(x) is int for x in (t, e, a))
+        assert Fraction(t, ps.weights.den) == brute_set_mass(H, measures, cell)
+        assert Fraction(e, ps.weights.den) == brute_set_mass(
+            H, measures, [x for x in cell if x in H.edges])
+        assert Fraction(a, ps.weights.den) == brute_set_mass(
+            H, measures, [x for x in cell if brute_boxes_membership(union, x)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
+def test_weight_sums_match_oracle(seed, regime):
+    rng = random.Random(seed)
+    H, measures = _instance(rng, regime)
+    left = tuple(sorted(rng.sample(range(H.k), rng.randint(1, H.k))))
+    assert fubini_mass(H, measures, left) == brute_set_mass(H, measures, H.edges)
+    lw = SpaceWeights(measures, left, H.part_sizes)
+    rows = np.array([[rng.random() < 0.5 for _ in range(lw.size)] for _ in range(4)])
+    want = [sum(n for n, x in zip(lw.nums, row) if x) for row in rows]
+    assert lw.sums(rows) == want
+    assert [lw.sums(row) for row in rows] == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_fiber_atoms_match_oracle(seed):
+    rng = random.Random(seed)
+    H, _ = _instance(rng, "float64")
+    part = rng.randrange(H.k)
+    comp = [n for i, n in enumerate(H.part_sizes) if i != part]
+    params = [tuple(rng.randrange(n) for n in comp) for _ in range(rng.randint(0, 5))]
+    assert fiber_atoms(H, part, params) == brute_fiber_atoms(H, part, params)

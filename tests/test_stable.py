@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcreg import (Box, Hypergraph, density, fiber_family, good_check,
+from vcreg import (Box, Hypergraph, Measure, density, fiber_family, good_check,
                    good_descent_partition, ladder_index,
                    product_goodness_check, stable_regular_partition,
                    uniform_measures, vc_dimension)
@@ -105,6 +105,26 @@ def test_stable_partition_rounds_override():
     mu = uniform_measures(H)
     sp = stable_regular_partition(H, mu, Fraction(1, 8), rounds=1)
     assert sp.sigma == ()
+
+
+def test_refinement_rounds_split_coarse_descents(monkeypatch):
+    """One-piece descents leave every box inhomogeneous, so the refinement
+    rounds must split both parts into the blocks, and the zero-weight
+    vertices 3 and 9 must rejoin their blocks by fingerprint atom."""
+    import vcreg.stable
+    block = [0] * 8 + [1] * 4
+    H = Hypergraph((12, 12), frozenset((a, b) for a in range(12) for b in range(12)
+                                       if block[a] == block[b]))
+    mu = (Measure(0, tuple(Fraction(0 if v in (3, 9) else 1, 10) for v in range(12))),
+          Measure.uniform(1, 12))
+    monkeypatch.setattr(vcreg.stable, "good_descent_partition",
+                        lambda H, measures, part, eps, depth_cap: vcreg.stable.GoodDescent(
+                            part, (tuple(range(12)),), eps, (0,), (), 1, "none"))
+    sp = stable_regular_partition(H, mu, Fraction(1, 8))
+    assert sp.meta["rounds_used"] == 2 and sp.meta["violating_history"] == [1, 2, 0]
+    blocks = (tuple(range(8)), tuple(range(8, 12)))
+    assert sp.classes == (blocks, blocks)
+    assert sp.labels == {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
 
 def test_product_goodness():
