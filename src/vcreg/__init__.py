@@ -4,55 +4,52 @@ Finite k-partite relations with weighted counting measures, 0-1 regular
 partitions with a small exceptional part, stable (ladder-bounded) partitions
 with no exceptional part, and the dyadic / convexity counterexample
 simulators, all over exact rational arithmetic.
+
+The public names are imported from their modules on first use (PEP 562), so
+`import vcreg` alone loads neither the engines nor numpy.
 """
 
-from .convexity import (IntegerInterval, ap_count, convexity_density, is_edge,
-                        reflection_involution_check)
-from .core import (Box, Fiber, Hypergraph, Measure, binary_view, density,
-                   edge_mass, fiber, fubini_mass, full_box, product_measure,
-                   uniform_measures, weak_fubini_check)
-from .dyadic import (DyadicBall, anti_homogeneity_bound_check,
-                     ball_parity_report, dyadic_hypergraph, level_pair_counts,
-                     odd_split_density, parse_balls, random_ball_union)
-from .errors import (DepthCapExceeded, InputError, RefinementFailed,
-                     VerificationError, ZeroMeasureBox)
-from .homog import ball_family_search, definable_homogeneous_search
-from .instances import GeneratorSpec, Generated, generate, roundtrip
-from .regularity import (DeltaPartition, DenseBox, RectApprox,
-                         RegularPartition, delta_approx_partition,
-                         find_dense_box, net_param_bound,
-                         rectangular_approximation, regular_partition,
-                         uniform_regular_partition, verify_regular_partition)
-from .stable import (GoodDescent, GoodnessReport, LadderCertificate,
-                     descent_step_bound, good_check, good_descent_partition,
-                     ladder_index, product_goodness_check,
-                     stable_regular_partition)
-from .vc import (EpsNet, SetFamily, VCDimension, definable_count_bound,
-                 epsilon_net, fiber_family, net_size_formula, sauer_bound,
-                 sauer_check, shatter_function, vc_dimension)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box", "DeltaPartition", "DenseBox", "DepthCapExceeded", "DyadicBall",
-    "EpsNet", "Fiber", "Generated", "GeneratorSpec", "GoodDescent",
-    "GoodnessReport", "Hypergraph", "InputError", "IntegerInterval",
-    "LadderCertificate", "Measure", "RectApprox", "RefinementFailed",
-    "RegularPartition", "SetFamily", "VCDimension", "VerificationError",
-    "ZeroMeasureBox", "anti_homogeneity_bound_check", "ap_count",
-    "ball_family_search", "ball_parity_report", "binary_view",
-    "convexity_density", "definable_count_bound",
-    "definable_homogeneous_search", "delta_approx_partition", "density",
-    "descent_step_bound", "dyadic_hypergraph", "edge_mass", "epsilon_net",
-    "fiber", "fiber_family",
-    "find_dense_box", "fubini_mass", "full_box", "generate", "good_check",
-    "good_descent_partition", "is_edge", "ladder_index", "level_pair_counts",
-    "net_param_bound", "net_size_formula", "odd_split_density",
-    "parse_balls", "product_goodness_check",
-    "product_measure", "random_ball_union", "rectangular_approximation",
-    "reflection_involution_check", "regular_partition", "roundtrip",
-    "sauer_bound", "sauer_check", "shatter_function",
-    "stable_regular_partition", "uniform_measures",
-    "uniform_regular_partition", "vc_dimension", "verify_regular_partition",
-    "weak_fubini_check",
-]
+_EXPORTS = {
+    "convexity": ("IntegerInterval", "ap_count", "convexity_density", "is_edge",
+                  "reflection_involution_check"),
+    "core": ("Box", "Fiber", "Hypergraph", "Measure", "binary_view", "density",
+             "edge_mass", "fiber", "fubini_mass", "full_box", "product_measure",
+             "uniform_measures", "weak_fubini_check"),
+    "dyadic": ("DyadicBall", "anti_homogeneity_bound_check", "ball_parity_report",
+               "dyadic_hypergraph", "level_pair_counts", "odd_split_density",
+               "parse_balls", "random_ball_union"),
+    "errors": ("DepthCapExceeded", "InputError", "RefinementFailed",
+               "VerificationError", "ZeroMeasureBox"),
+    "homog": ("ball_family_search", "definable_homogeneous_search"),
+    "instances": ("GeneratorSpec", "Generated", "generate", "roundtrip"),
+    "regularity": ("DeltaPartition", "DenseBox", "RectApprox", "RegularPartition",
+                   "delta_approx_partition", "find_dense_box", "net_param_bound",
+                   "rectangular_approximation", "regular_partition",
+                   "uniform_regular_partition", "verify_regular_partition"),
+    "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate",
+               "descent_step_bound", "good_check", "good_descent_partition",
+               "ladder_index", "product_goodness_check", "stable_regular_partition"),
+    "vc": ("EpsNet", "SetFamily", "VCDimension", "definable_count_bound",
+           "epsilon_net", "fiber_family", "net_size_formula", "sauer_bound",
+           "sauer_check", "shatter_function", "vc_dimension"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{mod}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,12 +12,21 @@ files, bad rationals).
 
 VCREG_THREADS is parsed and recorded; the exact integer kernels run
 sequentially, so its effective value is always 1.
+
+`stable partition` re-checks the paper's claim that every box is exactly 0
+or 1 dense without the kernels that built the partition: one pass over the
+edges adds each edge's weight to its box, and each labelled box must hold
+none or all of its mass (`oracles.one_pass_box_counts`).
+
+The argparse tree is built once per process, and each handler imports the
+engine modules it needs, so `dyadic` and `convexity` runs never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -26,24 +35,15 @@ from math import comb
 
 from .convexity import (IntegerInterval, ap_count, convexity_density,
                         reflection_involution_check)
-from .core import Box, Hypergraph, Measure, density, uniform_measures
 from .dyadic import (DyadicBall, anti_homogeneity_bound_check,
                      ball_parity_report, level_pair_counts, odd_split_density,
                      parse_balls)
 from .errors import InputError, VerificationError
-from .homog import ball_family_search, definable_homogeneous_search
-from .instances import KINDS, GeneratorSpec, generate
-from .jsonio import (canonical_dumps, dump_json, format_rational, load_json,
-                     parse_rational, require, sha256_of)
+from .jsonio import (KINDS, canonical_dumps, dump_json, format_rational,
+                     load_json, parse_rational, require, sha256_of)
 from .oracles import (brute_convexity_edges, brute_dyadic_pair_count,
-                      brute_shatters, brute_union_mass_error)
-from .regularity import (RegularPartition, find_dense_box,
-                         rectangular_approximation, regular_partition,
-                         uniform_regular_partition, verify_regular_partition)
-from .selftest import run_selftest
-from .stable import ladder_index, stable_regular_partition
-from .vc import SetFamily, epsilon_net, fiber_family, shatter_function, \
-    vc_dimension
+                      brute_shatters, brute_union_mass_error,
+                      one_pass_box_counts)
 
 
 def jsonable(x):
@@ -94,6 +94,7 @@ def _parse_interval(s: str) -> IntegerInterval:
 def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
     instance file; measures default to uniform when the file has none."""
+    from .core import Hypergraph, Measure, uniform_measures
     obj = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = sha256_of(obj)
@@ -106,7 +107,9 @@ def _load_instance(path: str, files: dict):
     return H, measures
 
 
-def _load_family(path: str, parts: tuple[int, ...], files: dict) -> SetFamily:
+def _load_family(path: str, parts: tuple[int, ...], files: dict):
+    from .core import Hypergraph
+    from .vc import SetFamily, fiber_family
     obj = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = sha256_of(obj)
@@ -119,6 +122,7 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict) -> SetFamily:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_vc_dim(args, files):
+    from .vc import vc_dimension
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
     d = vc_dimension(fam, cap=args.cap, budget=args.budget)
     outputs = {"value": d.value, "capped": d.capped,
@@ -132,6 +136,7 @@ def _cmd_vc_dim(args, files):
 
 
 def _cmd_vc_shatter(args, files):
+    from .vc import shatter_function
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
     require(args.n is not None and args.n >= 0, "--n is required and nonnegative")
     vals = [shatter_function(fam, n) for n in range(args.n + 1)]
@@ -144,6 +149,8 @@ def _cmd_vc_shatter(args, files):
 
 
 def _cmd_vc_net(args, files):
+    from .core import Measure
+    from .vc import epsilon_net
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
     require(args.epsilon is not None, "--epsilon is required")
     if args.weights is None:
@@ -161,6 +168,9 @@ def _cmd_vc_net(args, files):
 
 
 def _cmd_reg_partition(args, files):
+    from .core import Measure
+    from .regularity import (regular_partition, uniform_regular_partition,
+                             verify_regular_partition)
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     if args.uniform:
@@ -178,6 +188,7 @@ def _cmd_reg_partition(args, files):
 
 
 def _cmd_reg_verify(args, files):
+    from .regularity import RegularPartition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.partition is not None, "--partition is required")
     pobj = load_json(args.partition)
@@ -194,6 +205,7 @@ def _cmd_reg_verify(args, files):
 
 
 def _cmd_reg_rect(args, files):
+    from .regularity import rectangular_approximation
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     ra = rectangular_approximation(H, measures, args.epsilon,
@@ -220,6 +232,8 @@ def _cmd_reg_rect(args, files):
 
 
 def _cmd_reg_ehbox(args, files):
+    from .core import density
+    from .regularity import find_dense_box
     H, measures = _load_instance(args.infile, files)
     require(args.alpha is not None, "--alpha is required")
     require(args.epsilon is not None, "--epsilon is required")
@@ -242,6 +256,7 @@ def _cmd_reg_ehbox(args, files):
 
 
 def _cmd_stable_ladder(args, files):
+    from .stable import ladder_index
     H, measures = _load_instance(args.infile, files)
     cert = ladder_index(H, _parse_parts(args.parts), cap=args.cap,
                         budget=args.budget)
@@ -253,17 +268,15 @@ def _cmd_stable_ladder(args, files):
 
 
 def _cmd_stable_partition(args, files):
+    from .regularity import verify_regular_partition
+    from .stable import stable_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     sp = stable_regular_partition(H, measures, args.epsilon,
                                   depth_cap=args.depth_cap, rounds=args.rounds)
     rep = verify_regular_partition(H, measures, sp)
-    homogeneous = True
-    for key in sorted(sp.labels):
-        sides = [sp.classes[i][key[i]] for i in range(H.k)]
-        d = density(H, measures, Box.of(sides))
-        if d not in (Fraction(0), Fraction(1)):
-            homogeneous = False
+    homogeneous = all(hit == 0 or hit == total for hit, total in
+                      one_pass_box_counts(H, measures, sp.classes, sp.labels))
     outputs = {"partition": sp.to_obj(), "meta": jsonable(sp.meta),
                "class_counts": list(sp.class_counts())}
     verification = dict(jsonable(rep))
@@ -367,6 +380,7 @@ def _cmd_convexity_involution(args, files):
 
 
 def _cmd_rodl_search(args, files):
+    from .homog import ball_family_search, definable_homogeneous_search
     require(args.epsilon is not None, "--eps is required")
     if args.infile is None:
         require(args.depth is not None, "--depth (ball mode) or --in (graph mode)")
@@ -429,6 +443,8 @@ def _cmd_rodl_search(args, files):
 
 
 def _cmd_gen(args, files):
+    from .core import Hypergraph
+    from .instances import GeneratorSpec, generate
     kind = args.kind
     params = []
     if args.blocks is not None:
@@ -458,6 +474,7 @@ def _cmd_gen(args, files):
 
 
 def _cmd_selftest(args, files):
+    from .selftest import run_selftest
     rep = run_selftest(args.names or None)
     for r in rep.results:
         tag = "PASS" if r["ok"] else "FAIL"
@@ -473,6 +490,8 @@ def _rational(s: str) -> Fraction:
     return parse_rational(s)
 
 
+# parse_args leaves the parser as it was, so one tree serves every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="vcreg", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -618,9 +637,8 @@ def _emit(report: dict, out_path: str | None):
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
 

@@ -20,12 +20,9 @@ import random
 from .core import Hypergraph, Measure, uniform_measures
 from .dyadic import dyadic_hypergraph
 from .errors import InputError
-from .jsonio import load_json, require
+from .jsonio import KINDS, load_json, require
 from .stable import ladder_index
 from .vc import fiber_family, vc_dimension
-
-KINDS = ("interval-graph", "half-graph", "block-union", "staircase",
-         "random-vc-capped", "dyadic-export")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ rejected on input so no tolerance can sneak in through parsing.
 
 Hypergraph JSON: {"k": int, "part_sizes": [int], "edges": [[int, ...]], "symmetric": bool}
 Measure JSON:    {"part": int, "weights": ["num/den", ...]}
+Generator spec:  {"kind": one of KINDS, "sizes": [int], "k": int, "seed": int, "params": {name: int}}
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import tempfile
 from fractions import Fraction
 
 from .errors import InputError
+
+# Generator kinds of instance files; here rather than in `instances` so that
+# the CLI can offer them as choices without importing the engines.
+KINDS = ("interval-graph", "half-graph", "block-union", "staircase",
+         "random-vc-capped", "dyadic-export")
 
 
 def parse_rational(s) -> Fraction:

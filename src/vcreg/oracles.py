@@ -3,6 +3,9 @@
 Deliberately naive and independent of the production code paths: plain
 enumeration over tuples, subsets, leaves, and triples. The test suite and
 the CLI selftest compare engine outputs against these, exactly.
+
+Nothing here uses numpy: the measure-based recounts import `core` (which
+does) only when called, so the numpy-free subcommands can use the rest.
 """
 
 from __future__ import annotations
@@ -12,7 +15,13 @@ import math
 import random
 from fractions import Fraction
 
-from .core import Box, Hypergraph, ProductMeasure, check_measures
+from .errors import ZeroMeasureBox
+from .jsonio import require
+
+
+def _product_measure(H: Hypergraph, measures):
+    from .core import ProductMeasure, check_measures
+    return ProductMeasure(check_measures(H, measures))
 
 
 def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
@@ -32,7 +41,7 @@ def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
 
 
 def brute_set_mass(H: Hypergraph, measures, tuples) -> Fraction:
-    pm = ProductMeasure(check_measures(H, measures))
+    pm = _product_measure(H, measures)
     return sum((pm.tuple_weight(t) for t in tuples), Fraction(0))
 
 
@@ -42,7 +51,7 @@ def brute_symdiff_mass(H: Hypergraph, measures, other_edges) -> Fraction:
 
 
 def brute_density(H: Hypergraph, measures, box: Box, distinct: bool = False) -> Fraction:
-    pm = ProductMeasure(check_measures(H, measures))
+    pm = _product_measure(H, measures)
     hit = Fraction(0)
     total = Fraction(0)
     for t in itertools.product(*box.sides):
@@ -57,6 +66,40 @@ def brute_density(H: Hypergraph, measures, box: Box, distinct: bool = False) -> 
     return hit / total
 
 
+def one_pass_box_counts(H: Hypergraph, measures, classes, keys) -> list[tuple[int, int]]:
+    """(edge numerator, box numerator) of each box in `keys`, a key being one
+    class index per part, both over the product of the measures' common
+    denominators. One pass over the edges adds each edge's numerator product
+    to its box; a box's total is the product of its sides' numerator sums.
+    Plain Python, so it checks partitions independently of the box-sum
+    kernel that builds them. A key whose box has total 0 is a ZeroMeasureBox."""
+    require(len(measures) == H.k == len(classes), "need one measure and one class list per part")
+    nums = [m.numerators()[0] for m in measures]
+    owner = []
+    for n, part in zip(H.part_sizes, classes):
+        row = [-1] * n
+        for c, members in enumerate(part):
+            for v in members:
+                row[v] = c
+        owner.append(row)
+    hits: dict = {}
+    for e in H.edges:
+        key = tuple(o[v] for o, v in zip(owner, e))
+        w = 1
+        for ns, v in zip(nums, e):
+            w *= ns[v]
+        hits[key] = hits.get(key, 0) + w
+    sides = [[sum(ns[v] for v in members) for members in part]
+             for ns, part in zip(nums, classes)]
+    out = []
+    for key in keys:
+        total = math.prod(s[c] for s, c in zip(sides, key))
+        if total == 0:
+            raise ZeroMeasureBox(f"box {list(key)} has measure zero")
+        out.append((hits.get(key, 0), total))
+    return out
+
+
 def brute_boxes_membership(boxes, t) -> bool:
     return any(all(t[i] in set(side) for i, side in enumerate(b.sides)) for b in boxes)
 
@@ -64,7 +107,7 @@ def brute_boxes_membership(boxes, t) -> bool:
 def brute_union_mass_error(H: Hypergraph, measures, boxes) -> Fraction:
     """Exact mass of the symmetric difference between the relation and a
     union of boxes, by enumerating the whole product space."""
-    pm = ProductMeasure(check_measures(H, measures))
+    pm = _product_measure(H, measures)
     err = 0
     for t in itertools.product(*[range(n) for n in H.part_sizes]):
         if (t in H.edges) != brute_boxes_membership(boxes, t):
@@ -188,6 +231,7 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     eps/2-net of the heavy ones, classes as fingerprint atoms over the net
     (or by equal fibers when the net is not smaller than the measured side).
     For eps <= 1 and inputs small enough for brute_vc_dimension."""
+    from .core import check_measures
     left = tuple(sorted(measured_parts))
     right = tuple(i for i in range(H.k) if i not in left)
     measures = check_measures(H, measures)

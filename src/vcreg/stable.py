@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -343,12 +344,20 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
                        {"support": len(support), "zero_weight": len(zeros)})
 
 
-def descent_step_bound(eps: Fraction, d: int) -> float:
-    """A priori bound on extraction steps: log((eps/2)^(d+1)) / log(1-(eps/2)^d)."""
+def descent_step_bound(eps: Fraction, d: int) -> int:
+    """A priori bound on extraction steps: the ceiling of
+    (d+1) log x / log(1 - x^d), x = eps/2, which is the least integer N with
+    (1 - x^d)^N <= x^(d+1) up to float rounding. Taken in the log domain with
+    log1p, so it stays finite when 1 - x^d rounds to 1."""
     if d <= 0:
-        return 1.0
-    x = float(eps) / 2
-    return math.log(x ** (d + 1)) / math.log(1 - x ** d)
+        return 1
+    x = Fraction(eps) / 2
+    log_x = math.log(x.numerator) - math.log(x.denominator)
+    x_d = float(x ** d)
+    if x_d < sys.float_info.min:
+        # below the normal floats log1p(-t) is -t to double precision
+        return math.ceil(Fraction(-(d + 1) * log_x) / x ** d)
+    return math.ceil((d + 1) * log_x / math.log1p(-x_d))
 
 
 def _violating(counts, tot, e, eps: Fraction) -> list[tuple[int, ...]]:

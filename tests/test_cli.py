@@ -4,10 +4,15 @@ import io
 import contextlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from vcreg.cli import main
+import vcreg
+from vcreg.cli import _build_parser, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcreg.__file__)))
 
 
 def run(argv):
@@ -264,3 +269,113 @@ def test_malformed_partition_is_input_error(tmp_path, write_json, change):
                         write_json("bad.json", {**_GOOD_PARTITION, **change})])
     assert code == 2
     assert rep["error"]["kind"] == "input" and not rep["ok"]
+
+
+def _floats_outside_timing(rep):
+    found = []
+    json.loads(json.dumps({k: v for k, v in rep.items() if k != "timing"}),
+               parse_float=found.append)
+    return found
+
+
+def test_stable_partition_where_one_minus_x_d_rounds_to_one(tmp_path):
+    inst = str(tmp_path / "h24.json")
+    report(["gen", "half-graph", "--sizes", "24,24", "--out", inst])
+    code, out, _ = run(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
+    assert code in (0, 1)
+    rep = json.loads(out)
+    assert _floats_outside_timing(rep) == []
+    assert type(rep["outputs"]["meta"]["descent_step_bound"]) is int
+    assert rep["ok"] is (code == 0)
+
+
+def _fresh(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "vcreg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def _without_timing(code, out):
+    rep = json.loads(out) if out else None
+    if rep is not None:
+        rep.pop("timing")
+    return code, rep
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    inst = str(tmp_path / "h.json")
+    calls = [
+        ["gen", "half-graph", "--sizes", "12,12", "--out", inst],
+        ["gen", "half-graph", "--sizes", "6,6"],
+        ["dyadic", "density", "--no-such-flag"],
+        ["reg", "partition", "--in", inst, "--epsilon", "1/4"],
+        ["dyadic", "density", "--depth", "5"],
+        ["stable", "partition", "--in", inst, "--epsilon", "1/8"],
+        ["reg", "partition", "--in", inst, "--epsilon", "0.25"],
+        ["convexity", "density", "--n", "30"],
+    ]
+    in_process = []
+    for argv in calls:
+        code, out, _ = run(argv)
+        in_process.append(_without_timing(code, out))
+    assert [c for c, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert in_process[2][1] is None
+    # the second gen has no --out: its report goes to stdout, no file is made
+    assert in_process[1][1]["subcommand"] == "gen"
+    assert os.listdir(tmp_path) == ["h.json"]
+    assert [_without_timing(*_fresh(argv)) for argv in calls] == in_process
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_every_public_name_resolves():
+    for name in vcreg.__all__:
+        assert getattr(vcreg, name) is not None, name
+    assert set(vcreg.__all__) <= set(dir(vcreg))
+    with pytest.raises(AttributeError):
+        vcreg.no_such_name
+
+
+def test_numpy_free_subcommands_do_not_load_numpy():
+    code = ("import io, contextlib, sys\n"
+            "import vcreg.cli\n"
+            "assert 'numpy' not in sys.modules, 'import vcreg.cli'\n"
+            "for argv in (['dyadic', 'density', '--depth', '6'],\n"
+            "             ['convexity', 'density', '--n', '40']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert vcreg.cli.main(argv) == 0\n"
+            "    assert 'numpy' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _stand_in_partition(monkeypatch, classes, labels):
+    import vcreg.stable
+    from vcreg.regularity import RegularPartition
+    monkeypatch.setattr(vcreg.stable, "stable_regular_partition",
+                        lambda H, measures, eps, **kw: RegularPartition(
+                            classes, eps, (), labels, ((), ()), {}))
+
+
+def test_stable_partition_check_flags_inhomogeneous_box(tmp_path, monkeypatch):
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "6,6", "--out", inst])
+    whole = (tuple(range(6)),)
+    _stand_in_partition(monkeypatch, (whole, whole), {(0, 0): 1})
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
+    assert code == 1 and not rep["ok"]
+    assert rep["verification"]["all_boxes_exactly_homogeneous"] is False
+
+
+def test_stable_partition_zero_mass_box_is_input_error(tmp_path, monkeypatch, write_json):
+    w = ["0/1", "1/2", "1/2"]
+    inst = write_json("z.json", {
+        "hypergraph": {"k": 2, "part_sizes": [3, 3], "symmetric": False,
+                       "edges": [[1, 1], [2, 2]]},
+        "measures": [{"part": 0, "weights": w}, {"part": 1, "weights": w}]})
+    _stand_in_partition(monkeypatch, (((0,), (1,), (2,)), ((0,), (1,), (2,))),
+                        {(0, 0): 0, (1, 1): 1, (2, 2): 1, (1, 2): 0, (2, 1): 0})
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert "measure zero" in rep["error"]["message"]

@@ -3,17 +3,20 @@ fiber atoms) against the tuple-enumerating oracles, in all three arithmetic
 regimes of the product-space denominator."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
-from vcreg import Box, Hypergraph, Measure, fubini_mass
+from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox, fubini_mass
 from vcreg.core import ProductSpace, SpaceWeights, boxes_mask, fiber_atoms
-from vcreg.oracles import (brute_boxes_membership, brute_fiber_atoms,
-                           brute_set_mass)
+from vcreg.oracles import (brute_boxes_membership, brute_density,
+                           brute_fiber_atoms, brute_set_mass,
+                           one_pass_box_counts)
 
 
 def _instance(rng, regime):
@@ -90,3 +93,25 @@ def test_fiber_atoms_match_oracle(seed):
     comp = [n for i, n in enumerate(H.part_sizes) if i != part]
     params = [tuple(rng.randrange(n) for n in comp) for _ in range(rng.randint(0, 5))]
     assert fiber_atoms(H, part, params) == brute_fiber_atoms(H, part, params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
+def test_one_pass_box_counts_match_oracle(seed, regime):
+    rng = random.Random(seed)
+    H, measures = _instance(rng, regime)
+    assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
+    classes = [_classes(rng, n) for n in H.part_sizes]
+    keys = list(itertools.product(*map(range, map(len, classes))))
+    cells = {key: Box.of([classes[i][c] for i, c in enumerate(key)]) for key in keys}
+    empty = [key for key in keys
+             if brute_set_mass(H, measures, itertools.product(*cells[key].sides)) == 0]
+    for key in empty:
+        with pytest.raises(ZeroMeasureBox):
+            one_pass_box_counts(H, measures, classes, [key])
+    live = [key for key in keys if key not in empty]
+    counts = one_pass_box_counts(H, measures, classes, live)
+    assert len(counts) == len(live)
+    for key, (hit, total) in zip(live, counts):
+        assert type(hit) is int and type(total) is int and 0 <= hit <= total
+        assert Fraction(hit, total) == brute_density(H, measures, cells[key])
