@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -53,19 +52,21 @@ class Hypergraph:
         # sizes or vertices
         require(all(type(n) is int and n >= 1 for n in self.part_sizes),
                 "part sizes must be positive integers")
-        k = len(self.part_sizes)
+        # messages are formatted only on failure: this loop sees every edge
+        sizes = self.part_sizes
+        k = len(sizes)
         for e in self.edges:
-            require(isinstance(e, tuple) and len(e) == k,
-                    f"edge {e!r} does not have arity {k}")
+            if not (isinstance(e, tuple) and len(e) == k):
+                raise InputError(f"edge {e!r} does not have arity {k}")
             for i, v in enumerate(e):
-                require(type(v) is int and 0 <= v < self.part_sizes[i],
-                        f"edge {e!r} out of range in coordinate {i}")
+                if not (type(v) is int and 0 <= v < sizes[i]):
+                    raise InputError(f"edge {e!r} out of range in coordinate {i}")
         if self.symmetric:
-            require(len(set(self.part_sizes)) == 1,
-                    "symmetric flag requires equal part sizes")
+            require(len(set(sizes)) == 1, "symmetric flag requires equal part sizes")
             for e in self.edges:
                 for p in itertools.permutations(e):
-                    require(p in self.edges,
+                    if p not in self.edges:
+                        raise InputError(
                             f"symmetric flag set but permutation {p} of edge {e} is absent")
 
     @property
@@ -270,7 +271,6 @@ class BinaryView:
         left = tuple(sorted(left))
         require(left and all(0 <= i < H.k for i in left) and len(set(left)) == len(left),
                 f"bad index set {left!r}")
-        self.H = H
         self.left = left
         self.right = H.complement_parts(left)
         self.left_sizes = tuple(H.part_sizes[i] for i in self.left)
@@ -320,13 +320,15 @@ def edge_array(H: Hypergraph) -> np.ndarray:
     return flat.reshape(len(H.edges), H.k)
 
 
-@lru_cache(maxsize=32)
-def _cached_view(H: Hypergraph, left: tuple[int, ...]) -> BinaryView:
-    return BinaryView(H, left)
-
-
 def binary_view(H: Hypergraph, left) -> BinaryView:
-    return _cached_view(H, tuple(sorted(left)))
+    """The BinaryView of H for one left index set, cached on H itself: a
+    lookup never hashes or compares edge sets, and the views go when H does."""
+    left = tuple(sorted(left))
+    views = H.__dict__.setdefault("_views", {})
+    view = views.get(left)
+    if view is None:
+        view = views[left] = BinaryView(H, left)
+    return view
 
 
 def fiber(H: Hypergraph, parts, b) -> Fiber:

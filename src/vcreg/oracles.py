@@ -329,6 +329,62 @@ def brute_ap_count(points) -> int:
     return sum(1 for p, q, r in itertools.combinations(pts, 3) if p + r == 2 * q)
 
 
+def brute_ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None):
+    """The ladder branch and bound with every remaining a tried at every
+    node, over fiber bit masks read from the edge set. Same order, node
+    count and budget rule as stable.ladder_index, so the certificates agree
+    exactly, budget-exhausted ones included."""
+    from .stable import LadderCertificate
+    parts = tuple(sorted(parts))
+    comp = tuple(i for i in range(H.k) if i not in parts)
+    lefts = list(itertools.product(*[range(H.part_sizes[i]) for i in parts]))
+    rights = list(itertools.product(*[range(H.part_sizes[i]) for i in comp]))
+    left_pos = {a: p for p, a in enumerate(lefts)}
+    right_pos = {b: p for p, b in enumerate(rights)}
+    fiber_mask = [0] * len(rights)
+    contains = [0] * len(lefts)
+    for e in H.edges:
+        a = left_pos[tuple(e[i] for i in parts)]
+        b = right_pos[tuple(e[i] for i in comp)]
+        fiber_mask[b] |= 1 << a
+        contains[a] |= 1 << b
+
+    def bits(mask: int):
+        return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+    best_len = 0
+    best_stack: list[tuple[int, int]] = []
+    nodes = 0
+    exhausted = False
+
+    def dfs(ca: int, cb: int, stack: list):
+        nonlocal best_len, best_stack, nodes, exhausted
+        if len(stack) > best_len:
+            best_len = len(stack)
+            best_stack = list(stack)
+        if len(stack) >= cap or exhausted:
+            return
+        if len(stack) + min(ca.bit_count(), cb.bit_count()) <= best_len:
+            return
+        for a in bits(ca):
+            cba = cb & contains[a]
+            for b in bits(cba):
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    exhausted = True
+                    return
+                stack.append((a, b))
+                dfs(ca & ~fiber_mask[b], cba, stack)
+                stack.pop()
+                if best_len >= cap or exhausted:
+                    return
+
+    dfs((1 << len(lefts)) - 1, (1 << len(rights)) - 1, [])
+    return LadderCertificate(best_len, tuple(lefts[a] for a, _ in best_stack),
+                             tuple(rights[b] for _, b in best_stack), parts,
+                             capped=best_len >= cap, budget_exhausted=exhausted)
+
+
 def brute_ladder_check(H: Hypergraph, parts, a_seq, b_seq) -> bool:
     """Direct membership check of the ladder pattern a_i in R_{b_j} iff i <= j."""
     parts = tuple(sorted(parts))

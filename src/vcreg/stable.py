@@ -65,25 +65,42 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix, or of one packed little-endian by
+    np.packbits, as an int with bit j set where row[j] is."""
+    if rows.dtype == bool:
+        rows = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) -> LadderCertificate:
     """Longest ladder across the split parts / complement, exact up to cap.
 
     Branch and bound over (a, b) extensions: a new a must avoid every chosen
     b's fiber, a new b must contain every chosen a. Deterministic ascending
     order; budget (node count) turns the result into a verified lower bound.
+
+    A node tries only the a's some remaining b contains, found from the
+    distinct fibers when there are fewer of them than remaining a's. The a's
+    skipped extend nothing, so the visiting order, the node count and the
+    certificate are those of scanning every remaining a.
     """
     require(cap >= 1, "cap must be >= 1")
     parts = tuple(sorted(parts))
     view = binary_view(H, parts)
     nl, nr = view.left_size, view.right_size
-    fiber_mask = [0] * nr
-    contains = [0] * nl
-    for r in range(nr):
-        m = 0
-        for a in np.flatnonzero(view.fibers[r]):
-            m |= 1 << int(a)
-            contains[int(a)] |= 1 << r
-        fiber_mask[r] = m
+    packed = np.packbits(view.fibers, axis=1, bitorder="little")
+    fiber_mask = _row_masks(packed)
+    contains = _row_masks(view.fibers.T)
+    # one (b-mask, fiber-mask) pair per nonempty distinct fiber, used at a
+    # node with more remaining a's than groups; ngroups = nl means never
+    groups, ngroups = [], nl
+    distinct, label = np.unique(packed, axis=0, return_inverse=True)
+    if len(distinct) <= nl:
+        members = label.reshape(-1) == np.arange(len(distinct))[:, None]
+        groups = [(bs, fs) for bs, fs in zip(_row_masks(members), _row_masks(distinct))
+                  if fs]
+        ngroups = len(groups)
 
     best_len = 0
     best_stack: list[tuple[int, int]] = []
@@ -97,9 +114,17 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
             best_stack = list(stack)
         if len(stack) >= cap or exhausted:
             return
-        if len(stack) + min(ca.bit_count(), cb.bit_count()) <= best_len:
+        na = ca.bit_count()
+        if len(stack) + min(na, cb.bit_count()) <= best_len:
             return
-        for a in _bits(ca):
+        scan = ca
+        if ngroups < na:
+            reach = 0
+            for bs, fs in groups:
+                if cb & bs:
+                    reach |= fs
+            scan &= reach
+        for a in _bits(scan):
             cba = cb & contains[a]
             for b in _bits(cba):
                 nodes += 1
@@ -384,6 +409,13 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     if depth_cap is None:
         depth_cap = max(8, d_hat + 1)
     eps0 = eps / (1 << (H.k + 1))
+    step_bound = descent_step_bound(eps0, max(d_hat, 1))
+    # the report prints the bound; 0 means Python prints ints of any length
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    require(not max_digits or step_bound < 10 ** max_digits,
+            f"stable_regular_partition: the descent step bound (d_hat={d_hat}) has "
+            f"more than {max_digits} digits, the limit on printing an integer; "
+            f"use a larger epsilon")
 
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
@@ -478,7 +510,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
         "descent_steps": tuple(d.steps for d in descents),
         "descent_depths": tuple(d.depths for d in descents),
         "residue_actions": tuple(d.residue_action for d in descents),
-        "descent_step_bound": descent_step_bound(eps0, max(d_hat, 1)),
+        "descent_step_bound": step_bound,
         "class_counts": tuple(counts),
         "sigma_mass": Fraction(0),
     }

@@ -289,6 +289,17 @@ def test_stable_partition_where_one_minus_x_d_rounds_to_one(tmp_path):
     assert rep["ok"] is (code == 0)
 
 
+def test_stable_partition_step_bound_past_print_limit(tmp_path):
+    # d_hat = 8 at eps = 10^-600 makes a bound of about 4,800 digits
+    inst = str(tmp_path / "h8.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    code, rep = report(["stable", "partition", "--in", inst,
+                        "--epsilon", f"1/{10 ** 600}"])
+    assert code == 2 and not rep["ok"]
+    assert rep["error"]["kind"] == "input"
+    assert "stable_regular_partition" in rep["error"]["message"]
+
+
 def _fresh(argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "vcreg.cli", *argv], env=env,

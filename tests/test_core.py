@@ -1,12 +1,14 @@
 """Exact measures, fibers, boxes, and the Fubini identities."""
 
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcreg import (Box, Hypergraph, InputError, Measure, density, edge_mass,
-                   fiber, fubini_mass, full_box, product_measure,
+from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
+                   edge_mass, fiber, fubini_mass, full_box, product_measure,
                    uniform_measures, weak_fubini_check)
 from vcreg.oracles import brute_density, brute_fiber, brute_set_mass
 from vcreg.selftest import half_graph
@@ -53,6 +55,30 @@ def test_hypergraph_rejects_bad_edges():
         Hypergraph((2, 2), frozenset({(0, 5)}))
     with pytest.raises(InputError):
         Hypergraph((2, 2), frozenset({(0,)}))
+
+
+def test_bad_edge_messages_name_the_edge_and_coordinate():
+    with pytest.raises(InputError, match=r"edge \(0, 5\) out of range in coordinate 1"):
+        Hypergraph((2, 2), frozenset({(0, 5)}))
+    with pytest.raises(InputError, match=r"edge \(0,\) does not have arity 2"):
+        Hypergraph((2, 2), frozenset({(0,)}))
+    with pytest.raises(InputError, match=r"permutation \(1, 0\) of edge \(0, 1\) is absent"):
+        Hypergraph((2, 2), frozenset({(0, 1)}), True)
+
+
+def test_binary_view_cached_per_object():
+    H = half_graph(6)
+    view = binary_view(H, (0,))
+    assert binary_view(H, [0]) is view
+    twin = Hypergraph(H.part_sizes, frozenset(H.edges))
+    assert twin == H and twin is not H
+    twin_view = binary_view(twin, (0,))
+    assert twin_view is not view
+    assert np.array_equal(twin_view.fibers, view.fibers)
+    # no reference cycle: the view goes with its hypergraph, without gc
+    ref = weakref.ref(twin_view)
+    del twin, twin_view
+    assert ref() is None
 
 
 def test_symmetric_needs_equal_sizes_and_closure():

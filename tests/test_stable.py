@@ -1,5 +1,7 @@
 """Ladders, goodness, descent partitions, and the Sigma-free pipeline."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from vcreg import (Box, Hypergraph, Measure, density, descent_step_bound,
                    fiber_family, good_check, good_descent_partition, ladder_index,
                    product_goodness_check, stable_regular_partition,
                    uniform_measures, vc_dimension)
-from vcreg.oracles import brute_ladder_check
+from vcreg.oracles import brute_ladder_check, brute_ladder_index
 from vcreg.selftest import block_pair_graph, half_graph
 
 
@@ -31,6 +33,54 @@ def test_ladder_cap_reported():
     cert = ladder_index(half_graph(8), (0,), cap=3)
     assert cert.length == 3 and cert.capped
     assert cert.display() == ">=3"
+
+
+def _random_relation(rng: random.Random) -> Hypergraph:
+    """A random relation with k <= 3: independent cells at a random density,
+    or a block union with a few cells flipped (few distinct fibers)."""
+    k = rng.randint(1, 3)
+    sizes = tuple(rng.randint(1, (12, 10, 5)[k - 1]) for _ in range(k))
+    cells = list(itertools.product(*map(range, sizes)))
+    if rng.random() < 0.5:
+        p = rng.random()
+        edges = {t for t in cells if rng.random() < p}
+    else:
+        blocks = rng.randint(1, 4)
+        label = [[rng.randrange(blocks) for _ in range(n)] for n in sizes]
+        edges = {t for t in cells if len({label[i][v] for i, v in enumerate(t)}) == 1}
+        edges ^= set(rng.sample(cells, min(len(cells), rng.randint(0, 3))))
+    return Hypergraph(sizes, frozenset(edges))
+
+
+def _nodes_needed(H: Hypergraph, parts, cap: int) -> int:
+    """Nodes the plain search visits: the least budget it does not exhaust."""
+    def done(budget):
+        return not brute_ladder_index(H, parts, cap, budget).budget_exhausted
+    if done(0):
+        return 0
+    lo, hi = 0, 1       # not done(lo); done(hi) once the doubling stops
+    while not done(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if done(mid) else (mid, hi)
+    return hi
+
+
+def test_ladder_index_matches_brute_search():
+    """Skipping the a's no remaining b contains keeps the node count, so
+    every budget, one that trips included, gives the certificate of the
+    plain search; budgets n - 1 and n show any change in the count n."""
+    rng = random.Random(5)
+    for _ in range(80):
+        H = _random_relation(rng)
+        for r in range(1, H.k + 1):
+            for parts in itertools.combinations(range(H.k), r):
+                for cap in range(1, 9):
+                    n = _nodes_needed(H, parts, cap)
+                    for budget in {None, 1, 3, 10, 50, 200, max(n - 1, 0), n}:
+                        assert ladder_index(H, parts, cap, budget) == \
+                            brute_ladder_index(H, parts, cap, budget), (H, parts, cap, budget)
 
 
 def test_good_check_frozen_witness():
