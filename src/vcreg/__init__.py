@@ -33,9 +33,9 @@ _EXPORTS = {
     "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate",
                "descent_step_bound", "good_check", "good_descent_partition",
                "ladder_index", "product_goodness_check", "stable_regular_partition"),
-    "vc": ("EpsNet", "SetFamily", "VCDimension", "definable_count_bound",
-           "epsilon_net", "fiber_family", "net_size_formula", "sauer_bound",
-           "sauer_check", "shatter_function", "vc_dimension"),
+    "vc": ("EpsNet", "SetFamily", "VCDimension", "epsilon_net", "fiber_family",
+           "net_size_formula", "sauer_bound", "sauer_check", "shatter_function",
+           "vc_dimension"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -6,12 +6,9 @@ and timing. Reports are deterministic for fixed flags and seed except the
 "timing" block. Rationals on the command line are "num/den" strings; decimal
 epsilons are rejected.
 
-Exit codes: 0 all verifications pass; 1 a verification failed (e.g. the
-stable surrogate was insufficient); 2 input error (unknown flags, malformed
-files, bad rationals).
-
-VCREG_THREADS is parsed and recorded; the exact integer kernels run
-sequentially, so its effective value is always 1.
+Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
+of the stable descents' pieces is not homogeneous); 2 input error (unknown
+flags, malformed files, bad rationals).
 
 `stable partition` re-checks the paper's claim that every box is exactly 0
 or 1 dense without the kernels that built the partition: one pass over the
@@ -27,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 import time
 from fractions import Fraction
@@ -272,8 +268,7 @@ def _cmd_stable_partition(args, files):
     from .stable import stable_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
-    sp = stable_regular_partition(H, measures, args.epsilon,
-                                  depth_cap=args.depth_cap, rounds=args.rounds)
+    sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=args.depth_cap)
     rep = verify_regular_partition(H, measures, sp)
     homogeneous = all(hit == 0 or hit == total for hit, total in
                       one_pass_box_counts(H, measures, sp.classes, sp.labels))
@@ -545,7 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = st.add_parser("partition")
     common(p, infile=True, epsilon=True)
     p.add_argument("--depth-cap", dest="depth_cap", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
 
     dy = sub.add_parser("dyadic").add_subparsers(dest="sub", required=True)
     for name in ("density", "report", "bound"):
@@ -615,19 +609,6 @@ _HANDLERS = {
 _FLAG_SKIP = {"cmd", "sub", "out"}
 
 
-def _threads_env() -> dict:
-    raw = os.environ.get("VCREG_THREADS")
-    if raw is None:
-        return {"requested": None, "effective": 1}
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"VCREG_THREADS must be an integer, got {raw!r}") from None
-    require(n >= 1, "VCREG_THREADS must be >= 1")
-    # exact integer kernels are sequential; the bound is recorded, not used
-    return {"requested": n, "effective": 1}
-
-
 def _emit(report: dict, out_path: str | None):
     if out_path:
         dump_json(report, out_path)
@@ -647,7 +628,6 @@ def main(argv=None) -> int:
              if k not in _FLAG_SKIP and v is not None}
     report = {"subcommand": name, "inputs": {"flags": flags, "files": {}}}
     try:
-        report["env"] = {"vcreg_threads": _threads_env()}
         handler = _HANDLERS[(args.cmd, getattr(args, "sub", None))]
         outputs, verification, ok = handler(args, report["inputs"]["files"])
         require(bool(verification), "internal: empty verification section")

@@ -28,8 +28,8 @@ class DepthCapExceeded(VerificationError):
 
 
 class RefinementFailed(VerificationError):
-    """Excellence surrogate insufficient: homogeneity verification still
-    fails after the refinement round cap. Carries the offending box."""
+    """A box of the stable descents' pieces is not homogeneous at eps, so
+    the stable partition cannot be returned. Carries the first such box."""
 
     def __init__(self, message, box=None):
         super().__init__(message)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import Hypergraph, Measure, binary_view
 from .dyadic import DyadicBall, odd_split_density
-from .errors import InputError
 from .jsonio import require
 
 MAX_COMPLEXITY = 3

@@ -63,13 +63,13 @@ def load_json(path):
 
 
 def dump_json(obj, path) -> None:
-    """Write JSON atomically (tmp file + rename) so readers never see a torn file."""
+    """Write the canonical form plus a newline atomically (tmp file +
+    rename) so readers never see a torn file."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(canonical_dumps(obj) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -9,9 +9,9 @@ exceptional boxes: every box is homogeneous. The pipeline here:
   down non-goodness witnesses (each witness fiber cuts the current set into
   two parts of relative measure >= eps/4 each, so descents are shallow for
   stable relations); stable_regular_partition runs that on every part at
-  eps / 2^(k+1), then cross-refines classes against boxes of the other parts
-  until every box is homogeneous, and verifies that claim exactly before
-  returning. Failure to converge is a loud error, never a silent Sigma.
+  eps / 2^(k+1), as in Malliaris-Shelah, and the pieces are the classes. One
+  exact check of every box's density follows before returning; a box that
+  is not homogeneous is a loud error, never a silent Sigma.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Box, Hypergraph, ProductSpace, SpaceWeights, atoms,
-                   binary_view, boxes_mask, check_measures, fiber_atoms)
+from .core import (Box, Hypergraph, ProductSpace, SpaceWeights, binary_view,
+                   check_measures, fiber_atoms)
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
 from .jsonio import require
@@ -373,7 +373,7 @@ def descent_step_bound(eps: Fraction, d: int) -> int:
     """A priori bound on extraction steps: the ceiling of
     (d+1) log x / log(1 - x^d), x = eps/2, which is the least integer N with
     (1 - x^d)^N <= x^(d+1) up to float rounding. Taken in the log domain with
-    log1p, so it stays finite when 1 - x^d rounds to 1."""
+    log1p, so it stays finite when 1 - x^d is 1.0 as a float."""
     if d <= 0:
         return 1
     x = Fraction(eps) / 2
@@ -385,27 +385,18 @@ def descent_step_bound(eps: Fraction, d: int) -> int:
     return math.ceil((d + 1) * log_x / math.log1p(-x_d))
 
 
-def _violating(counts, tot, e, eps: Fraction) -> list[tuple[int, ...]]:
-    en, ed = eps.numerator, eps.denominator
-    return [key for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e)
-            if t and not (eb * ed < en * t or (t - eb) * ed < en * t)]
-
-
 def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
-                             depth_cap: int | None = None, d_hat: int | None = None,
-                             ladder_cap: int = 8,
-                             rounds: int | None = None) -> RegularPartition:
+                             depth_cap: int | None = None) -> RegularPartition:
     """Regular partition with Sigma empty: every positive box homogeneous.
 
-    Per-part eps/2^(k+1)-good descents, then up to 2k cross-refinement rounds
-    splitting classes by majority fiber density against the violating boxes of
-    the other parts. The homogeneity claim is verified exactly; failure after
-    the round cap raises with the offending box.
+    The per-part eps/2^(k+1)-good descents, then one exact check that every
+    box of their pieces has density below eps or above 1 - eps; the first box
+    that does not raises RefinementFailed. Each box is labelled by its
+    majority.
     """
     require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     measures = check_measures(H, measures)
-    if d_hat is None:
-        d_hat = ladder_index(H, (0,), cap=ladder_cap, budget=100_000).length
+    d_hat = ladder_index(H, (0,), cap=8, budget=100_000).length
     if depth_cap is None:
         depth_cap = max(8, d_hat + 1)
     eps0 = eps / (1 << (H.k + 1))
@@ -419,94 +410,27 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
 
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
-    classes_by_part = [[list(p) for p in d.pieces] for d in descents]
-    params_by_part = [set(d.witnesses) for d in descents]
-    positive_by_part = []
-    for i in range(H.k):
-        nums, _ = measures[i].numerators()
-        positive_by_part.append([v for v in range(H.part_sizes[i]) if nums[v] > 0])
-
-    if rounds is None:
-        rounds = 2 * H.k
-    require(rounds >= 0, "rounds must be nonnegative")
+    classes = tuple(d.pieces for d in descents)
     ps = ProductSpace(H, measures)
-    rounds_used = 0
-    history = []
-    for rnd in range(rounds):
-        counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
-        bad = _violating(counts, tot, e, eps)
-        history.append(len(bad))
-        if not bad:
-            break
-        rounds_used = rnd + 1
-        i = (H.k - 1 - rnd) % H.k
-        other = tuple(j for j in range(H.k) if j != i)
-        view = binary_view(H, other)
-        ow = SpaceWeights(measures, other, H.part_sizes)
-        majority = []
-        for key in bad:
-            m = boxes_mask(view.left_sizes, [[classes_by_part[j][key[j]] for j in other]])
-            params_by_part[i].update(view.left_tuple(p) for p in np.flatnonzero(m).tolist()
-                                     if ow.nums[p] > 0)
-            wb = ow.sums(m)
-            majority.append([2 * hv > wb for hv in ow.sums(view.fibers & m)])
-        signature = np.array(majority).T
-
-        pos_set = set(positive_by_part[i])
-        new_classes = []
-        for c in classes_by_part[i]:
-            members = [v for v in c if v in pos_set]
-            groups = [[members[j] for j in g] for g in atoms(signature[members])]
-            if len(groups) <= 1:
-                new_classes.append(list(c))
-                continue
-            zs = [v for v in c if v not in pos_set]
-            groups[0].extend(zs)  # placeholder home; re-attached by atom below
-            new_classes.extend(sorted(g) for g in groups)
-        classes_by_part[i] = new_classes
-
-    counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
-    bad = _violating(counts, tot, e, eps)
-    if bad:
-        err = RefinementFailed(
-            "excellence surrogate insufficient: box remains inhomogeneous after refinement")
-        err.box = bad[0]
-        raise err
-
-    # final zero-weight re-attachment by fingerprint atom, per part
-    for i in range(H.k):
-        params = sorted(params_by_part[i])
-        nums, _ = measures[i].numerators()
-        zeros = [v for v in range(H.part_sizes[i]) if nums[v] == 0]
-        if not zeros:
-            classes_by_part[i] = [sorted(c) for c in classes_by_part[i]]
+    counts, tot, e = ps.box_sums(classes, (ps.edge_mask,))
+    en, ed = eps.numerator, eps.denominator
+    labels = {}
+    for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e):
+        if not t:
             continue
-        piece_of = {v: ci for ci, c in enumerate(classes_by_part[i])
-                    for v in c if nums[v] > 0}
-        stripped = [[v for v in c if nums[v] > 0] for c in classes_by_part[i]]
-        require(all(stripped), "internal: class lost its positive members")
-        for atom in fiber_atoms(H, i, params):
-            homes = {piece_of[v] for v in atom if v in piece_of}
-            if len(homes) > 1:
-                raise VerificationError("definability atom straddles classes")
-            stripped[min(homes, default=0)].extend(v for v in atom if v not in piece_of)
-        classes_by_part[i] = [sorted(c) for c in stripped]
+        if not (eb * ed < en * t or (t - eb) * ed < en * t):
+            raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
+                                   box=key)
+        labels[key] = 1 if 2 * eb >= t else 0
 
-    counts, tot, e = ps.box_sums(classes_by_part, (ps.edge_mask,))
-    if _violating(counts, tot, e, eps):
-        raise VerificationError("zero-weight reattachment changed box densities")
-    labels = {key: 1 if 2 * eb >= t else 0
-              for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e) if t}
-
-    classes = tuple(tuple(tuple(c) for c in part) for part in classes_by_part)
-    provenance = tuple(tuple(sorted(params_by_part[i])) for i in range(H.k))
     meta = {
         "pipeline": "stable",
         "eps0": eps0,
         "d_hat": d_hat,
         "depth_cap": depth_cap,
-        "rounds_used": rounds_used,
-        "violating_history": history,
+        # no refinement runs: kept so reports keep their keys and values
+        "rounds_used": 0,
+        "violating_history": [0],
         "descent_steps": tuple(d.steps for d in descents),
         "descent_depths": tuple(d.depths for d in descents),
         "residue_actions": tuple(d.residue_action for d in descents),
@@ -514,4 +438,5 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
         "class_counts": tuple(counts),
         "sigma_mass": Fraction(0),
     }
-    return RegularPartition(classes, eps, (), labels, provenance, meta)
+    return RegularPartition(classes, eps, (), labels,
+                            tuple(d.witnesses for d in descents), meta)

@@ -183,49 +183,6 @@ def fiber_family(H: Hypergraph, parts) -> SetFamily:
     return SetFamily.from_matrix(view.fibers)
 
 
-@dataclass(frozen=True)
-class DefinableCount:
-    count: int
-    bound: int
-    dimension: VCDimension
-    params: tuple[tuple[int, ...], ...]
-
-    @property
-    def within_bound(self) -> bool:
-        return self.count <= self.bound
-
-
-def definable_count_bound(H: Hypergraph, parts, params) -> DefinableCount:
-    """Number of nonempty atoms over the given parameters versus the
-    Sauer-type bound.
-
-    Atoms of V_I over D are the classes of equal fingerprint {b in D : a in R_b};
-    their number is the trace count on D of the family of opposite-side fibers
-    of left elements, so the binomial-sum bound uses that family's dimension.
-    """
-    parts = tuple(sorted(parts))
-    comp = tuple(i for i in range(H.k) if i not in parts)
-    params = [tuple(b) for b in params]
-    view = binary_view(H, parts)
-    for b in params:
-        require(len(b) == len(comp), f"parameter {b!r} has wrong arity")
-        view.right_pos(b)
-    cols = [view.right_pos(b) for b in params]
-    if cols:
-        fingerprints = {view.fibers[cols, g].tobytes() for g in range(view.left_size)}
-        count = len(fingerprints)
-    else:
-        count = 1 if view.left_size else 0
-    if count > (1 << len(params)):
-        raise InputError("atom count exceeds 2^|D|; fingerprinting is broken")
-    dual = SetFamily.from_matrix(view.fibers.T)
-    dim = vc_dimension(dual, cap=8, budget=500_000)
-    d_for_bound = dim.value if not dim.budget_exhausted else max(
-        dim.value, int(math.floor(math.log2(max(1, len(dual.members))))))
-    return DefinableCount(count, sauer_bound(d_for_bound, len(params)), dim,
-                          tuple(params))
-
-
 @dataclass
 class EpsNet:
     points: tuple[int, ...]

@@ -160,16 +160,6 @@ def test_out_file_matches_stdout(tmp_path):
     assert via_file == via_stdout
 
 
-def test_threads_env_recorded(monkeypatch):
-    monkeypatch.setenv("VCREG_THREADS", "4")
-    code, rep = report(["dyadic", "density", "--depth", "3"])
-    assert code == 0
-    assert rep["env"]["vcreg_threads"] == {"requested": 4, "effective": 1}
-    monkeypatch.setenv("VCREG_THREADS", "zero?")
-    code, rep = report(["dyadic", "density", "--depth", "3"])
-    assert code == 2 and rep["error"]["kind"] == "input"
-
-
 def test_rodl_graph_mode(write_json):
     n = 12
     edges = [[x, y] for x in range(n) for y in range(n)

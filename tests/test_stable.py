@@ -1,15 +1,19 @@
 """Ladders, goodness, descent partitions, and the Sigma-free pipeline."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from vcreg import (Box, Hypergraph, Measure, density, descent_step_bound,
-                   fiber_family, good_check, good_descent_partition, ladder_index,
-                   product_goodness_check, stable_regular_partition,
-                   uniform_measures, vc_dimension)
+from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
+                   descent_step_bound, fiber_family, good_check,
+                   good_descent_partition, ladder_index, product_goodness_check,
+                   stable_regular_partition, uniform_measures, vc_dimension)
+from vcreg.cli import main
 from vcreg.oracles import brute_ladder_check, brute_ladder_index
 from vcreg.selftest import block_pair_graph, half_graph
 
@@ -150,17 +154,10 @@ def test_stable_partition_threeway_equivalence():
         assert density(H, mu, Box.of(sides)) in (Fraction(0), Fraction(1))
 
 
-def test_stable_partition_rounds_override():
-    H = block_pair_graph(12, 2)
-    mu = uniform_measures(H)
-    sp = stable_regular_partition(H, mu, Fraction(1, 8), rounds=1)
-    assert sp.sigma == ()
-
-
-def test_refinement_rounds_split_coarse_descents(monkeypatch):
-    """One-piece descents leave every box inhomogeneous, so the refinement
-    rounds must split both parts into the blocks, and the zero-weight
-    vertices 3 and 9 must rejoin their blocks by fingerprint atom."""
+def test_inhomogeneous_descent_box_raises(monkeypatch, tmp_path):
+    """One-piece stand-in descents on the 8+4 block graph, vertices 3 and 9
+    of part 0 weightless: the one box mixes both blocks, so the engine
+    raises with that box and the CLI exits 1 naming it."""
     import vcreg.stable
     block = [0] * 8 + [1] * 4
     H = Hypergraph((12, 12), frozenset((a, b) for a in range(12) for b in range(12)
@@ -170,11 +167,19 @@ def test_refinement_rounds_split_coarse_descents(monkeypatch):
     monkeypatch.setattr(vcreg.stable, "good_descent_partition",
                         lambda H, measures, part, eps, depth_cap: vcreg.stable.GoodDescent(
                             part, (tuple(range(12)),), eps, (0,), (), 1, "none"))
-    sp = stable_regular_partition(H, mu, Fraction(1, 8))
-    assert sp.meta["rounds_used"] == 2 and sp.meta["violating_history"] == [1, 2, 0]
-    blocks = (tuple(range(8)), tuple(range(8, 12)))
-    assert sp.classes == (blocks, blocks)
-    assert sp.labels == {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    with pytest.raises(RefinementFailed) as exc:
+        stable_regular_partition(H, mu, Fraction(1, 8))
+    assert exc.value.box == (0, 0)
+
+    inst = tmp_path / "blocks.json"
+    inst.write_text(json.dumps({"hypergraph": H.to_obj(),
+                                "measures": [m.to_obj() for m in mu]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["stable", "partition", "--in", str(inst), "--epsilon", "1/8"])
+    rep = json.loads(out.getvalue())
+    assert code == 1 and not rep["ok"]
+    assert rep["error"]["kind"] == "verification" and rep["error"]["box"] == [0, 0]
 
 
 def test_product_goodness():
