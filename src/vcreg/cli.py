@@ -138,10 +138,11 @@ def _cmd_vc_shatter(args, files):
     vals = [shatter_function(fam, n) for n in range(args.n + 1)]
     outputs = {"n": args.n, "value": vals[-1],
                "table": {str(n): v for n, v in enumerate(vals)}}
-    ok = all(v <= (1 << n) for n, v in enumerate(vals)) and \
-        all(vals[n] <= vals[n + 1] for n in range(args.n))
-    verification = {"within_power_bound": ok, "monotone": ok}
-    return outputs, verification, ok
+    verification = {
+        "within_power_bound": all(v <= (1 << n) for n, v in enumerate(vals)),
+        "monotone": all(vals[n] <= vals[n + 1] for n in range(args.n)),
+    }
+    return outputs, verification, all(verification.values())
 
 
 def _cmd_vc_net(args, files):

@@ -4,8 +4,9 @@ Deliberately naive and independent of the production code paths: plain
 enumeration over tuples, subsets, leaves, and triples. The test suite and
 the CLI selftest compare engine outputs against these, exactly.
 
-Nothing here uses numpy: the measure-based recounts import `core` (which
-does) only when called, so the numpy-free subcommands can use the rest.
+Nothing here uses numpy at import: the measure-based recounts import `core`
+(which does) and `block_vc_dimension` imports numpy only when called, so the
+numpy-free subcommands can use the rest.
 """
 
 from __future__ import annotations
@@ -175,6 +176,59 @@ def brute_vc_dimension(members, ground_size: int, cap: int = 8) -> int:
     return d
 
 
+def block_vc_dimension(mat, cap: int = 8, budget: int | None = None):
+    """vc.vc_dimension_matrix by testing every t-subset of the distinct
+    columns in lex order, 2048 at a time, each block with one sorted-code
+    count; the budget is paid per tested subset, so the VCDimension it
+    returns (budget_exhausted included) is the reference for the engine's."""
+    import numpy as np
+    from .vc import VCDimension
+    require(cap >= 1, "cap must be >= 1")
+    m = mat.shape[0]
+    if m == 0:
+        return VCDimension(0)
+    log_bound = 0 if m == 1 else int(math.floor(math.log2(m)))
+    limit = min(cap, log_bound) if log_bound else 0
+    if limit == 0:
+        return VCDimension(0)
+    seen = {}
+    for g in range(mat.shape[1]):
+        seen.setdefault(mat[:, g].tobytes(), g)
+    reps = sorted(seen.values())
+    matr = mat[:, reps].astype(np.int64)
+    spent = 0
+    best = VCDimension(0)
+    for t in range(1, limit + 1):
+        found = None
+        shifts = np.int64(1) << np.arange(t, dtype=np.int64)
+        combos = itertools.combinations(range(len(reps)), t)
+        while found is None:
+            block = list(itertools.islice(combos, 2048))
+            if not block:
+                break
+            take = len(block)
+            if budget is not None:
+                take = min(take, budget - spent)
+            spent += take
+            if take:
+                idx = np.asarray(block[:take], dtype=np.intp)
+                codes = (matr[:, idx] * shifts).sum(axis=2)
+                codes.sort(axis=0)
+                distinct = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
+                hits = np.flatnonzero(distinct == (1 << t))
+                if hits.size:
+                    found = tuple(reps[i] for i in block[int(hits[0])])
+            if found is None and take < len(block):
+                return VCDimension(best.value, budget_exhausted=True,
+                                   witness=best.witness)
+        if found is None:
+            return best
+        best = VCDimension(t, witness=found)
+    if best.value == cap:
+        return VCDimension(cap, capped=True, witness=best.witness)
+    return best
+
+
 def _brute_heavy(members, weights, eps: Fraction) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(m)) for m in members
                   if sum((weights[v] for v in m), Fraction(0)) >= eps)
@@ -244,7 +298,7 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     distinct = sorted({tuple(sorted(f)) for f in fibers})
     d = brute_vc_dimension(distinct, len(lefts), cap=8)
     meta = {"fiber_dimension": f">={d}" if d == 8 else str(d),
-            "trivial_params": len(lefts)}
+            "fiber_dimension_value": d, "trivial_params": len(lefts)}
     keys = fibers
     params = list(range(len(lefts)))
     path = "trivial"

@@ -125,8 +125,9 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
     fibers = np.unique(view.fibers, axis=0)
     dim = vc_dimension_matrix(fibers, cap=8, budget=d_budget)
     d_bound = dim.value if not dim.budget_exhausted else max(
-        dim.value, int(math.floor(math.log2(max(1, len(fibers))))))
-    meta = {"fiber_dimension": dim.display(), "trivial_params": view.left_size}
+        dim.value, max(1, len(fibers)).bit_length() - 1)
+    meta = {"fiber_dimension": dim.display(), "fiber_dimension_value": dim.value,
+            "trivial_params": view.left_size}
 
     if len(fibers) > 1:
         # D[i, j] = m_i + m_j - 2 G[i, j], exact in every arithmetic regime
@@ -236,9 +237,8 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
         "classes": len(dp.classes),
         "split_params": len(dp.params),
         "net_param_bound": dp.meta.get("net_param_bound"),
-        "class_bound_sauer": sauer_bound(
-            int(str(dp.meta.get("fiber_dimension", "1")).lstrip(">=") or 1),
-            len(dp.params)),
+        "class_bound_sauer": sauer_bound(dp.meta.get("fiber_dimension_value", 1),
+                                         len(dp.params)),
         "fiber_dimension": dp.meta.get("fiber_dimension"),
     }
     return boxes, params, error, [level] + sub_levels

@@ -86,6 +86,7 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
     certificate are those of scanning every remaining a.
     """
     require(cap >= 1, "cap must be >= 1")
+    require(budget is None or budget >= 0, "budget must be >= 0")
     parts = tuple(sorted(parts))
     view = binary_view(H, parts)
     nl, nr = view.left_size, view.right_size

@@ -1,11 +1,22 @@
 """Set families, VC dimension, trace counting, and epsilon-nets.
 
-The dimension search is exact: subsets are enumerated in size-then-lex order
-with early exit, after collapsing ground elements that have identical
-membership across all members (two such elements can never both sit inside a
-shattered set, so the collapse preserves the answer). A work budget guards
-degenerate inputs; when it trips, the result carries a flag and callers fall
-back to the provable upper bound floor(log2(#members)).
+The dimension search is exact. Ground elements with identical membership
+across all members are collapsed first (two such elements never sit together
+in a shattered set). Shattering is hereditary, so the search goes level by
+level, t = 1, 2, ..., and only extends shattered sets: a column is shattered
+when its count is strictly between 0 and the number of members, pairs come
+from one Gram matrix and the column sums, triples from one pair-AND x column
+product per block of shattered pairs with the 8 trace counts by
+inclusion-exclusion, and longer sets by marking which trace codes the rows
+show. Each level returns the lex-first shattered t-set.
+
+The work budget is counted as if every t-subset were tested in lex order,
+2048 at a time: with h the lex rank of the first shattered t-set, N = C(r, t)
+for r collapsed elements and R the budget left, a level with h < R spends
+min(2048 * ceil((h + 1) / 2048), N, R); a level with no shattered t-set and
+N <= R spends N and ends the search; otherwise the budget is exhausted, the
+result carries a flag and callers fall back to the provable upper bound
+floor(log2(#members)).
 """
 
 from __future__ import annotations
@@ -78,6 +89,10 @@ class VCDimension:
         return f">={self.value}" if (self.capped or self.budget_exhausted) else str(self.value)
 
 
+# Row blocks copied out of a large boolean matrix are kept near this size.
+ROW_BLOCK_BYTES = 1 << 22
+
+
 def _collapsed_columns(mat: np.ndarray) -> list[int]:
     """Representative ground indices, one per distinct membership column."""
     if mat.shape[0] == 0:
@@ -88,6 +103,135 @@ def _collapsed_columns(mat: np.ndarray) -> list[int]:
         if key not in seen:
             seen[key] = g
     return sorted(seen.values())
+
+
+def _lex_rank(combo: tuple[int, ...], r: int) -> int:
+    """Position of a sorted t-subset of range(r) among all t-subsets in lex order."""
+    t = len(combo)
+    return math.comb(r, t) - 1 - sum(math.comb(r - 1 - c, t - i)
+                                     for i, c in enumerate(combo))
+
+
+class _Shattered:
+    """The shattered column sets of a boolean matrix with distinct columns.
+
+    `children(q)`, for a shattered q, lists ascending the k > q[-1] with
+    q + (k,) shattered, and is computed once per q: for q = () from the
+    column sums, for pairs from the Gram matrix, for triples from one
+    pair-AND x column product per block of shattered pairs and the 8 trace
+    counts by inclusion-exclusion, for longer q from the trace codes the
+    rows show, marked for q and its next siblings at once. A candidate k
+    must extend q[:-1] as well. Counts stay below 2^53, so float64 products
+    are exact; all work runs over row blocks of about ROW_BLOCK_BYTES."""
+
+    def __init__(self, mat: np.ndarray):
+        self.mat = mat
+        self.m, self.r = mat.shape
+        self.step = max(1, ROW_BLOCK_BYTES // (8 * max(1, self.r)))
+        self.sums = mat.sum(axis=0).astype(np.float64)
+        self.kids = {(): np.flatnonzero((self.sums > 0) & (self.sums < self.m))}
+        self.gram = None
+
+    def _cross(self, left) -> np.ndarray:
+        """Sum over row blocks of left(rows).T @ rows, with left(rows) a
+        float64 matrix holding one row per matrix row."""
+        total = 0.0
+        for s in range(0, self.m, self.step):
+            rows = self.mat[s:s + self.step]
+            total = total + left(rows).T @ rows.astype(np.float64)
+        return total
+
+    def children(self, q: tuple[int, ...]) -> np.ndarray:
+        if q not in self.kids:
+            if self.gram is None:
+                self._pairs()
+            if len(q) == 1:
+                self.kids[q] = q[0] + 1 + np.flatnonzero(self.pair[q[0], q[0] + 1:])
+            elif len(q) == 2:
+                self._triples(q)
+            else:
+                self._siblings(q)
+        return self.kids[q]
+
+    def _pairs(self):
+        g = self._cross(lambda rows: rows.astype(np.float64))
+        n, m = self.sums, self.m
+        self.gram = g
+        self.pair = ((g > 0) & (n[:, None] > g) & (n[None, :] > g)
+                     & (m - n[:, None] - n[None, :] + g > 0))
+        self.pair_list = np.argwhere(np.triu(self.pair, 1))
+        self.pair_codes = self.pair_list[:, 0] * self.r + self.pair_list[:, 1]
+
+    def _triples(self, q: tuple[int, int]):
+        """Children of the block of shattered pairs that starts at q."""
+        size = max(1, ROW_BLOCK_BYTES // (8 * max(self.r, min(self.m, self.step))))
+        pos = int(np.searchsorted(self.pair_codes, q[0] * self.r + q[1]))
+        I, J = self.pair_list[pos:pos + size].T
+        n, g = self.sums, self.gram
+        n3 = self._cross(lambda rows: (rows[:, I] & rows[:, J]).astype(np.float64))
+        n12, n13, n23 = g[I, J][:, None], g[I], g[J]
+        n1, n2 = n[I][:, None], n[J][:, None]
+        ok = ((np.arange(self.r) > J[:, None]) & (n3 > 0)
+              & (n12 > n3) & (n13 > n3) & (n23 > n3)
+              & (n1 - n12 - n13 + n3 > 0) & (n2 - n12 - n23 + n3 > 0)
+              & (n - n13 - n23 + n3 > 0)
+              & (self.m - n1 - n2 - n + n12 + n13 + n23 - n3 > 0))
+        for i, j, row in zip(I.tolist(), J.tolist(), ok):
+            self.kids[(i, j)] = np.flatnonzero(row)
+
+    def _siblings(self, q: tuple[int, ...]):
+        """Children of q and of its next siblings q[:-1] + (a,), a in
+        children(q[:-1]): q[:-1] + (a, k) is shattered iff its rows show
+        every trace code, marked per (a, k) over row blocks."""
+        p = list(q[:-1])
+        rest = self.kids[q[:-1]]
+        rest = rest[rest >= q[-1]]
+        if len(rest) == 1:
+            self.kids[q] = rest[:0]
+            return
+        low, width = 1 << len(p), len(rest)
+        n = min(width - 1, max(1, ROW_BLOCK_BYTES // (4 * low * width)))
+        shifts = np.int64(1) << np.arange(len(p), dtype=np.int64)
+        # one run of 4 * low codes per (sibling, column)
+        base = 4 * low * np.arange(n * width).reshape(n, width)
+        seen = np.zeros(base.size * 4 * low, dtype=bool)
+        step = max(1, ROW_BLOCK_BYTES // (8 * base.size))
+        for s in range(0, self.m, step):
+            rows = self.mat[s:s + step]
+            cols = rows[:, rest].astype(np.int64)
+            code = (rows[:, p] @ shifts)[:, None, None] + low * cols[:, :n, None]
+            seen[(code + 2 * low * cols[:, None, :] + base).ravel()] = True
+        ok = seen.reshape(n, width, 4 * low).all(axis=2)
+        ok &= np.arange(width) > np.arange(n)[:, None]
+        for a, row in zip(rest[:n].tolist(), ok):
+            self.kids[(*p, a)] = rest[row]
+
+
+def _first_shattered(sets: _Shattered, t: int, room: int | None):
+    """The lex-first shattered t-set of columns if its lex rank is below
+    room, else None.
+
+    Depth first over shattered prefixes in lex order. The least t-set
+    through each prefix only grows along the walk, so the walk ends at the
+    first prefix whose least t-set ranks at room or beyond."""
+    r = sets.r
+    q: tuple[int, ...] = ()
+    stack = [iter(sets.children(q).tolist())]
+    while stack:
+        k = next(stack[-1], None)
+        if k is None or k + t - len(q) > r:
+            stack.pop()
+            q = q[:-1]
+            continue
+        s = q + (k,)
+        least = s + tuple(range(k + 1, k + 1 + t - len(s)))
+        if room is not None and _lex_rank(least, r) >= room:
+            return None
+        if len(s) == t:
+            return s
+        q = s
+        stack.append(iter(sets.children(s).tolist()))
+    return None
 
 
 def vc_dimension(family: SetFamily, cap: int = 8, budget: int | None = None) -> VCDimension:
@@ -101,44 +245,30 @@ def vc_dimension_matrix(mat: np.ndarray, cap: int = 8,
     """vc_dimension of the family whose members are the rows of a boolean
     matrix; the rows must be pairwise distinct (their order is irrelevant)."""
     require(cap >= 1, "cap must be >= 1")
-    m = mat.shape[0]
-    if m == 0:
-        return VCDimension(0)
-    log_bound = 0 if m == 1 else int(math.floor(math.log2(m)))
-    limit = min(cap, log_bound) if log_bound else 0
-    if limit == 0:
+    require(budget is None or budget >= 0, "budget must be >= 0")
+    # 2^d distinct rows are needed to shatter d columns
+    limit = min(cap, mat.shape[0].bit_length() - 1)
+    if limit < 1:
         return VCDimension(0)
     reps = _collapsed_columns(mat)
-    matr = mat[:, reps].astype(np.int64)
+    sets = _Shattered(mat[:, reps])
+    r = len(reps)
     spent = 0
     best = VCDimension(0)
     for t in range(1, limit + 1):
-        # one vectorized shatter test per block of candidate subsets
-        found = None
-        shifts = np.int64(1) << np.arange(t, dtype=np.int64)
-        combos = itertools.combinations(range(len(reps)), t)
-        while found is None:
-            block = list(itertools.islice(combos, 2048))
-            if not block:
-                break
-            take = len(block)
-            if budget is not None:
-                take = min(take, budget - spent)
-            spent += take
-            if take:
-                idx = np.asarray(block[:take], dtype=np.intp)
-                codes = (matr[:, idx] * shifts).sum(axis=2)
-                codes.sort(axis=0)
-                distinct = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
-                hits = np.flatnonzero(distinct == (1 << t))
-                if hits.size:
-                    found = tuple(reps[i] for i in block[int(hits[0])])
-            if found is None and take < len(block):
+        room = None if budget is None else budget - spent
+        total = math.comb(r, t)
+        # every t-set ranks below total, so a room that large bounds nothing
+        hit = _first_shattered(sets, t, room if room is not None and room < total else None)
+        if hit is None:
+            if room is not None and total > room:
                 return VCDimension(best.value, budget_exhausted=True,
                                    witness=best.witness)
-        if found is None:
             return best
-        best = VCDimension(t, witness=found)
+        if room is not None:
+            # the t-sets before the hit's 2048-block end count as tested
+            spent += min(2048 * (_lex_rank(hit, r) // 2048 + 1), total, room)
+        best = VCDimension(t, witness=tuple(reps[i] for i in hit))
     if best.value == cap:
         return VCDimension(cap, capped=True, witness=best.witness)
     # stopped at the log2(#members) ceiling, which is exact, not a cap
@@ -148,11 +278,10 @@ def vc_dimension_matrix(mat: np.ndarray, cap: int = 8,
 def shatter_function(family: SetFamily, n: int) -> int:
     """pi_F(n): the largest number of traces the family cuts on an n-subset."""
     require(0 <= n <= family.ground_size, "n out of range for the ground set")
-    if n == 0:
-        return 1
+    if n == 0 or not family.members:
+        # the empty set has one trace, cut by any member at all
+        return min(1, len(family.members))
     mat = family.matrix()
-    if len(family.members) == 0:
-        return 0
     reps = _collapsed_columns(mat)
     t = min(n, len(reps))
     best = 0
@@ -190,10 +319,6 @@ class EpsNet:
     verified: bool
     strategy: str
     meta: dict = field(default_factory=dict)
-
-
-# Row blocks copied out of a large boolean matrix are kept near this size.
-ROW_BLOCK_BYTES = 1 << 22
 
 
 def lex_keys(rows: np.ndarray) -> np.ndarray:

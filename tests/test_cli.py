@@ -380,3 +380,32 @@ def test_stable_partition_zero_mass_box_is_input_error(tmp_path, monkeypatch, wr
     code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
     assert code == 2 and rep["error"]["kind"] == "input"
     assert "measure zero" in rep["error"]["message"]
+
+
+def test_vc_shatter_on_empty_family_passes(write_json):
+    p = write_json("empty.json", {"ground_size": 3, "members": []})
+    code, rep = report(["vc", "shatter", "--in", p, "--n", "2"])
+    assert code == 0 and rep["ok"]
+    assert rep["outputs"]["table"] == {"0": 0, "1": 0, "2": 0}
+    assert rep["verification"] == {"within_power_bound": True, "monotone": True}
+
+
+def test_vc_shatter_checks_each_field_on_its_own(tmp_path, monkeypatch):
+    # a table within the power bound that falls from n = 1 to n = 2
+    import vcreg.vc
+    inst = str(tmp_path / "half.json")
+    report(["gen", "half-graph", "--sizes", "6,6", "--out", inst])
+    monkeypatch.setattr(vcreg.vc, "shatter_function", lambda fam, n: [1, 2, 1][n])
+    code, rep = report(["vc", "shatter", "--in", inst, "--n", "2"])
+    assert code == 1 and not rep["ok"]
+    assert rep["verification"] == {"within_power_bound": True, "monotone": False}
+
+
+@pytest.mark.parametrize("argv", [["vc", "dim"], ["stable", "ladder"]])
+def test_negative_budget_is_input_error(tmp_path, argv):
+    inst = str(tmp_path / "half.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    code, rep = report(argv + ["--in", inst, "--budget", "-1"])
+    assert code == 2 and not rep["ok"]
+    assert rep["error"]["kind"] == "input"
+    assert "budget" in rep["error"]["message"]

@@ -1,16 +1,20 @@
 """Shattering, the growth bound, and exact epsilon-nets."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import (InputError, Measure, SetFamily, epsilon_net, fiber_family,
                    net_size_formula, sauer_bound, sauer_check, shatter_function,
                    vc_dimension)
-from vcreg.oracles import brute_vc_dimension
-from vcreg.selftest import half_graph, interval_family
+from vcreg.oracles import block_vc_dimension, brute_vc_dimension
+from vcreg.selftest import block_pair_graph, half_graph, interval_family
+from vcreg.stable import ladder_index
+from vcreg.vc import vc_dimension_matrix
 
 
 def test_interval_family_dimension_is_two():
@@ -40,6 +44,19 @@ def test_shatter_function_frozen_values():
         cur = shatter_function(F, m)
         assert prev <= cur <= 2 ** m
         prev = cur
+
+
+def test_shatter_function_of_empty_family_is_zero():
+    F = SetFamily.from_sets(3, [])
+    assert [shatter_function(F, n) for n in range(4)] == [0, 0, 0, 0]
+    assert shatter_function(SetFamily.from_sets(3, [()]), 0) == 1
+
+
+def test_negative_budget_is_input_error():
+    with pytest.raises(InputError):
+        vc_dimension(interval_family(8), budget=-1)
+    with pytest.raises(InputError):
+        ladder_index(half_graph(4), (0,), budget=-1)
 
 
 def test_budget_truncation_is_reported():
@@ -101,3 +118,75 @@ def test_greedy_net_always_verifies(seed, n):
     F = SetFamily.from_sets(n, sets)
     net = epsilon_net(F, Measure.uniform(0, n), Fraction(1, 3))
     assert net.verified
+
+
+FIXED_BUDGETS = (None, 0, 1, 2047, 2048, 2049)
+
+
+def _level_budgets(mat: np.ndarray, cap: int) -> list[int]:
+    """Budgets on either side of each level's edges in the unbudgeted search:
+    the first shattered t-set (from the oracle's witness at cap t) and the
+    work spent by the end of the level, the last level's included."""
+    if mat.shape[0] < 2:
+        return []
+    reps = sorted(np.unique(mat, axis=1, return_index=True)[1].tolist())
+    spent, edges = 0, []
+    for t in range(1, min(cap, mat.shape[0].bit_length() - 1) + 1):
+        combos = list(itertools.combinations(range(len(reps)), t))
+        d = block_vc_dimension(mat, cap=t)
+        if d.value < t:
+            edges.append(spent + len(combos))
+            break
+        h = combos.index(tuple(reps.index(w) for w in d.witness))
+        edges.append(spent + h + 1)
+        spent += min(2048 * (h // 2048 + 1), len(combos))
+        edges.append(spent)
+    return [b for e in edges for b in (e - 1, e)]
+
+
+def _same_as_block_search(mat: np.ndarray, caps):
+    for cap in caps:
+        for budget in FIXED_BUDGETS + tuple(_level_budgets(mat, cap)):
+            assert vc_dimension_matrix(mat, cap, budget) == \
+                block_vc_dimension(mat, cap, budget), (mat.shape, cap, budget)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(0, 48), r=st.integers(0, 14),
+       density=st.floats(0.05, 0.95), cap=st.integers(1, 8))
+def test_level_search_matches_block_search_on_random_matrices(seed, m, r, density, cap):
+    rng = np.random.default_rng(seed)
+    mat = np.unique(rng.random((m, r)) < density, axis=0) if m else np.zeros((0, r), bool)
+    _same_as_block_search(mat, [cap])
+
+
+def _intervals_then_triple(intervals) -> np.ndarray:
+    """15 rows; one column per row interval (a, b), then three columns whose
+    bits on rows 0..7 spell the row index. Three intervals cut a line into
+    at most 7 pieces, so only triples with a bit column can be shattered,
+    and 15 rows stop the search at t = 3."""
+    rows = np.arange(15)[:, None]
+    cols = [(a <= rows) & (rows <= b) for a, b in intervals]
+    cols += [(rows < 8) & (rows >> s & 1 == 1) for s in range(3)]
+    return np.hstack(cols)
+
+
+ROW_INTERVALS = [(a, b) for a in range(15) for b in range(a, 15)]
+
+
+@pytest.mark.parametrize("mat", [
+    interval_family(6).matrix(),
+    interval_family(25).matrix(),
+    fiber_family(half_graph(12), (0,)).matrix(),
+    fiber_family(half_graph(40), (0,)).matrix(),
+    fiber_family(block_pair_graph(24, 4), (0,)).matrix(),
+    fiber_family(block_pair_graph(30, 6), (1,)).matrix(),
+    # first shattered triple (3, 32, 33) has rank 2047, the last of a block
+    _intervals_then_triple(ROW_INTERVALS[:32]),
+    # intervals on rows 8..14 only: the bit columns are the one shattered
+    # triple, the last of 4495, in a short last block
+    _intervals_then_triple([(a, b) for a, b in ROW_INTERVALS if a >= 8]),
+], ids=["intervals-6", "intervals-25", "half-12", "half-40", "blocks-24x4",
+        "blocks-30x6", "triple-at-block-end", "triple-in-short-block"])
+def test_level_search_matches_block_search_on_families(mat):
+    _same_as_block_search(mat, range(1, 9))
