@@ -4,11 +4,11 @@ The dimension search is exact. Ground elements with identical membership
 across all members are collapsed first (two such elements never sit together
 in a shattered set). Shattering is hereditary, so the search goes level by
 level, t = 1, 2, ..., and only extends shattered sets: a column is shattered
-when its count is strictly between 0 and the number of members, pairs come
-from one Gram matrix and the column sums, triples from one pair-AND x column
-product per block of shattered pairs with the 8 trace counts by
-inclusion-exclusion, and longer sets by marking which trace codes the rows
-show. Each level returns the lex-first shattered t-set.
+when its count is strictly between 0 and the number of members, and a
+shattered set s plus two columns a < k that each extend it is shattered when
+the members of each trace on s hold both a and k, a alone, k alone and
+neither, counted from one Gram product per trace (for s empty, one Gram
+product of all members). Each level returns the lex-first shattered t-set.
 
 The work budget is counted as if every t-subset were tested in lex order,
 2048 at a time: with h the lex rank of the first shattered t-set, N = C(r, t)
@@ -116,93 +116,52 @@ class _Shattered:
     """The shattered column sets of a boolean matrix with distinct columns.
 
     `children(q)`, for a shattered q, lists ascending the k > q[-1] with
-    q + (k,) shattered, and is computed once per q: for q = () from the
-    column sums, for pairs from the Gram matrix, for triples from one
-    pair-AND x column product per block of shattered pairs and the 8 trace
-    counts by inclusion-exclusion, for longer q from the trace codes the
-    rows show, marked for q and its next siblings at once. A candidate k
-    must extend q[:-1] as well. Counts stay below 2^53, so float64 products
-    are exact; all work runs over row blocks of about ROW_BLOCK_BYTES."""
+    q + (k,) shattered. It is computed once per q, for q and its next
+    siblings at once, from the rows grouped by their trace on q[:-1]: a
+    candidate k must extend q[:-1] as well, and q + (k,) is shattered iff
+    every group shatters {q[-1], k}, that is, holds both, either one alone
+    and neither, counted from one Gram product per group. Counts stay below
+    2^53, so float64 products are exact; the products run over row blocks
+    and sibling blocks of about ROW_BLOCK_BYTES."""
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
         self.m, self.r = mat.shape
-        self.step = max(1, ROW_BLOCK_BYTES // (8 * max(1, self.r)))
-        self.sums = mat.sum(axis=0).astype(np.float64)
-        self.kids = {(): np.flatnonzero((self.sums > 0) & (self.sums < self.m))}
-        self.gram = None
-
-    def _cross(self, left) -> np.ndarray:
-        """Sum over row blocks of left(rows).T @ rows, with left(rows) a
-        float64 matrix holding one row per matrix row."""
-        total = 0.0
-        for s in range(0, self.m, self.step):
-            rows = self.mat[s:s + self.step]
-            total = total + left(rows).T @ rows.astype(np.float64)
-        return total
+        sums = mat.sum(axis=0)
+        self.kids = {(): np.flatnonzero((sums > 0) & (sums < self.m))}
 
     def children(self, q: tuple[int, ...]) -> np.ndarray:
         if q not in self.kids:
-            if self.gram is None:
-                self._pairs()
-            if len(q) == 1:
-                self.kids[q] = q[0] + 1 + np.flatnonzero(self.pair[q[0], q[0] + 1:])
-            elif len(q) == 2:
-                self._triples(q)
-            else:
-                self._siblings(q)
+            self._siblings(q)
         return self.kids[q]
-
-    def _pairs(self):
-        g = self._cross(lambda rows: rows.astype(np.float64))
-        n, m = self.sums, self.m
-        self.gram = g
-        self.pair = ((g > 0) & (n[:, None] > g) & (n[None, :] > g)
-                     & (m - n[:, None] - n[None, :] + g > 0))
-        self.pair_list = np.argwhere(np.triu(self.pair, 1))
-        self.pair_codes = self.pair_list[:, 0] * self.r + self.pair_list[:, 1]
-
-    def _triples(self, q: tuple[int, int]):
-        """Children of the block of shattered pairs that starts at q."""
-        size = max(1, ROW_BLOCK_BYTES // (8 * max(self.r, min(self.m, self.step))))
-        pos = int(np.searchsorted(self.pair_codes, q[0] * self.r + q[1]))
-        I, J = self.pair_list[pos:pos + size].T
-        n, g = self.sums, self.gram
-        n3 = self._cross(lambda rows: (rows[:, I] & rows[:, J]).astype(np.float64))
-        n12, n13, n23 = g[I, J][:, None], g[I], g[J]
-        n1, n2 = n[I][:, None], n[J][:, None]
-        ok = ((np.arange(self.r) > J[:, None]) & (n3 > 0)
-              & (n12 > n3) & (n13 > n3) & (n23 > n3)
-              & (n1 - n12 - n13 + n3 > 0) & (n2 - n12 - n23 + n3 > 0)
-              & (n - n13 - n23 + n3 > 0)
-              & (self.m - n1 - n2 - n + n12 + n13 + n23 - n3 > 0))
-        for i, j, row in zip(I.tolist(), J.tolist(), ok):
-            self.kids[(i, j)] = np.flatnonzero(row)
 
     def _siblings(self, q: tuple[int, ...]):
         """Children of q and of its next siblings q[:-1] + (a,), a in
-        children(q[:-1]): q[:-1] + (a, k) is shattered iff its rows show
-        every trace code, marked per (a, k) over row blocks."""
+        children(q[:-1])."""
         p = list(q[:-1])
         rest = self.kids[q[:-1]]
         rest = rest[rest >= q[-1]]
-        if len(rest) == 1:
-            self.kids[q] = rest[:0]
-            return
-        low, width = 1 << len(p), len(rest)
-        n = min(width - 1, max(1, ROW_BLOCK_BYTES // (4 * low * width)))
-        shifts = np.int64(1) << np.arange(len(p), dtype=np.int64)
-        # one run of 4 * low codes per (sibling, column)
-        base = 4 * low * np.arange(n * width).reshape(n, width)
-        seen = np.zeros(base.size * 4 * low, dtype=bool)
-        step = max(1, ROW_BLOCK_BYTES // (8 * base.size))
-        for s in range(0, self.m, step):
-            rows = self.mat[s:s + step]
-            cols = rows[:, rest].astype(np.int64)
-            code = (rows[:, p] @ shifts)[:, None, None] + low * cols[:, :n, None]
-            seen[(code + 2 * low * cols[:, None, :] + base).ravel()] = True
-        ok = seen.reshape(n, width, 4 * low).all(axis=2)
-        ok &= np.arange(width) > np.arange(n)[:, None]
+        width = len(rest)
+        step = max(1, ROW_BLOCK_BYTES // (8 * width))
+        n = min(width, step)
+        trace = self.mat[:, p].astype(np.int64) @ (
+            np.int64(1) << np.arange(len(p), dtype=np.int64))
+        order = np.argsort(trace, kind="stable")
+        ends = np.searchsorted(trace[order], np.arange(1, 1 << len(p)))
+        ok = np.arange(width) > np.arange(n)[:, None]
+        for lo, hi in zip(itertools.chain([0], ends), itertools.chain(ends, [self.m])):
+            both = np.zeros((n, width))
+            ones = np.zeros(width)
+            for s in range(lo, hi, step):
+                cols = self.mat[np.ix_(order[s:min(s + step, hi)], rest)].astype(np.float64)
+                both += cols[:, :n].T @ cols
+                ones += cols.sum(axis=0)
+            # rows of this trace with a and k, a without k, k without a, neither
+            alone = ones[:n, None] - both
+            ok &= ((both > 0) & (alone > 0) & (ones - both > 0)
+                   & (hi - lo - alone - ones > 0))
+            if not ok.any():
+                break
         for a, row in zip(rest[:n].tolist(), ok):
             self.kids[(*p, a)] = rest[row]
 

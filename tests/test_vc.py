@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from vcreg import (InputError, Measure, SetFamily, epsilon_net, fiber_family,
 from vcreg.oracles import block_vc_dimension, brute_vc_dimension
 from vcreg.selftest import block_pair_graph, half_graph, interval_family
 from vcreg.stable import ladder_index
+from vcreg import vc
 from vcreg.vc import vc_dimension_matrix
 
 
@@ -145,10 +147,18 @@ def _level_budgets(mat: np.ndarray, cap: int) -> list[int]:
 
 
 def _same_as_block_search(mat: np.ndarray, caps):
+    """Whole results equal, also with row and sibling blocks so small that
+    every product runs over several of them. 64 bytes puts one row and one
+    sibling in each block, which on the 326-row family takes half a minute."""
+    blocks = (vc.ROW_BLOCK_BYTES, 1024) + ((64,) if mat.shape[0] <= 200 else ())
     for cap in caps:
         for budget in FIXED_BUDGETS + tuple(_level_budgets(mat, cap)):
-            assert vc_dimension_matrix(mat, cap, budget) == \
-                block_vc_dimension(mat, cap, budget), (mat.shape, cap, budget)
+            want = block_vc_dimension(mat, cap, budget)
+            for block in blocks:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(vc, "ROW_BLOCK_BYTES", block)
+                    assert vc_dimension_matrix(mat, cap, budget) == want, \
+                        (mat.shape, cap, budget, block)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -190,3 +200,19 @@ ROW_INTERVALS = [(a, b) for a in range(15) for b in range(a, 15)]
         "blocks-30x6", "triple-at-block-end", "triple-in-short-block"])
 def test_level_search_matches_block_search_on_families(mat):
     _same_as_block_search(mat, range(1, 9))
+
+
+def test_wide_matrix_search_stays_in_blocks():
+    """64 rows by 4,000 columns under a net-sized budget: the result is the
+    block search's, and the search never holds an r x r matrix (one float64
+    Gram matrix of all columns would be 128 MB)."""
+    mat = np.unique(np.random.default_rng(3).random((64, 4000)) < 0.5, axis=0)
+    tracemalloc.start()
+    try:
+        got = vc_dimension_matrix(mat, 8, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == block_vc_dimension(mat, 8, 200_000)
+    assert got.budget_exhausted
+    assert peak < 4000 * 4000 * 8 // 2
