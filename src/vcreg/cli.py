@@ -6,6 +6,12 @@ and timing. Reports are deterministic for fixed flags and seed except the
 "timing" block. Rationals on the command line are "num/den" strings; decimal
 epsilons are rejected.
 
+Handlers return engine values as they are; `jsonio.canonical_dumps` is the
+one encoder of reports, `--out` files and input hashes. JSON-native values
+go out as they are, a Fraction as "num/den", a set as a sorted list, a
+record through `to_obj`, a numpy integer as an int and anything else as its
+str. Every dict key in a report is built as a str.
+
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not homogeneous); 2 input error (unknown
 flags, malformed files, bad rationals).
@@ -35,29 +41,11 @@ from .dyadic import (DyadicBall, anti_homogeneity_bound_check,
                      ball_parity_report, level_pair_counts, odd_split_density,
                      parse_balls)
 from .errors import InputError, VerificationError
-from .jsonio import (KINDS, canonical_dumps, dump_json, format_rational,
-                     load_json, parse_rational, require, sha256_of)
+from .jsonio import (KINDS, canonical_dumps, dump_json, load_json,
+                     parse_rational, require, sha256_of)
 from .oracles import (brute_convexity_edges, brute_dyadic_pair_count,
                       brute_shatters, brute_union_mass_error,
                       one_pass_box_counts)
-
-
-def jsonable(x):
-    """Exact JSON image: Fractions as "num/den", tuples as lists."""
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = sorted(x) if isinstance(x, (set, frozenset)) else x
-        return [jsonable(v) for v in items]
-    if hasattr(x, "to_obj"):
-        return jsonable(x.to_obj())
-    if hasattr(x, "__index__"):
-        return int(x)
-    return str(x)
 
 
 def _parse_parts(s: str) -> tuple[int, ...]:
@@ -97,6 +85,7 @@ def _load_instance(path: str, files: dict):
     hobj = obj["hypergraph"] if "hypergraph" in obj else obj
     H = Hypergraph.from_obj(hobj)
     if "measures" in obj:
+        require(isinstance(obj["measures"], list), f"{path}: 'measures' must be a list")
         measures = tuple(Measure.from_obj(m) for m in obj["measures"])
     else:
         measures = uniform_measures(H)
@@ -123,7 +112,7 @@ def _cmd_vc_dim(args, files):
     d = vc_dimension(fam, cap=args.cap, budget=args.budget)
     outputs = {"value": d.value, "capped": d.capped,
                "budget_exhausted": d.budget_exhausted,
-               "display": d.display(), "witness": list(d.witness)}
+               "display": d.display(), "witness": d.witness}
     witness_ok = d.value == 0 or brute_shatters(fam.members, d.witness)
     size_ok = d.value == 0 or len(d.witness) == d.value
     verification = {"witness_shattered": witness_ok,
@@ -158,8 +147,8 @@ def _cmd_vc_net(args, files):
         mu = Measure.from_obj(wobj)
     net = epsilon_net(fam, mu, args.epsilon, strategy=args.strategy,
                       seed=args.seed if args.seed is not None else 0)
-    outputs = {"points": list(net.points), "size": len(net.points),
-               "strategy": net.strategy, "meta": jsonable(net.meta)}
+    outputs = {"points": net.points, "size": len(net.points),
+               "strategy": net.strategy, "meta": net.meta}
     verification = {"verified_exhaustively": net.verified}
     return outputs, verification, net.verified
 
@@ -179,9 +168,9 @@ def _cmd_reg_partition(args, files):
         rp = regular_partition(H, measures, args.epsilon,
                                strategy=args.strategy, seed=args.seed or 0)
     rep = verify_regular_partition(H, measures, rp)
-    outputs = {"partition": rp.to_obj(), "meta": jsonable(rp.meta),
-               "class_counts": list(rp.class_counts())}
-    return outputs, jsonable(rep), rep["ok"]
+    outputs = {"partition": rp.to_obj(), "meta": rp.meta,
+               "class_counts": rp.class_counts()}
+    return outputs, rep, rep["ok"]
 
 
 def _cmd_reg_verify(args, files):
@@ -196,9 +185,8 @@ def _cmd_reg_verify(args, files):
     if args.epsilon is not None and args.epsilon != rp.epsilon:
         rp = dataclasses.replace(rp, epsilon=args.epsilon)
     rep = verify_regular_partition(H, measures, rp)
-    outputs = {"epsilon": format_rational(rp.epsilon),
-               "class_counts": list(rp.class_counts())}
-    return outputs, jsonable(rep), rep["ok"]
+    outputs = {"epsilon": rp.epsilon, "class_counts": rp.class_counts()}
+    return outputs, rep, rep["ok"]
 
 
 def _cmd_reg_rect(args, files):
@@ -209,10 +197,10 @@ def _cmd_reg_rect(args, files):
                                    strategy=args.strategy, seed=args.seed or 0)
     outputs = {
         "boxes": [b.to_obj() for b in ra.boxes],
-        "params": jsonable(ra.params),
-        "error": format_rational(ra.error),
+        "params": ra.params,
+        "error": ra.error,
         "param_width": ra.param_width(),
-        "bound_table": jsonable(ra.levels),
+        "bound_table": ra.levels,
     }
     verification = {"error_below_eps": ra.error < args.epsilon}
     space = 1
@@ -236,12 +224,9 @@ def _cmd_reg_ehbox(args, files):
     require(args.epsilon is not None, "--epsilon is required")
     db = find_dense_box(H, measures, args.alpha, args.epsilon,
                         strategy=args.strategy, seed=args.seed or 0)
-    outputs = {"box": db.box.to_obj(),
-               "density": format_rational(db.density),
-               "side_masses": [format_rational(m) for m in db.side_masses],
-               "delta_guarantee": format_rational(db.delta_guarantee),
-               "eps_used": format_rational(db.eps_used),
-               "partition_meta": jsonable(db.partition_meta)}
+    outputs = {"box": db.box, "density": db.density, "side_masses": db.side_masses,
+               "delta_guarantee": db.delta_guarantee, "eps_used": db.eps_used,
+               "partition_meta": db.partition_meta}
     dens = density(H, measures, db.box)
     verification = {
         "density_recomputed_equal": dens == db.density,
@@ -259,7 +244,7 @@ def _cmd_stable_ladder(args, files):
                         budget=args.budget)
     outputs = {"length": cert.length, "display": cert.display(),
                "capped": cert.capped, "budget_exhausted": cert.budget_exhausted,
-               "left": jsonable(cert.left), "right": jsonable(cert.right)}
+               "left": cert.left, "right": cert.right}
     verification = {"certificate_checks": cert.verify(H)}
     return outputs, verification, cert.verify(H)
 
@@ -273,9 +258,9 @@ def _cmd_stable_partition(args, files):
     rep = verify_regular_partition(H, measures, sp)
     homogeneous = all(hit == 0 or hit == total for hit, total in
                       one_pass_box_counts(H, measures, sp.classes, sp.labels))
-    outputs = {"partition": sp.to_obj(), "meta": jsonable(sp.meta),
-               "class_counts": list(sp.class_counts())}
-    verification = dict(jsonable(rep))
+    outputs = {"partition": sp.to_obj(), "meta": sp.meta,
+               "class_counts": sp.class_counts()}
+    verification = dict(rep)
     verification["sigma_empty"] = sp.sigma == ()
     verification["all_boxes_exactly_homogeneous"] = homogeneous
     ok = rep["ok"] and sp.sigma == () and homogeneous
@@ -306,7 +291,7 @@ def _cmd_dyadic_density(args, files):
     d = odd_split_density(balls, args.depth, parity=args.parity)
     counts = level_pair_counts(balls, args.depth)
     leaves = sum(b.leaf_count(args.depth) for b in balls)
-    outputs = {"density": format_rational(d), "level_pair_counts": counts,
+    outputs = {"density": d, "level_pair_counts": counts,
                "leaf_count": leaves, "parity": args.parity}
     verification = {"levels_sum_to_all_pairs":
                     sum(counts) == leaves * leaves - leaves}
@@ -322,7 +307,7 @@ def _cmd_dyadic_density(args, files):
 def _cmd_dyadic_report(args, files):
     _check_depth(args)
     rows = ball_parity_report(args.depth, parity=args.parity)
-    outputs = {"rows": jsonable(rows), "parity": args.parity}
+    outputs = {"rows": rows, "parity": args.parity}
     verification = {"all_rows_within_bound": all(r["ok"] for r in rows)}
     return outputs, verification, verification["all_rows_within_bound"]
 
@@ -332,12 +317,8 @@ def _cmd_dyadic_bound(args, files):
     balls = _balls_from_args(args)
     rep = anti_homogeneity_bound_check(balls, balls[0], args.depth,
                                        parity=args.parity)
-    outputs = {"pair_mass": format_rational(rep.pair_mass),
-               "bound": format_rational(rep.bound),
-               "gamma": format_rational(rep.gamma),
-               "slack": format_rational(rep.slack),
-               "mu_union": format_rational(rep.mu_union),
-               "density": format_rational(rep.density),
+    outputs = {"pair_mass": rep.pair_mass, "bound": rep.bound, "gamma": rep.gamma,
+               "slack": rep.slack, "mu_union": rep.mu_union, "density": rep.density,
                "ball": balls[0].prefix or "(root)"}
     verification = {"pair_mass_within_bound": rep.verdict}
     if args.depth <= 8:
@@ -355,9 +336,9 @@ def _cmd_convexity_density(args, files):
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
     n = len(iv)
-    outputs = {"density": format_rational(d), "interval": [iv.lo, iv.hi],
+    outputs = {"density": d, "interval": [iv.lo, iv.hi],
                "ap_count": ap_count(n), "triples": comb(n, 3),
-               "distance_to_half": format_rational(abs(d - Fraction(1, 2)))}
+               "distance_to_half": abs(d - Fraction(1, 2))}
     verification = {}
     if n <= 200:
         edges, total = brute_convexity_edges(iv.points())
@@ -383,10 +364,8 @@ def _cmd_rodl_search(args, files):
         _check_depth(args)
         rep = ball_family_search(args.depth, args.epsilon, parity=args.parity)
         outputs = {"mode": "ball-family", "found": rep.found,
-                   "prefix_length": rep.prefix_length,
-                   "density": None if rep.density is None else format_rational(rep.density),
-                   "mass": None if rep.mass is None else format_rational(rep.mass),
-                   "max_deviation": format_rational(rep.max_deviation),
+                   "prefix_length": rep.prefix_length, "density": rep.density,
+                   "mass": rep.mass, "max_deviation": rep.max_deviation,
                    "scanned": rep.scanned}
         dev = Fraction(0)
         for l in range(rep.scanned):
@@ -409,11 +388,9 @@ def _cmd_rodl_search(args, files):
     outputs = {"mode": "boolean-combinations", "found": res.found,
                "examined": res.examined, "exhaustive": res.exhaustive}
     if res.found:
-        outputs.update({
-            "params": list(res.params), "patterns": list(res.patterns),
-            "vertices": list(res.vertices),
-            "density": format_rational(res.density),
-            "mass": format_rational(res.mass)})
+        outputs.update({"params": res.params, "patterns": res.patterns,
+                        "vertices": res.vertices, "density": res.density,
+                        "mass": res.mass})
         nums, den = measures[0].numerators()
         aset = set(res.vertices)
         e_num = sum(nums[x] * nums[y] for (x, y) in H.edges
@@ -460,11 +437,11 @@ def _cmd_gen(args, files):
     back = Hypergraph.from_obj(outputs["hypergraph"])
     verification = {"roundtrip_equal": back == g.hypergraph,
                     "edge_count": len(g.hypergraph.edges),
-                    "measured": jsonable(g.measured)}
+                    "measured": g.measured}
     if args.out:
         # --out names the instance file; the report still goes to stdout
-        dump_json(jsonable(outputs), args.out)
-        files["out"] = sha256_of(jsonable(outputs))
+        dump_json(outputs, args.out)
+        files["out"] = sha256_of(outputs)
         args.out = None
     return outputs, verification, verification["roundtrip_equal"]
 
@@ -625,15 +602,14 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
 
     name = args.cmd if args.__dict__.get("sub") is None else f"{args.cmd} {args.sub}"
-    flags = {k: jsonable(v) for k, v in sorted(vars(args).items())
+    flags = {k: v for k, v in vars(args).items()
              if k not in _FLAG_SKIP and v is not None}
     report = {"subcommand": name, "inputs": {"flags": flags, "files": {}}}
     try:
         handler = _HANDLERS[(args.cmd, getattr(args, "sub", None))]
         outputs, verification, ok = handler(args, report["inputs"]["files"])
         require(bool(verification), "internal: empty verification section")
-        report.update({"outputs": jsonable(outputs),
-                       "verification": jsonable(verification), "ok": ok})
+        report.update({"outputs": outputs, "verification": verification, "ok": ok})
         code = 0 if ok else 1
     except InputError as exc:
         report.update({"error": {"kind": "input", "message": str(exc)}, "ok": False})
@@ -641,9 +617,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         detail = {"kind": "verification", "message": str(exc)}
         if getattr(exc, "box", None) is not None:
-            detail["box"] = jsonable(exc.box)
+            detail["box"] = exc.box
         if getattr(exc, "tree", None) is not None:
-            detail["tree"] = jsonable(exc.tree)
+            detail["tree"] = exc.tree
         report.update({"error": detail, "ok": False})
         code = 1
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}

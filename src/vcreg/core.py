@@ -36,6 +36,11 @@ from .jsonio import format_rational, parse_rational, require
 
 # Largest product space the dense-array kernels will materialize.
 MAX_DENSE_SPACE = 1 << 22
+# Largest dense boolean matrix (one byte per cell) built at once: the binary
+# view's fibers, a set family's matrix, the delta partition's fiber
+# differences. `reg partition` on a 384x384 half-graph at eps 1/4 needs
+# about 27 MB of differences, a 1024x1024 one about 504 MB.
+MAX_DIFF_BYTES = 1 << 28
 # int64 dot products stay exact while the total numerator mass is below this.
 INT64_SAFE = 1 << 62
 
@@ -139,9 +144,17 @@ class Measure:
 
     @staticmethod
     def from_obj(obj) -> "Measure":
-        require(isinstance(obj, dict) and "part" in obj and "weights" in obj,
+        require(isinstance(obj, dict) and type(obj.get("part")) is int
+                and isinstance(obj.get("weights"), list),
                 'measure JSON must be {"part": int, "weights": [...]}')
-        return Measure(int(obj["part"]), tuple(parse_rational(w) for w in obj["weights"]))
+        return Measure(obj["part"], tuple(parse_rational(w) for w in obj["weights"]))
+
+
+def require_dense(what: str, rows: int, cols: int) -> None:
+    """Refuse a rows x cols boolean matrix larger than MAX_DIFF_BYTES."""
+    if rows * cols > MAX_DIFF_BYTES:
+        raise InputError(f"{what}: a dense {rows} x {cols} boolean matrix needs "
+                         f"{rows * cols} bytes, over the {MAX_DIFF_BYTES}-byte guard")
 
 
 def uniform_measures(H: Hypergraph) -> tuple[Measure, ...]:
@@ -279,6 +292,7 @@ class BinaryView:
         self.right_size = prod(self.right_sizes) if self.right else 1
         require(self.left_size <= MAX_DENSE_SPACE and self.right_size <= MAX_DENSE_SPACE,
                 "binary view too large for dense fiber cache")
+        require_dense("binary view", self.right_size, self.left_size)
         fib = np.zeros((self.right_size, self.left_size), dtype=bool)
         cells = edge_array(H).T
         rows = np.ravel_multi_index(cells[list(self.right)], self.right_sizes) \

@@ -58,9 +58,10 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
     n = H.part_sizes[0]
     m = min(m, n)
     nums, den = mu.numerators()
-    w = np.asarray(nums, dtype=np.int64)
-    # pair-product sums reach den^2; float64 bincount is exact below 2^53
+    # pair-product sums reach den^2; float64 bincount is exact below 2^53,
+    # and only then do the numerators fit an int64 array
     big = den * den >= (1 << 53)
+    w = None if big else np.asarray(nums, dtype=np.int64)
     view = binary_view(H, (0,))
     fib = view.fibers  # row b = fiber of b as bool over vertices
 

@@ -44,8 +44,23 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _json_default(x):
+    # a value the C encoder does not know; it encodes the result in turn
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    if hasattr(x, "to_obj"):
+        return x.to_obj()
+    if hasattr(x, "__index__"):
+        return int(x)
+    return str(x)
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The one JSON encoding of reports, files and input hashes. Keys are
+    sorted as they are, so every dict key must be built as a str."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
 def sha256_of(obj) -> str:

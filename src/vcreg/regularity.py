@@ -28,9 +28,9 @@ from math import prod
 
 import numpy as np
 
-from .core import (Box, Hypergraph, Measure, ProductSpace, SpaceWeights, atoms,
-                   binary_view, boxes_mask, ceil_fraction, check_measures,
-                   fiber_atoms, weighted_inner)
+from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, ProductSpace,
+                   SpaceWeights, atoms, binary_view, boxes_mask, ceil_fraction,
+                   check_measures, fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, lex_keys, net_dimension,
@@ -58,12 +58,6 @@ def _pairwise_max_distance(rows: np.ndarray, lw: SpaceWeights) -> Fraction:
 
 def net_param_bound(d: int, eps: Fraction) -> int:
     return math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
-
-
-# Largest fiber-difference matrix (one byte per fiber pair and left
-# position) the delta partition will allocate; `reg partition` on a 384x384
-# half-graph at eps 1/4 needs about 27 MB, a 1024x1024 one about 504 MB.
-MAX_DIFF_BYTES = 1 << 28
 
 
 def _difference_rows(fibers: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -257,15 +251,10 @@ class RegularPartition:
         return tuple(len(c) for c in self.classes)
 
     def to_obj(self) -> dict:
-        return {
-            "epsilon": format_rational(self.epsilon),
-            "classes": [[[int(v) for v in c] for c in part] for part in self.classes],
-            "sigma": [[int(v) for v in s] for s in self.sigma],
-            "labels": [[[int(v) for v in kbox], int(lab)]
-                       for kbox, lab in sorted(self.labels.items())],
-            "provenance": [[[int(v) for v in p] for p in part]
-                           for part in self.provenance],
-        }
+        # the JSON encoder writes the tuples as lists; nothing is copied
+        return {"epsilon": format_rational(self.epsilon), "classes": self.classes,
+                "sigma": self.sigma, "labels": sorted(self.labels.items()),
+                "provenance": self.provenance}
 
     @staticmethod
     def from_obj(obj) -> "RegularPartition":

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (Hypergraph, Measure, binary_view, ceil_fraction,
-                   weighted_inner)
+                   require_dense, weighted_inner)
 from .errors import InputError
 from .jsonio import require
 
@@ -60,6 +60,7 @@ class SetFamily:
                                    [np.flatnonzero(row).tolist() for row in mat])
 
     def matrix(self) -> np.ndarray:
+        require_dense("set family matrix", len(self.members), self.ground_size)
         mat = np.zeros((len(self.members), self.ground_size), dtype=bool)
         sizes = [len(m) for m in self.members]
         cols = np.fromiter(itertools.chain.from_iterable(self.members),

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from vcreg import cli
-from vcreg.cli import jsonable
 from vcreg.convexity import IntegerInterval, convexity_density, reflection_involution_check
 from vcreg.core import Measure, density, edge_mass, uniform_measures
 from vcreg.dyadic import (DyadicBall, anti_homogeneity_bound_check,
@@ -49,7 +48,7 @@ def announce(n, ok, detail):
 
 
 def write_instance(spec, path):
-    dump_json(jsonable(generate(spec).to_obj()), str(path))
+    dump_json(generate(spec).to_obj(), str(path))
     return str(path)
 
 

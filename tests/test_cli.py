@@ -173,6 +173,21 @@ def test_rodl_graph_mode(write_json):
     assert rep["outputs"]["density"] == "1/1"
 
 
+def test_rodl_graph_mode_past_int64_weights(write_json):
+    # denominator 2^70 + 25 and one numerator 2^63: only the bigint path fits
+    den = (1 << 70) + 25
+    nums = [1 << 63, 1, 1, 1, 1]
+    weights = [f"{x}/{den}" for x in nums + [den - sum(nums)]]
+    edges = [[x, y] for x in range(6) for y in range(6)
+             if x != y and (x < 3) == (y < 3)]
+    p = write_json("big.json", {
+        "hypergraph": {"k": 2, "part_sizes": [6, 6], "edges": edges, "symmetric": True},
+        "measures": [{"part": 0, "weights": weights}, {"part": 1, "weights": weights}]})
+    code, rep = report(["rodl", "search", "--in", p, "--eps", "1/8", "--m", "2"])
+    assert code == 0 and rep["outputs"]["found"]
+    assert all(v is True for v in rep["verification"].values())
+
+
 def test_selftest_subcommand_filter():
     code, out, err = run(["selftest", "core.fiber"])
     assert code == 0
@@ -202,11 +217,23 @@ def test_rational_outputs_never_use_floats(tmp_path):
     no_float(body)
 
 
+def _with_measures(measures):
+    return {"hypergraph": {"k": 2, "part_sizes": [2, 2], "edges": [[0, 0]]},
+            "measures": measures}
+
+
+_HALVES = ["1/2", "1/2"]
+
+
 @pytest.mark.parametrize("hobj", [
     {"k": 2, "part_sizes": [2, 2], "edges": 5},
     {"k": 2, "part_sizes": [True, 2], "edges": []},
     {"k": 2, "part_sizes": [2, 2], "edges": [5]},
     {"k": 2, "part_sizes": [2, 2], "edges": [[True, 0]]},
+    _with_measures([{"part": "x", "weights": _HALVES}, {"part": 1, "weights": _HALVES}]),
+    _with_measures([{"part": 0, "weights": 3}, {"part": 1, "weights": _HALVES}]),
+    _with_measures([{"part": 0, "weights": _HALVES}, {"part": 1.5, "weights": _HALVES}]),
+    _with_measures(5),
 ])
 def test_malformed_instance_is_input_error(write_json, hobj):
     p = write_json("bad.json", hobj)
@@ -231,6 +258,20 @@ def test_difference_guard_is_input_error(tmp_path, monkeypatch):
     assert code == 2
     assert rep["error"]["kind"] == "input"
     assert "delta_approx_partition" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("obj, what, need", [
+    ({"k": 2, "part_sizes": [64, 64], "edges": [[0, 0]]}, "binary view", 4096),
+    ({"ground_size": 2000, "members": [[0], [1]]}, "set family matrix", 4000),
+])
+def test_dense_matrix_guard_is_input_error(write_json, monkeypatch, obj, what, need):
+    import vcreg.core
+    p = write_json("wide.json", obj)
+    monkeypatch.setattr(vcreg.core, "MAX_DIFF_BYTES", 1000)
+    code, rep = report(["vc", "dim", "--in", p])
+    assert code == 2
+    assert rep["error"]["kind"] == "input"
+    assert what in rep["error"]["message"] and f"{need} bytes" in rep["error"]["message"]
 
 
 _GOOD_PARTITION = {"epsilon": "1/2", "classes": [[[0, 1, 2, 3]], [[0, 1, 2, 3]]],
