@@ -9,8 +9,9 @@ over a product of parts). The counting kernels live here once each:
   SpaceWeights.sums     weight sums of boolean rows: int64 while den is below
                         INT64_SAFE = 2^62 (no partial sum exceeds den), Python
                         integers beyond;
-  ProductSpace.box_sums per-box sums over a partition: a float64 bincount
-                        while den < 2^53, Python integers beyond;
+  box_counts            per-box weight and edge sums of a partition, from the
+                        edge list: a float64 bincount while den < 2^53,
+                        Python integers beyond;
   weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
                         float64 limbs recombined in int64 or Python integers
                         above;
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import InputError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 
-# Largest product space the dense-array kernels will materialize.
+# Largest product space box_counts accepts, and largest binary-view side.
 MAX_DENSE_SPACE = 1 << 22
 # Largest dense boolean matrix (one byte per cell) built at once: the binary
 # view's fibers, a set family's matrix, the delta partition's fiber
@@ -228,7 +229,7 @@ class SpaceWeights:
         else:
             self.nums = [1]
         self._np = None
-        if self.den < INT64_SAFE and self.size <= MAX_DENSE_SPACE:
+        if self.den < INT64_SAFE:
             self._np = np.asarray(self.nums, dtype=np.int64)
 
     def sums(self, mask: np.ndarray):
@@ -402,52 +403,37 @@ def product_measure(measures) -> ProductMeasure:
     return ProductMeasure(measures)
 
 
-class ProductSpace:
-    """Dense per-tuple arrays for one hypergraph under one measure vector.
+def box_counts(H: Hypergraph, measures, classes_by_part) -> tuple:
+    """(class counts, per-box weight sums, per-box edge weight sums, den) of a
+    partition, the sums Python ints over den in row-major box order.
 
-    Flattened row-major over all k parts: the edge mask and the exact
-    weights, with per-box sums over a partition.
-    """
-
-    def __init__(self, H: Hypergraph, measures):
-        self.H = H
-        self.measures = check_measures(H, measures)
-        self.sizes = H.part_sizes
-        self.size = prod(self.sizes)
-        require(self.size <= MAX_DENSE_SPACE,
-                f"product space of size {self.size} exceeds the dense-array guard")
-        self.weights = SpaceWeights(self.measures, tuple(range(H.k)), self.sizes)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[np.ravel_multi_index(edge_array(H).T, self.sizes)] = True
-        self.edge_mask = mask
-
-    def box_sums(self, classes_by_part, masks=()) -> tuple:
-        """(class counts, per-box weight sums, per-box sums of each boolean
-        mask), the sums as Python ints in row-major box order. Exact: a
-        float64 bincount while den < 2^53, Python integers beyond."""
-        counts = [len(c) for c in classes_by_part]
-        ids = np.zeros(self.sizes, dtype=np.int64)
-        for i, classes in enumerate(classes_by_part):
-            cls_of = np.zeros(self.sizes[i], dtype=np.int64)
-            for ci, c in enumerate(classes):
-                cls_of[list(c)] = ci
-            shape = [1] * len(self.sizes)
-            shape[i] = self.sizes[i]
-            ids = ids * counts[i] + cls_of.reshape(shape)
-        ids = ids.reshape(-1)
-        nboxes = prod(counts)
-        if self.weights.den < (1 << 53):
-            wf = self.weights._np.astype(np.float64)
-            return counts, *(np.rint(np.bincount(ids[m], weights=wf[m], minlength=nboxes))
-                             .astype(np.int64).tolist()
-                             for m in (slice(None), *masks))
-        nums = np.array(self.weights.nums, dtype=object)
-        out = []
-        for m in (slice(None), *masks):
-            acc = np.zeros(nboxes, dtype=object)
-            np.add.at(acc, ids[m], nums[m])
-            out.append(acc.tolist())
-        return counts, *out
+    A box's total is the product of its sides' numerator sums. Each edge adds
+    its numerator product to the key of its box: a float64 bincount while
+    den < 2^53 (every product and partial sum is at most den, so exact),
+    Python integers beyond."""
+    measures = check_measures(H, measures)
+    require(prod(H.part_sizes) <= MAX_DENSE_SPACE, f"product space of size "
+            f"{prod(H.part_sizes)} exceeds the dense-array guard")
+    per = [m.numerators() for m in measures]
+    den = prod(d for _, d in per)
+    big = den >= 1 << 53
+    edges = edge_array(H)
+    totals, keys = [1], 0
+    weights = np.ones(len(edges), dtype=object if big else np.float64)
+    for i, ((nums, _), classes) in enumerate(zip(per, classes_by_part)):
+        cls_of = np.zeros(H.part_sizes[i], dtype=np.int64)
+        for c, members in enumerate(classes):
+            cls_of[list(members)] = c
+        sums = [sum(nums[v] for v in members) for members in classes]
+        totals = [a * b for a in totals for b in sums]
+        keys = keys * len(classes) + cls_of[edges[:, i]]
+        weights = weights * np.asarray(nums, dtype=weights.dtype)[edges[:, i]]
+    if big:
+        hits = np.zeros(len(totals), dtype=object)
+        np.add.at(hits, keys, weights)
+    else:
+        hits = np.bincount(keys, weights=weights, minlength=len(totals)).astype(np.int64)
+    return [len(c) for c in classes_by_part], totals, hits.tolist(), den
 
 
 def boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:

@@ -14,8 +14,8 @@ Everything is verified exactly as it is built. The plan:
      must come out below eps.
   3. regular_partition runs 2 at eps^2, takes per-part atoms over the box
      sides, collects exceptional boxes with sym-difference density >= eps
-     into Sigma, and labels the rest 0 or 1. Sigma mass <= eps and the 0-1
-     conditions are re-checked exactly before returning.
+     into Sigma, and labels the rest by the approximation, which makes them
+     0-1 dense. Sigma mass <= eps is re-checked exactly before returning.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from math import prod
 
 import numpy as np
 
-from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, ProductSpace,
-                   SpaceWeights, atoms, binary_view, boxes_mask, ceil_fraction,
-                   check_measures, fiber_atoms, weighted_inner)
+from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights, atoms,
+                   binary_view, box_counts, boxes_mask, ceil_fraction,
+                   check_measures, edge_mass, fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, lex_keys, net_dimension,
@@ -163,6 +163,12 @@ class RectApprox:
         return max((len(d) for d in self.params), default=0)
 
 
+def _support_rect(support) -> tuple:
+    """The rect recursion on one part: the support is its one box."""
+    support = tuple(support)
+    return [Box((support,))] if support else [], (((),),), Fraction(0), []
+
+
 def _sub_relation(H: Hypergraph, last_vertex: int) -> Hypergraph:
     view = binary_view(H, tuple(range(H.k - 1)))
     cells = np.argwhere(view.fibers[last_vertex].reshape(view.left_sizes))
@@ -184,9 +190,7 @@ def rectangular_approximation(H: Hypergraph, measures, eps: Fraction,
 def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: int):
     k = H.k
     if k == 1:
-        support = tuple(sorted(e[0] for e in H.edges))
-        boxes = [Box((support,))] if support else []
-        return boxes, (((),),), Fraction(0), []
+        return _support_rect(sorted(e[0] for e in H.edges))
 
     child_eps = eps if k == 2 else eps / 2
     dp = delta_approx_partition(H, measures, child_eps, tuple(range(k - 1)),
@@ -201,13 +205,13 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
     err_num = 0
     for cls, rep in zip(dp.classes, dp.representatives):
         rep_v = rep[0]
-        sub = _sub_relation(H, rep_v)
         if k == 2:
-            sub_boxes, sub_params, sub_err, lv = _rect_recurse(
-                sub, measures[:-1], eps, strategy, seed)
+            # the sub-relation is one cached fiber row
+            sub_boxes, sub_params, _, lv = _support_rect(
+                np.flatnonzero(view.fibers[rep_v]).tolist())
         else:
-            sub_boxes, sub_params, sub_err, lv = _rect_recurse(
-                sub, measures[:-1], eps / 2, strategy, seed)
+            sub_boxes, sub_params, _, lv = _rect_recurse(
+                _sub_relation(H, rep_v), measures[:-1], eps / 2, strategy, seed)
         sub_levels.extend(lv)
         class_vertices = tuple(sorted(b[0] for b in cls))
         for b in sub_boxes:
@@ -328,36 +332,43 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
         _merge_zero_measure(cls, measures[i]) for i, cls in enumerate(per_part_classes)
     ]
 
-    ps = ProductSpace(H, measures)
-    amask = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes))
-    counts, tot, w_edge, w_sym, w_a = ps.box_sums(
-        per_part_classes, (ps.edge_mask, amask ^ ps.edge_mask, amask))
+    counts, tot, w_edge, den = box_counts(H, measures, per_part_classes)
+    # Up to weight-0 vertices, every class lies wholly inside or wholly outside
+    # each side of every rect box: non-uniform classes are atoms over the
+    # sides, uniform ones atoms over the pooled parameters that define every
+    # side, and _merge_zero_measure adds only weight-0 vertices. So a box's
+    # mass in the approximation A is 0 or all of it, and the box lies in A
+    # exactly when one positive-weight tuple does: map each rect side to the
+    # classes of its positive-weight vertices.
+    owners = []
+    for classes, m in zip(per_part_classes, measures):
+        nums = m.numerators()[0]
+        owners.append({v: c for c, members in enumerate(classes) for v in members if nums[v]})
+    inside = boxes_mask(tuple(counts), (
+        [sorted({o[v] for v in side if v in o}) for o, side in zip(owners, b.sides)]
+        for b in ra.boxes)).tolist()
 
     en, ed = eps.numerator, eps.denominator
     sigma_idx, labels = [], {}
     sigma_num = 0
-    for key, t, e, sym, a in zip(itertools.product(*map(range, counts)),
-                                 tot, w_edge, w_sym, w_a):
+    for key, t, e, a in zip(itertools.product(*map(range, counts)), tot, w_edge, inside):
         if t == 0:
             continue
-        if sym * ed >= en * t:
+        # the majority label is int(a), and the mass off it is the
+        # sym-difference mass, so a box outside Sigma is 0-1 dense
+        if (t - e if a else e) * ed >= en * t:
             sigma_idx.append(key)
             sigma_num += t
-            continue
-        lab = 1 if 2 * a >= t else 0
-        off = (t - e) if lab == 1 else e
-        if off * ed >= en * t:
-            raise VerificationError(
-                f"box {key} (label {lab}) fails the 0-1 density condition")
-        labels[key] = lab
-    if sigma_num * ed > en * ps.weights.den:
+        else:
+            labels[key] = int(a)
+    if sigma_num * ed > en * den:
         raise VerificationError("exceptional mass exceeds eps")
 
     meta = {
         "rect_error": ra.error,
         "rect_eps": eps * eps,
         "levels": ra.levels,
-        "sigma_mass": Fraction(sigma_num, ps.weights.den),
+        "sigma_mass": Fraction(sigma_num, den),
         "class_counts": tuple(counts),
         "param_width": ra.param_width(),
         "uniform": uniform,
@@ -386,7 +397,8 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     Checks: per-part classes partition the parts; Sigma mass <= eps; every
     non-Sigma box is 0-1 dense at eps for its label (either label accepted
     when absent); classes are unions of fingerprint atoms over the recorded
-    parameters."""
+    parameters. A label or Sigma entry that names no box, or a label other
+    than 0 or 1, is an InputError."""
     measures = check_measures(H, measures)
     require(len(partition.classes) == H.k,
             f"partition has {len(partition.classes)} parts, the relation {H.k}")
@@ -399,6 +411,7 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
                                                 for v, j in zip(b, comp)),
                     f"provenance parameter {list(b)} of part {i} is not a vertex "
                     f"tuple over parts {list(comp)}")
+    require(set(partition.labels.values()) <= {0, 1}, "partition labels must be 0 or 1")
     eps = partition.epsilon
     violations = []
     for i, part_classes in enumerate(partition.classes):
@@ -408,13 +421,14 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     if violations:
         return {"ok": False, "violations": violations}
 
-    ps = ProductSpace(H, measures)
-    counts, tot, w_edge = ps.box_sums(partition.classes, (ps.edge_mask,))
+    counts, tot, w_edge, den = box_counts(H, measures, partition.classes)
 
     sigma = {tuple(s) for s in partition.sigma}
     en, ed = eps.numerator, eps.denominator
-    sigma_num = 0
+    sigma_num = named = 0
     for key, t, e in zip(itertools.product(*map(range, counts)), tot, w_edge):
+        lab = partition.labels.get(key)
+        named += (lab is not None) + (key in sigma)
         if key in sigma:
             sigma_num += t
             continue
@@ -422,15 +436,20 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
         high = (t - e) * ed < en * t
         if t == 0:
             low = high = True
-        lab = partition.labels.get(key)
         ok = (high if lab == 1 else low) if lab in (0, 1) else (low or high)
         if not ok:
             violations.append({
                 "kind": "box_not_01_dense", "box": list(key), "label": lab,
-                "edge_mass": format_rational(Fraction(e, ps.weights.den)),
-                "box_mass": format_rational(Fraction(t, ps.weights.den)),
+                "edge_mass": format_rational(Fraction(e, den)),
+                "box_mass": format_rational(Fraction(t, den)),
             })
-    sigma_mass = Fraction(sigma_num, ps.weights.den)
+    # each label and Sigma entry names a box exactly when the walk met them all
+    if named < len(partition.labels) + len(sigma):
+        stray = next(key for key in [*partition.labels, *sigma] if len(key) != H.k
+                     or not all(0 <= c < n for c, n in zip(key, counts)))
+        raise InputError(f"label or sigma entry {list(stray)} names no box of "
+                         f"class counts {counts}")
+    sigma_mass = Fraction(sigma_num, den)
     if sigma_mass > eps:
         violations.append({"kind": "sigma_mass_exceeds_eps",
                            "sigma_mass": format_rational(sigma_mass)})
@@ -473,8 +492,7 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     measures = check_measures(H, measures)
     require(isinstance(alpha, Fraction) and 0 < alpha <= 1, "alpha must be in (0, 1]")
     require(isinstance(eps, Fraction) and 0 < eps < 1, "eps must be in (0, 1)")
-    ps = ProductSpace(H, measures)
-    e_mass = Fraction(ps.weights.sums(ps.edge_mask), ps.weights.den)
+    e_mass = edge_mass(H, measures)
     if e_mass < alpha:
         raise InputError(f"relation mass {e_mass} is below alpha={alpha}")
     eps_p = min(alpha, eps) / 4
@@ -482,31 +500,21 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     counts = part.class_counts()
     delta = eps_p / prod(counts)
 
-    pm_nums = [m.numerators() for m in measures]
-    best_key, best_mass = None, Fraction(0)
-    # per-box masses recomputed exactly for the candidates
-    for key, lab in sorted(part.labels.items()):
-        if lab != 1:
-            continue
-        sides = [part.classes[i][key[i]] for i in range(H.k)]
-        mass = Fraction(1)
-        for i, side in enumerate(sides):
-            nums, den = pm_nums[i]
-            mass *= Fraction(sum(nums[v] for v in side), den)
-        if mass > delta and mass > best_mass:
-            best_key, best_mass = key, mass
+    _, tot, w_edge, den = box_counts(H, measures, part.classes)
+    # the first heaviest labelled-1 box in row-major order
+    best_key, best_t, hit = None, 0, 0
+    for key, t, e in zip(itertools.product(*map(range, counts)), tot, w_edge):
+        if part.labels.get(key) == 1 and t > best_t and Fraction(t, den) > delta:
+            best_key, best_t, hit = key, t, e
     if best_key is None:
         raise VerificationError(
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
     sides = [part.classes[i][best_key[i]] for i in range(H.k)]
     box = Box.of(sides)
-    hit = ps.weights.sums(ps.edge_mask & boxes_mask(H.part_sizes, [sides]))
-    dens = Fraction(hit, ps.weights.den) / best_mass
+    dens = Fraction(hit, best_t)
     if not dens > 1 - eps_p:
         raise VerificationError(f"dense box density {dens} not above {1 - eps_p}")
-    side_masses = tuple(
-        Fraction(sum(pm_nums[i][0][v] for v in sides[i]), pm_nums[i][1])
-        for i in range(H.k))
+    side_masses = tuple(m.mass(side) for m, side in zip(measures, sides))
     return DenseBox(box, dens, side_masses, delta, eps_p,
                     {"class_counts": counts,
                      "sigma_mass": format_rational(part.meta["sigma_mass"])})

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Box, Hypergraph, ProductSpace, SpaceWeights, binary_view,
+from .core import (Box, Hypergraph, SpaceWeights, binary_view, box_counts,
                    check_measures, fiber_atoms)
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
@@ -412,8 +412,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
     classes = tuple(d.pieces for d in descents)
-    ps = ProductSpace(H, measures)
-    counts, tot, e = ps.box_sums(classes, (ps.edge_mask,))
+    counts, tot, e, _ = box_counts(H, measures, classes)
     en, ed = eps.numerator, eps.denominator
     labels = {}
     for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e):

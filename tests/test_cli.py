@@ -450,3 +450,79 @@ def test_negative_budget_is_input_error(tmp_path, argv):
     assert code == 2 and not rep["ok"]
     assert rep["error"]["kind"] == "input"
     assert "budget" in rep["error"]["message"]
+
+
+def _half8_partition(tmp_path):
+    inst = str(tmp_path / "h8.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    out = str(tmp_path / "rep.json")
+    code, _, _ = run(["reg", "partition", "--in", inst, "--epsilon", "1/4", "--out", out])
+    assert code == 0
+    with open(out) as f:
+        return inst, json.load(f)["outputs"]["partition"]
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: {"labels": [[key, 7] for key, _ in p["labels"]]},
+    lambda p: {"labels": p["labels"] + [[[99, 99], 1]]},
+    lambda p: {"labels": p["labels"] + [[[0], 1]]},
+    lambda p: {"sigma": p["sigma"] + [[50, 50]]},
+    lambda p: {"sigma": p["sigma"] + [[1, 2, 3]]},
+], ids=["label-7", "label-99-99", "label-0", "sigma-50-50", "sigma-1-2-3"])
+def test_verify_rejects_labels_and_sigma_naming_no_box(tmp_path, write_json, change):
+    inst, part = _half8_partition(tmp_path)
+    code, rep = report(["reg", "verify", "--in", inst,
+                        "--partition", write_json("p.json", part)])
+    assert code == 0 and rep["ok"]
+    code, rep = report(["reg", "verify", "--in", inst, "--partition",
+                        write_json("bad.json", {**part, **change(part)})])
+    assert code == 2 and not rep["ok"]
+    assert rep["error"]["kind"] == "input"
+
+
+def _outputs_bytes(rep):
+    return json.dumps(rep["outputs"], sort_keys=True, separators=(",", ":"))
+
+
+def test_uniform_partition_on_weighted_symmetric_instance(write_json):
+    # two 4-cliques joined by two edges; vertex 0 weighs nothing
+    edges = {(x, y) for c in (range(4), range(4, 8)) for x in c for y in c}
+    edges |= {(3, 4), (4, 3), (0, 6), (6, 0)}
+    w = ["0/1", "1/8", "1/8", "1/4", "1/8", "1/8", "1/8", "1/8"]
+    inst = write_json("sym.json", {
+        "hypergraph": {"k": 2, "part_sizes": [8, 8], "symmetric": True,
+                       "edges": sorted(map(list, edges))},
+        "measures": [{"part": 0, "weights": w}, {"part": 1, "weights": w}]})
+    code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/2", "--uniform"])
+    assert code == 0 and rep["ok"]
+    assert rep["verification"]["ok"] and rep["verification"]["violations"] == []
+    assert _outputs_bytes(rep) == (
+        '{"class_counts":[5,5],"meta":{"class_counts":[5,5],"levels":[{"arity":2,'
+        '"class_bound_sauer":11,"classes":5,"eps_level":"1/4","fiber_dimension":"2",'
+        '"net_param_bound":10240,"split_params":4,"split_path":"net"}],"param_width":5,'
+        '"rect_eps":"1/4","rect_error":"0/1","sigma_mass":"0/1","uniform":true},'
+        '"partition":{"classes":[[[0,1,2],[3],[4],[5,7],[6]],[[0,1,2],[3],[4],[5,7],[6]]],'
+        '"epsilon":"1/2","labels":[[[0,0],1],[[0,1],1],[[0,2],0],[[0,3],0],[[0,4],0],'
+        '[[1,0],1],[[1,1],1],[[1,2],1],[[1,3],0],[[1,4],0],[[2,0],0],[[2,1],1],[[2,2],1],'
+        '[[2,3],1],[[2,4],1],[[3,0],0],[[3,1],0],[[3,2],1],[[3,3],1],[[3,4],1],[[4,0],0],'
+        '[[4,1],0],[[4,2],1],[[4,3],1],[[4,4],1]],"provenance":[[[0],[1],[3],[4],[5],[6],'
+        '[7]],[[0],[1],[3],[4],[5],[6],[7]]],"sigma":[]}}')
+
+
+def test_eh_box_in_the_bigint_regime(write_json):
+    # part 0 weighs over the prime 2^63 - 25, so den = 7 (2^63 - 25) >= 2^62
+    p = 2 ** 63 - 25
+    nums = [p // 5, p // 7, p // 3, 0, p // 11]
+    w0 = [f"{n}/{p}" for n in nums + [p - sum(nums)]]
+    edges = {(x, y) for x in range(4) for y in range(3)} | {(5, 5), (4, 0)}
+    inst = write_json("big.json", {
+        "hypergraph": {"k": 2, "part_sizes": [6, 6], "edges": sorted(map(list, edges))},
+        "measures": [{"part": 0, "weights": w0},
+                     {"part": 1, "weights": ["1/7", "2/7", "1/7", "1/7", "0/1", "2/7"]}]})
+    code, rep = report(["reg", "eh-box", "--in", inst, "--alpha", "1/4", "--epsilon", "1/2"])
+    assert code == 0 and rep["ok"]
+    assert all(v is True for v in rep["verification"].values())
+    assert _outputs_bytes(rep) == (
+        '{"box":{"sides":[[0,1,2,3],[1,2]]},"delta_guarantee":"1/192","density":"1/1",'
+        '"eps_used":"1/16","partition_meta":{"class_counts":[3,4],"sigma_mass":"0/1"},'
+        '"side_masses":["6236756329682753147/9223372036854775783","3/7"]}')

@@ -1,6 +1,6 @@
-"""The shared counting kernels of core (weight sums, box sums, box masks,
-fiber atoms) against the tuple-enumerating oracles, in all three arithmetic
-regimes of the product-space denominator."""
+"""The shared counting kernels of core (weight sums, box counts, fiber
+atoms) against the tuple-enumerating oracles, in all three arithmetic regimes
+of the product-space denominator."""
 
 import itertools
 import math
@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
 from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox, fubini_mass
-from vcreg.core import ProductSpace, SpaceWeights, boxes_mask, fiber_atoms
-from vcreg.oracles import (brute_boxes_membership, brute_density,
-                           brute_fiber_atoms, brute_set_mass,
+from vcreg.core import SpaceWeights, box_counts, fiber_atoms
+from vcreg.oracles import (brute_density, brute_fiber_atoms, brute_set_mass,
                            one_pass_box_counts)
 
 
@@ -42,32 +41,23 @@ def _classes(rng, n):
     return [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
 
 
-def _box(rng, sizes):
-    return Box.of([v for v in range(n) if rng.random() < 0.5] for n in sizes)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
 def test_box_sums_match_oracle(seed, regime):
     rng = random.Random(seed)
     H, measures = _instance(rng, regime)
-    ps = ProductSpace(H, measures)
-    assert _regime(ps.weights.den) == regime
     classes = [_classes(rng, n) for n in H.part_sizes]
-    union = [_box(rng, H.part_sizes) for _ in range(rng.randint(0, 3))]
-    mask = boxes_mask(H.part_sizes, (b.sides for b in union))
-    counts, tot, edge, inside = ps.box_sums(classes, (ps.edge_mask, mask))
+    counts, tot, edge, den = box_counts(H, measures, classes)
+    assert _regime(den) == regime
     assert counts == [len(c) for c in classes]
     keys = list(itertools.product(*map(range, counts)))
-    assert len(tot) == len(edge) == len(inside) == len(keys)
-    for key, t, e, a in zip(keys, tot, edge, inside):
+    assert len(tot) == len(edge) == len(keys)
+    for key, t, e in zip(keys, tot, edge):
         cell = list(itertools.product(*[classes[i][c] for i, c in enumerate(key)]))
-        assert all(type(x) is int for x in (t, e, a))
-        assert Fraction(t, ps.weights.den) == brute_set_mass(H, measures, cell)
-        assert Fraction(e, ps.weights.den) == brute_set_mass(
+        assert type(t) is int and type(e) is int
+        assert Fraction(t, den) == brute_set_mass(H, measures, cell)
+        assert Fraction(e, den) == brute_set_mass(
             H, measures, [x for x in cell if x in H.edges])
-        assert Fraction(a, ps.weights.den) == brute_set_mass(
-            H, measures, [x for x in cell if brute_boxes_membership(union, x)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

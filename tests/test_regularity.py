@@ -1,18 +1,23 @@
 """Delta approximations, box unions, 0-1 partitions, and the dense box."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcreg import (Box, Hypergraph, InputError, RegularPartition,
+from test_kernel_oracle import _instance
+from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
+from vcreg import (Box, Hypergraph, InputError, Measure, RegularPartition,
                    delta_approx_partition, density, find_dense_box,
                    rectangular_approximation, regular_partition,
                    uniform_regular_partition, uniform_measures,
                    verify_regular_partition)
-from vcreg.oracles import brute_fiber, brute_union_mass_error
+from vcreg.oracles import (brute_boxes_membership, brute_fiber, brute_set_mass,
+                           brute_union_mass_error)
 from vcreg.selftest import block_pair_graph, half_graph, same_block_equivalence
 
 
@@ -170,3 +175,51 @@ def test_dense_box_premise_checked():
     mu = uniform_measures(H)
     with pytest.raises(InputError):
         find_dense_box(H, mu, Fraction(1, 2), Fraction(1, 10))
+
+
+# primes p with p^k in [2^53, 2^62) for k = 1, 2, 3 parts
+_INT64_PRIMES = {1: P_INT64, 2: 2 ** 28 - 57, 3: 2 ** 19 - 1}
+
+
+def _symmetric_instance(rng, regime):
+    """A random symmetric relation on k <= 3 equal parts with zero weights and
+    one measure on every part, whose product denominator lies in the regime."""
+    k = rng.choice((1, 2, 3))
+    n = rng.randint(2, 5)
+    edges = {t for t in itertools.combinations_with_replacement(range(n), k)
+             if rng.getrandbits(1)}
+    H = Hypergraph((n,) * k, frozenset(p for t in edges for p in itertools.permutations(t)),
+                   symmetric=True)
+    den = {"float64": rng.randint(2, 40), "int64": _INT64_PRIMES[k], "bigint": P_BIG}[regime]
+    w = _weights(rng, n, den)
+    return H, tuple(Measure(i, w) for i in range(k))
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       # coarse eps leave boxes in Sigma
+       eps=st.sampled_from((Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1))))
+def test_regular_partition_labels_match_brute_approximation(uniform, seed, regime, eps):
+    # every box's mass in the rect approximation A, recounted tuple by tuple
+    rng = random.Random(seed)
+    H, measures = (_symmetric_instance if uniform else _instance)(rng, regime)
+    assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
+    boxes = rectangular_approximation(H, measures, eps * eps).boxes
+    rp = regular_partition(H, measures, eps, uniform=uniform)
+    sigma = set(rp.sigma)
+    for key in itertools.product(*map(range, rp.class_counts())):
+        cell = list(itertools.product(*[rp.classes[i][c] for i, c in enumerate(key)]))
+        t = brute_set_mass(H, measures, cell)
+        if t == 0:
+            assert key not in sigma and key not in rp.labels
+            continue
+        in_a = {x for x in cell if brute_boxes_membership(boxes, x)}
+        a = brute_set_mass(H, measures, in_a)
+        sym = brute_set_mass(H, measures, [x for x in cell if (x in H.edges) != (x in in_a)])
+        assert a in (0, t)
+        if key in sigma:
+            assert key not in rp.labels and sym / t >= eps
+        else:
+            assert sym / t < eps
+            assert rp.labels[key] == (1 if 2 * a >= t else 0)
