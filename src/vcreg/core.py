@@ -39,8 +39,10 @@ from .jsonio import format_rational, parse_rational, require
 MAX_DENSE_SPACE = 1 << 22
 # Largest dense boolean matrix (one byte per cell) built at once: the binary
 # view's fibers, a set family's matrix, the delta partition's fiber
-# differences. `reg partition` on a 384x384 half-graph at eps 1/4 needs
-# about 27 MB of differences, a 1024x1024 one about 504 MB.
+# differences. The differences are counted at one byte per cell although
+# they are held bit-packed, one eighth of that: `reg partition` on a
+# 384x384 half-graph at eps 1/4 counts about 27 MB of differences, a
+# 1024x1024 one about 504 MB.
 MAX_DIFF_BYTES = 1 << 28
 # int64 dot products stay exact while the total numerator mass is below this.
 INT64_SAFE = 1 << 62
@@ -181,15 +183,6 @@ class Box:
     def of(sides) -> "Box":
         return Box(tuple(tuple(sorted(set(s))) for s in sides))
 
-    def contains(self, t: tuple[int, ...]) -> bool:
-        return all(t[i] in side for i, side in enumerate(self._side_sets()))
-
-    def _side_sets(self):
-        return tuple(frozenset(s) for s in self.sides)
-
-    def tuples(self):
-        return itertools.product(*self.sides)
-
     def to_obj(self) -> dict:
         return {"sides": [list(s) for s in self.sides]}
 
@@ -329,10 +322,15 @@ class BinaryView:
 
 
 def edge_array(H: Hypergraph) -> np.ndarray:
-    """The edges as an (#edges, k) index array, in no particular order."""
-    flat = np.fromiter(itertools.chain.from_iterable(H.edges), dtype=np.intp,
-                       count=len(H.edges) * H.k)
-    return flat.reshape(len(H.edges), H.k)
+    """The edges as a read-only (#edges, k) index array, in no particular
+    order, cached on H itself like its binary views."""
+    edges = H.__dict__.get("_edge_array")
+    if edges is None:
+        flat = np.fromiter(itertools.chain.from_iterable(H.edges), dtype=np.intp,
+                           count=len(H.edges) * H.k)
+        edges = H.__dict__["_edge_array"] = flat.reshape(len(H.edges), H.k)
+        edges.setflags(write=False)
+    return edges
 
 
 def binary_view(H: Hypergraph, left) -> BinaryView:

@@ -33,8 +33,8 @@ from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights, atoms
                    check_measures, edge_mass, fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
-from .vc import (ROW_BLOCK_BYTES, heavy_net, lex_keys, net_dimension,
-                 sauer_bound, vc_dimension_matrix)
+from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
+                 sauer_bound, unpack_rows, vc_dimension_matrix)
 
 
 @dataclass
@@ -60,10 +60,11 @@ def net_param_bound(d: int, eps: Fraction) -> int:
     return math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
 
 
-def _difference_rows(fibers: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """The distinct rows fibers[ii] ^ fibers[jj], in the lex order of their
-    member tuples."""
-    width = fibers.shape[1]
+def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
+                     jj: np.ndarray) -> np.ndarray:
+    """The distinct rows packed[ii] ^ packed[jj], still packed, in the lex
+    order of their member tuples; `packed` holds fibers of `width` positions
+    packed by np.packbits(axis=1)."""
     need = len(ii) * width
     if need > MAX_DIFF_BYTES:
         raise InputError(
@@ -71,14 +72,15 @@ def _difference_rows(fibers: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
             f"{need} bytes ({len(ii)} fiber pairs x {width} left positions), "
             f"over the {MAX_DIFF_BYTES}-byte guard")
     if not len(ii):
-        return np.zeros((0, width), dtype=bool)
-    # XOR-ed and keyed in blocks: only the packed keys, a quarter of the
-    # rows' size, are held for every pair at once
+        return packed[:0]
+    # XOR-ed and keyed in blocks: only the keys, two bits per position, are
+    # held for every pair at once
     step = max(1, ROW_BLOCK_BYTES // max(1, width))
-    keys = np.concatenate([lex_keys(fibers[ii[s:s + step]] ^ fibers[jj[s:s + step]])
+    keys = np.concatenate([packed_lex_keys(packed[ii[s:s + step]] ^ packed[jj[s:s + step]],
+                                           width)
                            for s in range(0, len(ii), step)])
     _, first = np.unique(keys, return_index=True)
-    return fibers[ii[first]] ^ fibers[jj[first]]
+    return packed[ii[first]] ^ packed[jj[first]]
 
 
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
@@ -130,12 +132,13 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         dist = (mass[:, None] - gram) + (mass[None, :] - gram)
         half = eps / 2
         heavy_pair = np.triu(dist >= min(ceil_fraction(half * lw.den), lw.den + 1), 1)
-        heavy = _difference_rows(fibers, *np.nonzero(heavy_pair))
+        packed, width = np.packbits(fibers, axis=1), fibers.shape[1]
+        heavy = _difference_rows(packed, width, *np.nonzero(heavy_pair))
         # the random sampler draws from the measure in lowest terms
         g = math.gcd(lw.den, *lw.nums)
-        net = heavy_net(heavy, [n // g for n in lw.nums], lw.den // g, half,
-                        lambda: net_dimension(_difference_rows(
-                            fibers, *np.triu_indices(len(fibers), 1))),
+        net = heavy_net(heavy, width, [n // g for n in lw.nums], lw.den // g, half,
+                        lambda: net_dimension(unpack_rows(_difference_rows(
+                            packed, width, *np.triu_indices(len(fibers), 1)), width)),
                         strategy=strategy, seed=seed)
         if not net.verified:
             raise VerificationError("difference-family net failed verification")

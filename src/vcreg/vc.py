@@ -281,53 +281,88 @@ class EpsNet:
     meta: dict = field(default_factory=dict)
 
 
-def lex_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width bytes key per boolean row; keys sort like the rows'
-    sorted member-index tuples, and equal keys mean equal rows.
+def _key_codes() -> np.ndarray:
+    """For byte b, entry b codes the 8 positions of b as 2-bit codes, 01
+    for a member and 10 for a gap, big-endian; entry 256 + b does the same
+    but codes every position after the last member of b as 00 (all of them
+    for b = 0)."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    through = np.logical_or.accumulate(bits[:, ::-1], axis=1)[:, ::-1]
+    codes = np.concatenate([2 - bits, (2 - bits) * through]).astype(np.uint16)
+    codes = (codes << np.arange(14, -1, -2, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+    # native uint16 entries whose bytes in memory are big-endian
+    return codes.astype(">u2").view(np.uint16)
+
+
+_KEY_CODES = _key_codes()
+
+
+def packed_lex_keys(packed: np.ndarray, width: int) -> np.ndarray:
+    """One fixed-width bytes key per row of `width` positions packed by
+    np.packbits(axis=1); keys sort like the rows' sorted member-index
+    tuples, and equal keys mean equal rows.
 
     Position p gets 1 if it is a member, 2 if it is a gap before a later
     member and 0 past the last member, packed two bits per position,
     big-endian, so bytewise comparison is tuple comparison (a proper prefix
-    sorts first because 0 < 1, 2)."""
-    n, width = rows.shape
-    key = np.logical_or.accumulate(rows[:, ::-1], axis=1)[:, ::-1].astype(np.uint8)
-    key <<= 1
-    key -= rows.view(np.uint8)
+    sorts first because 0 < 1, 2). Bytes before a row's last nonzero byte
+    are coded whole, that byte up to its last member, and every later byte
+    (a zero byte) as 00."""
+    nb = packed.shape[1]
+    nonzero = packed != 0
+    last = nb - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    # an empty row has no last member: every byte codes as 00
+    last[(last == nb - 1) & ~nonzero[:, -1]] = 0
+    index = (np.arange(nb) >= last[:, None]) * np.uint16(256)
+    index |= packed
+    key = np.take(_KEY_CODES, index)
     nbytes = max(1, -(-width // 4))
-    packed = np.zeros((n, nbytes), dtype=np.uint8)
-    for s in range(4):
-        lane = key[:, s::4]
-        lane <<= 6 - 2 * s
-        packed[:, :lane.shape[1]] |= lane
-    return packed.view(np.dtype((np.bytes_, nbytes)))[:, 0]
+    return np.ascontiguousarray(key.view(np.uint8)[:, :nbytes]).view(
+        np.dtype((np.bytes_, nbytes)))[:, 0]
 
 
-def greedy_net(heavy: np.ndarray) -> list[int]:
-    """Deterministic greedy over heavy rows sorted in the lex order of their
-    member tuples: take the lex-least unhit row, add the point of it hitting
-    the most currently-unhit rows (ties by largest index, the classic
-    right-endpoint rule on interval families)."""
+def unpack_rows(packed: np.ndarray, width: int) -> np.ndarray:
+    """The boolean rows of a matrix packed by np.packbits(axis=1)."""
+    return np.unpackbits(packed, axis=1, count=width).view(bool)
+
+
+def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
+    """Deterministic greedy over heavy rows (`width` positions packed by
+    np.packbits(axis=1)) sorted in the lex order of their member tuples:
+    take the lex-least unhit row, add the point of it hitting the most
+    currently-unhit rows (ties by largest index, the classic right-endpoint
+    rule on interval families)."""
     points: list[int] = []
-    hits = heavy.sum(axis=0)
+    step = max(1, ROW_BLOCK_BYTES // max(1, width))
+
+    def column_sums(rows):
+        # int32 is exact: the dense-matrix guard keeps rows below 2^28
+        return sum((unpack_rows(heavy[rows[s:s + step]], width).sum(axis=0, dtype=np.int32)
+                    for s in range(0, len(rows), step)), np.zeros(width, dtype=np.int32))
+
+    # column p of the rows is bit 128 >> (p & 7) of row p >> 3 here
+    columns = np.ascontiguousarray(heavy.T)
+    hits = column_sums(np.arange(heavy.shape[0]))
     unhit = np.ones(heavy.shape[0], dtype=bool)
-    step = max(1, ROW_BLOCK_BYTES // max(1, heavy.shape[1]))
     first = 0
     while first < heavy.shape[0]:
-        members = np.flatnonzero(heavy[first])
+        members = np.flatnonzero(unpack_rows(heavy[first:first + 1], width)[0])
         score = hits[members]
         best = int(members[len(members) - 1 - int(np.argmax(score[::-1]))])
         points.append(best)
-        newly = np.flatnonzero(unhit & heavy[:, best])
-        for s in range(0, len(newly), step):
-            hits -= heavy[newly[s:s + step]].sum(axis=0)
+        newly = np.flatnonzero(unhit & (columns[best >> 3] & (128 >> (best & 7)) != 0))
+        hits -= column_sums(newly)
         unhit[newly] = False
         rest = unhit[first:]
         first += int(np.argmax(rest)) if rest.any() else len(rest)
     return points
 
 
-def net_hits_all(heavy: np.ndarray, points) -> bool:
-    return bool(heavy[:, np.asarray(points, dtype=np.intp)].any(axis=1).all())
+def net_hits_all(heavy: np.ndarray, width: int, points) -> bool:
+    """Whether every packed heavy row holds one of the points."""
+    mask = np.zeros(width, dtype=bool)
+    mask[np.asarray(points, dtype=np.intp)] = True
+    return bool((heavy & np.packbits(mask)).any(axis=1).all())
 
 
 def net_size_formula(d: int, eps: Fraction) -> dict:
@@ -367,23 +402,24 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     mat = family.matrix()
     mass = weighted_inner(mat, np.ones((1, mat.shape[1]), dtype=bool), weights, den)[:, 0]
     # members are sorted tuples in sorted order, so the rows are in lex order
-    heavy = mat[mass >= min(ceil_fraction(eps * den), den + 1)]
-    return heavy_net(heavy, weights, den, eps, lambda: _net_dimension(family),
-                     strategy, seed, max_retries)
+    heavy = np.packbits(mat[mass >= min(ceil_fraction(eps * den), den + 1)], axis=1)
+    return heavy_net(heavy, mat.shape[1], weights, den, eps,
+                     lambda: _net_dimension(family), strategy, seed, max_retries)
 
 
-def heavy_net(heavy: np.ndarray, weights, den: int, eps: Fraction, dimension,
-              strategy: str = "greedy", seed: int | None = None,
+def heavy_net(heavy: np.ndarray, width: int, weights, den: int, eps: Fraction,
+              dimension, strategy: str = "greedy", seed: int | None = None,
               max_retries: int = 10) -> EpsNet:
     """An eps-net for the heavy rows (members of measure >= eps under the
-    weights/den measure), given in lex order of their member tuples.
+    weights/den measure), `width` positions packed by np.packbits(axis=1),
+    given in lex order of their member tuples.
 
     `dimension` is called only by the random strategy and returns the
     VCDimension of the whole family the heavy rows were taken from."""
     meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
-        pts = greedy_net(heavy)
-        return EpsNet(tuple(pts), eps, net_hits_all(heavy, pts), "greedy", meta)
+        pts = greedy_net(heavy, width)
+        return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
     dim = dimension()
@@ -397,10 +433,10 @@ def heavy_net(heavy: np.ndarray, weights, den: int, eps: Fraction, dimension,
         attempts += 1
         pts = [bisect.bisect_right(cum, rng.randrange(den))
                for _ in range(sizes["size_ln"])]
-        if net_hits_all(heavy, pts):
+        if net_hits_all(heavy, width, pts):
             meta["attempts"] = attempts
             return EpsNet(tuple(pts), eps, True, "random", meta)
     meta["attempts"] = attempts
     meta["fallback"] = "greedy"
-    pts = greedy_net(heavy)
-    return EpsNet(tuple(pts), eps, net_hits_all(heavy, pts), "random", meta)
+    pts = greedy_net(heavy, width)
+    return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "random", meta)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
                    edge_mass, fiber, fubini_mass, full_box, product_measure,
                    uniform_measures, weak_fubini_check)
+from vcreg.core import edge_array
 from vcreg.oracles import brute_density, brute_fiber, brute_set_mass
 from vcreg.selftest import half_graph
 
@@ -79,6 +80,17 @@ def test_binary_view_cached_per_object():
     ref = weakref.ref(twin_view)
     del twin, twin_view
     assert ref() is None
+
+
+def test_edge_array_cached_read_only():
+    H = half_graph(6)
+    edges = edge_array(H)
+    assert edge_array(H) is edges
+    assert sorted(map(tuple, edges.tolist())) == sorted(H.edges)
+    with pytest.raises(ValueError):
+        edges[0, 0] = 5
+    twin = Hypergraph(H.part_sizes, frozenset(H.edges))
+    assert edge_array(twin) is not edges
 
 
 def test_symmetric_needs_equal_sizes_and_closure():

@@ -2,6 +2,7 @@
 oracles, in all three arithmetic regimes of the left-side denominator."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -134,3 +135,61 @@ def test_random_strategy_matches_oracle():
         assert net.meta["size_ln"] == want["size_ln"]
         assert net.meta.get("fallback") == want.get("fallback")
 
+
+
+def _wide_instance(rng, regime):
+    """As _instance, with 9 to 40 measured positions (two to five packed
+    bytes) and at most 6 fibers, which keeps the oracle's VC search small."""
+    if rng.random() < 0.5:
+        sizes, left = (rng.randint(9, 40), rng.randint(2, 6)), (0,)
+    else:
+        sizes, left = (rng.randint(3, 6), rng.randint(3, 6), rng.randint(2, 3)), (0, 1)
+    width = math.prod(sizes[i] for i in left)
+    cells = list(itertools.product(*[range(n) for n in sizes]))
+    pos = {t: t[0] if len(left) == 1 else t[0] * sizes[1] + t[1] for t in cells}
+    if rng.random() < 0.5:
+        p = rng.random()
+        edges = {t for t in cells if rng.random() < p}
+    else:   # one interval of measured positions per fiber keeps the VC dimension low
+        spans = [sorted(rng.randrange(width) for _ in range(2)) for _ in range(sizes[-1])]
+        edges = {t for t in cells if spans[t[-1]][0] <= pos[t] <= spans[t[-1]][1]}
+    H = Hypergraph(sizes, frozenset(edges))
+    dens = [rng.randint(n, 40) for n in sizes]
+    if regime != "float64":
+        dens[left[0]] = P_INT64 if regime == "int64" else P_BIG
+    measures = tuple(Measure(i, _weights(rng, n, d))
+                     for i, (n, d) in enumerate(zip(sizes, dens)))
+    assert _regime(SpaceWeights(measures, left, sizes).den) == regime
+    return H, measures, left
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 5), Fraction(1, 8),
+                            Fraction(1, 16), Fraction(1)]))
+def test_delta_partition_matches_oracle_past_one_byte(seed, regime, eps):
+    H, measures, left = _wide_instance(random.Random(seed), regime)
+    dp = delta_approx_partition(H, measures, eps, left)
+    _same_partition(dp, brute_delta_partition(H, measures, eps, left))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       n=st.integers(9, 40), count=st.integers(0, 30),
+       eps=st.sampled_from([Fraction(1, 4), Fraction(1, 8), Fraction(2, 7),
+                            Fraction(1, 16)]))
+def test_greedy_net_matches_oracle_past_one_byte(seed, regime, n, count, eps):
+    # the same comparison as test_greedy_net_matches_oracle, on grounds of
+    # two to five packed bytes
+    test_greedy_net_matches_oracle.hypothesis.inner_test(seed, regime, n, count, eps)
+
+
+def test_random_strategy_matches_oracle_past_one_byte():
+    rng = random.Random(7)
+    for regime in REGIMES:
+        for _ in range(3):
+            H, measures, left = _wide_instance(rng, regime)
+            dp = delta_approx_partition(H, measures, Fraction(1, 4), left,
+                                        strategy="random", seed=5)
+            _same_partition(dp, brute_delta_partition(
+                H, measures, Fraction(1, 4), left, strategy="random", seed=5))
