@@ -124,7 +124,8 @@ def _cmd_vc_shatter(args, files):
     from .vc import shatter_function
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
     require(args.n is not None and args.n >= 0, "--n is required and nonnegative")
-    vals = [shatter_function(fam, n) for n in range(args.n + 1)]
+    # largest n first: a refusal (vc.MAX_SHATTER_SUBSETS) precedes the counts
+    vals = [shatter_function(fam, n) for n in range(args.n, -1, -1)][::-1]
     outputs = {"n": args.n, "value": vals[-1],
                "table": {str(n): v for n, v in enumerate(vals)}}
     verification = {
@@ -357,6 +358,7 @@ def _cmd_convexity_involution(args, files):
 
 
 def _cmd_rodl_search(args, files):
+    from .core import edge_array
     from .homog import ball_family_search, definable_homogeneous_search
     require(args.epsilon is not None, "--eps is required")
     if args.infile is None:
@@ -393,7 +395,7 @@ def _cmd_rodl_search(args, files):
                         "mass": res.mass})
         nums, den = measures[0].numerators()
         aset = set(res.vertices)
-        e_num = sum(nums[x] * nums[y] for (x, y) in H.edges
+        e_num = sum(nums[x] * nums[y] for (x, y) in edge_array(H).tolist()
                     if x != y and x in aset and y in aset)
         w = sum(nums[v] for v in aset)
         tot = w * w - sum(nums[v] * nums[v] for v in aset)
@@ -416,7 +418,7 @@ def _cmd_rodl_search(args, files):
 
 
 def _cmd_gen(args, files):
-    from .core import Hypergraph
+    from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
     kind = args.kind
     params = []
@@ -436,7 +438,7 @@ def _cmd_gen(args, files):
     outputs = g.to_obj()
     back = Hypergraph.from_obj(outputs["hypergraph"])
     verification = {"roundtrip_equal": back == g.hypergraph,
-                    "edge_count": len(g.hypergraph.edges),
+                    "edge_count": len(edge_array(g.hypergraph)),
                     "measured": g.measured}
     if args.out:
         # --out names the instance file; the report still goes to stdout

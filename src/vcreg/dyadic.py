@@ -192,11 +192,6 @@ def dyadic_hypergraph(L: int, parity: str = "odd"):
     require(parity in ("odd", "even"), 'parity must be "odd" or "even"')
     n = 1 << L
     want = 1 if parity == "odd" else 0
-    edges = set()
-    for x in range(n):
-        for y in range(x + 1, n):
-            v = L - (x ^ y).bit_length()
-            if v % 2 == want:
-                edges.add((x, y))
-                edges.add((y, x))
-    return Hypergraph((n, n), frozenset(edges), True)
+    edges = [(x, y) for x in range(n) for y in range(n)
+             if x != y and (L - (x ^ y).bit_length()) % 2 == want]
+    return Hypergraph((n, n), edges, True)

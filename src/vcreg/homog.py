@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Hypergraph, Measure, binary_view
+from .core import Hypergraph, Measure, binary_view, edge_array
 from .dyadic import DyadicBall, odd_split_density
 from .jsonio import require
 
@@ -65,9 +65,9 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
     view = binary_view(H, (0,))
     fib = view.fibers  # row b = fiber of b as bool over vertices
 
-    edges = [(x, y) for (x, y) in H.edges if x != y]
-    ex = np.asarray([e[0] for e in edges], dtype=np.intp)
-    ey = np.asarray([e[1] for e in edges], dtype=np.intp)
+    edges = edge_array(H)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    ex, ey = edges[:, 0], edges[:, 1]
     diag_total = [int(x) * int(x) for x in nums]
 
     total_tuples = comb(n, m)
@@ -95,7 +95,7 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
                 wa[int(pat[x])] += nums[x]
                 dg[int(pat[x])] += diag_total[x]
             mm = [[0] * npat for _ in range(npat)]
-            for x, y in edges:
+            for x, y in edges.tolist():
                 mm[int(pat[x])][int(pat[y])] += nums[x] * nums[y]
         else:
             wa = np.bincount(pat, weights=w.astype(np.float64),

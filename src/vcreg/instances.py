@@ -14,8 +14,9 @@ index, both under caps) are recorded alongside every generated instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 import random
+from dataclasses import dataclass, field
 
 from .core import Hypergraph, Measure, uniform_measures
 from .dyadic import dyadic_hypergraph
@@ -101,42 +102,18 @@ def _block_union(spec: GeneratorSpec) -> Hypergraph:
     require(all(s >= blocks for s in spec.sizes),
             "every part needs at least one vertex per block")
     rng = random.Random(spec.seed)
-    assign = []
-    for size in spec.sizes:
-        cuts = sorted(rng.sample(range(1, size), blocks - 1))
-        bounds = [0] + cuts + [size]
-        lab = [0] * size
-        for b in range(blocks):
-            for v in range(bounds[b], bounds[b + 1]):
-                lab[v] = b
-        assign.append(lab)
-
-    edges = []
-
-    def rec(prefix, b):
-        if len(prefix) == spec.k:
-            edges.append(tuple(prefix))
-            return
-        part = len(prefix)
-        for v in range(spec.sizes[part]):
-            if assign[part][v] == b:
-                rec(prefix + [v], b)
-
-    for b in range(blocks):
-        rec([], b)
-    return Hypergraph(spec.sizes, frozenset(edges))
+    # block b of each part is a run of vertices between two sorted cuts
+    bounds = [[0] + sorted(rng.sample(range(1, size), blocks - 1)) + [size]
+              for size in spec.sizes]
+    return Hypergraph(spec.sizes, [
+        t for b in range(blocks)
+        for t in itertools.product(*[range(bd[b], bd[b + 1]) for bd in bounds])])
 
 
 def _staircase(spec: GeneratorSpec) -> Hypergraph:
-    def rec(prefix):
-        if len(prefix) == spec.k:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, spec.sizes[len(prefix)]):
-            yield from rec(prefix + [v])
-
-    return Hypergraph(spec.sizes, frozenset(rec([])))
+    cells = itertools.combinations_with_replacement(range(max(spec.sizes)), spec.k)
+    return Hypergraph(spec.sizes, [t for t in cells
+                                   if all(v < n for v, n in zip(t, spec.sizes))])
 
 
 def _random_capped(spec: GeneratorSpec) -> Hypergraph:

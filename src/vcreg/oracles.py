@@ -25,6 +25,35 @@ def _product_measure(H: Hypergraph, measures):
     return ProductMeasure(check_measures(H, measures))
 
 
+def brute_hypergraph_error(part_sizes, edges, symmetric: bool = False):
+    """The message of the InputError that Hypergraph(part_sizes, edges,
+    symmetric) raises, or None: each edge checked in Python, the lex-first
+    bad one named (a vertex that is not an int orders after every int, by
+    its repr), then the symmetric closure."""
+    k = len(part_sizes)
+
+    def fault(e):
+        if not (type(e) is tuple and len(e) == k):
+            return f"edge {e!r} does not have arity {k}"
+        for i, v in enumerate(e):
+            if not (type(v) is int and 0 <= v < part_sizes[i]):
+                return f"edge {e!r} out of range in coordinate {i}"
+
+    bad = [e for e in edges if fault(e)]
+    if bad:
+        return fault(min(bad, key=lambda e: [
+            (type(v) is not int, v if type(v) is int else repr(v))
+            for v in (e if type(e) is tuple else (e,))]))
+    if symmetric and len(set(part_sizes)) != 1:
+        return "symmetric flag requires equal part sizes"
+    present = set(edges) if symmetric else ()
+    for e in sorted(present):
+        for p in itertools.permutations(e):
+            if p not in present:
+                return f"symmetric flag set but permutation {p} of edge {e} is absent"
+    return None
+
+
 def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
     """Fiber membership by enumerating all of V_I and testing reassembled tuples."""
     parts = tuple(sorted(parts))
@@ -43,7 +72,7 @@ def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
 
 def brute_set_mass(H: Hypergraph, measures, tuples) -> Fraction:
     pm = _product_measure(H, measures)
-    return sum((pm.tuple_weight(t) for t in tuples), Fraction(0))
+    return Fraction(sum(pm.tuple_num(t) for t in tuples), pm.den)
 
 
 def brute_symdiff_mass(H: Hypergraph, measures, other_edges) -> Fraction:
@@ -51,14 +80,12 @@ def brute_symdiff_mass(H: Hypergraph, measures, other_edges) -> Fraction:
     return brute_set_mass(H, measures, sym)
 
 
-def brute_density(H: Hypergraph, measures, box: Box, distinct: bool = False) -> Fraction:
+def brute_density(H: Hypergraph, measures, box: Box) -> Fraction:
     pm = _product_measure(H, measures)
     hit = Fraction(0)
     total = Fraction(0)
     for t in itertools.product(*box.sides):
-        if distinct and len(set(t)) != H.k:
-            continue
-        w = pm.tuple_weight(t)
+        w = Fraction(pm.tuple_num(t), pm.den)
         total += w
         if t in H.edges:
             hit += w

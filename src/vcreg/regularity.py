@@ -29,8 +29,8 @@ from math import prod
 import numpy as np
 
 from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights, atoms,
-                   binary_view, box_counts, boxes_mask, ceil_fraction,
-                   check_measures, edge_mass, fiber_atoms, weighted_inner)
+                   binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
+                   edge_array, edge_mass, fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError
 from .jsonio import format_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
@@ -172,12 +172,6 @@ def _support_rect(support) -> tuple:
     return [Box((support,))] if support else [], (((),),), Fraction(0), []
 
 
-def _sub_relation(H: Hypergraph, last_vertex: int) -> Hypergraph:
-    view = binary_view(H, tuple(range(H.k - 1)))
-    cells = np.argwhere(view.fibers[last_vertex].reshape(view.left_sizes))
-    return Hypergraph(H.part_sizes[:-1], frozenset(map(tuple, cells.tolist())), False)
-
-
 def rectangular_approximation(H: Hypergraph, measures, eps: Fraction,
                               strategy: str = "greedy", seed: int = 0) -> RectApprox:
     """Union of boxes with definable sides within eps of the relation, with
@@ -193,7 +187,7 @@ def rectangular_approximation(H: Hypergraph, measures, eps: Fraction,
 def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: int):
     k = H.k
     if k == 1:
-        return _support_rect(sorted(e[0] for e in H.edges))
+        return _support_rect(edge_array(H)[:, 0].tolist())
 
     child_eps = eps if k == 2 else eps / 2
     dp = delta_approx_partition(H, measures, child_eps, tuple(range(k - 1)),
@@ -213,8 +207,10 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
             sub_boxes, sub_params, _, lv = _support_rect(
                 np.flatnonzero(view.fibers[rep_v]).tolist())
         else:
+            sub = Hypergraph(H.part_sizes[:-1],
+                             np.argwhere(view.fibers[rep_v].reshape(view.left_sizes)))
             sub_boxes, sub_params, _, lv = _rect_recurse(
-                _sub_relation(H, rep_v), measures[:-1], eps / 2, strategy, seed)
+                sub, measures[:-1], eps / 2, strategy, seed)
         sub_levels.extend(lv)
         class_vertices = tuple(sorted(b[0] for b in cls))
         for b in sub_boxes:

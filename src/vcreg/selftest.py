@@ -53,19 +53,16 @@ def half_graph(n0: int, n1: int | None = None) -> Hypergraph:
                                           for j in range(n1) if i <= j))
 
 
-def block_pair_graph(n: int, blocks: int) -> Hypergraph:
+def block_pair_graph(n: int, blocks: int, symmetric: bool = False) -> Hypergraph:
     """Bipartite n x n, edge iff both endpoints in the same block of the
     balanced contiguous split."""
     lab = [v * blocks // n for v in range(n)]
-    return Hypergraph((n, n), frozenset((i, j) for i in range(n)
-                                        for j in range(n) if lab[i] == lab[j]))
+    return Hypergraph((n, n), [(i, j) for i in range(n) for j in range(n)
+                               if lab[i] == lab[j]], symmetric)
 
 
 def same_block_equivalence(n: int, blocks: int) -> Hypergraph:
-    lab = [v * blocks // n for v in range(n)]
-    return Hypergraph((n, n), frozenset((i, j) for i in range(n)
-                                        for j in range(n) if lab[i] == lab[j]),
-                      True)
+    return block_pair_graph(n, blocks, True)
 
 
 def interval_family(n: int) -> SetFamily:
@@ -76,6 +73,19 @@ def interval_family(n: int) -> SetFamily:
 def expect(cond: bool, msg: str):
     if not cond:
         raise AssertionError(msg)
+
+
+def _expect_in_blocks(classes, n: int, blocks: int):
+    """Every class lies inside one block of block_pair_graph(n, blocks)."""
+    for cls in classes:
+        expect(len({v * blocks // n for v in cls}) == 1, f"class {cls} straddles blocks")
+
+
+def _expect_homogeneous(H: Hypergraph, mu, rp):
+    """Every labelled box of a partition has density exactly 0 or 1."""
+    for key in rp.labels:
+        d = density(H, mu, Box.of([rp.classes[i][key[i]] for i in range(H.k)]))
+        expect(d in (Fraction(0), Fraction(1)), f"box {key} density {d}")
 
 
 @check("core.fiber.half-graph-4x4")
@@ -199,14 +209,8 @@ def _regular_blocks():
     rep = verify_regular_partition(H, mu, rp)
     expect(rep["ok"], f"verifier: {rep['violations']}")
     expect(rp.sigma == (), "Sigma should be empty")
-    for part in rp.classes:
-        for cls in part:
-            expect(all(v < 4 for v in cls) or all(v >= 4 for v in cls),
-                   f"class {cls} straddles the blocks")
-    for key in rp.labels:
-        sides = [rp.classes[i][key[i]] for i in range(2)]
-        d = density(H, mu, Box.of(sides))
-        expect(d in (Fraction(0), Fraction(1)), f"box {key} density {d}")
+    _expect_in_blocks([c for part in rp.classes for c in part], 8, 2)
+    _expect_homogeneous(H, mu, rp)
     return "partition refines the blocks, Sigma empty, every box homogeneous"
 
 
@@ -228,10 +232,7 @@ def _regular_cliques():
     rep = verify_regular_partition(H, uniform_measures(H), rp)
     expect(rep["ok"], f"verifier: {rep['violations']}")
     expect(rp.sigma == (), "Sigma should be empty")
-    lab = [v * 3 // 12 for v in range(12)]
-    for part in rp.classes:
-        for cls in part:
-            expect(len({lab[v] for v in cls}) == 1, f"class {cls} straddles cliques")
+    _expect_in_blocks([c for part in rp.classes for c in part], 12, 3)
     return "partition refines the 3 cliques with Sigma empty"
 
 
@@ -326,9 +327,8 @@ def _descent_blocks():
     mu = uniform_measures(H)
     eps = Fraction(1, 8)
     gd = good_descent_partition(H, mu, 1, eps)
-    lab = [v * 3 // 12 for v in range(12)]
+    _expect_in_blocks(gd.pieces, 12, 3)
     for piece in gd.pieces:
-        expect(len({lab[v] for v in piece}) == 1, f"piece {piece} straddles blocks")
         expect(good_check(H, mu, [(v,) for v in piece], (1,), eps).good,
                f"piece {piece} not eps-good")
     return f"{len(gd.pieces)} pieces refine the blocks, all eps-good"
@@ -355,14 +355,8 @@ def _stable_blocks():
     mu = uniform_measures(H)
     sp = stable_regular_partition(H, mu, Fraction(1, 8))
     expect(sp.sigma == (), "Sigma should be empty")
-    lab = [v * 4 // 16 for v in range(16)]
-    for part in sp.classes:
-        for cls in part:
-            expect(len({lab[v] for v in cls}) == 1, f"class {cls} straddles blocks")
-    for key in sp.labels:
-        sides = [sp.classes[i][key[i]] for i in range(2)]
-        d = density(H, mu, Box.of(sides))
-        expect(d in (Fraction(0), Fraction(1)), f"box {key} density {d}")
+    _expect_in_blocks([c for part in sp.classes for c in part], 16, 4)
+    _expect_homogeneous(H, mu, sp)
     return "blocks recovered, Sigma empty, every box exactly homogeneous"
 
 
@@ -377,13 +371,8 @@ def _stable_k3():
     sp = stable_regular_partition(H, mu, Fraction(1, 8))
     expect(sp.class_counts() == (2, 2, 2), f"class counts {sp.class_counts()}")
     expect(sp.sigma == (), "Sigma should be empty")
-    homogeneous = 0
-    for key in sp.labels:
-        sides = [sp.classes[i][key[i]] for i in range(3)]
-        d = density(H, mu, Box.of(sides))
-        expect(d in (Fraction(0), Fraction(1)), f"box {key} density {d}")
-        homogeneous += 1
-    expect(homogeneous == 8, f"{homogeneous} boxes")
+    _expect_homogeneous(H, mu, sp)
+    expect(len(sp.labels) == 8, f"{len(sp.labels)} boxes")
     return "2 classes per part, all 8 boxes exactly homogeneous"
 
 

@@ -45,17 +45,12 @@ class LadderCertificate:
         return f">={self.length}" if (self.capped or self.budget_exhausted) else str(self.length)
 
     def verify(self, H: Hypergraph) -> bool:
-        comp = H.complement_parts(self.parts)
-        for i, a in enumerate(self.left):
-            for j, b in enumerate(self.right):
-                t = [None] * H.k
-                for idx, v in zip(self.parts, a):
-                    t[idx] = v
-                for idx, v in zip(comp, b):
-                    t[idx] = v
-                if (tuple(t) in H.edges) != (i <= j):
-                    return False
-        return True
+        # a row of flat lists its coordinates in the order parts, complement
+        flat = np.array([[*a, *b] for a in self.left for b in self.right], dtype=np.intp)
+        cells = np.empty((len(flat), H.k), dtype=np.intp)
+        cells[:, [*self.parts, *H.complement_parts(self.parts)]] = flat.reshape(-1, H.k)
+        want = [i <= j for i in range(len(self.left)) for j in range(len(self.right))]
+        return bool((H.has(cells) == want).all())
 
 
 def _bits(mask: int):

@@ -36,6 +36,10 @@ from .core import (Hypergraph, Measure, binary_view, ceil_fraction,
 from .errors import InputError
 from .jsonio import require
 
+# Most subsets shatter_function counts traces on, checked before any count
+# (interval_family(40) at n = 4 has 91,390 and would take about 4 s).
+MAX_SHATTER_SUBSETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -244,6 +248,9 @@ def shatter_function(family: SetFamily, n: int) -> int:
     mat = family.matrix()
     reps = _collapsed_columns(mat)
     t = min(n, len(reps))
+    subsets = math.comb(len(reps), t)
+    require(subsets <= MAX_SHATTER_SUBSETS, f"shatter_function: {subsets} {t}-subsets of "
+            f"{len(reps)} distinct columns, over the {MAX_SHATTER_SUBSETS}-subset limit")
     best = 0
     ceiling = min(1 << t, len(family.members))
     for cols in itertools.combinations(reps, t):

@@ -234,6 +234,8 @@ _HALVES = ["1/2", "1/2"]
     _with_measures([{"part": 0, "weights": 3}, {"part": 1, "weights": _HALVES}]),
     _with_measures([{"part": 0, "weights": _HALVES}, {"part": 1.5, "weights": _HALVES}]),
     _with_measures(5),
+    {"k": True, "part_sizes": [3], "edges": [[0]]},
+    {"k": 1, "part_sizes": [3], "edges": [[0]], "symmetric": "false"},
 ])
 def test_malformed_instance_is_input_error(write_json, hobj):
     p = write_json("bad.json", hobj)
@@ -429,6 +431,28 @@ def test_vc_shatter_on_empty_family_passes(write_json):
     assert code == 0 and rep["ok"]
     assert rep["outputs"]["table"] == {"0": 0, "1": 0, "2": 0}
     assert rep["verification"] == {"within_power_bound": True, "monotone": True}
+
+
+@pytest.mark.parametrize("n, code", [(4, 2), (3, 0)])
+def test_vc_shatter_refuses_too_many_subsets_up_front(write_json, monkeypatch, n, code):
+    # interval_family(40) has 40 distinct columns: C(40, 4) = 91,390 subsets
+    # are over the limit, C(40, 3) = 9,880 are not
+    import vcreg.vc
+    from vcreg.selftest import interval_family
+    counted = []
+    real = vcreg.vc.shatter_function
+    monkeypatch.setattr(vcreg.vc, "shatter_function",
+                        lambda fam, m: counted.append(m) or real(fam, m))
+    p = write_json("intervals.json", interval_family(40).to_obj())
+    got, rep = report(["vc", "shatter", "--in", p, "--n", str(n)])
+    assert got == code
+    if code == 2:
+        assert rep["error"]["kind"] == "input"
+        assert "shatter_function" in rep["error"]["message"]
+        assert "91390 4-subsets" in rep["error"]["message"]
+        assert counted == [4]   # refused before any other count ran
+    else:
+        assert rep["ok"] and rep["outputs"]["value"] == 7
 
 
 def test_vc_shatter_checks_each_field_on_its_own(tmp_path, monkeypatch):

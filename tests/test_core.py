@@ -1,5 +1,7 @@
 """Exact measures, fibers, boxes, and the Fubini identities."""
 
+import itertools
+import random
 import weakref
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
                    edge_mass, fiber, fubini_mass, full_box, product_measure,
                    uniform_measures, weak_fubini_check)
 from vcreg.core import edge_array
-from vcreg.oracles import brute_density, brute_fiber, brute_set_mass
+from vcreg.oracles import (brute_density, brute_fiber, brute_hypergraph_error,
+                           brute_set_mass)
 from vcreg.selftest import half_graph
 
 
@@ -91,6 +94,89 @@ def test_edge_array_cached_read_only():
         edges[0, 0] = 5
     twin = Hypergraph(H.part_sizes, frozenset(H.edges))
     assert edge_array(twin) is not edges
+
+
+def test_equality_and_hash_follow_sizes_flag_and_edge_set():
+    edges = [(i, j) for i in range(4) for j in range(4) if (i + j) % 3]
+    shuffled = edges[::-1]
+    random.Random(5).shuffle(shuffled)
+    H = Hypergraph((4, 4), edges)
+    assert edge_array(H).tolist() == sorted(map(list, edges))
+    for twin in (Hypergraph((4, 4), shuffled + shuffled[:7]),
+                 Hypergraph((4, 4), frozenset(shuffled)),
+                 Hypergraph((4, 4), np.array(shuffled))):
+        assert twin == H and hash(twin) == hash(H)
+        assert np.array_equal(edge_array(twin), edge_array(H))
+    assert Hypergraph((4, 4), edges, True) != H
+    assert Hypergraph((4, 5), edges) != H
+    assert Hypergraph((4, 4), edges[1:]) != H
+    empty = Hypergraph((4, 4), frozenset())
+    assert edge_array(empty).shape == (0, 2) and empty.edges == frozenset()
+
+
+def test_part_sizes_past_int64_keys_are_refused():
+    with pytest.raises(InputError, match=r"2\^63"):
+        Hypergraph((2 ** 32, 2 ** 32), [])
+
+
+def _vertex(n):
+    # in range, negative or past the part, a bool or a float
+    return st.one_of(st.integers(-2, n + 1), st.booleans(), st.sampled_from([0.0, 1.5]))
+
+
+@st.composite
+def _edge_inputs(draw):
+    """Sizes, an edge list and a symmetric flag, k <= 3: valid edges with
+    duplicates, sometimes with malformed ones mixed in."""
+    k = draw(st.integers(1, 3))
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    symmetric = draw(st.booleans())
+    if symmetric and draw(st.integers(0, 3)):
+        sizes = (sizes[0],) * k
+    good = st.tuples(*[st.integers(0, n - 1) for n in sizes])
+    if draw(st.booleans()):
+        wrong_type_or_range = st.tuples(*[_vertex(n) for n in sizes])
+        malformed = st.one_of(wrong_type_or_range,
+                              st.lists(st.integers(0, 3), max_size=4).map(tuple))
+        edges = draw(st.lists(st.one_of(good, good, malformed), max_size=12))
+    else:
+        edges = draw(st.lists(good, max_size=12))
+        if symmetric and len(set(sizes)) == 1 and draw(st.booleans()):
+            edges = [tuple(e[j] for j in p) for e in edges
+                     for p in itertools.permutations(range(k))]
+            if edges and draw(st.booleans()):   # one permutation short of closed
+                edges = list(set(edges) - {draw(st.sampled_from(edges))})
+    edges += edges[:draw(st.integers(0, len(edges)))]
+    return sizes, edges, symmetric
+
+
+def _outcome(sizes, edges, symmetric):
+    try:
+        return edge_array(Hypergraph(sizes, edges, symmetric)).tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_edge_inputs())
+def test_validation_matches_oracle(case):
+    """Tuple and array input are accepted exactly when the per-edge Python
+    checks accept, and refused with the oracle's message on the lex-first bad
+    edge; accepted edges are stored distinct and in lex order."""
+    sizes, edges, symmetric = case
+    k = len(sizes)
+    forms = [(edges, edges), (frozenset(edges), frozenset(edges))]
+    if all(type(e) is tuple and len(e) == k and all(type(v) is int for v in e)
+           for e in edges):
+        forms.append((np.array(edges, dtype=np.int64).reshape(-1, k), edges))
+        for dtype in (bool, float):
+            with pytest.raises(InputError, match="integer dtype"):
+                Hypergraph(sizes, np.array(edges, dtype=dtype).reshape(-1, k))
+    for given_edges, plain in forms:
+        want = brute_hypergraph_error(sizes, plain, symmetric)
+        if want is None:
+            want = [list(e) for e in sorted(set(plain))]
+        assert _outcome(sizes, given_edges, symmetric) == want
 
 
 def test_symmetric_needs_equal_sizes_and_closure():
