@@ -16,10 +16,10 @@ Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not homogeneous); 2 input error (unknown
 flags, malformed files, bad rationals).
 
-`stable partition` re-checks the paper's claim that every box is exactly 0
-or 1 dense without the kernels that built the partition: one pass over the
-edges adds each edge's weight to its box, and each labelled box must hold
-none or all of its mass (`oracles.one_pass_box_counts`).
+`stable partition` checks the paper's claim that every box is exactly 0 or
+1 dense on the verifier's own recount of the boxes
+(`regularity.exactly_homogeneous`), not on the box sums that built the
+partition: each labelled box must hold none or all of its mass.
 
 The argparse tree is built once per process, and each handler imports the
 engine modules it needs, so `dyadic` and `convexity` runs never load numpy.
@@ -33,7 +33,7 @@ import functools
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .convexity import (IntegerInterval, ap_count, convexity_density,
                         reflection_involution_check)
@@ -44,8 +44,7 @@ from .errors import InputError, VerificationError
 from .jsonio import (KINDS, canonical_dumps, dump_json, load_json,
                      parse_rational, require, sha256_of)
 from .oracles import (brute_convexity_edges, brute_dyadic_pair_count,
-                      brute_shatters, brute_union_mass_error,
-                      one_pass_box_counts)
+                      brute_shatters, brute_union_mass_error)
 
 
 def _parse_parts(s: str) -> tuple[int, ...]:
@@ -204,10 +203,7 @@ def _cmd_reg_rect(args, files):
         "bound_table": ra.levels,
     }
     verification = {"error_below_eps": ra.error < args.epsilon}
-    space = 1
-    for n in H.part_sizes:
-        space *= n
-    if space <= 1 << 16:
+    if prod(H.part_sizes) <= 1 << 16:
         brute = brute_union_mass_error(H, measures, ra.boxes)
         verification["brute_recount_equal"] = brute == ra.error
     else:
@@ -251,19 +247,17 @@ def _cmd_stable_ladder(args, files):
 
 
 def _cmd_stable_partition(args, files):
-    from .regularity import verify_regular_partition
+    from .regularity import exactly_homogeneous, verify_regular_partition
     from .stable import stable_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=args.depth_cap)
     rep = verify_regular_partition(H, measures, sp)
-    homogeneous = all(hit == 0 or hit == total for hit, total in
-                      one_pass_box_counts(H, measures, sp.classes, sp.labels))
+    homogeneous = exactly_homogeneous(H, measures, sp)
     outputs = {"partition": sp.to_obj(), "meta": sp.meta,
                "class_counts": sp.class_counts()}
-    verification = dict(rep)
-    verification["sigma_empty"] = sp.sigma == ()
-    verification["all_boxes_exactly_homogeneous"] = homogeneous
+    verification = {**rep, "sigma_empty": sp.sigma == (),
+                    "all_boxes_exactly_homogeneous": homogeneous}
     ok = rep["ok"] and sp.sigma == () and homogeneous
     return outputs, verification, ok
 
@@ -337,7 +331,7 @@ def _cmd_convexity_density(args, files):
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
     n = len(iv)
-    outputs = {"density": d, "interval": [iv.lo, iv.hi],
+    outputs = {"density": d, "interval": iv.to_obj(),
                "ap_count": ap_count(n), "triples": comb(n, 3),
                "distance_to_half": abs(d - Fraction(1, 2))}
     verification = {}
@@ -353,7 +347,7 @@ def _cmd_convexity_density(args, files):
 def _cmd_convexity_involution(args, files):
     require(args.interval is not None, "--interval is required")
     holds = reflection_involution_check(args.interval)
-    outputs = {"interval": [args.interval.lo, args.interval.hi], "holds": holds}
+    outputs = {"interval": args.interval.to_obj(), "holds": holds}
     return outputs, {"involution_holds": holds}, holds
 
 

@@ -31,6 +31,9 @@ class IntegerInterval:
     def points(self) -> range:
         return range(self.lo, self.hi + 1)
 
+    def to_obj(self) -> list[int]:
+        return [self.lo, self.hi]
+
 
 def is_edge(p: int, q: int, r: int) -> bool:
     require(p < q < r, "edge test needs a strictly increasing triple")

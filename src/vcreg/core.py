@@ -19,7 +19,8 @@ The counting kernels live here once each:
                         integers beyond;
   box_counts            per-box weight and edge sums of a partition, from the
                         edge list: a float64 bincount while den < 2^53,
-                        Python integers beyond;
+                        Python integers beyond (the builders' kernel: the
+                        verifier recounts with regularity.recount_boxes);
   weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
                         float64 limbs recombined in int64 or Python integers
                         above;
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import InputError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 
-# Largest product space box_counts accepts, and largest binary-view side.
+# Largest product space a box count accepts, and largest binary-view side.
 MAX_DENSE_SPACE = 1 << 22
 # Largest dense boolean matrix (one byte per cell) built at once: the binary
 # view's fibers, a set family's matrix, the delta partition's fiber

@@ -16,10 +16,15 @@ Everything is verified exactly as it is built. The plan:
      sides, collects exceptional boxes with sym-difference density >= eps
      into Sigma, and labels the rest by the approximation, which makes them
      0-1 dense. Sigma mass <= eps is re-checked exactly before returning.
+
+The builders sum boxes with core.box_counts and decide them all at once by
+exact array comparisons; verify_regular_partition recounts them by another
+algorithm (recount_boxes), so no kernel that built a partition certifies it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,11 +33,11 @@ from math import prod
 
 import numpy as np
 
-from .core import (MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights, atoms,
-                   binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
-                   edge_array, edge_mass, fiber_atoms, weighted_inner)
-from .errors import InputError, VerificationError
-from .jsonio import format_rational, require
+from .core import (INT64_SAFE, MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure,
+                   SpaceWeights, atoms, binary_view, box_counts, boxes_mask, ceil_fraction,
+                   check_measures, edge_array, edge_mass, fiber_atoms, weighted_inner)
+from .errors import InputError, VerificationError, ZeroMeasureBox
+from .jsonio import format_rational, parse_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
                  sauer_bound, unpack_rows, vc_dimension_matrix)
 
@@ -213,17 +218,14 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
                 sub, measures[:-1], eps / 2, strategy, seed)
         sub_levels.extend(lv)
         class_vertices = tuple(sorted(b[0] for b in cls))
-        for b in sub_boxes:
-            boxes.append(Box(b.sides + (class_vertices,)))
+        boxes.extend(Box(b.sides + (class_vertices,)) for b in sub_boxes)
         for j in range(k - 1):
-            for c in sub_params[j]:
-                param_sets[j].add(tuple(c) + (rep_v,))
+            param_sets[j].update(tuple(c) + (rep_v,) for c in sub_params[j])
         # exact error contribution: nu(b) * mu_left(fiber_b Delta A_class)
         amask = boxes_mask(view.left_sizes, (b.sides for b in sub_boxes))
         diffs = lw.sums(view.fibers[[view.right_pos(b) for b in cls]] ^ amask)
         err_num += sum(rnums[b[0]] * d for b, d in zip(cls, diffs))
-    for c in dp.params:
-        param_sets[k - 1].add(tuple(c))
+    param_sets[k - 1].update(map(tuple, dp.params))
 
     error = Fraction(err_num, rden * lw.den)
     params = tuple(tuple(sorted(s)) for s in param_sets)
@@ -263,7 +265,6 @@ class RegularPartition:
     def from_obj(obj) -> "RegularPartition":
         require(isinstance(obj, dict) and "classes" in obj and "epsilon" in obj,
                 "partition JSON needs classes and epsilon")
-        from .jsonio import parse_rational
         pairs = obj.get("labels", [])
         require(isinstance(pairs, list) and all(isinstance(x, list) and len(x) == 2
                                                 for x in pairs),
@@ -302,6 +303,36 @@ def _merge_zero_measure(classes: list[list[int]], measure: Measure) -> list[list
     return [sorted(c) for c in keep]
 
 
+def box_sum_arrays(H: Hypergraph, measures, classes_by_part, eps: Fraction) -> tuple:
+    """box_counts with the sums as arrays on which e * ed < en * t is exact:
+    int64 while the largest box total times max(en, ed) is below 2^63,
+    object arrays of Python ints beyond."""
+    counts, tot, hits, den = box_counts(H, measures, classes_by_part)
+    dt = np.int64 if max(tot) * max(eps.numerator, eps.denominator) < 1 << 63 else object
+    return counts, np.array(tot, dt), np.array(hits, dt), den
+
+
+def box_keys(flat, counts) -> list[tuple[int, ...]]:
+    """The class-index tuples of the boxes at row-major positions `flat`."""
+    return list(zip(*(c.tolist() for c in np.unravel_index(flat, counts))))
+
+
+def label_grid(labels: dict, counts) -> np.ndarray:
+    """The labels in row-major box order, -1 where a box has none; an
+    InputError names the first key that names no box."""
+    keys, k, arr = list(labels), len(counts), None
+    with contextlib.suppress(ValueError, OverflowError):   # ragged or past int64
+        arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64).reshape(-1, k)
+    if arr is not None and set(map(len, keys)) <= {k} and ((arr >= 0) & (arr < counts)).all():
+        grid = np.full(prod(counts), -1, np.int8)
+        grid[np.ravel_multi_index(arr.T, counts)] = np.fromiter(labels.values(), np.int8)
+        return grid
+    stray = next(key for key in keys if len(key) != len(counts)
+                 or not all(0 <= c < n for c, n in zip(key, counts)))
+    raise InputError(f"label or sigma entry {list(stray)} names no box of "
+                     f"class counts {counts}")
+
+
 def regular_partition(H: Hypergraph, measures, eps: Fraction,
                       uniform: bool = False, strategy: str = "greedy",
                       seed: int = 0) -> RegularPartition:
@@ -315,51 +346,37 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
         require(H.symmetric, "uniform partition needs the symmetric flag")
     ra = rectangular_approximation(H, measures, eps * eps, strategy=strategy, seed=seed)
 
-    per_part_classes = []
     if uniform:
         pooled = sorted(set(itertools.chain.from_iterable(ra.params)))
-        pooled_atoms = fiber_atoms(H, 0, pooled)
-        for i in range(H.k):
-            per_part_classes.append([list(a) for a in pooled_atoms])
-        provenance = tuple(tuple(pooled) for _ in range(H.k))
+        per_part_classes = [fiber_atoms(H, 0, pooled)] * H.k
+        provenance = (tuple(pooled),) * H.k
     else:
-        for i in range(H.k):
-            sides = sorted({b.sides[i] for b in ra.boxes})
-            per_part_classes.append(_atoms_over_sides(H.part_sizes[i], sides))
+        per_part_classes = [_atoms_over_sides(n, sorted({b.sides[i] for b in ra.boxes}))
+                            for i, n in enumerate(H.part_sizes)]
         provenance = ra.params
-    per_part_classes = [
-        _merge_zero_measure(cls, measures[i]) for i, cls in enumerate(per_part_classes)
-    ]
+    # _merge_zero_measure copies the classes, so the uniform parts share none
+    per_part_classes = [_merge_zero_measure(c, m) for c, m in zip(per_part_classes, measures)]
 
-    counts, tot, w_edge, den = box_counts(H, measures, per_part_classes)
+    counts, t, e, den = box_sum_arrays(H, measures, per_part_classes, eps)
     # Up to weight-0 vertices, every class lies wholly inside or wholly outside
     # each side of every rect box: non-uniform classes are atoms over the
     # sides, uniform ones atoms over the pooled parameters that define every
     # side, and _merge_zero_measure adds only weight-0 vertices. So a box's
     # mass in the approximation A is 0 or all of it, and the box lies in A
-    # exactly when one positive-weight tuple does: map each rect side to the
-    # classes of its positive-weight vertices.
-    owners = []
-    for classes, m in zip(per_part_classes, measures):
-        nums = m.numerators()[0]
-        owners.append({v: c for c, members in enumerate(classes) for v in members if nums[v]})
-    inside = boxes_mask(tuple(counts), (
-        [sorted({o[v] for v in side if v in o}) for o, side in zip(owners, b.sides)]
-        for b in ra.boxes)).tolist()
+    # exactly when one positive-weight tuple does: each class's first
+    # positive-weight vertex (every class has one) stands for it.
+    reps = [[next(v for v in c if nums[v]) for c in classes] for classes, (nums, _)
+            in zip(per_part_classes, (m.numerators() for m in measures))]
+    inside = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes)).reshape(
+        H.part_sizes)[np.ix_(*reps)].reshape(-1)
 
     en, ed = eps.numerator, eps.denominator
-    sigma_idx, labels = [], {}
-    sigma_num = 0
-    for key, t, e, a in zip(itertools.product(*map(range, counts)), tot, w_edge, inside):
-        if t == 0:
-            continue
-        # the majority label is int(a), and the mass off it is the
-        # sym-difference mass, so a box outside Sigma is 0-1 dense
-        if (t - e if a else e) * ed >= en * t:
-            sigma_idx.append(key)
-            sigma_num += t
-        else:
-            labels[key] = int(a)
+    # the majority label is `inside`, and the mass off it is the
+    # sym-difference mass, so a positive box outside Sigma is 0-1 dense
+    sigma = (t > 0) & (np.where(inside, t - e, e) * ed >= en * t)
+    live = np.flatnonzero((t > 0) & ~sigma)
+    labels = dict(zip(box_keys(live, counts), inside[live].astype(int).tolist()))
+    sigma_num = sum(t[sigma].tolist())
     if sigma_num * ed > en * den:
         raise VerificationError("exceptional mass exceeds eps")
 
@@ -378,7 +395,8 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     # them, so force native ints before they reach the partition record
     provenance = tuple(tuple(tuple(int(v) for v in p) for p in part)
                        for part in provenance)
-    return RegularPartition(classes, eps, tuple(sigma_idx), labels, provenance, meta)
+    return RegularPartition(classes, eps, tuple(box_keys(np.flatnonzero(sigma), counts)),
+                            labels, provenance, meta)
 
 
 def uniform_regular_partition(H: Hypergraph, mu: Measure, eps: Fraction,
@@ -390,13 +408,42 @@ def uniform_regular_partition(H: Hypergraph, mu: Measure, eps: Fraction,
     return regular_partition(H, measures, eps, uniform=True, strategy=strategy, seed=seed)
 
 
+def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:
+    """What core.box_counts returns, the sums as int64 arrays while den is
+    below INT64_SAFE and object arrays beyond, counted by another algorithm:
+    the edges, each with its numerator product, are sorted by row-major box
+    key and each run of equal keys is summed by np.add.reduceat. A box's
+    total is the product of its sides' class sums."""
+    measures = check_measures(H, measures)
+    require(prod(H.part_sizes) <= MAX_DENSE_SPACE, f"product space of size "
+            f"{prod(H.part_sizes)} exceeds the dense-array guard")
+    per = [m.numerators() for m in measures]
+    den = prod(d for _, d in per)
+    dt = np.int64 if den < INT64_SAFE else object
+    edges, keys, weights, totals = edge_array(H), 0, 1, np.ones(1, dt)
+    for i, ((nums, _), classes) in enumerate(zip(per, classes_by_part)):
+        members = np.fromiter(itertools.chain.from_iterable(classes), np.intp)
+        owner = np.repeat(np.arange(len(classes)), list(map(len, classes)))[np.argsort(members)]
+        totals = np.multiply.outer(totals, np.array([sum(nums[v] for v in c) for c in classes], dt))
+        keys = keys * len(classes) + owner[edges[:, i]]
+        weights = weights * np.array(nums, dt)[edges[:, i]]
+    hits = np.zeros(totals.size, dt)
+    if len(edges):
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        hits[keys[starts]] = np.add.reduceat(weights[order], starts)
+    return [len(c) for c in classes_by_part], totals.reshape(-1), hits, den
+
+
 def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartition) -> dict:
     """Recompute every promise of a partition from scratch; lists violations.
 
     Checks: per-part classes partition the parts; Sigma mass <= eps; every
     non-Sigma box is 0-1 dense at eps for its label (either label accepted
     when absent); classes are unions of fingerprint atoms over the recorded
-    parameters. A label or Sigma entry that names no box, or a label other
+    parameters. The boxes are summed by recount_boxes, not by the kernel of
+    the builders. A label or Sigma entry that names no box, or a label other
     than 0 or 1, is an InputError."""
     measures = check_measures(H, measures)
     require(len(partition.classes) == H.k,
@@ -412,66 +459,51 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
                     f"tuple over parts {list(comp)}")
     require(set(partition.labels.values()) <= {0, 1}, "partition labels must be 0 or 1")
     eps = partition.epsilon
-    violations = []
-    for i, part_classes in enumerate(partition.classes):
-        seen = sorted(v for c in part_classes for v in c)
-        if seen != list(range(H.part_sizes[i])):
-            violations.append({"kind": "not_a_partition", "part": i})
+    violations = [{"kind": "not_a_partition", "part": i}
+                  for i, part_classes in enumerate(partition.classes)
+                  if sorted(v for c in part_classes for v in c) != list(range(H.part_sizes[i]))]
     if violations:
         return {"ok": False, "violations": violations}
 
-    counts, tot, w_edge, den = box_counts(H, measures, partition.classes)
-
-    sigma = {tuple(s) for s in partition.sigma}
+    counts, t, e, den = recount_boxes(H, measures, partition.classes)
+    lab = label_grid(partition.labels, counts)
+    in_sigma = label_grid(dict.fromkeys({tuple(s) for s in partition.sigma}, 1), counts) == 1
     en, ed = eps.numerator, eps.denominator
-    sigma_num = named = 0
-    for key, t, e in zip(itertools.product(*map(range, counts)), tot, w_edge):
-        lab = partition.labels.get(key)
-        named += (lab is not None) + (key in sigma)
-        if key in sigma:
-            sigma_num += t
-            continue
-        low = e * ed < en * t
-        high = (t - e) * ed < en * t
-        if t == 0:
-            low = high = True
-        ok = (high if lab == 1 else low) if lab in (0, 1) else (low or high)
-        if not ok:
-            violations.append({
-                "kind": "box_not_01_dense", "box": list(key), "label": lab,
-                "edge_mass": format_rational(Fraction(e, den)),
-                "box_mass": format_rational(Fraction(t, den)),
-            })
-    # each label and Sigma entry names a box exactly when the walk met them all
-    if named < len(partition.labels) + len(sigma):
-        stray = next(key for key in [*partition.labels, *sigma] if len(key) != H.k
-                     or not all(0 <= c < n for c, n in zip(key, counts)))
-        raise InputError(f"label or sigma entry {list(stray)} names no box of "
-                         f"class counts {counts}")
-    sigma_mass = Fraction(sigma_num, den)
+    if int(t.max()) * max(en, ed) >= 1 << 63:
+        t, e = t.astype(object), e.astype(object)
+    low, high = e * ed < en * t, (t - e) * ed < en * t
+    dense = (low & (lab != 1)) | (high & (lab != 0))   # either, when unlabelled
+    bad = np.flatnonzero(~(dense | in_sigma | (t == 0)))
+    for key, b in zip(box_keys(bad, counts), bad.tolist()):
+        violations.append({
+            "kind": "box_not_01_dense", "box": list(key), "label": partition.labels.get(key),
+            "edge_mass": format_rational(Fraction(int(e[b]), den)),
+            "box_mass": format_rational(Fraction(int(t[b]), den)),
+        })
+    sigma_mass = Fraction(sum(t[in_sigma].tolist()), den)
     if sigma_mass > eps:
         violations.append({"kind": "sigma_mass_exceeds_eps",
                            "sigma_mass": format_rational(sigma_mass)})
-
-    if partition.provenance:
-        for i, params in enumerate(partition.provenance):
-            if not params:
-                continue
-            part_atoms = fiber_atoms(H, i, params)
-            atom_of = {}
-            for ai, a in enumerate(part_atoms):
-                for v in a:
-                    atom_of[v] = ai
-            for ci, c in enumerate(partition.classes[i]):
-                hit_atoms = {atom_of[v] for v in c}
-                for a in hit_atoms:
-                    if not set(part_atoms[a]).issubset(c):
-                        violations.append({"kind": "class_not_definable",
-                                           "part": i, "class": ci})
-                        break
+    for i, params in enumerate(partition.provenance):
+        if params:   # a class must hold every atom it meets
+            atom_of = {v: set(a) for a in fiber_atoms(H, i, params) for v in a}
+            violations += [{"kind": "class_not_definable", "part": i, "class": ci}
+                           for ci, c in enumerate(partition.classes[i])
+                           if not all(atom_of[v] <= set(c) for v in c)]
     return {"ok": not violations, "violations": violations,
             "sigma_mass": format_rational(sigma_mass),
-            "box_count": len(tot), "class_counts": counts}
+            "box_count": len(t), "class_counts": counts}
+
+
+def exactly_homogeneous(H: Hypergraph, measures, partition: RegularPartition) -> bool:
+    """Whether every labelled box holds none or all of its mass, by the
+    verifier's recount; a labelled box of mass 0 is a ZeroMeasureBox."""
+    counts, t, e, _ = recount_boxes(H, measures, partition.classes)
+    labelled = label_grid(partition.labels, counts) >= 0
+    empty = np.flatnonzero(labelled & (t == 0))
+    if len(empty):
+        raise ZeroMeasureBox(f"box {list(box_keys(empty[:1], counts)[0])} has measure zero")
+    return bool(((e == 0) | (e == t))[labelled].all())
 
 
 @dataclass
@@ -499,18 +531,16 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     counts = part.class_counts()
     delta = eps_p / prod(counts)
 
-    _, tot, w_edge, den = box_counts(H, measures, part.classes)
+    _, t, e, den = box_sum_arrays(H, measures, part.classes, eps_p)
+    one = label_grid(part.labels, counts) == 1
     # the first heaviest labelled-1 box in row-major order
-    best_key, best_t, hit = None, 0, 0
-    for key, t, e in zip(itertools.product(*map(range, counts)), tot, w_edge):
-        if part.labels.get(key) == 1 and t > best_t and Fraction(t, den) > delta:
-            best_key, best_t, hit = key, t, e
-    if best_key is None:
+    best = int(np.argmax(np.where(one, t, -1)))
+    if not (one[best] and Fraction(int(t[best]), den) > delta):
         raise VerificationError(
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
-    sides = [part.classes[i][best_key[i]] for i in range(H.k)]
+    sides = [cls[c] for cls, c in zip(part.classes, box_keys([best], counts)[0])]
     box = Box.of(sides)
-    dens = Fraction(hit, best_t)
+    dens = Fraction(int(e[best]), int(t[best]))
     if not dens > 1 - eps_p:
         raise VerificationError(f"dense box density {dens} not above {1 - eps_p}")
     side_masses = tuple(m.mass(side) for m, side in zip(measures, sides))

@@ -24,12 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Box, Hypergraph, SpaceWeights, binary_view, box_counts,
-                   check_measures, fiber_atoms)
+from .core import Box, Hypergraph, SpaceWeights, binary_view, check_measures, fiber_atoms
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
 from .jsonio import require
-from .regularity import RegularPartition
+from .regularity import RegularPartition, box_keys, box_sum_arrays
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,9 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
                     return
 
     dfs((1 << nl) - 1, (1 << nr) - 1, [])
-    cert = LadderCertificate(
-        best_len,
-        tuple(view.left_tuple(a) for a, _ in best_stack),
-        tuple(view.right_tuple(b) for _, b in best_stack),
-        parts,
-        capped=(best_len >= cap),
-        budget_exhausted=exhausted,
-    )
+    cert = LadderCertificate(best_len, tuple(view.left_tuple(a) for a, _ in best_stack),
+                             tuple(view.right_tuple(b) for _, b in best_stack), parts,
+                             capped=best_len >= cap, budget_exhausted=exhausted)
     if not cert.verify(H):
         raise VerificationError("ladder certificate failed direct verification")
     return cert
@@ -159,10 +153,7 @@ class GoodnessReport:
 
 
 def _normalize_subset(A) -> list[tuple[int, ...]]:
-    out = []
-    for a in A:
-        out.append((a,) if isinstance(a, int) else tuple(a))
-    return sorted(set(out))
+    return sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
 
 
 def _fiber_hits(view, lw: SpaceWeights, positions) -> tuple[list, int]:
@@ -170,6 +161,16 @@ def _fiber_hits(view, lw: SpaceWeights, positions) -> tuple[list, int]:
     in_a = np.zeros(view.left_size, dtype=bool)
     in_a[positions] = True
     return lw.sums(view.fibers & in_a), lw.sums(in_a)
+
+
+def _witness(hits: list, a_num: int, eps: Fraction) -> int | None:
+    """The position of the fiber whose density h / a_num on A is neither below
+    eps nor above 1 - eps and sits closest to 1/2, ties to the least; None
+    when every fiber is outside that band."""
+    en, ed = eps.numerator, eps.denominator
+    return min(((abs(2 * h - a_num), r) for r, h in enumerate(hits)
+                if not (h * ed < en * a_num or (a_num - h) * ed < en * a_num)),
+               default=(None, None))[1]
 
 
 def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessReport:
@@ -185,19 +186,10 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
     subset = _normalize_subset(A)
     view = binary_view(H, parts)
     lw = SpaceWeights(measures, parts, H.part_sizes)
-    positions = [view.left_pos(a) for a in subset]
-    hits, a_num = _fiber_hits(view, lw, positions)
+    hits, a_num = _fiber_hits(view, lw, [view.left_pos(a) for a in subset])
     if a_num == 0:
         raise ZeroMeasureBox("goodness needs a set of positive measure")
-    en, ed = eps.numerator, eps.denominator
-    worst_r, worst_key = None, None
-    for r in range(view.right_size):
-        h = hits[r]
-        if h * ed < en * a_num or (a_num - h) * ed < en * a_num:
-            continue
-        key = abs(2 * h - a_num)
-        if worst_key is None or key < worst_key:
-            worst_key, worst_r = key, r
+    worst_r = _witness(hits, a_num, eps)
     if worst_r is None:
         return GoodnessReport(True, eps, parts, tuple(subset), scanned=view.right_size)
     return GoodnessReport(False, eps, parts, tuple(subset),
@@ -213,10 +205,8 @@ def product_goodness_check(H: Hypergraph, measures, A, B: Box, eps: Fraction) ->
     n = len(B.sides)
     require(n < H.k, "box must leave at least the candidate part uncovered")
     a_side = sorted({a if isinstance(a, int) else a[0] for a in A})
-    sides = list(B.sides) + [tuple(a_side)]
-    subset = list(itertools.product(*sides))
-    report = good_check(H, measures, subset, tuple(range(n + 1)), 2 * eps)
-    return report.good
+    subset = itertools.product(*B.sides, a_side)
+    return good_check(H, measures, subset, tuple(range(n + 1)), 2 * eps).good
 
 
 @dataclass
@@ -234,32 +224,20 @@ class GoodDescent:
 def _descent_extract(view, lw, support: list[int], eps_half: Fraction, depth_cap: int):
     """One eps/2-good piece found by descending through non-goodness
     witnesses, always into the heavier child. Returns (piece, path)."""
-    en, ed = eps_half.numerator, eps_half.denominator
     current = sorted(support)
     path = []
     while True:
         hits, a_num = _fiber_hits(view, lw, current)
-        worst_r, worst_key = None, None
-        for r in range(view.right_size):
-            h = hits[r]
-            if h * ed < en * a_num or (a_num - h) * ed < en * a_num:
-                continue
-            key = abs(2 * h - a_num)
-            if worst_key is None or key < worst_key:
-                worst_key, worst_r = key, r
+        worst_r = _witness(hits, a_num, eps_half)
         if worst_r is None:
             return current, path
         if len(path) >= depth_cap:
-            err = DepthCapExceeded(
-                f"descent exceeded depth cap {depth_cap}; the relation is less stable than assumed")
-            err.tree = list(path)
-            raise err
+            raise DepthCapExceeded(f"descent exceeded depth cap {depth_cap}; the relation "
+                                   f"is less stable than assumed", tree=list(path))
         row = view.fibers[worst_r]
         inside = [v for v in current if row[v]]
         outside = [v for v in current if not row[v]]
-        m_in = sum(lw.nums[v] for v in inside)
-        m_out = sum(lw.nums[v] for v in outside)
-        take_in = m_in >= m_out
+        take_in = 2 * hits[worst_r] >= a_num   # hits[worst_r]: the mass inside the fiber
         path.append({"witness": view.right_tuple(worst_r),
                      "side": "in" if take_in else "out",
                      "sizes": (len(inside), len(outside))})
@@ -289,27 +267,30 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     pieces: list[list[int]] = []
     depths: list[int] = []
     witnesses: set = set()
-    residue = support
-    steps = 0
-    residue_action = "none"
-    while residue:
-        if pieces:
-            r_mass = sum(lw.nums[v] for v in residue)
-            p_mass = sum(lw.nums[v] for v in pieces[0])
-            if r_mass * eps_half.denominator <= eps_half.numerator * p_mass:
-                break
-        piece, path = _descent_extract(view, lw, residue, eps_half, depth_cap)
-        steps += 1
-        pieces.append(piece)
-        depths.append(len(path))
-        witnesses.update(step["witness"] for step in path)
-        taken = set(piece)
-        residue = [v for v in residue if v not in taken]
+    residue, steps, residue_action = support, 0, "none"
+
+    def extract(until_small: bool) -> None:
+        """Extract pieces from the residue until it is empty or, when
+        until_small, its mass is at most eps/2 of the first piece's."""
+        nonlocal residue, steps
+        while residue:
+            if until_small and pieces:
+                r_mass = sum(lw.nums[v] for v in residue)
+                p_mass = sum(lw.nums[v] for v in pieces[0])
+                if r_mass * eps_half.denominator <= eps_half.numerator * p_mass:
+                    return
+            piece, path = _descent_extract(view, lw, residue, eps_half, depth_cap)
+            steps += 1
+            pieces.append(piece)
+            depths.append(len(path))
+            witnesses.update(step["witness"] for step in path)
+            taken = set(piece)
+            residue = [v for v in residue if v not in taken]
 
     def is_good(vertices, level: Fraction) -> bool:
-        hits, a_num = _fiber_hits(view, lw, sorted(vertices))
-        en, ed = level.numerator, level.denominator
-        return all(h * ed < en * a_num or (a_num - h) * ed < en * a_num for h in hits)
+        return _witness(*_fiber_hits(view, lw, sorted(vertices)), level) is None
+
+    extract(until_small=True)
 
     if residue:
         merged = sorted(pieces[0] + residue)
@@ -321,26 +302,16 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
             residue_action = "merged_first_at_eps"
         else:
             rw = SpaceWeights(measures, view.right, H.part_sizes)
-            rep_res = residue[0]
-            best_i, best_d = None, None
-            for i, piece in enumerate(pieces):
-                d = rw.sums(view.fibers[:, piece[0]] ^ view.fibers[:, rep_res])
-                if best_d is None or d < best_d:
-                    best_i, best_d = i, d
+            # the first piece whose representative's fiber is nearest
+            best_i = min(range(len(pieces)), key=lambda i: rw.sums(
+                view.fibers[:, pieces[i][0]] ^ view.fibers[:, residue[0]]))
             trial = sorted(pieces[best_i] + residue)
             if is_good(trial, eps):
                 pieces[best_i] = trial
                 residue_action = f"best_fit:{best_i}"
             else:
                 residue_action = "re_extracted"
-                while residue:
-                    piece, path = _descent_extract(view, lw, residue, eps_half, depth_cap)
-                    steps += 1
-                    pieces.append(piece)
-                    depths.append(len(path))
-                    witnesses.update(step["witness"] for step in path)
-                    taken = set(piece)
-                    residue = [v for v in residue if v not in taken]
+                extract(until_small=False)
 
     # attach zero-weight vertices by fingerprint atom
     params = sorted(witnesses)
@@ -407,16 +378,14 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
     classes = tuple(d.pieces for d in descents)
-    counts, tot, e, _ = box_counts(H, measures, classes)
+    counts, t, e, _ = box_sum_arrays(H, measures, classes, eps)
     en, ed = eps.numerator, eps.denominator
-    labels = {}
-    for key, t, eb in zip(itertools.product(*map(range, counts)), tot, e):
-        if not t:
-            continue
-        if not (eb * ed < en * t or (t - eb) * ed < en * t):
-            raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
-                                   box=key)
-        labels[key] = 1 if 2 * eb >= t else 0
+    mixed = np.flatnonzero((t > 0) & ~((e * ed < en * t) | ((t - e) * ed < en * t)))
+    if len(mixed):
+        raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
+                               box=box_keys(mixed[:1], counts)[0])
+    live = np.flatnonzero(t > 0)
+    labels = dict(zip(box_keys(live, counts), (t - e <= e)[live].astype(int).tolist()))
 
     meta = {
         "pipeline": "stable",

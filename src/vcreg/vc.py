@@ -256,7 +256,8 @@ def shatter_function(family: SetFamily, n: int) -> int:
     for cols in itertools.combinations(reps, t):
         codes = mat[:, list(cols)].astype(np.int64) @ (
             np.int64(1) << np.arange(t, dtype=np.int64))
-        best = max(best, len(np.unique(codes)))
+        codes.sort()
+        best = max(best, 1 + int(np.count_nonzero(codes[1:] != codes[:-1])))
         if best == ceiling:
             break
     return best

@@ -550,3 +550,42 @@ def test_eh_box_in_the_bigint_regime(write_json):
         '{"box":{"sides":[[0,1,2,3],[1,2]]},"delta_guarantee":"1/192","density":"1/1",'
         '"eps_used":"1/16","partition_meta":{"class_counts":[3,4],"sigma_mass":"0/1"},'
         '"side_masses":["6236756329682753147/9223372036854775783","3/7"]}')
+
+
+def test_verifier_and_stable_check_run_without_box_counts(tmp_path, monkeypatch):
+    from fractions import Fraction
+    import vcreg.core
+    import vcreg.regularity
+    from vcreg.cli import _load_instance
+    from vcreg.regularity import exactly_homogeneous, verify_regular_partition
+    from vcreg.stable import stable_regular_partition
+    inst, part = str(tmp_path / "b.json"), str(tmp_path / "p.json")
+    report(["gen", "block-union", "--sizes", "12,12", "--blocks", "3", "--out", inst])
+    assert run(["reg", "partition", "--in", inst, "--epsilon", "1/4", "--out", part])[0] == 0
+    H, measures = _load_instance(inst, {})
+    sp = stable_regular_partition(H, measures, Fraction(1, 4))
+
+    def refuse(*args):
+        raise AssertionError("the verifier called the builders' box kernel")
+    monkeypatch.setattr(vcreg.core, "box_counts", refuse)
+    monkeypatch.setattr(vcreg.regularity, "box_counts", refuse)
+    code, rep = report(["reg", "verify", "--in", inst, "--partition", part])
+    assert code == 0 and rep["ok"]
+    assert verify_regular_partition(H, measures, sp)["ok"]
+    assert exactly_homogeneous(H, measures, sp)
+
+
+def test_stable_partition_never_builds_the_edge_set(tmp_path, monkeypatch):
+    import vcreg.core
+    inst = str(tmp_path / "b.json")
+    report(["gen", "block-union", "--sizes", "12,12", "--blocks", "3", "--out", inst])
+    monkeypatch.setattr(vcreg.core.Hypergraph, "edges", property(
+        lambda H: pytest.fail("stable partition built H.edges")))
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 0 and rep["verification"]["all_boxes_exactly_homogeneous"] is True
+
+
+def test_interval_flag_is_recorded_as_its_endpoints():
+    code, rep = report(["convexity", "involution", "--interval", "3..9"])
+    assert code == 0
+    assert rep["inputs"]["flags"]["interval"] == [3, 9]

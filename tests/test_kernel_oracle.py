@@ -16,6 +16,7 @@ from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox, fubini_mass
 from vcreg.core import SpaceWeights, box_counts, fiber_atoms
 from vcreg.oracles import (brute_density, brute_fiber_atoms, brute_set_mass,
                            one_pass_box_counts)
+from vcreg.regularity import recount_boxes
 
 
 def _instance(rng, regime):
@@ -105,3 +106,37 @@ def test_one_pass_box_counts_match_oracle(seed, regime):
     for key, (hit, total) in zip(live, counts):
         assert type(hit) is int and type(total) is int and 0 <= hit <= total
         assert Fraction(hit, total) == brute_density(H, measures, cells[key])
+
+
+def _classes_with_dead(rng, weights):
+    """A random partition of one part; half the time the weight-0 vertices
+    form classes of their own, whose boxes have mass 0."""
+    dead = [v for v, w in enumerate(weights) if w == 0]
+    live = [v for v, w in enumerate(weights) if w]
+    if not dead or rng.random() < 0.5:
+        return _classes(rng, len(weights))
+    return [[dead[i] for i in c] for c in _classes(rng, len(dead))] + \
+        [[live[i] for i in c] for c in _classes(rng, len(live))]
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
+def test_verifier_recount_matches_one_pass_oracle(seed, regime):
+    rng = random.Random(seed)
+    H, measures = _instance(rng, regime)
+    classes = [_classes_with_dead(rng, m.weights) for m in measures]
+    counts, tot, hit, den = recount_boxes(H, measures, classes)
+    assert _regime(den) == regime
+    assert counts == [len(c) for c in classes]
+    keys = list(itertools.product(*map(range, counts)))
+    tot, hit = tot.tolist(), hit.tolist()
+    assert len(tot) == len(hit) == len(keys)
+    assert all(type(t) is int and type(h) is int for t, h in zip(tot, hit))
+    live = [key for key, t in zip(keys, tot) if t]
+    assert [(h, t) for h, t in zip(hit, tot) if t] == \
+        one_pass_box_counts(H, measures, classes, live)
+    for key, h, t in zip(keys, hit, tot):
+        if not t:
+            assert h == 0
+            with pytest.raises(ZeroMeasureBox):
+                one_pass_box_counts(H, measures, classes, [key])
