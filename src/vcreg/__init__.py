@@ -29,7 +29,7 @@ _EXPORTS = {
     "regularity": ("DeltaPartition", "DenseBox", "RectApprox", "RegularPartition",
                    "delta_approx_partition", "find_dense_box", "net_param_bound",
                    "rectangular_approximation", "regular_partition",
-                   "uniform_regular_partition", "verify_regular_partition"),
+                   "verify_regular_partition"),
     "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate",
                "descent_step_bound", "good_check", "good_descent_partition",
                "ladder_index", "product_goodness_check", "stable_regular_partition"),

@@ -155,18 +155,14 @@ def _cmd_vc_net(args, files):
 
 def _cmd_reg_partition(args, files):
     from .core import Measure
-    from .regularity import (regular_partition, uniform_regular_partition,
-                             verify_regular_partition)
+    from .regularity import regular_partition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     if args.uniform:
-        rp = uniform_regular_partition(H, measures[0], args.epsilon,
-                                       strategy=args.strategy, seed=args.seed or 0)
         # the symmetric variant runs on part 0's measure replicated everywhere
         measures = tuple(Measure(i, measures[0].weights) for i in range(H.k))
-    else:
-        rp = regular_partition(H, measures, args.epsilon,
-                               strategy=args.strategy, seed=args.seed or 0)
+    rp = regular_partition(H, measures, args.epsilon, uniform=args.uniform,
+                           strategy=args.strategy, seed=args.seed or 0)
     rep = verify_regular_partition(H, measures, rp)
     outputs = {"partition": rp.to_obj(), "meta": rp.meta,
                "class_counts": rp.class_counts()}
@@ -242,8 +238,8 @@ def _cmd_stable_ladder(args, files):
     outputs = {"length": cert.length, "display": cert.display(),
                "capped": cert.capped, "budget_exhausted": cert.budget_exhausted,
                "left": cert.left, "right": cert.right}
-    verification = {"certificate_checks": cert.verify(H)}
-    return outputs, verification, cert.verify(H)
+    checks = cert.verify(H)
+    return outputs, {"certificate_checks": checks}, checks
 
 
 def _cmd_stable_partition(args, files):

@@ -61,7 +61,7 @@ INT64_SAFE = 1 << 62
 
 class Hypergraph:
     """A relation R in V_0 x ... x V_{k-1}, stored as the module docstring
-    says; `edges` is its frozenset view for the oracles and the selftest."""
+    says; `edges` is its frozenset view for the oracles."""
 
     def __init__(self, part_sizes, edges, symmetric: bool = False):
         sizes = self.part_sizes = tuple(part_sizes)

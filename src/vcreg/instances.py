@@ -10,6 +10,10 @@ a pure function of its spec.
 
 Measured parameters (VC dimension of the part-0 fiber family and the ladder
 index, both under caps) are recorded alongside every generated instance.
+
+The builders `half_graph`, `block_pair_graph`, `same_block_equivalence` and
+`interval_family` make the fixed worked examples that the tests and
+`vcreg selftest` check.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .dyadic import dyadic_hypergraph
 from .errors import InputError
 from .jsonio import KINDS, load_json, require
 from .stable import ladder_index
-from .vc import fiber_family, vc_dimension
+from .vc import SetFamily, fiber_family, vc_dimension
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,31 @@ class Generated:
                 "measured": self.measured}
 
 
+def half_graph(n0: int, n1: int | None = None) -> Hypergraph:
+    """The half-graph i <= j on n0 x n1 (n1 defaults to n0)."""
+    n1 = n0 if n1 is None else n1
+    return Hypergraph((n0, n1), frozenset((i, j) for i in range(n0)
+                                          for j in range(n1) if i <= j))
+
+
+def block_pair_graph(n: int, blocks: int, symmetric: bool = False) -> Hypergraph:
+    """Bipartite n x n, edge iff both endpoints in the same block of the
+    balanced contiguous split."""
+    lab = [v * blocks // n for v in range(n)]
+    return Hypergraph((n, n), [(i, j) for i in range(n) for j in range(n)
+                               if lab[i] == lab[j]], symmetric)
+
+
+def same_block_equivalence(n: int, blocks: int) -> Hypergraph:
+    return block_pair_graph(n, blocks, True)
+
+
+def interval_family(n: int) -> SetFamily:
+    """The empty set and every interval of the ground set range(n)."""
+    sets = [()] + [tuple(range(a, b + 1)) for a in range(n) for b in range(a, n)]
+    return SetFamily.from_sets(n, sets)
+
+
 def _interval_graph(spec: GeneratorSpec) -> Hypergraph:
     n0, n1 = spec.sizes
     require(n0 >= 3 and n1 >= 4, "interval-graph needs >= 3 points and >= 4 intervals")
@@ -87,12 +116,6 @@ def _interval_graph(spec: GeneratorSpec) -> Hypergraph:
         ivals.append((lo, hi))
     edges = frozenset((p, j) for j, (lo, hi) in enumerate(ivals)
                      for p in range(lo, hi + 1))
-    return Hypergraph((n0, n1), edges)
-
-
-def _half_graph(spec: GeneratorSpec) -> Hypergraph:
-    n0, n1 = spec.sizes
-    edges = frozenset((i, j) for i in range(n0) for j in range(n1) if i <= j)
     return Hypergraph((n0, n1), edges)
 
 
@@ -117,7 +140,6 @@ def _staircase(spec: GeneratorSpec) -> Hypergraph:
 
 
 def _random_capped(spec: GeneratorSpec) -> Hypergraph:
-    require(spec.k == 2, "random-vc-capped is a binary generator")
     n0, n1 = spec.sizes
     rng = random.Random(spec.seed)
     edges = frozenset((i, j) for i in range(n0) for j in range(n1)
@@ -128,10 +150,12 @@ def _random_capped(spec: GeneratorSpec) -> Hypergraph:
 def generate(spec: GeneratorSpec) -> Generated:
     """Build the instance for spec with uniform default measures and the
     measured VC dimension / ladder index (capped) attached."""
+    if spec.kind in ("interval-graph", "half-graph", "random-vc-capped"):
+        require(spec.k == 2, f"{spec.kind} is a binary generator")
     if spec.kind == "interval-graph":
         H = _interval_graph(spec)
     elif spec.kind == "half-graph":
-        H = _half_graph(spec)
+        H = half_graph(*spec.sizes)
     elif spec.kind == "block-union":
         require(spec.k >= 2, "block-union needs at least two parts")
         H = _block_union(spec)

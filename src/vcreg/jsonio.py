@@ -54,7 +54,7 @@ def _json_default(x):
         return x.to_obj()
     if hasattr(x, "__index__"):
         return int(x)
-    return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:

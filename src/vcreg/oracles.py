@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 Deliberately naive and independent of the production code paths: plain
-enumeration over tuples, subsets, leaves, and triples. The test suite and
-the CLI selftest compare engine outputs against these, exactly.
+enumeration over tuples, subsets, leaves, and triples. The test suite
+compares engine outputs against these, exactly, and `vcreg selftest` runs
+a few of those comparisons on an installed copy.
 
 Nothing here uses numpy at import: the measure-based recounts import `core`
 (which does) and `block_vc_dimension` imports numpy only when called, so the
@@ -75,11 +76,6 @@ def brute_set_mass(H: Hypergraph, measures, tuples) -> Fraction:
     return Fraction(sum(pm.tuple_num(t) for t in tuples), pm.den)
 
 
-def brute_symdiff_mass(H: Hypergraph, measures, other_edges) -> Fraction:
-    sym = H.edges.symmetric_difference(frozenset(other_edges))
-    return brute_set_mass(H, measures, sym)
-
-
 def brute_density(H: Hypergraph, measures, box: Box) -> Fraction:
     pm = _product_measure(H, measures)
     hit = Fraction(0)
@@ -141,26 +137,6 @@ def brute_union_mass_error(H: Hypergraph, measures, boxes) -> Fraction:
         if (t in H.edges) != brute_boxes_membership(boxes, t):
             err += pm.tuple_num(t)
     return Fraction(err, pm.den)
-
-
-def brute_atoms_by_combinations(H: Hypergraph, parts, params) -> list[frozenset]:
-    """Nonempty atoms of the Boolean algebra generated by the fibers of the
-    given parameters, built by explicit set intersection per sign pattern."""
-    parts = tuple(sorted(parts))
-    ground = set(itertools.product(*[range(H.part_sizes[i]) for i in parts]))
-    fibers = [set(brute_fiber(H, parts, b)) for b in params]
-    atoms = []
-    for signs in itertools.product((True, False), repeat=len(fibers)):
-        cell = set(ground)
-        for s, f in zip(signs, fibers):
-            cell &= f if s else (ground - f)
-            if not cell:
-                break
-        if cell:
-            atoms.append(frozenset(cell))
-    if not fibers and ground:
-        atoms = [frozenset(ground)]
-    return atoms
 
 
 def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:

@@ -338,12 +338,17 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
                       seed: int = 0) -> RegularPartition:
     """0-1 regular partition at eps: per-part definable classes, exceptional
     boxes Sigma of total mass <= eps, every other box of edge density below
-    eps or above 1 - eps relative to its own mass (label 0 / 1)."""
+    eps or above 1 - eps relative to its own mass (label 0 / 1).
+
+    uniform=True is the symmetric variant: one partition shared by every
+    part, atoms over the pooled parameter set. It needs the symmetric flag
+    and one measure, so every part's weights must equal part 0's."""
     require(isinstance(eps, Fraction) and 0 < eps, "eps must be a positive Fraction")
     require(eps <= 1, "eps above 1 makes every partition regular; pass eps <= 1")
+    require(not uniform or H.symmetric, "uniform partition needs the symmetric flag")
     measures = check_measures(H, measures)
-    if uniform:
-        require(H.symmetric, "uniform partition needs the symmetric flag")
+    require(not uniform or len({tuple(m.weights) for m in measures}) == 1,
+            "uniform partition needs the same weights on every part")
     ra = rectangular_approximation(H, measures, eps * eps, strategy=strategy, seed=seed)
 
     if uniform:
@@ -397,15 +402,6 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
                        for part in provenance)
     return RegularPartition(classes, eps, tuple(box_keys(np.flatnonzero(sigma), counts)),
                             labels, provenance, meta)
-
-
-def uniform_regular_partition(H: Hypergraph, mu: Measure, eps: Fraction,
-                              strategy: str = "greedy", seed: int = 0) -> RegularPartition:
-    """Symmetric variant: one partition shared by every coordinate, atoms over
-    the pooled parameter set."""
-    require(H.symmetric, "uniform partition needs a symmetric hypergraph")
-    measures = tuple(Measure(i, mu.weights) for i in range(H.k))
-    return regular_partition(H, measures, eps, uniform=True, strategy=strategy, seed=seed)
 
 
 def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:

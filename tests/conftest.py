@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from vcreg.selftest import (block_pair_graph, half_graph, interval_family,
-                            same_block_equivalence)
+from vcreg.instances import (block_pair_graph, half_graph, interval_family,
+                             same_block_equivalence)
 
 __all__ = ["block_pair_graph", "half_graph", "interval_family",
            "same_block_equivalence"]

@@ -27,7 +27,7 @@ from vcreg.jsonio import canonical_dumps, dump_json, parse_rational
 from vcreg.oracles import (brute_convexity_edges, brute_union_mass_error,
                            dyadic_leaves, split_level)
 from vcreg.regularity import find_dense_box, rectangular_approximation, regular_partition
-from vcreg.selftest import interval_family
+from vcreg.instances import interval_family
 from vcreg.vc import SetFamily, epsilon_net, fiber_family, sauer_check, vc_dimension
 
 HALF = Fraction(1, 2)

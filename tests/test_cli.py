@@ -189,11 +189,18 @@ def test_rodl_graph_mode_past_int64_weights(write_json):
 
 
 def test_selftest_subcommand_filter():
-    code, out, err = run(["selftest", "core.fiber"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["outputs"]["passed"] >= 1
-    assert "PASS" in err
+    from vcreg.selftest import CHECKS
+    for names in (["core.fiber"], []):
+        code, out, err = run(["selftest", *names])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["outputs"]["passed"] >= 1
+        assert "PASS" in err
+    # the empty filter runs every check, one per engine module
+    assert rep["outputs"]["passed"] == len(CHECKS)
+    ran = {r["name"].split(".")[0] for r in rep["verification"]["results"]}
+    assert ran == {"core", "vc", "regularity", "stable", "dyadic", "convexity",
+                   "search", "instances"}
 
 
 def test_rational_outputs_never_use_floats(tmp_path):
@@ -438,7 +445,7 @@ def test_vc_shatter_refuses_too_many_subsets_up_front(write_json, monkeypatch, n
     # interval_family(40) has 40 distinct columns: C(40, 4) = 91,390 subsets
     # are over the limit, C(40, 3) = 9,880 are not
     import vcreg.vc
-    from vcreg.selftest import interval_family
+    from vcreg.instances import interval_family
     counted = []
     real = vcreg.vc.shatter_function
     monkeypatch.setattr(vcreg.vc, "shatter_function",

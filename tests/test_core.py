@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
                    edge_mass, fiber, fubini_mass, full_box, product_measure,
                    uniform_measures, weak_fubini_check)
-from vcreg.core import edge_array
+from vcreg.core import edge_array, fiber_atoms
 from vcreg.oracles import (brute_density, brute_fiber, brute_hypergraph_error,
                            brute_set_mass)
-from vcreg.selftest import half_graph
+from vcreg.instances import GeneratorSpec, generate, half_graph
 
 
 def test_fiber_frozen_value():
@@ -23,6 +23,8 @@ def test_fiber_frozen_value():
     f = fiber(H, (0,), (2,))
     assert f.members == frozenset({(0,), (1,), (2,)})
     assert brute_fiber(H, (0,), (2,)) == f.members
+    # the nested fibers of all four b's cut part 0 into four singletons
+    assert fiber_atoms(H, 0, [(0,), (1,), (2,), (3,)]) == [[0], [1], [2], [3]]
 
 
 def test_edge_mass_frozen_value():
@@ -242,10 +244,11 @@ def test_fubini_agrees_with_direct_mass(seed, n0, n1):
 
 
 def test_weak_fubini_premise_gives_small_product():
-    H = half_graph(6)
-    mu = uniform_measures(H)
-    probe = weak_fubini_check(H, mu, Fraction(1, 2))
-    eps = probe["max_fiber_mass"] + Fraction(1, 50)
-    rep = weak_fubini_check(H, mu, eps)
-    assert rep["premise"] and rep["holds"]
-    assert rep["product_mass"] < eps
+    random6 = generate(GeneratorSpec("random-vc-capped", (6, 6), 2, seed=11)).hypergraph
+    for H in (half_graph(6), random6):
+        mu = uniform_measures(H)
+        probe = weak_fubini_check(H, mu, Fraction(1, 2))
+        eps = probe["max_fiber_mass"] + Fraction(1, 50)
+        rep = weak_fubini_check(H, mu, eps)
+        assert rep["premise"] and rep["holds"]
+        assert rep["product_mass"] < eps

@@ -52,6 +52,8 @@ def test_parity_report_rows_hold():
     for L in (4, 5, 6, 7, 8):
         for row in ball_parity_report(L):
             assert row["ok"], row
+    assert ball_parity_report(4)[0]["density"] == Fraction(1, 3)
+    assert ball_parity_report(5)[1]["density"] == Fraction(2, 3)
 
 
 def test_even_parity_is_the_complement():
@@ -74,6 +76,9 @@ def test_anti_homogeneity_bound_on_random_unions(seed, L):
 
 def test_anti_homogeneity_frozen_shape():
     a = [DyadicBall("0"), DyadicBall("1")]
+    rep6 = anti_homogeneity_bound_check(a, a[0], 6)
+    hit, _ = brute_dyadic_pair_count(["0", "1"], 6)
+    assert rep6.verdict and rep6.pair_mass == Fraction(hit, 4 ** 6)
     rep = anti_homogeneity_bound_check(a, a[0], 8)
     assert rep.gamma == Fraction(1, 2)
     assert rep.bound == (1 - Fraction(1, 12) + rep.slack) * rep.mu_union ** 2

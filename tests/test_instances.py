@@ -4,6 +4,7 @@ import pytest
 
 from vcreg import (GeneratorSpec, Hypergraph, InputError, dyadic_hypergraph,
                    generate, roundtrip)
+from vcreg.instances import half_graph
 from vcreg.jsonio import canonical_dumps, dump_json
 
 
@@ -67,17 +68,29 @@ def test_dyadic_export_size_check():
                                params=(("depth", 3),)))
 
 
+@pytest.mark.parametrize("kind", ["interval-graph", "half-graph", "random-vc-capped"])
+def test_binary_generators_refuse_other_arities(kind):
+    for sizes in ((8,), (8, 8, 8)):
+        with pytest.raises(InputError, match="binary generator"):
+            generate(GeneratorSpec(kind, sizes, len(sizes)))
+
+
 def test_file_roundtrip_bit_identical(tmp_path):
-    g = generate(GeneratorSpec("interval-graph", (6, 8), 2, seed=9))
-    p = str(tmp_path / "inst.json")
-    dump_json(g.to_obj(), p)
-    back = roundtrip(p)
-    assert back == g.hypergraph
-    assert canonical_dumps(back.to_obj()) == canonical_dumps(g.hypergraph.to_obj())
+    big = GeneratorSpec("random-vc-capped", (128, 160), 2, seed=7)
+    for spec in (GeneratorSpec("interval-graph", (6, 8), 2, seed=9), big):
+        g = generate(spec)
+        p = str(tmp_path / "inst.json")
+        dump_json(g.to_obj(), p)
+        back = roundtrip(p)
+        assert back == g.hypergraph
+        assert canonical_dumps(back.to_obj()) == canonical_dumps(g.hypergraph.to_obj())
+    assert len(g.hypergraph.edges) >= 9000
 
 
 def test_bare_hypergraph_roundtrip(tmp_path):
-    H = Hypergraph((3, 3), frozenset({(0, 1), (2, 2)}))
-    p = str(tmp_path / "bare.json")
-    dump_json(H.to_obj(), p)
-    assert roundtrip(p) == H
+    for H in (Hypergraph((3, 3), frozenset({(0, 1), (2, 2)})),
+              Hypergraph((3, 3), frozenset()), half_graph(4)):
+        p = str(tmp_path / "bare.json")
+        dump_json(H.to_obj(), p)
+        assert roundtrip(p) == H
+        assert canonical_dumps(roundtrip(p).to_obj()) == canonical_dumps(H.to_obj())

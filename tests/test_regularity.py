@@ -14,11 +14,10 @@ from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
 from vcreg import (Box, Hypergraph, InputError, Measure, RegularPartition,
                    delta_approx_partition, density, find_dense_box,
                    rectangular_approximation, regular_partition,
-                   uniform_regular_partition, uniform_measures,
-                   verify_regular_partition)
+                   uniform_measures, verify_regular_partition)
 from vcreg.oracles import (brute_boxes_membership, brute_fiber, brute_set_mass,
                            brute_union_mass_error)
-from vcreg.selftest import block_pair_graph, half_graph, same_block_equivalence
+from vcreg.instances import block_pair_graph, half_graph, same_block_equivalence
 
 
 def test_delta_partition_pairwise_distance():
@@ -81,6 +80,7 @@ def test_regular_partition_blocks_is_exact():
     rep = verify_regular_partition(H, mu, rp)
     assert rep["ok"], rep["violations"]
     assert rp.sigma == ()
+    assert all(len({v * 2 // 8 for v in c}) == 1 for part in rp.classes for c in part)
     for key in rp.labels:
         sides = [rp.classes[i][key[i]] for i in range(2)]
         assert density(H, mu, Box.of(sides)) in (Fraction(0), Fraction(1))
@@ -109,11 +109,28 @@ def test_partition_survives_json_roundtrip():
 
 def test_uniform_partition_shares_classes_across_parts():
     H = same_block_equivalence(12, 3)
-    from vcreg import Measure
-    rp = uniform_regular_partition(H, Measure.uniform(0, 12), Fraction(1, 8))
+    rp = regular_partition(H, uniform_measures(H), Fraction(1, 8), uniform=True)
     assert rp.classes[0] == rp.classes[1]
     rep = verify_regular_partition(H, uniform_measures(H), rp)
     assert rep["ok"], rep["violations"]
+    assert rp.sigma == ()
+    assert all(len({v * 3 // 12 for v in c}) == 1 for c in rp.classes[0])
+    # one more input: k = 3, the relation "all three in the same half of 8"
+    H3 = Hypergraph((8, 8, 8), [t for t in itertools.product(range(8), repeat=3)
+                                if len({v // 4 for v in t}) == 1], True)
+    rp = regular_partition(H3, uniform_measures(H3), Fraction(1, 4), uniform=True)
+    assert rp.classes[0] == rp.classes[1] == rp.classes[2]
+    rep = verify_regular_partition(H3, uniform_measures(H3), rp)
+    assert rep["ok"], rep["violations"]
+
+
+def test_uniform_partition_refuses_unequal_weights():
+    # with weight 0 on vertices 0-3 of part 1 only, the zero-weight class
+    # would merge on part 1 alone, and the parts would not share classes
+    H = same_block_equivalence(12, 3)
+    part1 = Measure(1, (Fraction(0),) * 4 + (Fraction(1, 8),) * 8)
+    with pytest.raises(InputError, match="same weights on every part"):
+        regular_partition(H, (Measure.uniform(0, 12), part1), Fraction(1, 8), uniform=True)
 
 
 def test_verifier_rejects_single_class_partition():
@@ -167,6 +184,13 @@ def test_dense_box_on_two_blocks():
     assert db.density == 1
     assert db.delta_guarantee > 0
     assert all(m >= db.delta_guarantee for m in db.side_masses)
+    assert density(H, mu, db.box) == db.density
+    assert all(len({v // 4 for v in s}) == 1 for s in db.box.sides)
+    # one more input: on the half-graph the box is dense, not complete
+    H = half_graph(16)
+    mu = uniform_measures(H)
+    db = find_dense_box(H, mu, Fraction(1, 2), Fraction(1, 4))
+    assert db.density > Fraction(3, 4) and all(m > 0 for m in db.side_masses)
     assert density(H, mu, db.box) == db.density
 
 

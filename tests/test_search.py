@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vcreg import (Hypergraph, InputError, Measure, ball_family_search,
-                   definable_homogeneous_search)
+                   ball_parity_report, definable_homogeneous_search)
 
 
 def two_cliques(n=16):
@@ -85,6 +85,9 @@ def test_ball_family_band_is_respected():
     rep = ball_family_search(6, Fraction(6, 25))
     assert not rep.found
     assert rep.max_deviation >= Fraction(1, 3) - Fraction(1, 21)
+    for row in ball_parity_report(6):
+        if row["co_depth"] >= 2:
+            assert Fraction(1, 4) < row["density"] < Fraction(3, 4), row
 
 
 def test_ball_family_finds_wide_band():

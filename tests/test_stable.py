@@ -15,7 +15,7 @@ from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
                    stable_regular_partition, uniform_measures, vc_dimension)
 from vcreg.cli import main
 from vcreg.oracles import brute_ladder_check, brute_ladder_index
-from vcreg.selftest import block_pair_graph, half_graph
+from vcreg.instances import block_pair_graph, half_graph
 
 
 def test_ladder_frozen_values():
@@ -122,6 +122,8 @@ def test_descent_piece_count_bound():
     gd = good_descent_partition(H, mu, 1, eps, depth_cap=8)
     d = vc_dimension(fiber_family(H, (1,))).value
     assert len(gd.pieces) <= (Fraction(1) / eps) ** (d + 1)
+    for piece in gd.pieces:
+        assert good_check(H, mu, [(v,) for v in piece], (1,), eps).good
 
 
 def test_stable_partition_four_blocks():

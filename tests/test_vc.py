@@ -13,7 +13,7 @@ from vcreg import (InputError, Measure, SetFamily, epsilon_net, fiber_family,
                    net_size_formula, sauer_bound, sauer_check, shatter_function,
                    vc_dimension)
 from vcreg.oracles import block_vc_dimension, brute_vc_dimension
-from vcreg.selftest import block_pair_graph, half_graph, interval_family
+from vcreg.instances import block_pair_graph, half_graph, interval_family
 from vcreg.stable import ladder_index
 from vcreg import vc
 from vcreg.vc import vc_dimension_matrix
@@ -40,6 +40,7 @@ def test_shatter_function_frozen_values():
     F = interval_family(10)
     assert shatter_function(F, 3) == 7
     assert sauer_bound(2, 3) == 7
+    assert shatter_function(fiber_family(half_graph(8), (0,)), 4) <= sauer_bound(1, 4)
     # monotone and capped by the power set
     prev = 0
     for m in range(6):
