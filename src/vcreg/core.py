@@ -14,16 +14,17 @@ validated on that array, and a refused input names its lex-first bad edge.
 
 The counting kernels live here once each:
 
-  SpaceWeights.sums     weight sums of boolean rows: int64 while den is below
-                        INT64_SAFE = 2^62 (no partial sum exceeds den), Python
-                        integers beyond;
+  exact_dtype           the one arithmetic-regime rule: np.int64 while a
+                        bound on every value and partial sum is below
+                        INT64_SAFE = 2^62, object (Python integers) beyond;
+  SpaceWeights.sums     weight sums of boolean rows: int64 `mask @ nums` or
+                        per-row Python sums, by exact_dtype(den);
   box_counts            per-box weight and edge sums of a partition, from the
-                        edge list: a float64 bincount while den < 2^53,
-                        Python integers beyond (the builders' kernel: the
-                        verifier recounts with regularity.recount_boxes);
+                        edge list: one np.add.at into exact_dtype(den) arrays
+                        (the builders' kernel: the verifier recounts with
+                        regularity.recount_boxes);
   weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
-                        float64 limbs recombined in int64 or Python integers
-                        above;
+                        float64 limbs recombined in exact_dtype(den) above;
   boxes_mask, atoms     box masks and fingerprint atoms (boolean only).
 
 Coordinate splits: for an index set I of parts, V_I is the product of those
@@ -55,8 +56,15 @@ MAX_DENSE_SPACE = 1 << 22
 # 384x384 half-graph at eps 1/4 counts about 27 MB of differences, a
 # 1024x1024 one about 504 MB.
 MAX_DIFF_BYTES = 1 << 28
-# int64 dot products stay exact while the total numerator mass is below this.
+# int64 sums and products stay exact while a bound on them is below this.
 INT64_SAFE = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """np.int64 when every value and partial sum of an exact integer kernel
+    is at most `bound` and that is below INT64_SAFE, object (Python integers)
+    beyond: the one place the int64-or-object choice is made."""
+    return np.int64 if bound < INT64_SAFE else object
 
 
 class Hypergraph:
@@ -272,7 +280,7 @@ class SpaceWeights:
         self.nums = [1]
         for nums, _ in per:
             self.nums = [a * b for a in self.nums for b in nums]
-        self._np = np.asarray(self.nums, np.int64) if self.den < INT64_SAFE else None
+        self._np = np.asarray(self.nums, np.int64) if exact_dtype(self.den) is np.int64 else None
 
     def sums(self, mask: np.ndarray):
         """Exact numerator sum of the positions a boolean row selects (an int),
@@ -296,21 +304,19 @@ def weighted_inner(a: np.ndarray, b: np.ndarray, nums, den: int) -> np.ndarray:
     Every partial sum is an integer in [0, den], so float64 BLAS is exact
     while den < 2^53; the result is then float64. Above that the weights are
     split into limbs small enough that each limb product is again exact in
-    float64, and the limb products are recombined in int64 while den is below
-    INT64_SAFE, else in Python integers (object dtype)."""
+    float64, and the limb products are recombined in exact_dtype(den)."""
     af = a.astype(np.float64)
     bt = b.astype(np.float64).T
     if den < (1 << 53):
         return (af * np.asarray(nums, dtype=np.float64)) @ bt
     bits = 53 - max(1, a.shape[1]).bit_length()   # width * 2^bits <= 2^53
     low = (1 << bits) - 1
-    big = den >= INT64_SAFE
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=object if big else np.int64)
+    dt = exact_dtype(den)
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=dt)
     shift = 0
     while den >> shift:
         limb = np.asarray([(n >> shift) & low for n in nums], dtype=np.float64)
-        part = ((af * limb) @ bt).astype(np.int64)
-        out += part.astype(object) << shift if big else part << shift
+        out += ((af * limb) @ bt).astype(np.int64).astype(dt) << shift
         shift += bits
     return out
 
@@ -431,35 +437,31 @@ def product_measure(measures) -> ProductMeasure:
 
 def box_counts(H: Hypergraph, measures, classes_by_part) -> tuple:
     """(class counts, per-box weight sums, per-box edge weight sums, den) of a
-    partition, the sums Python ints over den in row-major box order.
+    partition, the sums exact_dtype(den) arrays over den in row-major box
+    order.
 
     A box's total is the product of its sides' numerator sums. Each edge adds
-    its numerator product to the key of its box: a float64 bincount while
-    den < 2^53 (every product and partial sum is at most den, so exact),
-    Python integers beyond."""
+    its numerator product to the key of its box by np.add.at; no product or
+    partial sum exceeds den."""
     measures = check_measures(H, measures)
     require(prod(H.part_sizes) <= MAX_DENSE_SPACE, f"product space of size "
             f"{prod(H.part_sizes)} exceeds the dense-array guard")
     per = [m.numerators() for m in measures]
     den = prod(d for _, d in per)
-    big = den >= 1 << 53
+    dt = exact_dtype(den)
     edges = edge_array(H)
-    totals, keys = [1], 0
-    weights = np.ones(len(edges), dtype=object if big else np.float64)
+    totals, keys, weights = np.ones(1, dt), 0, np.ones(len(edges), dt)
     for i, ((nums, _), classes) in enumerate(zip(per, classes_by_part)):
         cls_of = np.zeros(H.part_sizes[i], dtype=np.int64)
         for c, members in enumerate(classes):
             cls_of[list(members)] = c
-        sums = [sum(nums[v] for v in members) for members in classes]
-        totals = [a * b for a in totals for b in sums]
+        sums = np.array([sum(nums[v] for v in members) for members in classes], dt)
+        totals = np.multiply.outer(totals, sums)
         keys = keys * len(classes) + cls_of[edges[:, i]]
-        weights = weights * np.asarray(nums, dtype=weights.dtype)[edges[:, i]]
-    if big:
-        hits = np.zeros(len(totals), dtype=object)
-        np.add.at(hits, keys, weights)
-    else:
-        hits = np.bincount(keys, weights=weights, minlength=len(totals)).astype(np.int64)
-    return [len(c) for c in classes_by_part], totals, hits.tolist(), den
+        weights = weights * np.array(nums, dt)[edges[:, i]]
+    hits = np.zeros(totals.size, dt)
+    np.add.at(hits, keys, weights)
+    return [len(c) for c in classes_by_part], totals.reshape(-1), hits, den
 
 
 def boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:

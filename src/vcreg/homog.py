@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Hypergraph, Measure, binary_view, edge_array
+from .core import Hypergraph, Measure, binary_view, edge_array, exact_dtype
 from .dyadic import DyadicBall, odd_split_density
 from .jsonio import require
 
@@ -58,17 +58,16 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
     n = H.part_sizes[0]
     m = min(m, n)
     nums, den = mu.numerators()
-    # pair-product sums reach den^2; float64 bincount is exact below 2^53,
-    # and only then do the numerators fit an int64 array
-    big = den * den >= (1 << 53)
-    w = None if big else np.asarray(nums, dtype=np.int64)
+    # every per-pattern sum of weights, squared weights and pair products is
+    # at most den^2
+    w = np.array(nums, exact_dtype(den * den))
     view = binary_view(H, (0,))
     fib = view.fibers  # row b = fiber of b as bool over vertices
 
     edges = edge_array(H)
     edges = edges[edges[:, 0] != edges[:, 1]]
     ex, ey = edges[:, 0], edges[:, 1]
-    diag_total = [int(x) * int(x) for x in nums]
+    sq_w, pair_w = w * w, w[ex] * w[ey]
 
     total_tuples = comb(n, m)
     exhaustive = total_tuples <= budget
@@ -88,24 +87,11 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
         pat = np.zeros(n, dtype=np.int64)
         for i, b in enumerate(D):
             pat += fib[b].astype(np.int64) << i
-        if big:
-            wa = [0] * npat
-            dg = [0] * npat
-            for x in range(n):
-                wa[int(pat[x])] += nums[x]
-                dg[int(pat[x])] += diag_total[x]
-            mm = [[0] * npat for _ in range(npat)]
-            for x, y in edges.tolist():
-                mm[int(pat[x])][int(pat[y])] += nums[x] * nums[y]
-        else:
-            wa = np.bincount(pat, weights=w.astype(np.float64),
-                             minlength=npat).astype(np.int64).tolist()
-            dg = np.bincount(pat, weights=(w * w).astype(np.float64),
-                             minlength=npat).astype(np.int64).tolist()
-            keys = pat[ex] * npat + pat[ey]
-            me = np.bincount(keys, weights=(w[ex] * w[ey]).astype(np.float64),
-                             minlength=npat * npat).astype(np.int64).tolist()
-            mm = [me[i * npat:(i + 1) * npat] for i in range(npat)]
+        wa, dg, me = (np.zeros(size, w.dtype) for size in (npat, npat, npat * npat))
+        np.add.at(wa, pat, w)
+        np.add.at(dg, pat, sq_w)
+        np.add.at(me, pat[ex] * npat + pat[ey], pair_w)
+        wa, dg, mm = wa.tolist(), dg.tolist(), me.reshape(npat, npat).tolist()
         present = [p for p in range(npat) if wa[p] > 0]
         for size in range(1, len(present) + 1):
             for combo in itertools.combinations(present, size):

@@ -33,9 +33,9 @@ from math import prod
 
 import numpy as np
 
-from .core import (INT64_SAFE, MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure,
-                   SpaceWeights, atoms, binary_view, box_counts, boxes_mask, ceil_fraction,
-                   check_measures, edge_array, edge_mass, fiber_atoms, weighted_inner)
+from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights,
+                   atoms, binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
+                   edge_array, edge_mass, exact_dtype, fiber_atoms, weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
@@ -303,13 +303,15 @@ def _merge_zero_measure(classes: list[list[int]], measure: Measure) -> list[list
     return [sorted(c) for c in keep]
 
 
-def box_sum_arrays(H: Hypergraph, measures, classes_by_part, eps: Fraction) -> tuple:
-    """box_counts with the sums as arrays on which e * ed < en * t is exact:
-    int64 while the largest box total times max(en, ed) is below 2^63,
-    object arrays of Python ints beyond."""
-    counts, tot, hits, den = box_counts(H, measures, classes_by_part)
-    dt = np.int64 if max(tot) * max(eps.numerator, eps.denominator) < 1 << 63 else object
-    return counts, np.array(tot, dt), np.array(hits, dt), den
+def band(t: np.ndarray, e: np.ndarray, eps: Fraction) -> tuple:
+    """(low, high): the boxes of total t and edge sum e whose edge density is
+    below eps, and above 1 - eps, by the exact tests e * ed < en * t and
+    (t - e) * ed < en * t, in object dtype when exact_dtype says the products
+    leave int64. The builders' test: the verifier keeps its own."""
+    en, ed = eps.numerator, eps.denominator
+    if exact_dtype(int(t.max()) * max(en, ed)) is object:
+        t, e = t.astype(object), e.astype(object)
+    return e * ed < en * t, (t - e) * ed < en * t
 
 
 def box_keys(flat, counts) -> list[tuple[int, ...]]:
@@ -343,6 +345,13 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     uniform=True is the symmetric variant: one partition shared by every
     part, atoms over the pooled parameter set. It needs the symmetric flag
     and one measure, so every part's weights must equal part 0's."""
+    return _build_regular_partition(H, measures, eps, uniform, strategy, seed)[0]
+
+
+def _build_regular_partition(H: Hypergraph, measures, eps: Fraction, uniform: bool,
+                             strategy: str, seed: int) -> tuple:
+    """regular_partition's partition with its box sums (t, e, den), as
+    core.box_counts returns them."""
     require(isinstance(eps, Fraction) and 0 < eps, "eps must be a positive Fraction")
     require(eps <= 1, "eps above 1 makes every partition regular; pass eps <= 1")
     require(not uniform or H.symmetric, "uniform partition needs the symmetric flag")
@@ -362,7 +371,7 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     # _merge_zero_measure copies the classes, so the uniform parts share none
     per_part_classes = [_merge_zero_measure(c, m) for c, m in zip(per_part_classes, measures)]
 
-    counts, t, e, den = box_sum_arrays(H, measures, per_part_classes, eps)
+    counts, t, e, den = box_counts(H, measures, per_part_classes)
     # Up to weight-0 vertices, every class lies wholly inside or wholly outside
     # each side of every rect box: non-uniform classes are atoms over the
     # sides, uniform ones atoms over the pooled parameters that define every
@@ -375,21 +384,21 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     inside = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes)).reshape(
         H.part_sizes)[np.ix_(*reps)].reshape(-1)
 
-    en, ed = eps.numerator, eps.denominator
     # the majority label is `inside`, and the mass off it is the
     # sym-difference mass, so a positive box outside Sigma is 0-1 dense
-    sigma = (t > 0) & (np.where(inside, t - e, e) * ed >= en * t)
+    low, high = band(t, e, eps)
+    sigma = (t > 0) & ~np.where(inside, high, low)
     live = np.flatnonzero((t > 0) & ~sigma)
     labels = dict(zip(box_keys(live, counts), inside[live].astype(int).tolist()))
-    sigma_num = sum(t[sigma].tolist())
-    if sigma_num * ed > en * den:
+    sigma_mass = Fraction(sum(t[sigma].tolist()), den)
+    if sigma_mass > eps:
         raise VerificationError("exceptional mass exceeds eps")
 
     meta = {
         "rect_error": ra.error,
         "rect_eps": eps * eps,
         "levels": ra.levels,
-        "sigma_mass": Fraction(sigma_num, den),
+        "sigma_mass": sigma_mass,
         "class_counts": tuple(counts),
         "param_width": ra.param_width(),
         "uniform": uniform,
@@ -401,21 +410,20 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     provenance = tuple(tuple(tuple(int(v) for v in p) for p in part)
                        for part in provenance)
     return RegularPartition(classes, eps, tuple(box_keys(np.flatnonzero(sigma), counts)),
-                            labels, provenance, meta)
+                            labels, provenance, meta), t, e, den
 
 
 def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:
-    """What core.box_counts returns, the sums as int64 arrays while den is
-    below INT64_SAFE and object arrays beyond, counted by another algorithm:
-    the edges, each with its numerator product, are sorted by row-major box
-    key and each run of equal keys is summed by np.add.reduceat. A box's
-    total is the product of its sides' class sums."""
+    """What core.box_counts returns, the same exact_dtype(den) arrays, counted
+    by another algorithm: the edges, each with its numerator product, are
+    sorted by row-major box key and each run of equal keys is summed by
+    np.add.reduceat. A box's total is the product of its sides' class sums."""
     measures = check_measures(H, measures)
     require(prod(H.part_sizes) <= MAX_DENSE_SPACE, f"product space of size "
             f"{prod(H.part_sizes)} exceeds the dense-array guard")
     per = [m.numerators() for m in measures]
     den = prod(d for _, d in per)
-    dt = np.int64 if den < INT64_SAFE else object
+    dt = exact_dtype(den)
     edges, keys, weights, totals = edge_array(H), 0, 1, np.ones(1, dt)
     for i, ((nums, _), classes) in enumerate(zip(per, classes_by_part)):
         members = np.fromiter(itertools.chain.from_iterable(classes), np.intp)
@@ -465,7 +473,7 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     lab = label_grid(partition.labels, counts)
     in_sigma = label_grid(dict.fromkeys({tuple(s) for s in partition.sigma}, 1), counts) == 1
     en, ed = eps.numerator, eps.denominator
-    if int(t.max()) * max(en, ed) >= 1 << 63:
+    if exact_dtype(int(t.max()) * max(en, ed)) is object:
         t, e = t.astype(object), e.astype(object)
     low, high = e * ed < en * t, (t - e) * ed < en * t
     dense = (low & (lab != 1)) | (high & (lab != 0))   # either, when unlabelled
@@ -523,11 +531,9 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     if e_mass < alpha:
         raise InputError(f"relation mass {e_mass} is below alpha={alpha}")
     eps_p = min(alpha, eps) / 4
-    part = regular_partition(H, measures, eps_p, strategy=strategy, seed=seed)
+    part, t, e, den = _build_regular_partition(H, measures, eps_p, False, strategy, seed)
     counts = part.class_counts()
     delta = eps_p / prod(counts)
-
-    _, t, e, den = box_sum_arrays(H, measures, part.classes, eps_p)
     one = label_grid(part.labels, counts) == 1
     # the first heaviest labelled-1 box in row-major order
     best = int(np.argmax(np.where(one, t, -1)))

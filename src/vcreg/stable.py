@@ -24,11 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Box, Hypergraph, SpaceWeights, binary_view, check_measures, fiber_atoms
+from .core import (Box, Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
+                   fiber_atoms)
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
 from .jsonio import require
-from .regularity import RegularPartition, box_keys, box_sum_arrays
+from .regularity import RegularPartition, band, box_keys
 
 
 @dataclass(frozen=True)
@@ -378,9 +379,9 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
     classes = tuple(d.pieces for d in descents)
-    counts, t, e, _ = box_sum_arrays(H, measures, classes, eps)
-    en, ed = eps.numerator, eps.denominator
-    mixed = np.flatnonzero((t > 0) & ~((e * ed < en * t) | ((t - e) * ed < en * t)))
+    counts, t, e, _ = box_counts(H, measures, classes)
+    low, high = band(t, e, eps)
+    mixed = np.flatnonzero((t > 0) & ~(low | high))
     if len(mixed):
         raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
                                box=box_keys(mixed[:1], counts)[0])

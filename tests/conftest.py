@@ -3,12 +3,6 @@ import os
 
 import pytest
 
-from vcreg.instances import (block_pair_graph, half_graph, interval_family,
-                             same_block_equivalence)
-
-__all__ = ["block_pair_graph", "half_graph", "interval_family",
-           "same_block_equivalence"]
-
 
 @pytest.fixture
 def write_json(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
 from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox, fubini_mass
-from vcreg.core import SpaceWeights, box_counts, fiber_atoms
+from vcreg.core import INT64_SAFE, SpaceWeights, box_counts, fiber_atoms
 from vcreg.oracles import (brute_density, brute_fiber_atoms, brute_set_mass,
                            one_pass_box_counts)
 from vcreg.regularity import recount_boxes
@@ -52,6 +52,8 @@ def test_box_sums_match_oracle(seed, regime):
     assert _regime(den) == regime
     assert counts == [len(c) for c in classes]
     keys = list(itertools.product(*map(range, counts)))
+    assert (tot.dtype == edge.dtype == np.int64) == (den < INT64_SAFE)
+    tot, edge = tot.tolist(), edge.tolist()
     assert len(tot) == len(edge) == len(keys)
     for key, t, e in zip(keys, tot, edge):
         cell = list(itertools.product(*[classes[i][c] for i, c in enumerate(key)]))

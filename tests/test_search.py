@@ -1,12 +1,20 @@
 """Near-homogeneous definable sets: graph search and the ball-family scan."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_net_oracle import P_BIG, REGIMES, _regime, _weights
 from vcreg import (Hypergraph, InputError, Measure, ball_family_search,
                    ball_parity_report, definable_homogeneous_search)
+
+# the search sums pair products up to den^2: these denominators put den^2
+# below 2^53, in [2^53, 2^62) and at or above 2^62 (a prime, so the weights
+# keep it in lowest terms; None draws a small one)
+SEARCH_DENS = {"float64": None, "int64": 2 ** 29 - 3, "bigint": P_BIG}
 
 
 def two_cliques(n=16):
@@ -25,34 +33,42 @@ def test_two_cliques_found_exactly():
     assert set(res.vertices) in ({*range(8)}, {*range(8, 16)})
 
 
-def test_search_agrees_with_direct_enumeration():
-    # small instance: recompute the best admissible mass over every
-    # parameter pair and every union of fingerprint classes
-    n = 6
-    edges = frozenset((x, y) for x in range(n) for y in range(n)
-                      if x != y and (x + y) % 3 != 0)
-    H = Hypergraph((n, n), edges | frozenset((y, x) for (x, y) in edges), True)
-    mu = Measure.uniform(0, n)
-    eps = Fraction(1, 4)
-    res = definable_homogeneous_search(H, mu, eps, 2)
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       m=st.sampled_from((1, 2)))
+def test_search_agrees_with_direct_enumeration(seed, regime, m):
+    # a random weighted symmetric relation; every parameter tuple and every
+    # union of fingerprint classes, in the search's order, the first set of
+    # the largest mass kept, masses and pair densities from the numerators
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    edges = {(x, y) for x in range(n) for y in range(x, n) if rng.random() < 0.5}
+    H = Hypergraph((n, n), edges | {(y, x) for x, y in edges}, True)
+    mu = Measure(0, _weights(rng, n, SEARCH_DENS[regime] or rng.randint(n, 40)))
+    nums, den = mu.numerators()
+    assert _regime(den * den) == regime
+    eps = Fraction(rng.randint(1, 7), 16)
+    res = definable_homogeneous_search(H, mu, eps, m)
 
-    best = Fraction(0)
-    for D in itertools.combinations(range(n), 2):
-        pat = {v: tuple((v, d) in H.edges for d in D) for v in range(n)}
-        pats = set(pat.values())
-        for r in range(1, len(pats) + 1):
-            for chosen in itertools.combinations(sorted(pats), r):
+    best = None
+    for D in itertools.combinations(range(n), m):
+        pat = [sum(((v, d) in H.edges) << i for i, d in enumerate(D)) for v in range(n)]
+        present = sorted({pat[v] for v in range(n) if nums[v]})
+        for r in range(1, len(present) + 1):
+            for chosen in itertools.combinations(present, r):
                 S = [v for v in range(n) if pat[v] in chosen]
-                if len(S) < 2:
-                    continue
+                mass = Fraction(sum(nums[v] for v in S), den)
                 pairs = [(x, y) for x in S for y in S if x != y]
-                hits = sum((x, y) in H.edges for (x, y) in pairs)
-                d = Fraction(hits, len(pairs))
+                tot = sum(nums[x] * nums[y] for x, y in pairs)
+                if tot == 0 or (best and mass <= best[0]):
+                    continue
+                d = Fraction(sum(nums[x] * nums[y] for x, y in pairs if (x, y) in H.edges),
+                             tot)
                 if d < eps or d > 1 - eps:
-                    best = max(best, Fraction(len(S), n))
-    assert res.found == (best > 0)
-    if res.found:
-        assert res.mass == best
+                    best = (mass, d)
+    assert res.found == (best is not None)
+    if best:
+        assert (res.mass, res.density) == best
 
 
 def test_search_not_found_is_honest():
