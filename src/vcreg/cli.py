@@ -9,8 +9,8 @@ epsilons are rejected.
 Handlers return engine values as they are; `jsonio.canonical_dumps` is the
 one encoder of reports, `--out` files and input hashes. JSON-native values
 go out as they are, a Fraction as "num/den", a set as a sorted list, a
-record through `to_obj`, a numpy integer as an int and anything else as its
-str. Every dict key in a report is built as a str.
+record through `to_obj`, a numpy integer as an int; anything else raises
+TypeError. Every dict key in a report is built as a str.
 
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not homogeneous); 2 input error (unknown
@@ -243,13 +243,14 @@ def _cmd_stable_ladder(args, files):
 
 
 def _cmd_stable_partition(args, files):
-    from .regularity import exactly_homogeneous, verify_regular_partition
+    from .regularity import exactly_homogeneous, recount_boxes, verify_regular_partition
     from .stable import stable_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
     sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=args.depth_cap)
-    rep = verify_regular_partition(H, measures, sp)
-    homogeneous = exactly_homogeneous(H, measures, sp)
+    recount = recount_boxes(H, measures, sp.classes)   # one recount for both checks
+    rep = verify_regular_partition(H, measures, sp, recount)
+    homogeneous = exactly_homogeneous(H, measures, sp, recount)
     outputs = {"partition": sp.to_obj(), "meta": sp.meta,
                "class_counts": sp.class_counts()}
     verification = {**rep, "sigma_empty": sp.sigma == (),

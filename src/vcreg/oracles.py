@@ -388,9 +388,10 @@ def brute_ap_count(points) -> int:
 
 def brute_ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None):
     """The ladder branch and bound with every remaining a tried at every
-    node, over fiber bit masks read from the edge set. Same order, node
-    count and budget rule as stable.ladder_index, so the certificates agree
-    exactly, budget-exhausted ones included."""
+    node and every node entered by a call, over fiber bit masks read from
+    the edge set. Same order, node count and budget rule as
+    stable.ladder_index, which counts the leaves in their parent's loop, so
+    the certificates agree exactly, budget-exhausted ones included."""
     from .stable import LadderCertificate
     parts = tuple(sorted(parts))
     comp = tuple(i for i in range(H.k) if i not in parts)

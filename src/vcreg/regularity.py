@@ -440,15 +440,17 @@ def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:
     return [len(c) for c in classes_by_part], totals.reshape(-1), hits, den
 
 
-def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartition) -> dict:
+def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartition,
+                             recount: tuple | None = None) -> dict:
     """Recompute every promise of a partition from scratch; lists violations.
 
     Checks: per-part classes partition the parts; Sigma mass <= eps; every
     non-Sigma box is 0-1 dense at eps for its label (either label accepted
     when absent); classes are unions of fingerprint atoms over the recorded
     parameters. The boxes are summed by recount_boxes, not by the kernel of
-    the builders. A label or Sigma entry that names no box, or a label other
-    than 0 or 1, is an InputError."""
+    the builders; a caller that already holds recount_boxes(H, measures,
+    partition.classes) passes it as recount. A label or Sigma entry that
+    names no box, or a label other than 0 or 1, is an InputError."""
     measures = check_measures(H, measures)
     require(len(partition.classes) == H.k,
             f"partition has {len(partition.classes)} parts, the relation {H.k}")
@@ -469,7 +471,9 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     if violations:
         return {"ok": False, "violations": violations}
 
-    counts, t, e, den = recount_boxes(H, measures, partition.classes)
+    if recount is None:
+        recount = recount_boxes(H, measures, partition.classes)
+    counts, t, e, den = recount
     lab = label_grid(partition.labels, counts)
     in_sigma = label_grid(dict.fromkeys({tuple(s) for s in partition.sigma}, 1), counts) == 1
     en, ed = eps.numerator, eps.denominator
@@ -499,10 +503,14 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
             "box_count": len(t), "class_counts": counts}
 
 
-def exactly_homogeneous(H: Hypergraph, measures, partition: RegularPartition) -> bool:
+def exactly_homogeneous(H: Hypergraph, measures, partition: RegularPartition,
+                        recount: tuple | None = None) -> bool:
     """Whether every labelled box holds none or all of its mass, by the
-    verifier's recount; a labelled box of mass 0 is a ZeroMeasureBox."""
-    counts, t, e, _ = recount_boxes(H, measures, partition.classes)
+    verifier's recount (recount, when given); a labelled box of mass 0 is a
+    ZeroMeasureBox."""
+    if recount is None:
+        recount = recount_boxes(H, measures, partition.classes)
+    counts, t, e, _ = recount
     labelled = label_grid(partition.labels, counts) >= 0
     empty = np.flatnonzero(labelled & (t == 0))
     if len(empty):

@@ -73,7 +73,13 @@ def _ladder_half8():
     cert = ladder_index(H, (0,), cap=10)
     expect(cert.length == 8 and not cert.capped, f"ladder {cert.display()}")
     expect(brute_ladder_index(H, (0,), cap=10) == cert, "oracle disagrees")
-    return "ladder index 8 (exact), the plain branch and bound agrees"
+    # the search visits 120 nodes; one fewer trips the budget in a step that
+    # counts a block of pruned leaves at once
+    short = ladder_index(H, (0,), cap=10, budget=119)
+    expect(short.budget_exhausted and short.display() == ">=8", f"ladder {short.display()}")
+    expect(brute_ladder_index(H, (0,), cap=10, budget=119) == short,
+           "oracle disagrees at budget 119")
+    return "ladder index 8 (exact), >=8 at budget 119; the plain branch and bound agrees"
 
 
 @check("dyadic.density.L4")

@@ -53,19 +53,10 @@ class LadderCertificate:
         return bool((H.has(cells) == want).all())
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _row_masks(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix, or of one packed little-endian by
-    np.packbits, as an int with bit j set where row[j] is."""
-    if rows.dtype == bool:
-        rows = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    """Each row of a boolean matrix as an int with bit j set where row[j] is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) -> LadderCertificate:
@@ -75,65 +66,89 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
     b's fiber, a new b must contain every chosen a. Deterministic ascending
     order; budget (node count) turns the result into a verified lower bound.
 
-    A node tries only the a's some remaining b contains, found from the
-    distinct fibers when there are fewer of them than remaining a's. The a's
-    skipped extend nothing, so the visiting order, the node count and the
-    certificate are those of scanning every remaining a.
+    A child (a, b) that can extend nothing is counted in its parent's loop
+    without a call: one the length bound prunes (all of a's children at once
+    when the bound prunes every one), and one that leaves no a contained in a
+    b it leaves. A node scans only the a's that some b it leaves contains.
+    Neither changes the visiting order, the node count or the certificate of
+    the plain search, oracles.brute_ladder_index.
     """
     require(cap >= 1, "cap must be >= 1")
     require(budget is None or budget >= 0, "budget must be >= 0")
     parts = tuple(sorted(parts))
     view = binary_view(H, parts)
     nl, nr = view.left_size, view.right_size
-    packed = np.packbits(view.fibers, axis=1, bitorder="little")
-    fiber_mask = _row_masks(packed)
+    fiber_mask = _row_masks(view.fibers)
+    avoid = [~f for f in fiber_mask]
     contains = _row_masks(view.fibers.T)
-    # one (b-mask, fiber-mask) pair per nonempty distinct fiber, used at a
-    # node with more remaining a's than groups; ngroups = nl means never
-    groups, ngroups = [], nl
-    distinct, label = np.unique(packed, axis=0, return_inverse=True)
-    if len(distinct) <= nl:
-        members = label.reshape(-1) == np.arange(len(distinct))[:, None]
-        groups = [(bs, fs) for bs, fs in zip(_row_masks(members), _row_masks(distinct))
-                  if fs]
-        ngroups = len(groups)
+
+    def reach(cb: int) -> int:
+        """The a's that some b in cb contains."""
+        out = 0
+        while cb:
+            low = cb & -cb
+            cb ^= low
+            out |= fiber_mask[low.bit_length() - 1]
+        return out
 
     best_len = 0
     best_stack: list[tuple[int, int]] = []
     nodes = 0
+    limit = math.inf if budget is None else budget
     exhausted = False
 
-    def dfs(ca: int, cb: int, stack: list):
+    def dfs(ca: int, cb: int, scan: int, stack: list):
+        """Visit the children (a, b), a in scan, of the node stack, which
+        leaves the a's ca and the b's cb. A child leaving a's and b's is a
+        pruned leaf when the fewer of them is at most lim = best_len - its
+        length, which is below 0 until a child reaches a new length."""
         nonlocal best_len, best_stack, nodes, exhausted
-        if len(stack) > best_len:
-            best_len = len(stack)
-            best_stack = list(stack)
-        if len(stack) >= cap or exhausted:
-            return
-        na = ca.bit_count()
-        if len(stack) + min(na, cb.bit_count()) <= best_len:
-            return
-        scan = ca
-        if ngroups < na:
-            reach = 0
-            for bs, fs in groups:
-                if cb & bs:
-                    reach |= fs
-            scan &= reach
-        for a in _bits(scan):
+        d = len(stack) + 1
+        lim = best_len - d
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            a = low.bit_length() - 1
             cba = cb & contains[a]
-            for b in _bits(cba):
-                nodes += 1
-                if budget is not None and nodes > budget:
+            nb = cba.bit_count()
+            if nb <= lim:
+                nodes += nb     # nb pruned leaves
+                if nodes > limit:
                     exhausted = True
                     return
-                stack.append((a, b))
-                dfs(ca & ~fiber_mask[b], cba, stack)
-                stack.pop()
-                if best_len >= cap or exhausted:
+                continue
+            ra = None
+            bs = cba
+            while bs:
+                low = bs & -bs
+                bs ^= low
+                b = low.bit_length() - 1
+                nodes += 1
+                if nodes > limit:
+                    exhausted = True
                     return
+                if lim < 0:
+                    best_len, best_stack, lim = d, [*stack, (a, b)], 0
+                    if d >= cap:
+                        return
+                # the bound is min(|cab|, nb), and nb > lim stays true: a
+                # ladder found below an earlier (a, b') takes b' and all its
+                # later b's from cba, so it has at most d - 1 + nb rungs
+                cab = ca & avoid[b]
+                if cab.bit_count() <= lim:
+                    continue
+                if ra is None:
+                    ra = reach(cba)
+                if cab & ra:
+                    stack.append((a, b))
+                    dfs(cab, cba, cab & ra, stack)
+                    stack.pop()
+                    if best_len >= cap or exhausted:
+                        return
+                    lim = best_len - d
 
-    dfs((1 << nl) - 1, (1 << nr) - 1, [])
+    full_b = (1 << nr) - 1
+    dfs((1 << nl) - 1, full_b, reach(full_b), [])
     cert = LadderCertificate(best_len, tuple(view.left_tuple(a) for a, _ in best_stack),
                              tuple(view.right_tuple(b) for _, b in best_stack), parts,
                              capped=best_len >= cap, budget_exhausted=exhausted)

@@ -582,6 +582,20 @@ def test_verifier_and_stable_check_run_without_box_counts(tmp_path, monkeypatch)
     assert exactly_homogeneous(H, measures, sp)
 
 
+def test_stable_partition_recounts_the_boxes_once(tmp_path, monkeypatch):
+    """verify_regular_partition and exactly_homogeneous share one recount."""
+    import vcreg.regularity
+    calls = []
+    recount = vcreg.regularity.recount_boxes
+    monkeypatch.setattr(vcreg.regularity, "recount_boxes",
+                        lambda *args: calls.append(args) or recount(*args))
+    inst = str(tmp_path / "b.json")
+    report(["gen", "block-union", "--sizes", "12,12", "--blocks", "3", "--out", inst])
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 0 and rep["verification"]["all_boxes_exactly_homogeneous"] is True
+    assert len(calls) == 1
+
+
 def test_stable_partition_never_builds_the_edge_set(tmp_path, monkeypatch):
     import vcreg.core
     inst = str(tmp_path / "b.json")

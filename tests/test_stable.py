@@ -15,7 +15,7 @@ from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
                    stable_regular_partition, uniform_measures, vc_dimension)
 from vcreg.cli import main
 from vcreg.oracles import brute_ladder_check, brute_ladder_index
-from vcreg.instances import block_pair_graph, half_graph
+from vcreg.instances import GeneratorSpec, block_pair_graph, generate, half_graph
 
 
 def test_ladder_frozen_values():
@@ -85,6 +85,43 @@ def test_ladder_index_matches_brute_search():
                     for budget in {None, 1, 3, 10, 50, 200, max(n - 1, 0), n}:
                         assert ladder_index(H, parts, cap, budget) == \
                             brute_ladder_index(H, parts, cap, budget), (H, parts, cap, budget)
+
+
+def test_ladder_index_at_the_pipeline_budget():
+    """Cap 8 and budget 100,000, as stable_regular_partition asks: the budget
+    trips on a 64x96 interval graph. On a 16-block union each of the 461
+    nodes is a leaf that extends nothing (d-hat is 1), counted whole or cut
+    off by a budget of 300."""
+    H = generate(GeneratorSpec("interval-graph", (64, 96), 2, 0)).hypergraph
+    cert = ladder_index(H, (0,), 8, 100_000)
+    assert cert.budget_exhausted
+    assert cert == brute_ladder_index(H, (0,), 8, 100_000)
+    B = generate(GeneratorSpec("block-union", (96, 96), 2, 0, (("blocks", 16),))).hypergraph
+    for budget, tripped in ((100_000, False), (300, True)):
+        cert = ladder_index(B, (0,), 8, budget)
+        assert cert.length == 1 and cert.budget_exhausted == tripped
+        assert cert == brute_ladder_index(B, (0,), 8, budget)
+
+
+def test_ladder_length_survives_relabelling():
+    """Permuting the vertices within each part keeps the longest ladder, so
+    where neither search runs out of budget the lengths agree. Certificates
+    may differ: ties break by vertex order."""
+    rng = random.Random(13)
+    compared = 0
+    for _ in range(60):
+        H = _random_relation(rng)
+        perm = [rng.sample(range(n), n) for n in H.part_sizes]
+        P = Hypergraph(H.part_sizes, frozenset(tuple(p[v] for p, v in zip(perm, e))
+                                              for e in H.edges))
+        for r in range(1, H.k + 1):
+            for parts in itertools.combinations(range(H.k), r):
+                for cap in (3, 8):
+                    a, b = ladder_index(H, parts, cap, 2_000), ladder_index(P, parts, cap, 2_000)
+                    if not (a.budget_exhausted or b.budget_exhausted):
+                        assert a.length == b.length, (H, parts, cap)
+                        compared += 1
+    assert compared >= 200
 
 
 def test_good_check_frozen_witness():
