@@ -456,10 +456,18 @@ def _rational(s: str) -> Fraction:
     return parse_rational(s)
 
 
+class _Parser(argparse.ArgumentParser):
+    """No prefix matching, here and in every subparser (add_subparsers makes
+    them of this class): `--d` is an unknown flag, not `--depth`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 # parse_args leaves the parser as it was, so one tree serves every call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="vcreg", description=__doc__)
+    top = _Parser(prog="vcreg", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def common(p, *, infile=False, epsilon=False, out=True):

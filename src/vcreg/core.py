@@ -18,7 +18,8 @@ The counting kernels live here once each:
                         bound on every value and partial sum is below
                         INT64_SAFE = 2^62, object (Python integers) beyond;
   SpaceWeights.sums     weight sums of boolean rows: int64 `mask @ nums` or
-                        per-row Python sums, by exact_dtype(den);
+                        per-row Python sums, by exact_dtype(den); the stable
+                        descent's int64 path is `fibers[:, S] @ nums64[S]`;
   box_counts            per-box weight and edge sums of a partition, from the
                         edge list: one np.add.at into exact_dtype(den) arrays
                         (the builders' kernel: the verifier recounts with
@@ -280,14 +281,17 @@ class SpaceWeights:
         self.nums = [1]
         for nums, _ in per:
             self.nums = [a * b for a in self.nums for b in nums]
-        self._np = np.asarray(self.nums, np.int64) if exact_dtype(self.den) is np.int64 else None
+        # nums as an int64 array when exact_dtype(den) is int64, else None
+        self.nums64 = (np.asarray(self.nums, np.int64)
+                       if exact_dtype(self.den) is np.int64 else None)
 
-    def sums(self, mask: np.ndarray):
+    def sums(self, mask: np.ndarray, at: np.ndarray | None = None):
         """Exact numerator sum of the positions a boolean row selects (an int),
-        or of each row of a boolean matrix (a list of ints)."""
-        if self._np is not None:
-            return (mask @ self._np).tolist()
-        nums = self.nums
+        or of each row of a boolean matrix (a list of ints). The columns of
+        mask are the positions `at` (an intp array) when given, else all."""
+        if self.nums64 is not None:
+            return (mask @ (self.nums64 if at is None else self.nums64[at])).tolist()
+        nums = self.nums if at is None else [self.nums[p] for p in at.tolist()]
         out = [sum(map(nums.__getitem__, np.flatnonzero(row).tolist()))
                for row in np.atleast_2d(mask)]
         return out if mask.ndim > 1 else out[0]

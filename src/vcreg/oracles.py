@@ -17,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import ZeroMeasureBox
+from .errors import DepthCapExceeded, VerificationError, ZeroMeasureBox
 from .jsonio import require
 
 
@@ -459,3 +459,116 @@ def brute_ladder_check(H: Hypergraph, parts, a_seq, b_seq) -> bool:
             if (tuple(t) in H.edges) != (i <= j):
                 return False
     return True
+
+
+def brute_witness(hits, a_num: int, eps: Fraction):
+    """The least (|2h - a|, r) over the fibers r whose mass h on a set of mass
+    a is neither below eps a nor above (1 - eps) a, each side tested; its r,
+    or None."""
+    en, ed = eps.numerator, eps.denominator
+    return min(((abs(2 * h - a_num), r) for r, h in enumerate(hits)
+                if not (h * ed < en * a_num or (a_num - h) * ed < en * a_num)),
+               default=(None, None))[1]
+
+
+def brute_descent(H: Hypergraph, measures, part: int, eps: Fraction, depth_cap: int = 32):
+    """stable.good_descent_partition as a plain per-fiber scan over lists:
+    fibers read from the edge set, each fiber's mass a Python sum over the
+    current vertices at every step, the witness the least (|2h - a|, r) over
+    the fibers tested in band on both sides. The residue keeps its best-fit
+    and re-extraction fallbacks, which the engine drops because the merge
+    into the first piece is always eps-good. Returns the same GoodDescent,
+    or raises DepthCapExceeded with the same tree."""
+    from .core import check_measures
+    from .stable import GoodDescent
+    measures = check_measures(H, measures)
+    comp = [i for i in range(H.k) if i != part]
+    rights = list(itertools.product(*[range(H.part_sizes[i]) for i in comp]))
+    size = H.part_sizes[part]
+    fibers = [[(*b[:part], v, *b[part:]) in H.edges for v in range(size)] for b in rights]
+    nums, _ = measures[part].numerators()
+    per = [measures[i].numerators()[0] for i in comp]
+    rnums = [math.prod(per[j][x] for j, x in enumerate(b)) for b in rights]
+    eps_half = eps / 2
+
+    def fiber_hits(current):
+        return ([sum(nums[v] for v in current if row[v]) for row in fibers],
+                sum(nums[v] for v in current))
+
+    def descent_extract(support):
+        current = sorted(support)
+        path = []
+        while True:
+            hits, a_num = fiber_hits(current)
+            worst_r = brute_witness(hits, a_num, eps_half)
+            if worst_r is None:
+                return current, path
+            if len(path) >= depth_cap:
+                raise DepthCapExceeded(f"descent exceeded depth cap {depth_cap}",
+                                       tree=list(path))
+            row = fibers[worst_r]
+            inside = [v for v in current if row[v]]
+            outside = [v for v in current if not row[v]]
+            take_in = 2 * hits[worst_r] >= a_num
+            path.append({"witness": rights[worst_r], "side": "in" if take_in else "out",
+                         "sizes": (len(inside), len(outside))})
+            current = inside if take_in else outside
+
+    support = [v for v in range(size) if nums[v] > 0]
+    zeros = [v for v in range(size) if nums[v] == 0]
+    pieces, depths, witnesses = [], [], set()
+    residue, steps, residue_action = support, 0, "none"
+
+    def extract(until_small):
+        nonlocal residue, steps
+        while residue:
+            if until_small and pieces:
+                r_mass = sum(nums[v] for v in residue)
+                p_mass = sum(nums[v] for v in pieces[0])
+                if r_mass * eps_half.denominator <= eps_half.numerator * p_mass:
+                    return
+            piece, path = descent_extract(residue)
+            steps += 1
+            pieces.append(piece)
+            depths.append(len(path))
+            witnesses.update(step["witness"] for step in path)
+            taken = set(piece)
+            residue = [v for v in residue if v not in taken]
+
+    def is_good(vertices, level):
+        return brute_witness(*fiber_hits(sorted(vertices)), level) is None
+
+    extract(until_small=True)
+    if residue:
+        merged = sorted(pieces[0] + residue)
+        if is_good(merged, eps_half):
+            pieces[0], residue_action = merged, "merged_first"
+        elif is_good(merged, eps):
+            pieces[0], residue_action = merged, "merged_first_at_eps"
+        else:
+            best_i = min(range(len(pieces)), key=lambda i: sum(
+                w for w, row in zip(rnums, fibers) if row[pieces[i][0]] != row[residue[0]]))
+            trial = sorted(pieces[best_i] + residue)
+            if is_good(trial, eps):
+                pieces[best_i], residue_action = trial, f"best_fit:{best_i}"
+            else:
+                residue_action = "re_extracted"
+                extract(until_small=False)
+
+    params = sorted(witnesses)
+    if zeros:
+        piece_of = {v: i for i, piece in enumerate(pieces) for v in piece}
+        for atom in brute_fiber_atoms(H, part, params):
+            home = next((piece_of[v] for v in atom if v in piece_of), 0)
+            pieces[home].extend(v for v in atom if v not in piece_of)
+        pieces = [sorted(p) for p in pieces]
+    loose = {0} if residue_action.startswith("merged") else set()
+    if residue_action.startswith("best_fit:"):
+        loose = {int(residue_action.split(":")[1])}
+    for i, piece in enumerate(pieces):
+        positive = [v for v in piece if nums[v] > 0]
+        if positive and not is_good(positive, eps if i in loose else eps_half):
+            raise VerificationError(f"piece {i} failed goodness")
+    return GoodDescent(part, tuple(tuple(p) for p in pieces), eps, tuple(depths),
+                       tuple(params), steps, residue_action,
+                       {"support": len(support), "zero_weight": len(zeros)})

@@ -17,10 +17,10 @@ from .dyadic import DyadicBall, level_pair_counts, odd_split_density
 from .homog import definable_homogeneous_search
 from .instances import GeneratorSpec, generate, half_graph, interval_family
 from .oracles import (brute_ap_count, brute_convexity_edges,
-                      brute_dyadic_pair_count, brute_fiber, brute_ladder_index,
-                      brute_union_mass_error, brute_vc_dimension)
+                      brute_descent, brute_dyadic_pair_count, brute_fiber,
+                      brute_ladder_index, brute_union_mass_error, brute_vc_dimension)
 from .regularity import rectangular_approximation
-from .stable import ladder_index
+from .stable import good_descent_partition, ladder_index
 from .vc import vc_dimension
 
 CHECKS: list[tuple[str, object]] = []
@@ -67,8 +67,8 @@ def _rect_staircase():
     return f"error {ra.error} < 1/2, brute recount agrees on all 64 triples"
 
 
-@check("stable.ladder.half-graph-8")
-def _ladder_half8():
+@check("stable.ladder-descent.half-graph-8")
+def _ladder_descent_half8():
     H = half_graph(8)
     cert = ladder_index(H, (0,), cap=10)
     expect(cert.length == 8 and not cert.capped, f"ladder {cert.display()}")
@@ -79,7 +79,11 @@ def _ladder_half8():
     expect(short.budget_exhausted and short.display() == ">=8", f"ladder {short.display()}")
     expect(brute_ladder_index(H, (0,), cap=10, budget=119) == short,
            "oracle disagrees at budget 119")
-    return "ladder index 8 (exact), >=8 at budget 119; the plain branch and bound agrees"
+    mu = (Measure(0, tuple(Fraction(v, 28) for v in range(8))), Measure.uniform(1, 8))
+    gd = good_descent_partition(H, mu, 0, Fraction(1, 4))
+    expect(gd.depths == (3, 2, 2, 3, 2, 1, 0), f"descent depths {gd.depths}")
+    expect(brute_descent(H, mu, 0, Fraction(1, 4)) == gd, "descent oracle disagrees")
+    return "ladder index 8 (exact), >=8 at budget 119; ladder and weighted descent match oracles"
 
 
 @check("dyadic.density.L4")

@@ -172,21 +172,27 @@ def _normalize_subset(A) -> list[tuple[int, ...]]:
     return sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
 
 
-def _fiber_hits(view, lw: SpaceWeights, positions) -> tuple[list, int]:
-    """Per-parameter numerator mass of fiber∩A, plus the mass of A."""
-    in_a = np.zeros(view.left_size, dtype=bool)
-    in_a[positions] = True
-    return lw.sums(view.fibers & in_a), lw.sums(in_a)
+def _fiber_hits(view, lw: SpaceWeights, current: np.ndarray):
+    """The fibers' columns at the positions current (an intp array), each
+    fiber's numerator mass there (an exact_dtype array) and current's mass."""
+    sub = view.fibers[:, current]
+    if lw.nums64 is None:
+        every = np.ones(len(current), dtype=bool)
+        return sub, np.array(lw.sums(sub, current), object), lw.sums(every, current)
+    w = lw.nums64[current]
+    return sub, sub @ w, int(w.sum())
 
 
-def _witness(hits: list, a_num: int, eps: Fraction) -> int | None:
+def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:
     """The position of the fiber whose density h / a_num on A is neither below
     eps nor above 1 - eps and sits closest to 1/2, ties to the least; None
-    when every fiber is outside that band."""
+    when every fiber is outside that band. The band, |2h - a| ed <= a (ed - 2 en)
+    on Python ints (a ed passes 2^63 in the int64 regime), is monotone in
+    |2h - a|, so the first minimum of |2h - a| is in it if any fiber is."""
+    dist = np.abs(2 * hits - a_num)
+    r = int(dist.argmin())
     en, ed = eps.numerator, eps.denominator
-    return min(((abs(2 * h - a_num), r) for r, h in enumerate(hits)
-                if not (h * ed < en * a_num or (a_num - h) * ed < en * a_num)),
-               default=(None, None))[1]
+    return r if int(dist[r]) * ed <= a_num * (ed - 2 * en) else None
 
 
 def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessReport:
@@ -202,7 +208,7 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
     subset = _normalize_subset(A)
     view = binary_view(H, parts)
     lw = SpaceWeights(measures, parts, H.part_sizes)
-    hits, a_num = _fiber_hits(view, lw, [view.left_pos(a) for a in subset])
+    _, hits, a_num = _fiber_hits(view, lw, np.array([view.left_pos(a) for a in subset], np.intp))
     if a_num == 0:
         raise ZeroMeasureBox("goodness needs a set of positive measure")
     worst_r = _witness(hits, a_num, eps)
@@ -210,7 +216,7 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
         return GoodnessReport(True, eps, parts, tuple(subset), scanned=view.right_size)
     return GoodnessReport(False, eps, parts, tuple(subset),
                           witness=view.right_tuple(worst_r),
-                          witness_density=Fraction(hits[worst_r], a_num),
+                          witness_density=Fraction(int(hits[worst_r]), a_num),
                           scanned=view.right_size)
 
 
@@ -237,25 +243,22 @@ class GoodDescent:
     meta: dict = field(default_factory=dict)
 
 
-def _descent_extract(view, lw, support: list[int], eps_half: Fraction, depth_cap: int):
-    """One eps/2-good piece found by descending through non-goodness
-    witnesses, always into the heavier child. Returns (piece, path)."""
-    current = sorted(support)
+def _descent_extract(view, lw, current: np.ndarray, eps_half: Fraction, depth_cap: int):
+    """One eps/2-good piece found by descending from current through non-goodness
+    witnesses, always into the heavier child: (piece, path, its numerator mass)."""
     path = []
     while True:
-        hits, a_num = _fiber_hits(view, lw, current)
+        sub, hits, a_num = _fiber_hits(view, lw, current)
         worst_r = _witness(hits, a_num, eps_half)
         if worst_r is None:
-            return current, path
+            return current, path, a_num
         if len(path) >= depth_cap:
             raise DepthCapExceeded(f"descent exceeded depth cap {depth_cap}; the relation "
                                    f"is less stable than assumed", tree=list(path))
-        row = view.fibers[worst_r]
-        inside = [v for v in current if row[v]]
-        outside = [v for v in current if not row[v]]
-        take_in = 2 * hits[worst_r] >= a_num   # hits[worst_r]: the mass inside the fiber
-        path.append({"witness": view.right_tuple(worst_r),
-                     "side": "in" if take_in else "out",
+        row = sub[worst_r]
+        inside, outside = current[row], current[~row]
+        take_in = 2 * int(hits[worst_r]) >= a_num   # hits[worst_r]: the mass inside the fiber
+        path.append({"witness": view.right_tuple(worst_r), "side": "in" if take_in else "out",
                      "sizes": (len(inside), len(outside))})
         current = inside if take_in else outside
 
@@ -265,10 +268,9 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     """Partition one part into eps/2-good pieces plus a merged small residue.
 
     Extraction repeats until the residue mass drops to (eps/2) of the first
-    piece; the residue then merges into the first piece (re-verified, with a
-    best-fit fallback by representative fiber distance, and extraction
-    resuming if no class will absorb it). Zero-weight vertices join the class
-    of their fingerprint atom so every class stays definable.
+    piece; the residue then merges into the first piece, which stays
+    eps-good (re-verified). Zero-weight vertices join the class of their
+    fingerprint atom so every class stays definable.
     """
     require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     require(depth_cap >= 1, "depth_cap must be >= 1")
@@ -277,75 +279,51 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     view = binary_view(H, (part,))
     lw = SpaceWeights(measures, (part,), H.part_sizes)
     eps_half = eps / 2
-    support = [v for v in range(H.part_sizes[part]) if lw.nums[v] > 0]
-    zeros = [v for v in range(H.part_sizes[part]) if lw.nums[v] == 0]
+    positive = np.array([n > 0 for n in lw.nums], dtype=bool)
+    support = np.flatnonzero(positive)
 
-    pieces: list[list[int]] = []
+    pieces: list[np.ndarray] = []    # sorted intp arrays until the zeros join
     depths: list[int] = []
     witnesses: set = set()
-    residue, steps, residue_action = support, 0, "none"
-
-    def extract(until_small: bool) -> None:
-        """Extract pieces from the residue until it is empty or, when
-        until_small, its mass is at most eps/2 of the first piece's."""
-        nonlocal residue, steps
-        while residue:
-            if until_small and pieces:
-                r_mass = sum(lw.nums[v] for v in residue)
-                p_mass = sum(lw.nums[v] for v in pieces[0])
-                if r_mass * eps_half.denominator <= eps_half.numerator * p_mass:
-                    return
-            piece, path = _descent_extract(view, lw, residue, eps_half, depth_cap)
-            steps += 1
-            pieces.append(piece)
-            depths.append(len(path))
-            witnesses.update(step["witness"] for step in path)
-            taken = set(piece)
-            residue = [v for v in residue if v not in taken]
+    residue, r_mass, p_mass = support, lw.sums(positive), 0
+    live = positive.copy()    # the residue as a mask
+    while len(residue) and not (pieces and r_mass * eps_half.denominator
+                                <= eps_half.numerator * p_mass):
+        piece, path, mass = _descent_extract(view, lw, residue, eps_half, depth_cap)
+        r_mass, p_mass = r_mass - mass, p_mass or mass   # p_mass: the first piece's
+        pieces.append(piece)
+        depths.append(len(path))
+        witnesses.update(step["witness"] for step in path)
+        live[piece] = False
+        residue = np.flatnonzero(live)
+    steps = len(pieces)
 
     def is_good(vertices, level: Fraction) -> bool:
-        return _witness(*_fiber_hits(view, lw, sorted(vertices)), level) is None
+        return _witness(*_fiber_hits(view, lw, vertices)[1:], level) is None
 
-    extract(until_small=True)
-
-    if residue:
-        merged = sorted(pieces[0] + residue)
-        if is_good(merged, eps_half):
-            pieces[0] = merged
-            residue_action = "merged_first"
-        elif is_good(merged, eps):
-            pieces[0] = merged
-            residue_action = "merged_first_at_eps"
-        else:
-            rw = SpaceWeights(measures, view.right, H.part_sizes)
-            # the first piece whose representative's fiber is nearest
-            best_i = min(range(len(pieces)), key=lambda i: rw.sums(
-                view.fibers[:, pieces[i][0]] ^ view.fibers[:, residue[0]]))
-            trial = sorted(pieces[best_i] + residue)
-            if is_good(trial, eps):
-                pieces[best_i] = trial
-                residue_action = f"best_fit:{best_i}"
-            else:
-                residue_action = "re_extracted"
-                extract(until_small=False)
+    # The first piece (mass p) is eps/2-good and the residue weighs r <= eps/2 p,
+    # so their union is eps-good: a fiber holding less than eps/2 p of the
+    # piece holds less than eps/2 p + r <= eps (p + r) of the union, and a
+    # fiber leaving out less than eps/2 p leaves out less than eps (p + r).
+    residue_action = "none"
+    if len(residue):
+        pieces[0] = np.union1d(pieces[0], residue)
+        residue_action = "merged_first" if is_good(pieces[0], eps_half) else "merged_first_at_eps"
+    for i, piece in enumerate(pieces):
+        level = eps if i == 0 and len(residue) else eps_half
+        if not is_good(piece, level):
+            raise VerificationError(f"piece {i} failed goodness at {level}")
 
     # attach zero-weight vertices by fingerprint atom
+    pieces = [p.tolist() for p in pieces]
     params = sorted(witnesses)
+    zeros = np.flatnonzero(~positive).tolist()
     if zeros:
         piece_of = {v: i for i, piece in enumerate(pieces) for v in piece}
         for atom in fiber_atoms(H, part, params):
             home = next((piece_of[v] for v in atom if v in piece_of), 0)
             pieces[home].extend(v for v in atom if v not in piece_of)
         pieces = [sorted(p) for p in pieces]
-
-    merged_at_eps = {0} if residue_action.startswith("merged") else set()
-    if residue_action.startswith("best_fit:"):
-        merged_at_eps = {int(residue_action.split(":")[1])}
-    for i, piece in enumerate(pieces):
-        level = eps if i in merged_at_eps else eps_half
-        positive = [v for v in piece if lw.nums[v] > 0]
-        if positive and not is_good(positive, level):
-            raise VerificationError(f"piece {i} failed goodness at {level}")
 
     return GoodDescent(part, tuple(tuple(p) for p in pieces), eps,
                        tuple(depths), tuple(params), steps, residue_action,

@@ -610,3 +610,13 @@ def test_interval_flag_is_recorded_as_its_endpoints():
     code, rep = report(["convexity", "involution", "--interval", "3..9"])
     assert code == 0
     assert rep["inputs"]["flags"]["interval"] == [3, 9]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random-vc-capped", "--sizes", "8,8", "--d", "-1"],   # not read as --depth
+    ["stable", "partition", "--depth", "3"],                     # not read as --depth-cap
+])
+def test_flag_prefixes_are_not_expanded(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
