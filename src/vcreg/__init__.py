@@ -30,9 +30,9 @@ _EXPORTS = {
                    "delta_approx_partition", "find_dense_box", "net_param_bound",
                    "rectangular_approximation", "regular_partition",
                    "verify_regular_partition"),
-    "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate",
-               "descent_step_bound", "good_check", "good_descent_partition",
-               "ladder_index", "product_goodness_check", "stable_regular_partition"),
+    "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate", "good_check",
+               "good_descent_partition", "ladder_index", "product_goodness_check",
+               "stable_regular_partition"),
     "vc": ("EpsNet", "SetFamily", "VCDimension", "epsilon_net", "fiber_family",
            "net_size_formula", "sauer_bound", "sauer_check", "shatter_function",
            "vc_dimension"),

@@ -78,6 +78,7 @@ def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
     instance file; measures default to uniform when the file has none."""
     from .core import Hypergraph, Measure, uniform_measures
+    require(path is not None, "--in is required")
     obj = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = sha256_of(obj)
@@ -94,6 +95,7 @@ def _load_instance(path: str, files: dict):
 def _load_family(path: str, parts: tuple[int, ...], files: dict):
     from .core import Hypergraph
     from .vc import SetFamily, fiber_family
+    require(path is not None, "--in is required")
     obj = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = sha256_of(obj)
@@ -244,10 +246,11 @@ def _cmd_stable_ladder(args, files):
 
 def _cmd_stable_partition(args, files):
     from .regularity import exactly_homogeneous, recount_boxes, verify_regular_partition
-    from .stable import stable_regular_partition
+    from .stable import DEPTH_CAP, stable_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
-    sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=args.depth_cap)
+    cap = DEPTH_CAP if args.depth_cap is None else args.depth_cap
+    sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=cap)
     recount = recount_boxes(H, measures, sp.classes)   # one recount for both checks
     rep = verify_regular_partition(H, measures, sp, recount)
     homogeneous = exactly_homogeneous(H, measures, sp, recount)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +29,11 @@ from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
 from .jsonio import require
 from .regularity import RegularPartition, band, box_keys
+
+# How deep one descent may go before it gives up with DepthCapExceeded. A
+# guard, not the paper's bound: Malliaris-Shelah bound the height by an
+# exponential in the ladder index, which `stable ladder` measures on request.
+DEPTH_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ def _descent_extract(view, lw, current: np.ndarray, eps_half: Fraction, depth_ca
 
 
 def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
-                           depth_cap: int = 32) -> GoodDescent:
+                           depth_cap: int = DEPTH_CAP) -> GoodDescent:
     """Partition one part into eps/2-good pieces plus a merged small residue.
 
     Extraction repeats until the residue mass drops to (eps/2) of the first
@@ -330,24 +334,8 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
                        {"support": len(support), "zero_weight": len(zeros)})
 
 
-def descent_step_bound(eps: Fraction, d: int) -> int:
-    """A priori bound on extraction steps: the ceiling of
-    (d+1) log x / log(1 - x^d), x = eps/2, which is the least integer N with
-    (1 - x^d)^N <= x^(d+1) up to float rounding. Taken in the log domain with
-    log1p, so it stays finite when 1 - x^d is 1.0 as a float."""
-    if d <= 0:
-        return 1
-    x = Fraction(eps) / 2
-    log_x = math.log(x.numerator) - math.log(x.denominator)
-    x_d = float(x ** d)
-    if x_d < sys.float_info.min:
-        # below the normal floats log1p(-t) is -t to double precision
-        return math.ceil(Fraction(-(d + 1) * log_x) / x ** d)
-    return math.ceil((d + 1) * log_x / math.log1p(-x_d))
-
-
 def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
-                             depth_cap: int | None = None) -> RegularPartition:
+                             depth_cap: int = DEPTH_CAP) -> RegularPartition:
     """Regular partition with Sigma empty: every positive box homogeneous.
 
     The per-part eps/2^(k+1)-good descents, then one exact check that every
@@ -357,18 +345,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     """
     require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     measures = check_measures(H, measures)
-    d_hat = ladder_index(H, (0,), cap=8, budget=100_000).length
-    if depth_cap is None:
-        depth_cap = max(8, d_hat + 1)
     eps0 = eps / (1 << (H.k + 1))
-    step_bound = descent_step_bound(eps0, max(d_hat, 1))
-    # the report prints the bound; 0 means Python prints ints of any length
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    require(not max_digits or step_bound < 10 ** max_digits,
-            f"stable_regular_partition: the descent step bound (d_hat={d_hat}) has "
-            f"more than {max_digits} digits, the limit on printing an integer; "
-            f"use a larger epsilon")
-
     descents = [good_descent_partition(H, measures, i, eps0, depth_cap)
                 for i in range(H.k)]
     classes = tuple(d.pieces for d in descents)
@@ -384,15 +361,10 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     meta = {
         "pipeline": "stable",
         "eps0": eps0,
-        "d_hat": d_hat,
         "depth_cap": depth_cap,
-        # no refinement runs: kept so reports keep their keys and values
-        "rounds_used": 0,
-        "violating_history": [0],
         "descent_steps": tuple(d.steps for d in descents),
         "descent_depths": tuple(d.depths for d in descents),
         "residue_actions": tuple(d.residue_action for d in descents),
-        "descent_step_bound": step_bound,
         "class_counts": tuple(counts),
         "sigma_mass": Fraction(0),
     }

@@ -325,19 +325,45 @@ def test_stable_partition_where_one_minus_x_d_rounds_to_one(tmp_path):
     assert code in (0, 1)
     rep = json.loads(out)
     assert _floats_outside_timing(rep) == []
-    assert type(rep["outputs"]["meta"]["descent_step_bound"]) is int
     assert rep["ok"] is (code == 0)
 
 
-def test_stable_partition_step_bound_past_print_limit(tmp_path):
-    # d_hat = 8 at eps = 10^-600 makes a bound of about 4,800 digits
-    inst = str(tmp_path / "h8.json")
-    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
-    code, rep = report(["stable", "partition", "--in", inst,
-                        "--epsilon", f"1/{10 ** 600}"])
+def test_stable_partition_on_an_interval_graph_at_the_default_depth_cap(tmp_path):
+    # its deepest descent takes 10 steps, so a cap of 9 or less stops it
+    from vcreg.cli import _load_instance
+    from vcreg.core import Box
+    from vcreg.oracles import brute_density
+    inst = str(tmp_path / "iv.json")
+    report(["gen", "interval-graph", "--sizes", "32,48", "--seed", "1", "--out", inst])
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
+    assert code == 0 and rep["ok"], rep.get("error")
+    meta = rep["outputs"]["meta"]
+    assert meta["depth_cap"] == 32
+    assert not {"d_hat", "descent_step_bound", "rounds_used", "violating_history"} & set(meta)
+    H, measures = _load_instance(inst, {})
+    classes = rep["outputs"]["partition"]["classes"]
+    for key, label in rep["outputs"]["partition"]["labels"]:
+        box = Box.of([classes[i][c] for i, c in enumerate(key)])
+        assert brute_density(H, measures, box) == label, key
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8",
+                        "--depth-cap", "3"])
+    assert code == 1 and "depth cap 3" in rep["error"]["message"]
+    code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8",
+                        "--depth-cap", "0"])
+    assert code == 2 and rep["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["vc", "dim"], ["vc", "shatter", "--n", "2"], ["vc", "net", "--epsilon", "1/4"],
+    ["reg", "partition", "--epsilon", "1/4"], ["reg", "verify", "--partition", "p.json"],
+    ["reg", "rect", "--epsilon", "1/4"], ["reg", "eh-box", "--epsilon", "1/4", "--alpha", "1/2"],
+    ["stable", "ladder"], ["stable", "partition", "--epsilon", "1/8"],
+    ["rodl", "search", "--eps", "1/4", "--m", "2"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_missing_in_is_input_error(argv):
+    code, rep = report(argv)
     assert code == 2 and not rep["ok"]
-    assert rep["error"]["kind"] == "input"
-    assert "stable_regular_partition" in rep["error"]["message"]
+    assert rep["error"]["kind"] == "input" and "--in" in rep["error"]["message"]
 
 
 def _fresh(argv):

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
-                   descent_step_bound, fiber_family, good_check,
-                   good_descent_partition, ladder_index, product_goodness_check,
-                   stable_regular_partition, uniform_measures, vc_dimension)
+                   fiber_family, good_check, good_descent_partition, ladder_index,
+                   product_goodness_check, stable_regular_partition,
+                   uniform_measures, vc_dimension)
 from vcreg.cli import main
 from vcreg.oracles import brute_ladder_check, brute_ladder_index
 from vcreg.instances import GeneratorSpec, block_pair_graph, generate, half_graph
@@ -230,43 +230,3 @@ def test_product_goodness():
     # straddling both blocks is not good at a small epsilon
     A2 = [(j,) for j in range(12)]
     assert not product_goodness_check(H, mu, A2, B, Fraction(1, 8))
-
-
-def _least_steps(eps: Fraction, d: int) -> int:
-    """The least N with (1 - x^d)^N <= x^(d+1), x = eps/2, in exact integers:
-    (q^d - p^d)^N q^(d+1) <= p^(d+1) q^(dN) for x = p/q."""
-    x = eps / 2
-    p, q = x.numerator, x.denominator
-
-    def holds(n):
-        return (q ** d - p ** d) ** n * q ** (d + 1) <= p ** (d + 1) * q ** (d * n)
-    hi = 1
-    while not holds(hi):
-        hi *= 2
-    lo = hi // 2      # holds(hi) and not holds(lo), or lo == 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
-
-
-# every (eps, d) whose exact power stays small: x^d >= 2^-14
-_STEP_CASES = [(eps, d) for eps in (Fraction(1), Fraction(1, 2), Fraction(2, 5),
-                                    Fraction(1, 3), Fraction(1, 4), Fraction(3, 7),
-                                    Fraction(1, 8), Fraction(1, 16))
-               for d in (1, 2, 3) if (eps / 2) ** d >= Fraction(1, 1 << 14)]
-
-
-@pytest.mark.parametrize("eps, d", _STEP_CASES)
-def test_descent_step_bound_is_least_exact_steps(eps, d):
-    n = descent_step_bound(eps, d)
-    assert type(n) is int
-    assert n == _least_steps(eps, d)
-
-
-def test_descent_step_bound_past_float_precision():
-    # 1 - x^d rounds to 1.0 here; the log-domain form stays finite
-    assert descent_step_bound(Fraction(1, 2), 1) == 10
-    assert descent_step_bound(Fraction(1, 64), 8) == 3146630643155340800
-    assert descent_step_bound(Fraction(1, 64), 0) == 1
-    assert type(descent_step_bound(Fraction(1, 10 ** 40), 8)) is int
