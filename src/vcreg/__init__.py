@@ -17,8 +17,8 @@ _EXPORTS = {
     "convexity": ("IntegerInterval", "ap_count", "convexity_density", "is_edge",
                   "reflection_involution_check"),
     "core": ("Box", "Fiber", "Hypergraph", "Measure", "binary_view", "density",
-             "edge_mass", "fiber", "fubini_mass", "full_box", "product_measure",
-             "uniform_measures", "weak_fubini_check"),
+             "edge_mass", "fiber", "fubini_mass", "full_box", "uniform_measures",
+             "weak_fubini_check"),
     "dyadic": ("DyadicBall", "anti_homogeneity_bound_check", "ball_parity_report",
                "dyadic_hypergraph", "level_pair_counts", "odd_split_density",
                "parse_balls", "random_ball_union"),

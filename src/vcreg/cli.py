@@ -13,16 +13,16 @@ record through `to_obj`, a numpy integer as an int; anything else raises
 TypeError. Every dict key in a report is built as a str.
 
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
-of the stable descents' pieces is not homogeneous); 2 input error (unknown
+of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
 flags, malformed files, bad rationals).
 
-`stable partition` checks the paper's claim that every box is exactly 0 or
-1 dense on the verifier's own recount of the boxes
-(`regularity.exactly_homogeneous`), not on the box sums that built the
-partition: each labelled box must hold none or all of its mass.
+`stable partition` also checks, on the verifier's own recount of the boxes
+(`regularity.exactly_homogeneous`), that each labelled box holds none or all
+of its mass. The descents promise only density below eps or above 1 - eps,
+so this exact check can fail (exit 1) where the verifier passes.
 
 The argparse tree is built once per process, and each handler imports the
-engine modules it needs, so `dyadic` and `convexity` runs never load numpy.
+engine modules and oracles it needs: `dyadic` and `convexity` never load numpy.
 """
 
 from __future__ import annotations
@@ -43,24 +43,19 @@ from .dyadic import (DyadicBall, anti_homogeneity_bound_check,
 from .errors import InputError, VerificationError
 from .jsonio import (KINDS, canonical_dumps, dump_json, load_json,
                      parse_rational, require, sha256_of)
-from .oracles import (brute_convexity_edges, brute_dyadic_pair_count,
-                      brute_shatters, brute_union_mass_error)
 
 
-def _parse_parts(s: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in s.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse parts list {s!r}") from None
-    require(len(set(parts)) == len(parts), "repeated part index")
-    return parts
-
-
-def _parse_sizes(s: str) -> tuple[int, ...]:
+def _parse_ints(s: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in s.split(","))
     except ValueError:
-        raise InputError(f"cannot parse sizes {s!r}") from None
+        raise InputError(f"cannot parse {what} {s!r}") from None
+
+
+def _parse_parts(s: str) -> tuple[int, ...]:
+    parts = _parse_ints(s, "parts list")
+    require(len(set(parts)) == len(parts), "repeated part index")
+    return parts
 
 
 def _parse_interval(s: str) -> IntegerInterval:
@@ -108,6 +103,7 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict):
 # ---------------------------------------------------------------- handlers
 
 def _cmd_vc_dim(args, files):
+    from .oracles import brute_shatters
     from .vc import vc_dimension
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
     d = vc_dimension(fam, cap=args.cap, budget=args.budget)
@@ -188,6 +184,7 @@ def _cmd_reg_verify(args, files):
 
 
 def _cmd_reg_rect(args, files):
+    from .oracles import brute_union_mass_error
     from .regularity import rectangular_approximation
     H, measures = _load_instance(args.infile, files)
     require(args.epsilon is not None, "--epsilon is required")
@@ -256,9 +253,9 @@ def _cmd_stable_partition(args, files):
     homogeneous = exactly_homogeneous(H, measures, sp, recount)
     outputs = {"partition": sp.to_obj(), "meta": sp.meta,
                "class_counts": sp.class_counts()}
-    verification = {**rep, "sigma_empty": sp.sigma == (),
+    verification = {**rep, "sigma_empty": len(sp.sigma) == 0,
                     "all_boxes_exactly_homogeneous": homogeneous}
-    ok = rep["ok"] and sp.sigma == () and homogeneous
+    ok = rep["ok"] and len(sp.sigma) == 0 and homogeneous
     return outputs, verification, ok
 
 
@@ -281,6 +278,7 @@ def _balls_from_args(args):
 
 
 def _cmd_dyadic_density(args, files):
+    from .oracles import brute_dyadic_pair_count
     _check_depth(args)
     balls = _balls_from_args(args)
     d = odd_split_density(balls, args.depth, parity=args.parity)
@@ -308,6 +306,7 @@ def _cmd_dyadic_report(args, files):
 
 
 def _cmd_dyadic_bound(args, files):
+    from .oracles import brute_dyadic_pair_count
     _check_depth(args)
     balls = _balls_from_args(args)
     rep = anti_homogeneity_bound_check(balls, balls[0], args.depth,
@@ -327,6 +326,7 @@ def _cmd_dyadic_bound(args, files):
 
 
 def _cmd_convexity_density(args, files):
+    from .oracles import brute_convexity_edges
     require(args.n is not None, "--n is required")
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
@@ -426,7 +426,7 @@ def _cmd_gen(args, files):
         sizes = (1 << args.depth, 1 << args.depth)
     else:
         require(args.sizes is not None, "--sizes is required")
-        sizes = _parse_sizes(args.sizes)
+        sizes = _parse_ints(args.sizes, "sizes")
     spec = GeneratorSpec(kind, sizes, len(sizes), args.seed or 0, tuple(params))
     g = generate(spec)
     outputs = g.to_obj()

@@ -435,10 +435,6 @@ class ProductMeasure:
         return Fraction(sum(self.tuple_num(t) for t in tuples), self.den)
 
 
-def product_measure(measures) -> ProductMeasure:
-    return ProductMeasure(measures)
-
-
 def box_counts(H: Hypergraph, measures, classes_by_part) -> tuple:
     """(class counts, per-box weight sums, per-box edge weight sums, den) of a
     partition, the sums exact_dtype(den) arrays over den in row-major box

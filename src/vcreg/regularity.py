@@ -243,12 +243,15 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
     return boxes, params, error, [level] + sub_levels
 
 
-@dataclass
+@dataclass(eq=False)
 class RegularPartition:
+    """Per-part classes and two arrays over their boxes in row-major order:
+    `labels` (0, 1, or -1 for none) and `sigma`, the ascending indices of the
+    exceptional boxes. Only files hold boxes, as class-index tuples."""
     classes: tuple[tuple[tuple[int, ...], ...], ...]
     epsilon: Fraction
-    sigma: tuple[tuple[int, ...], ...]
-    labels: dict
+    sigma: np.ndarray
+    labels: np.ndarray
     provenance: tuple[tuple[tuple[int, ...], ...], ...]
     meta: dict = field(default_factory=dict)
 
@@ -256,14 +259,15 @@ class RegularPartition:
         return tuple(len(c) for c in self.classes)
 
     def to_obj(self) -> dict:
-        # the JSON encoder writes the tuples as lists; nothing is copied
+        # row-major order is the lex order of the keys; tuples go out as lists
+        counts, live = self.class_counts(), np.flatnonzero(self.labels >= 0)
         return {"epsilon": format_rational(self.epsilon), "classes": self.classes,
-                "sigma": self.sigma, "labels": sorted(self.labels.items()),
-                "provenance": self.provenance}
+                "sigma": box_keys(self.sigma, counts), "provenance": self.provenance,
+                "labels": list(zip(box_keys(live, counts), self.labels[live].tolist()))}
 
     @staticmethod
     def from_obj(obj) -> "RegularPartition":
-        require(isinstance(obj, dict) and "classes" in obj and "epsilon" in obj,
+        require(isinstance(obj, dict) and obj.get("classes") and "epsilon" in obj,
                 "partition JSON needs classes and epsilon")
         pairs = obj.get("labels", [])
         require(isinstance(pairs, list) and all(isinstance(x, list) and len(x) == 2
@@ -271,9 +275,13 @@ class RegularPartition:
                 "partition field 'labels' must be a list of [box, label] pairs")
         labels = {_int_lists(kbox, 1, "labels"): _int_lists(v, 0, "labels")
                   for kbox, v in pairs}
-        return RegularPartition(_int_lists(obj["classes"], 3, "classes"),
-                                parse_rational(obj["epsilon"]),
-                                _int_lists(obj.get("sigma", []), 2, "sigma"), labels,
+        require(set(labels.values()) <= {0, 1}, "partition labels must be 0 or 1")
+        classes = _int_lists(obj["classes"], 3, "classes")
+        counts = [len(c) for c in classes]   # as the error messages print them
+        sigma = dict.fromkeys(_int_lists(obj.get("sigma", []), 2, "sigma"), 1)
+        return RegularPartition(classes, parse_rational(obj["epsilon"]),
+                                np.flatnonzero(label_grid(sigma, counts) == 1),
+                                label_grid(labels, counts),
                                 _int_lists(obj.get("provenance", []), 3, "provenance"))
 
 
@@ -322,9 +330,10 @@ def box_keys(flat, counts) -> list[tuple[int, ...]]:
 def label_grid(labels: dict, counts) -> np.ndarray:
     """The labels in row-major box order, -1 where a box has none; an
     InputError names the first key that names no box."""
+    require(prod(counts) <= MAX_DENSE_SPACE, f"{prod(counts)} boxes exceed the dense-array guard")
     keys, k, arr = list(labels), len(counts), None
     with contextlib.suppress(ValueError, OverflowError):   # ragged or past int64
-        arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64).reshape(-1, k)
+        arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64).reshape(len(keys), k)
     if arr is not None and set(map(len, keys)) <= {k} and ((arr >= 0) & (arr < counts)).all():
         grid = np.full(prod(counts), -1, np.int8)
         grid[np.ravel_multi_index(arr.T, counts)] = np.fromiter(labels.values(), np.int8)
@@ -388,8 +397,7 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction, uniform: bo
     # sym-difference mass, so a positive box outside Sigma is 0-1 dense
     low, high = band(t, e, eps)
     sigma = (t > 0) & ~np.where(inside, high, low)
-    live = np.flatnonzero((t > 0) & ~sigma)
-    labels = dict(zip(box_keys(live, counts), inside[live].astype(int).tolist()))
+    labels = np.where((t > 0) & ~sigma, inside, -1).astype(np.int8)
     sigma_mass = Fraction(sum(t[sigma].tolist()), den)
     if sigma_mass > eps:
         raise VerificationError("exceptional mass exceeds eps")
@@ -409,8 +417,8 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction, uniform: bo
     # them, so force native ints before they reach the partition record
     provenance = tuple(tuple(tuple(int(v) for v in p) for p in part)
                        for part in provenance)
-    return RegularPartition(classes, eps, tuple(box_keys(np.flatnonzero(sigma), counts)),
-                            labels, provenance, meta), t, e, den
+    return RegularPartition(classes, eps, np.flatnonzero(sigma), labels, provenance,
+                            meta), t, e, den
 
 
 def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:
@@ -449,8 +457,8 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     when absent); classes are unions of fingerprint atoms over the recorded
     parameters. The boxes are summed by recount_boxes, not by the kernel of
     the builders; a caller that already holds recount_boxes(H, measures,
-    partition.classes) passes it as recount. A label or Sigma entry that
-    names no box, or a label other than 0 or 1, is an InputError."""
+    partition.classes) passes it as recount. A labels array without one
+    entry per box, or a Sigma index that names no box, is an InputError."""
     measures = check_measures(H, measures)
     require(len(partition.classes) == H.k,
             f"partition has {len(partition.classes)} parts, the relation {H.k}")
@@ -463,7 +471,6 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
                                                 for v, j in zip(b, comp)),
                     f"provenance parameter {list(b)} of part {i} is not a vertex "
                     f"tuple over parts {list(comp)}")
-    require(set(partition.labels.values()) <= {0, 1}, "partition labels must be 0 or 1")
     eps = partition.epsilon
     violations = [{"kind": "not_a_partition", "part": i}
                   for i, part_classes in enumerate(partition.classes)
@@ -474,17 +481,20 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     if recount is None:
         recount = recount_boxes(H, measures, partition.classes)
     counts, t, e, den = recount
-    lab = label_grid(partition.labels, counts)
-    in_sigma = label_grid(dict.fromkeys({tuple(s) for s in partition.sigma}, 1), counts) == 1
+    lab, sigma = partition.labels, partition.sigma
+    require(len(lab) == len(t), f"partition has {len(lab)} labels for {len(t)} boxes")
+    require(((0 <= sigma) & (sigma < len(t))).all(), "a Sigma index names no box")
+    in_sigma = np.zeros(len(t), bool)
+    in_sigma[sigma] = True
     en, ed = eps.numerator, eps.denominator
     if exact_dtype(int(t.max()) * max(en, ed)) is object:
         t, e = t.astype(object), e.astype(object)
     low, high = e * ed < en * t, (t - e) * ed < en * t
     dense = (low & (lab != 1)) | (high & (lab != 0))   # either, when unlabelled
     bad = np.flatnonzero(~(dense | in_sigma | (t == 0)))
-    for key, b in zip(box_keys(bad, counts), bad.tolist()):
+    for key, b in zip(np.transpose(np.unravel_index(bad, counts)).tolist(), bad.tolist()):
         violations.append({
-            "kind": "box_not_01_dense", "box": list(key), "label": partition.labels.get(key),
+            "kind": "box_not_01_dense", "box": key, "label": int(lab[b]) if lab[b] >= 0 else None,
             "edge_mass": format_rational(Fraction(int(e[b]), den)),
             "box_mass": format_rational(Fraction(int(t[b]), den)),
         })
@@ -511,10 +521,10 @@ def exactly_homogeneous(H: Hypergraph, measures, partition: RegularPartition,
     if recount is None:
         recount = recount_boxes(H, measures, partition.classes)
     counts, t, e, _ = recount
-    labelled = label_grid(partition.labels, counts) >= 0
-    empty = np.flatnonzero(labelled & (t == 0))
+    labelled = partition.labels >= 0
+    empty = np.argwhere((labelled & (t == 0)).reshape(counts))
     if len(empty):
-        raise ZeroMeasureBox(f"box {list(box_keys(empty[:1], counts)[0])} has measure zero")
+        raise ZeroMeasureBox(f"box {empty[0].tolist()} has measure zero")
     return bool(((e == 0) | (e == t))[labelled].all())
 
 
@@ -542,13 +552,13 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     part, t, e, den = _build_regular_partition(H, measures, eps_p, False, strategy, seed)
     counts = part.class_counts()
     delta = eps_p / prod(counts)
-    one = label_grid(part.labels, counts) == 1
+    one = part.labels == 1
     # the first heaviest labelled-1 box in row-major order
     best = int(np.argmax(np.where(one, t, -1)))
     if not (one[best] and Fraction(int(t[best]), den) > delta):
         raise VerificationError(
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
-    sides = [cls[c] for cls, c in zip(part.classes, box_keys([best], counts)[0])]
+    sides = [cls[c] for cls, c in zip(part.classes, np.unravel_index(best, counts))]
     box = Box.of(sides)
     dens = Fraction(int(e[best]), int(t[best]))
     if not dens > 1 - eps_p:

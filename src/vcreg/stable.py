@@ -3,15 +3,16 @@
 A ladder of length d is a pair of sequences a_1..a_d, b_1..b_d with
 a_i in R_{b_j} exactly when i <= j; its maximal length measures how far the
 relation is from stable. Stable relations admit regular partitions with no
-exceptional boxes: every box is homogeneous. The pipeline here:
+exceptional boxes: every box is eps-homogeneous. The pipeline here:
 
   good_descent_partition splits one part into eps/2-good pieces by walking
   down non-goodness witnesses (each witness fiber cuts the current set into
   two parts of relative measure >= eps/4 each, so descents are shallow for
   stable relations); stable_regular_partition runs that on every part at
-  eps / 2^(k+1), as in Malliaris-Shelah, and the pieces are the classes. One
-  exact check of every box's density follows before returning; a box that
-  is not homogeneous is a loud error, never a silent Sigma.
+  eps / 2^(k+1), as in Malliaris-Shelah, and the pieces are the classes.
+  Every box must then have density below eps or above 1 - eps, exactly, or
+  the pipeline fails loudly, never with a silent Sigma. Density exactly 0 or
+  1 is not promised: regularity.exactly_homogeneous checks it, and can fail.
 """
 
 from __future__ import annotations
@@ -172,10 +173,6 @@ class GoodnessReport:
     scanned: int = 0
 
 
-def _normalize_subset(A) -> list[tuple[int, ...]]:
-    return sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
-
-
 def _fiber_hits(view, lw: SpaceWeights, current: np.ndarray):
     """The fibers' columns at the positions current (an intp array), each
     fiber's numerator mass there (an exact_dtype array) and current's mass."""
@@ -209,7 +206,7 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
     require(isinstance(eps, Fraction) and 0 < eps, "eps must be a positive Fraction")
     measures = check_measures(H, measures)
     parts = tuple(sorted(parts))
-    subset = _normalize_subset(A)
+    subset = sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
     view = binary_view(H, parts)
     lw = SpaceWeights(measures, parts, H.part_sizes)
     _, hits, a_num = _fiber_hits(view, lw, np.array([view.left_pos(a) for a in subset], np.intp))
@@ -336,13 +333,11 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
 
 def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
                              depth_cap: int = DEPTH_CAP) -> RegularPartition:
-    """Regular partition with Sigma empty: every positive box homogeneous.
+    """Regular partition with Sigma empty: every positive box eps-homogeneous.
 
-    The per-part eps/2^(k+1)-good descents, then one exact check that every
-    box of their pieces has density below eps or above 1 - eps; the first box
-    that does not raises RefinementFailed. Each box is labelled by its
-    majority.
-    """
+    The per-part eps/2^(k+1)-good descents, then one exact check that every box
+    of their pieces has density below eps or above 1 - eps (the first that does
+    not raises RefinementFailed); each positive box gets its majority label."""
     require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     measures = check_measures(H, measures)
     eps0 = eps / (1 << (H.k + 1))
@@ -355,8 +350,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     if len(mixed):
         raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
                                box=box_keys(mixed[:1], counts)[0])
-    live = np.flatnonzero(t > 0)
-    labels = dict(zip(box_keys(live, counts), (t - e <= e)[live].astype(int).tolist()))
+    labels = np.where(t > 0, t - e <= e, -1).astype(np.int8)
 
     meta = {
         "pipeline": "stable",
@@ -368,5 +362,5 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
         "class_counts": tuple(counts),
         "sigma_mass": Fraction(0),
     }
-    return RegularPartition(classes, eps, (), labels,
+    return RegularPartition(classes, eps, np.zeros(0, np.intp), labels,
                             tuple(d.witnesses for d in descents), meta)

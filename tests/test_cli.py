@@ -298,6 +298,8 @@ _GOOD_PARTITION = {"epsilon": "1/2", "classes": [[[0, 1, 2, 3]], [[0, 1, 2, 3]]]
     {"provenance": [[[1, 0]], [[2]]]},
     {"provenance": [[["1"]], [[2]]]},
     {"provenance": [[[1]]]},
+    # 3000 x 3000 boxes, over core.MAX_DENSE_SPACE: refused before a grid is built
+    {"classes": [[[0, 1, 2, 3]] * 3000, [[0, 1, 2, 3]] * 3000]},
 ])
 def test_malformed_partition_is_input_error(tmp_path, write_json, change):
     inst = str(tmp_path / "h.json")
@@ -428,11 +430,13 @@ def test_numpy_free_subcommands_do_not_load_numpy():
 
 
 def _stand_in_partition(monkeypatch, classes, labels):
+    import numpy as np
     import vcreg.stable
-    from vcreg.regularity import RegularPartition
+    from vcreg.regularity import RegularPartition, label_grid
+    grid = label_grid(labels, [len(c) for c in classes])
     monkeypatch.setattr(vcreg.stable, "stable_regular_partition",
                         lambda H, measures, eps, **kw: RegularPartition(
-                            classes, eps, (), labels, ((), ()), {}))
+                            classes, eps, np.zeros(0, np.intp), grid, ((), ()), {}))
 
 
 def test_stable_partition_check_flags_inhomogeneous_box(tmp_path, monkeypatch):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
-                   edge_mass, fiber, fubini_mass, full_box, product_measure,
-                   uniform_measures, weak_fubini_check)
-from vcreg.core import edge_array, fiber_atoms
+                   edge_mass, fiber, fubini_mass, full_box, uniform_measures,
+                   weak_fubini_check)
+from vcreg.core import ProductMeasure, edge_array, fiber_atoms
 from vcreg.oracles import (brute_density, brute_fiber, brute_hypergraph_error,
                            brute_set_mass)
 from vcreg.instances import GeneratorSpec, generate, half_graph
@@ -210,7 +210,7 @@ def test_zero_mass_box_density_raises():
 def test_product_measure_matches_brute():
     H = half_graph(4)
     mu = uniform_measures(H)
-    assert product_measure(mu).set_mass(H.edges) == brute_set_mass(H, mu, H.edges)
+    assert ProductMeasure(mu).set_mass(H.edges) == brute_set_mass(H, mu, H.edges)
 
 
 # non-uniform weights: random positive numerators, normalized exactly

@@ -1,11 +1,13 @@
 """Delta approximations, box unions, 0-1 partitions, and the dense box."""
 
+import dataclasses
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,11 @@ from vcreg import (Box, Hypergraph, InputError, Measure, RegularPartition,
 from vcreg.oracles import (brute_boxes_membership, brute_fiber, brute_set_mass,
                            brute_union_mass_error)
 from vcreg.instances import block_pair_graph, half_graph, same_block_equivalence
+
+
+def _labels(rp):
+    """A partition's labels as a dict of class-index tuples, as its file has them."""
+    return dict((tuple(k), v) for k, v in rp.to_obj()["labels"])
 
 
 def test_delta_partition_pairwise_distance():
@@ -79,9 +86,9 @@ def test_regular_partition_blocks_is_exact():
     rp = regular_partition(H, mu, Fraction(1, 10))
     rep = verify_regular_partition(H, mu, rp)
     assert rep["ok"], rep["violations"]
-    assert rp.sigma == ()
+    assert len(rp.sigma) == 0
     assert all(len({v * 2 // 8 for v in c}) == 1 for part in rp.classes for c in part)
-    for key in rp.labels:
+    for key in _labels(rp):
         sides = [rp.classes[i][key[i]] for i in range(2)]
         assert density(H, mu, Box.of(sides)) in (Fraction(0), Fraction(1))
 
@@ -103,8 +110,36 @@ def test_partition_survives_json_roundtrip():
     back = RegularPartition.from_obj(json.loads(json.dumps(rp.to_obj())))
     assert back.classes == rp.classes
     assert back.provenance == rp.provenance
-    assert back.labels == rp.labels
+    assert _labels(back) == _labels(rp)
     assert verify_regular_partition(H, mu, back)["ok"]
+
+
+def test_repeated_partition_entries_are_counted_once():
+    # eps = 1/2 leaves a box in Sigma; listing every Sigma box twice and one
+    # label twice must not change the verdict or the Sigma mass
+    H = half_graph(16)
+    mu = uniform_measures(H)
+    rp = regular_partition(H, mu, Fraction(1, 2))
+    obj = json.loads(json.dumps(rp.to_obj()))
+    assert obj["sigma"]
+    twice = {**obj, "sigma": obj["sigma"] * 2, "labels": obj["labels"] + obj["labels"][:1]}
+    want = verify_regular_partition(H, mu, RegularPartition.from_obj(obj))
+    assert want["ok"] and Fraction(want["sigma_mass"]) > 0
+    for again in (RegularPartition.from_obj(twice),
+                  dataclasses.replace(rp, sigma=np.repeat(rp.sigma, 2))):
+        got = verify_regular_partition(H, mu, again)
+        assert (got["ok"], got["sigma_mass"]) == (want["ok"], want["sigma_mass"])
+
+
+def test_verifier_refuses_arrays_that_do_not_fit_the_boxes():
+    H = half_graph(8)
+    mu = uniform_measures(H)
+    rp = regular_partition(H, mu, Fraction(1, 4))
+    with pytest.raises(InputError, match="63 labels for 64 boxes"):
+        verify_regular_partition(H, mu, dataclasses.replace(rp, labels=rp.labels[:-1]))
+    for sigma in ([-1], [64]):
+        with pytest.raises(InputError, match="Sigma index names no box"):
+            verify_regular_partition(H, mu, dataclasses.replace(rp, sigma=np.array(sigma)))
 
 
 def test_uniform_partition_shares_classes_across_parts():
@@ -113,7 +148,7 @@ def test_uniform_partition_shares_classes_across_parts():
     assert rp.classes[0] == rp.classes[1]
     rep = verify_regular_partition(H, uniform_measures(H), rp)
     assert rep["ok"], rep["violations"]
-    assert rp.sigma == ()
+    assert len(rp.sigma) == 0
     assert all(len({v * 3 // 12 for v in c}) == 1 for c in rp.classes[0])
     # one more input: k = 3, the relation "all three in the same half of 8"
     H3 = Hypergraph((8, 8, 8), [t for t in itertools.product(range(8), repeat=3)
@@ -137,7 +172,8 @@ def test_verifier_rejects_single_class_partition():
     H = half_graph(4)
     mu = uniform_measures(H)
     bad = RegularPartition(classes=(((0, 1, 2, 3),), ((0, 1, 2, 3),)),
-                           epsilon=Fraction(1, 10), sigma=(), labels={},
+                           epsilon=Fraction(1, 10), sigma=np.zeros(0, np.intp),
+                           labels=np.full(1, -1, np.int8),
                            provenance=((), ()))
     rep = verify_regular_partition(H, mu, bad)
     assert not rep["ok"]
@@ -149,7 +185,8 @@ def test_verifier_rejects_non_partition():
     H = half_graph(4)
     mu = uniform_measures(H)
     bad = RegularPartition(classes=(((0, 1),), ((0, 1, 2, 3),)),
-                           epsilon=Fraction(1, 2), sigma=(), labels={},
+                           epsilon=Fraction(1, 2), sigma=np.zeros(0, np.intp),
+                           labels=np.full(1, -1, np.int8),
                            provenance=((), ()))
     rep = verify_regular_partition(H, mu, bad)
     assert not rep["ok"]
@@ -162,7 +199,7 @@ def test_verifier_rejects_undeclared_class():
     mu = uniform_measures(H)
     bad = RegularPartition(
         classes=((tuple(range(4)),), ((0, 2), (1, 3))),
-        epsilon=Fraction(1, 1), sigma=(), labels={},
+        epsilon=Fraction(1, 1), sigma=np.zeros(0, np.intp), labels=np.full(2, -1, np.int8),
         provenance=((), ((0,), (1,), (2,))))
     rep = verify_regular_partition(H, mu, bad)
     assert any(v["kind"] == "class_not_definable" for v in rep["violations"])
@@ -231,19 +268,20 @@ def test_regular_partition_labels_match_brute_approximation(uniform, seed, regim
     assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
     boxes = rectangular_approximation(H, measures, eps * eps).boxes
     rp = regular_partition(H, measures, eps, uniform=uniform)
-    sigma = set(rp.sigma)
+    sigma = {tuple(key) for key in rp.to_obj()["sigma"]}
+    labels = _labels(rp)
     for key in itertools.product(*map(range, rp.class_counts())):
         cell = list(itertools.product(*[rp.classes[i][c] for i, c in enumerate(key)]))
         t = brute_set_mass(H, measures, cell)
         if t == 0:
-            assert key not in sigma and key not in rp.labels
+            assert key not in sigma and key not in labels
             continue
         in_a = {x for x in cell if brute_boxes_membership(boxes, x)}
         a = brute_set_mass(H, measures, in_a)
         sym = brute_set_mass(H, measures, [x for x in cell if (x in H.edges) != (x in in_a)])
         assert a in (0, t)
         if key in sigma:
-            assert key not in rp.labels and sym / t >= eps
+            assert key not in labels and sym / t >= eps
         else:
             assert sym / t < eps
-            assert rp.labels[key] == (1 if 2 * a >= t else 0)
+            assert labels[key] == (1 if 2 * a >= t else 0)
