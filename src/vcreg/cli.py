@@ -7,10 +7,12 @@ and timing. Reports are deterministic for fixed flags and seed except the
 epsilons are rejected.
 
 Handlers return engine values as they are; `jsonio.canonical_dumps` is the
-one encoder of reports, `--out` files and input hashes. JSON-native values
-go out as they are, a Fraction as "num/den", a set as a sorted list, a
-record through `to_obj`, a numpy integer as an int; anything else raises
-TypeError. Every dict key in a report is built as a str.
+one encoder of reports and `--out` files. JSON-native values go out as they
+are, a Fraction as "num/den", a set as a sorted list, a record through
+`to_obj`, a numpy integer as an int; anything else raises TypeError. Every
+dict key in a report is built as a str. `inputs.files` holds the sha256 of
+the bytes of each file read once (`--in`, `--partition`, `--weights`) or
+written (`gen --out`), so other whitespace gives another hash.
 
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
@@ -42,7 +44,7 @@ from .dyadic import (DyadicBall, anti_homogeneity_bound_check,
                      parse_balls)
 from .errors import InputError, VerificationError
 from .jsonio import (KINDS, canonical_dumps, dump_json, load_json,
-                     parse_rational, require, sha256_of)
+                     parse_rational, require)
 
 
 def _parse_ints(s: str, what: str) -> tuple[int, ...]:
@@ -74,11 +76,10 @@ def _load_instance(path: str, files: dict):
     instance file; measures default to uniform when the file has none."""
     from .core import Hypergraph, Measure, uniform_measures
     require(path is not None, "--in is required")
-    obj = load_json(path)
+    obj, digest = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
-    files["in"] = sha256_of(obj)
-    hobj = obj["hypergraph"] if "hypergraph" in obj else obj
-    H = Hypergraph.from_obj(hobj)
+    files["in"] = digest
+    H = Hypergraph.from_obj(obj.get("hypergraph", obj))
     if "measures" in obj:
         require(isinstance(obj["measures"], list), f"{path}: 'measures' must be a list")
         measures = tuple(Measure.from_obj(m) for m in obj["measures"])
@@ -91,13 +92,12 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict):
     from .core import Hypergraph
     from .vc import SetFamily, fiber_family
     require(path is not None, "--in is required")
-    obj = load_json(path)
+    obj, digest = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
-    files["in"] = sha256_of(obj)
+    files["in"] = digest
     if "members" in obj and "ground_size" in obj:
         return SetFamily.from_obj(obj)
-    hobj = obj["hypergraph"] if "hypergraph" in obj else obj
-    return fiber_family(Hypergraph.from_obj(hobj), parts)
+    return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), parts)
 
 
 # ---------------------------------------------------------------- handlers
@@ -140,8 +140,7 @@ def _cmd_vc_net(args, files):
     if args.weights is None:
         mu = Measure.uniform(0, fam.ground_size)
     else:
-        wobj = load_json(args.weights)
-        files["weights"] = sha256_of(wobj)
+        wobj, files["weights"] = load_json(args.weights)
         mu = Measure.from_obj(wobj)
     net = epsilon_net(fam, mu, args.epsilon, strategy=args.strategy,
                       seed=args.seed if args.seed is not None else 0)
@@ -171,8 +170,7 @@ def _cmd_reg_verify(args, files):
     from .regularity import RegularPartition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
     require(args.partition is not None, "--partition is required")
-    pobj = load_json(args.partition)
-    files["partition"] = sha256_of(pobj)
+    pobj, files["partition"] = load_json(args.partition)
     if isinstance(pobj, dict) and "outputs" in pobj:
         pobj = pobj["outputs"].get("partition", pobj)
     rp = RegularPartition.from_obj(pobj)
@@ -436,8 +434,7 @@ def _cmd_gen(args, files):
                     "measured": g.measured}
     if args.out:
         # --out names the instance file; the report still goes to stdout
-        dump_json(outputs, args.out)
-        files["out"] = sha256_of(outputs)
+        files["out"] = dump_json(outputs, args.out)
         args.out = None
     return outputs, verification, verification["roundtrip_equal"]
 

@@ -185,16 +185,19 @@ class Fiber:
 
 @dataclass(frozen=True)
 class Measure:
-    """Exact weighted counting measure on one part: weights sum to 1."""
+    """Exact weighted counting measure on one part: weights sum to 1. The
+    numerators over den = lcm of the denominators are computed once, here."""
     part: int
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         require(all(isinstance(w, Fraction) for w in self.weights),
                 "measure weights must be Fractions")
-        require(all(w >= 0 for w in self.weights), "measure weights must be nonnegative")
-        require(sum(self.weights, Fraction(0)) == 1,
-                f"measure weights on part {self.part} must sum to exactly 1")
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        require(all(n >= 0 for n in nums), "measure weights must be nonnegative")
+        require(sum(nums) == den, f"measure weights on part {self.part} must sum to exactly 1")
+        self.__dict__["_num_den"] = (nums, den)   # frozen, and not a dataclass field
 
     @staticmethod
     def uniform(part: int, n: int) -> "Measure":
@@ -203,8 +206,7 @@ class Measure:
 
     def numerators(self) -> tuple[tuple[int, ...], int]:
         """Weights as integer numerators over a single common denominator."""
-        den = lcm(*(w.denominator for w in self.weights)) if self.weights else 1
-        return tuple(int(w * den) for w in self.weights), den
+        return self._num_den
 
     def mass(self, subset) -> Fraction:
         nums, den = self.numerators()
@@ -420,8 +422,7 @@ class ProductMeasure:
         self.measures = tuple(measures)
         for i, m in enumerate(self.measures):
             require(m.part == i, "measures must be ordered part 0..k-1")
-        self._num_den = [m.numerators() for m in self.measures]
-        self.den = prod(d for _, d in self._num_den)
+        self.den = prod(m.numerators()[1] for m in self.measures)
 
     def box_mass(self, box: Box) -> Fraction:
         require(len(box.sides) == len(self.measures), "box arity mismatch")
@@ -429,7 +430,7 @@ class ProductMeasure:
                     start=Fraction(1))
 
     def tuple_num(self, t) -> int:
-        return prod(nums[v] for (nums, _), v in zip(self._num_den, t))
+        return prod(m.numerators()[0][v] for m, v in zip(self.measures, t))
 
     def set_mass(self, tuples) -> Fraction:
         return Fraction(sum(self.tuple_num(t) for t in tuples), self.den)

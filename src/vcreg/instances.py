@@ -189,8 +189,6 @@ def generate(spec: GeneratorSpec) -> Generated:
 def roundtrip(path: str) -> Hypergraph:
     """Read a hypergraph back from a JSON file written by the CLI: either a
     bare hypergraph object or a full generated-instance file."""
-    obj = load_json(path)
+    obj, _ = load_json(path)
     require(isinstance(obj, dict), "instance file must hold a JSON object")
-    if "hypergraph" in obj:
-        obj = obj["hypergraph"]
-    return Hypergraph.from_obj(obj)
+    return Hypergraph.from_obj(obj.get("hypergraph", obj))

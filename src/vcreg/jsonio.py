@@ -58,33 +58,34 @@ def _json_default(x):
 
 
 def canonical_dumps(obj) -> str:
-    """The one JSON encoding of reports, files and input hashes. Keys are
-    sorted as they are, so every dict key must be built as a str."""
+    """The one JSON encoding of reports and files. Keys are sorted as they
+    are, so every dict key must be built as a str."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
-def sha256_of(obj) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
-
-
 def load_json(path):
+    """The parsed UTF-8 JSON file and the sha256 of its bytes, read once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
 
-def dump_json(obj, path) -> None:
-    """Write the canonical form plus a newline atomically (tmp file +
-    rename) so readers never see a torn file."""
+def dump_json(obj, path) -> str:
+    """Write the canonical form and a newline atomically (tmp file + rename,
+    so no reader sees a torn file); returns the sha256 of the bytes written."""
+    data = (canonical_dumps(obj) + "\n").encode("utf-8")
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(obj) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -92,6 +93,7 @@ def dump_json(obj, path) -> None:
         except OSError:
             pass
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def require(cond: bool, msg: str) -> None:

@@ -41,6 +41,8 @@ from .jsonio import format_rational, parse_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
                  sauer_bound, unpack_rows, vc_dimension_matrix)
 
+FIBER_DIM_BUDGET = 200_000   # search nodes for the fiber family's VC dimension
+
 
 @dataclass
 class DeltaPartition:
@@ -89,8 +91,7 @@ def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
 
 
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
-                           strategy: str = "greedy", seed: int = 0,
-                           d_budget: int = 200_000) -> DeltaPartition:
+                           strategy: str = "greedy", seed: int = 0) -> DeltaPartition:
     """Partition the complement of `measured_parts` into classes of pairwise
     fiber distance < eps, with the parameter set the classes are atoms over.
 
@@ -124,7 +125,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
                               path, worst, meta)
 
     fibers = np.unique(view.fibers, axis=0)
-    dim = vc_dimension_matrix(fibers, cap=8, budget=d_budget)
+    dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
     d_bound = dim.value if not dim.budget_exhausted else max(
         dim.value, max(1, len(fibers)).bit_length() - 1)
     meta = {"fiber_dimension": dim.display(), "fiber_dimension_value": dim.value,

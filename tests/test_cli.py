@@ -2,8 +2,10 @@
 
 import io
 import contextlib
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -366,6 +368,51 @@ def test_missing_in_is_input_error(argv):
     code, rep = report(argv)
     assert code == 2 and not rep["ok"]
     assert rep["error"]["kind"] == "input" and "--in" in rep["error"]["message"]
+
+
+def _sha256(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def test_files_entries_hash_the_bytes_read_or_written(tmp_path, write_json):
+    inst = str(tmp_path / "h.json")
+    code, gen = report(["gen", "half-graph", "--sizes", "6,6", "--out", inst])
+    assert code == 0 and gen["inputs"]["files"] == {"out": _sha256(inst)}
+    rep_path = str(tmp_path / "rep.json")
+    code, _, _ = run(["reg", "partition", "--in", inst, "--epsilon", "1/4",
+                      "--out", rep_path])
+    part = json.loads(pathlib.Path(rep_path).read_text())
+    assert code == 0 and part["inputs"]["files"] == {"in": gen["inputs"]["files"]["out"]}
+    # the same instance with other whitespace is other bytes, so another hash
+    spaced = write_json("spaced.json", json.loads(pathlib.Path(inst).read_text()))
+    assert _sha256(spaced) != _sha256(inst)
+    code, rep = report(["reg", "verify", "--in", spaced, "--partition", rep_path])
+    assert code == 0
+    assert rep["inputs"]["files"] == {"in": _sha256(spaced), "partition": _sha256(rep_path)}
+    fam = write_json("fam.json", {"ground_size": 4, "members": [[0, 1], [2], [1, 3]]})
+    w = write_json("w.json", {"part": 0, "weights": ["1/2", "1/4", "1/8", "1/8"]})
+    code, rep = report(["vc", "net", "--in", fam, "--epsilon", "1/2", "--weights", w])
+    assert code == 0 and rep["inputs"]["files"] == {"in": _sha256(fam), "weights": _sha256(w)}
+
+
+@pytest.mark.parametrize("bad", ["not-utf8", "directory"])
+@pytest.mark.parametrize("flag", ["--in", "--partition", "--weights"])
+def test_unreadable_input_is_input_error(tmp_path, write_json, flag, bad):
+    path = tmp_path / "bad.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff{}")
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "4,4", "--out", inst])
+    fam = write_json("fam.json", {"ground_size": 2, "members": [[0]]})
+    argv = {"--in": ["reg", "partition", "--in", str(path), "--epsilon", "1/4"],
+            "--partition": ["reg", "verify", "--in", inst, "--partition", str(path)],
+            "--weights": ["vc", "net", "--in", fam, "--epsilon", "1/2",
+                          "--weights", str(path)]}[flag]
+    code, rep = report(argv)
+    assert code == 2 and not rep["ok"]
+    assert rep["error"]["kind"] == "input" and str(path) in rep["error"]["message"]
 
 
 def _fresh(argv):

@@ -1,6 +1,7 @@
 """Exact measures, fibers, boxes, and the Fubini identities."""
 
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -227,6 +228,32 @@ def test_mass_is_additive(nums, data):
     a = data.draw(st.sets(st.integers(0, n - 1)))
     b = data.draw(st.sets(st.integers(0, n - 1)))
     assert mu.mass(a | b) + mu.mass(a & b) == mu.mass(a) + mu.mass(b)
+
+
+# den ranges of the three arithmetic regimes: float64, int64, Python integers
+_DEN_RANGES = {"float64": (1, 2 ** 53 - 1), "int64": (2 ** 53, 2 ** 62 - 1),
+               "bigint": (2 ** 62, 2 ** 100)}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(regime=st.sampled_from(sorted(_DEN_RANGES)), data=st.data())
+def test_cached_numerators_match_the_weights(regime, data):
+    # numerators summing to den, the first 1, so that den is also the lcm of
+    # the reduced weights' denominators
+    den = data.draw(st.integers(*_DEN_RANGES[regime]))
+    cuts = sorted(data.draw(st.lists(st.integers(1, den), max_size=6)))
+    nums = [b - a for a, b in zip([0, 1] + cuts, [1] + cuts + [den])]
+    weights = tuple(Fraction(x, den) for x in nums)
+    mu = Measure(0, weights)
+    got = mu.numerators()
+    assert got is mu.numerators()
+    assert got == (tuple(nums), den) and den == math.lcm(*(w.denominator for w in weights))
+    assert all(Fraction(x, got[1]) == w for x, w in zip(got[0], weights))
+    assert mu == Measure(0, weights) and hash(mu) == hash(Measure(0, weights))
+    for off in (1, -1):   # weights summing to 1 + 1/den and 1 - 1/den
+        with pytest.raises(InputError) as exc:
+            Measure(0, (Fraction(nums[0] + off, den),) + weights[1:])
+        assert str(exc.value) == "measure weights on part 0 must sum to exactly 1"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
