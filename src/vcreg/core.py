@@ -26,7 +26,8 @@ The counting kernels live here once each:
                         regularity.recount_boxes);
   weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
                         float64 limbs recombined in exact_dtype(den) above;
-  boxes_mask, atoms     box masks and fingerprint atoms (boolean only).
+  boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
+  row_keys              every distinct-rows step sorts (boolean only).
 
 Coordinate splits: for an index set I of parts, V_I is the product of those
 parts in increasing part order, enumerated row-major. A BinaryView presents
@@ -474,16 +475,25 @@ def boxes_mask(shape: tuple[int, ...], boxes) -> np.ndarray:
     return m.reshape(-1)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One np.void key per row of a 2-D boolean matrix, a view of its packed
+    bytes: equal keys mean equal rows, and keys sort as the rows do in
+    lexicographic order, the order of unique rows along axis 0. Zero-width rows
+    get equal keys. numpy's axis=0 dedup sorts one structured field per column:
+    9 ms against 0.05 ms for this on the 256^2 half-graph's fibers."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1) if rows.shape[1]
+                                  else np.zeros((len(rows), 1), np.uint8))
+    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+
+
 def atoms(signatures: np.ndarray) -> list[list[int]]:
     """Row indices grouped by equal rows of a boolean signature matrix, each
     group ascending, groups ordered by their first member."""
-    groups: dict = {}
-    if len(signatures):
-        _, label = np.unique(np.packbits(signatures, axis=1), axis=0,
-                             return_inverse=True)
-        for r, lab in enumerate(label.reshape(-1).tolist()):
-            groups.setdefault(lab, []).append(r)
-    return list(groups.values())
+    _, first, label = np.unique(row_keys(signatures), return_index=True, return_inverse=True)
+    members = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label)).tolist()
+    starts = [0] + ends[:-1]
+    return [members[starts[g]:ends[g]] for g in np.argsort(first).tolist()]
 
 
 def fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:

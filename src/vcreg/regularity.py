@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights,
                    atoms, binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
-                   edge_array, edge_mass, exact_dtype, fiber_atoms, weighted_inner)
+                   edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys, weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
@@ -124,7 +124,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         return DeltaPartition(left, view.right, classes, reps, params, eps,
                               path, worst, meta)
 
-    fibers = np.unique(view.fibers, axis=0)
+    fibers = view.fibers[np.unique(row_keys(view.fibers), return_index=True)[1]]
     dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
     d_bound = dim.value if not dim.budget_exhausted else max(
         dim.value, max(1, len(fibers)).bit_length() - 1)
@@ -209,21 +209,21 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
     for cls, rep in zip(dp.classes, dp.representatives):
         rep_v = rep[0]
         if k == 2:
-            # the sub-relation is one cached fiber row
-            sub_boxes, sub_params, _, lv = _support_rect(
-                np.flatnonzero(view.fibers[rep_v]).tolist())
+            # the sub-relation is one cached fiber row, and so is its mask
+            amask = view.fibers[rep_v]
+            sub_boxes, sub_params, _, lv = _support_rect(np.flatnonzero(amask).tolist())
         else:
             sub = Hypergraph(H.part_sizes[:-1],
                              np.argwhere(view.fibers[rep_v].reshape(view.left_sizes)))
             sub_boxes, sub_params, _, lv = _rect_recurse(
                 sub, measures[:-1], eps / 2, strategy, seed)
+            amask = boxes_mask(view.left_sizes, (b.sides for b in sub_boxes))
         sub_levels.extend(lv)
         class_vertices = tuple(sorted(b[0] for b in cls))
         boxes.extend(Box(b.sides + (class_vertices,)) for b in sub_boxes)
         for j in range(k - 1):
             param_sets[j].update(tuple(c) + (rep_v,) for c in sub_params[j])
         # exact error contribution: nu(b) * mu_left(fiber_b Delta A_class)
-        amask = boxes_mask(view.left_sizes, (b.sides for b in sub_boxes))
         diffs = lw.sums(view.fibers[[view.right_pos(b) for b in cls]] ^ amask)
         err_num += sum(rnums[b[0]] * d for b, d in zip(cls, diffs))
     param_sets[k - 1].update(map(tuple, dp.params))
@@ -296,8 +296,10 @@ def _int_lists(obj, depth: int, name: str):
 
 
 def _atoms_over_sides(n: int, sides) -> list[list[int]]:
-    member = boxes_mask((n, len(sides)), ((s, (j,)) for j, s in enumerate(sides)))
-    return atoms(member.reshape(n, len(sides)))
+    member = np.zeros((n, len(sides)), dtype=bool)
+    member[np.fromiter(itertools.chain.from_iterable(sides), np.intp),
+           np.repeat(np.arange(len(sides)), [len(s) for s in sides])] = True
+    return atoms(member)
 
 
 def _merge_zero_measure(classes: list[list[int]], measure: Measure) -> list[list[int]]:

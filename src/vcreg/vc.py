@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (Hypergraph, Measure, binary_view, ceil_fraction,
-                   require_dense, weighted_inner)
+                   require_dense, row_keys, weighted_inner)
 from .errors import InputError
 from .jsonio import require
 
@@ -99,15 +99,8 @@ ROW_BLOCK_BYTES = 1 << 22
 
 
 def _collapsed_columns(mat: np.ndarray) -> list[int]:
-    """Representative ground indices, one per distinct membership column."""
-    if mat.shape[0] == 0:
-        return [0] if mat.shape[1] else []
-    seen = {}
-    for g in range(mat.shape[1]):
-        key = mat[:, g].tobytes()
-        if key not in seen:
-            seen[key] = g
-    return sorted(seen.values())
+    """The first ground index of each distinct membership column, ascending."""
+    return np.sort(np.unique(row_keys(mat.T), return_index=True)[1]).tolist()
 
 
 def _lex_rank(combo: tuple[int, ...], r: int) -> int:

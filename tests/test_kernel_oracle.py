@@ -1,5 +1,5 @@
 """The shared counting kernels of core (weight sums, box counts, fiber
-atoms) against the tuple-enumerating oracles, in all three arithmetic regimes
+atoms, packed row keys) against the tuple-enumerating oracles, in all three arithmetic regimes
 of the product-space denominator."""
 
 import itertools
@@ -9,14 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
 from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox, fubini_mass
-from vcreg.core import INT64_SAFE, SpaceWeights, box_counts, fiber_atoms
+from vcreg.core import INT64_SAFE, SpaceWeights, atoms, box_counts, fiber_atoms, row_keys
 from vcreg.oracles import (brute_density, brute_fiber_atoms, brute_set_mass,
                            one_pass_box_counts)
 from vcreg.regularity import recount_boxes
+from vcreg.vc import _collapsed_columns
 
 
 def _instance(rng, regime):
@@ -86,6 +87,40 @@ def test_fiber_atoms_match_oracle(seed):
     comp = [n for i, n in enumerate(H.part_sizes) if i != part]
     params = [tuple(rng.randrange(n) for n in comp) for _ in range(rng.randint(0, 5))]
     assert fiber_atoms(H, part, params) == brute_fiber_atoms(H, part, params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(0, 40), width=st.integers(0, 70), pool=st.integers(1, 6),
+       seed=st.integers(0, 10 ** 6))
+@example(n=0, width=13, pool=1, seed=0)
+@example(n=9, width=0, pool=1, seed=0)
+@example(n=0, width=0, pool=1, seed=0)
+def test_row_keys_dedup_matches_unique(n, width, pool, seed):
+    """row_keys, atoms and _collapsed_columns against np.unique(axis=...) and
+    a plain dict grouping, on matrices drawn from a few distinct rows (many
+    duplicates), widths off multiples of 8 and empty shapes. The kernel is
+    boolean, so the three arithmetic regimes do not apply."""
+    rng = np.random.default_rng(seed)
+    m = (rng.random((pool, width)) < 0.5)[rng.integers(0, pool, n)]
+    rows = [tuple(r) for r in m.tolist()]
+    distinct = sorted(set(rows))
+    first = [rows.index(r) for r in distinct]
+    _, idx, inv = np.unique(row_keys(m), return_index=True, return_inverse=True)
+    assert idx.tolist() == first
+    assert inv.reshape(-1).tolist() == [distinct.index(r) for r in rows]
+    if m.size:
+        want = np.unique(m, axis=0, return_index=True, return_inverse=True)
+        assert idx.tolist() == want[1].tolist()
+        assert inv.reshape(-1).tolist() == want[2].reshape(-1).tolist()
+    groups: dict = {}
+    for i, r in enumerate(rows):
+        groups.setdefault(r, []).append(i)
+    assert atoms(m) == list(groups.values())
+    cols = [tuple(c) for c in m.T.tolist()]
+    want_cols = sorted({c: cols.index(c) for c in cols}.values())
+    assert _collapsed_columns(m) == want_cols
+    if m.size:
+        assert want_cols == sorted(np.unique(m, axis=1, return_index=True)[1].tolist())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
