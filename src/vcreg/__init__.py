@@ -17,25 +17,22 @@ _EXPORTS = {
     "convexity": ("IntegerInterval", "ap_count", "convexity_density", "is_edge",
                   "reflection_involution_check"),
     "core": ("Box", "Fiber", "Hypergraph", "Measure", "binary_view", "density",
-             "edge_mass", "fiber", "fubini_mass", "full_box", "uniform_measures",
-             "weak_fubini_check"),
+             "edge_mass", "fiber", "uniform_measures"),
     "dyadic": ("DyadicBall", "anti_homogeneity_bound_check", "ball_parity_report",
                "dyadic_hypergraph", "level_pair_counts", "odd_split_density",
                "parse_balls", "random_ball_union"),
     "errors": ("DepthCapExceeded", "InputError", "RefinementFailed",
                "VerificationError", "ZeroMeasureBox"),
     "homog": ("ball_family_search", "definable_homogeneous_search"),
-    "instances": ("GeneratorSpec", "Generated", "generate", "roundtrip"),
+    "instances": ("GeneratorSpec", "Generated", "generate"),
     "regularity": ("DeltaPartition", "DenseBox", "RectApprox", "RegularPartition",
                    "delta_approx_partition", "find_dense_box", "net_param_bound",
                    "rectangular_approximation", "regular_partition",
                    "verify_regular_partition"),
     "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate", "good_check",
-               "good_descent_partition", "ladder_index", "product_goodness_check",
-               "stable_regular_partition"),
+               "good_descent_partition", "ladder_index", "stable_regular_partition"),
     "vc": ("EpsNet", "SetFamily", "VCDimension", "epsilon_net", "fiber_family",
-           "net_size_formula", "sauer_bound", "sauer_check", "shatter_function",
-           "vc_dimension"),
+           "net_size_formula", "sauer_bound", "shatter_function", "vc_dimension"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

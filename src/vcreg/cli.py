@@ -16,7 +16,9 @@ written (`gen --out`), so other whitespace gives another hash.
 
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
-flags, malformed files, bad rationals).
+or missing flags, malformed files, bad rationals, a `gen` instance too large
+for any engine), whose report has "subcommand": null if argparse refused the
+flags. Only `--help` writes no report. A closed stdout ends it without a traceback.
 
 `stable partition` also checks, on the verifier's own recount of the boxes
 (`regularity.exactly_homogeneous`), that each labelled box holds none or all
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 import time
 from fractions import Fraction
@@ -75,7 +78,6 @@ def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
     instance file; measures default to uniform when the file has none."""
     from .core import Hypergraph, Measure, uniform_measures
-    require(path is not None, "--in is required")
     obj, digest = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = digest
@@ -91,7 +93,6 @@ def _load_instance(path: str, files: dict):
 def _load_family(path: str, parts: tuple[int, ...], files: dict):
     from .core import Hypergraph
     from .vc import SetFamily, fiber_family
-    require(path is not None, "--in is required")
     obj, digest = load_json(path)
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = digest
@@ -120,7 +121,7 @@ def _cmd_vc_dim(args, files):
 def _cmd_vc_shatter(args, files):
     from .vc import shatter_function
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
-    require(args.n is not None and args.n >= 0, "--n is required and nonnegative")
+    require(args.n >= 0, "--n must be nonnegative")
     # largest n first: a refusal (vc.MAX_SHATTER_SUBSETS) precedes the counts
     vals = [shatter_function(fam, n) for n in range(args.n, -1, -1)][::-1]
     outputs = {"n": args.n, "value": vals[-1],
@@ -136,7 +137,6 @@ def _cmd_vc_net(args, files):
     from .core import Measure
     from .vc import epsilon_net
     fam = _load_family(args.infile, _parse_parts(args.parts), files)
-    require(args.epsilon is not None, "--epsilon is required")
     if args.weights is None:
         mu = Measure.uniform(0, fam.ground_size)
     else:
@@ -154,7 +154,6 @@ def _cmd_reg_partition(args, files):
     from .core import Measure
     from .regularity import regular_partition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
-    require(args.epsilon is not None, "--epsilon is required")
     if args.uniform:
         # the symmetric variant runs on part 0's measure replicated everywhere
         measures = tuple(Measure(i, measures[0].weights) for i in range(H.k))
@@ -169,7 +168,6 @@ def _cmd_reg_partition(args, files):
 def _cmd_reg_verify(args, files):
     from .regularity import RegularPartition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
-    require(args.partition is not None, "--partition is required")
     pobj, files["partition"] = load_json(args.partition)
     if isinstance(pobj, dict) and "outputs" in pobj:
         pobj = pobj["outputs"].get("partition", pobj)
@@ -185,7 +183,6 @@ def _cmd_reg_rect(args, files):
     from .oracles import brute_union_mass_error
     from .regularity import rectangular_approximation
     H, measures = _load_instance(args.infile, files)
-    require(args.epsilon is not None, "--epsilon is required")
     ra = rectangular_approximation(H, measures, args.epsilon,
                                    strategy=args.strategy, seed=args.seed or 0)
     outputs = {
@@ -210,8 +207,6 @@ def _cmd_reg_ehbox(args, files):
     from .core import density
     from .regularity import find_dense_box
     H, measures = _load_instance(args.infile, files)
-    require(args.alpha is not None, "--alpha is required")
-    require(args.epsilon is not None, "--epsilon is required")
     db = find_dense_box(H, measures, args.alpha, args.epsilon,
                         strategy=args.strategy, seed=args.seed or 0)
     outputs = {"box": db.box, "density": db.density, "side_masses": db.side_masses,
@@ -243,7 +238,6 @@ def _cmd_stable_partition(args, files):
     from .regularity import exactly_homogeneous, recount_boxes, verify_regular_partition
     from .stable import DEPTH_CAP, stable_regular_partition
     H, measures = _load_instance(args.infile, files)
-    require(args.epsilon is not None, "--epsilon is required")
     cap = DEPTH_CAP if args.depth_cap is None else args.depth_cap
     sp = stable_regular_partition(H, measures, args.epsilon, depth_cap=cap)
     recount = recount_boxes(H, measures, sp.classes)   # one recount for both checks
@@ -264,7 +258,6 @@ MAX_DYADIC_DEPTH = 7142
 
 
 def _check_depth(args) -> None:
-    require(args.depth is not None, "--depth is required")
     require(args.depth <= MAX_DYADIC_DEPTH,
             f"--depth {args.depth} is above {MAX_DYADIC_DEPTH}: exact counts at that "
             f"depth exceed the 4300-digit limit on printing an integer")
@@ -325,7 +318,6 @@ def _cmd_dyadic_bound(args, files):
 
 def _cmd_convexity_density(args, files):
     from .oracles import brute_convexity_edges
-    require(args.n is not None, "--n is required")
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
     n = len(iv)
@@ -343,7 +335,6 @@ def _cmd_convexity_density(args, files):
 
 
 def _cmd_convexity_involution(args, files):
-    require(args.interval is not None, "--interval is required")
     holds = reflection_involution_check(args.interval)
     outputs = {"interval": args.interval.to_obj(), "holds": holds}
     return outputs, {"involution_holds": holds}, holds
@@ -352,7 +343,6 @@ def _cmd_convexity_involution(args, files):
 def _cmd_rodl_search(args, files):
     from .core import edge_array
     from .homog import ball_family_search, definable_homogeneous_search
-    require(args.epsilon is not None, "--eps is required")
     if args.infile is None:
         require(args.depth is not None, "--depth (ball mode) or --in (graph mode)")
         _check_depth(args)
@@ -420,6 +410,8 @@ def _cmd_gen(args, files):
         params.append(("cap", args.vc_cap))
     if kind == "dyadic-export":
         require(args.depth is not None, "--depth is required for dyadic-export")
+        # dyadic_hypergraph's range, checked before the shift
+        require(2 <= args.depth <= 10, "export depth must be in [2, 10]")
         params.append(("depth", args.depth))
         sizes = (1 << args.depth, 1 << args.depth)
     else:
@@ -452,16 +444,15 @@ def _cmd_selftest(args, files):
 
 # ------------------------------------------------------------ arg plumbing
 
-def _rational(s: str) -> Fraction:
-    return parse_rational(s)
-
-
 class _Parser(argparse.ArgumentParser):
-    """No prefix matching, here and in every subparser (add_subparsers makes
-    them of this class): `--d` is an unknown flag, not `--depth`."""
+    """No prefix matching (`--d` is not `--depth`) and parse errors as InputError,
+    here and in every subparser (add_subparsers makes them of this class)."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 # parse_args leaves the parser as it was, so one tree serves every call
@@ -470,14 +461,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="vcreg", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p, *, infile=False, epsilon=False, out=True):
+    def common(p, *, infile=False, epsilon=False):
         if infile:
-            p.add_argument("--in", dest="infile", help="instance or family JSON")
+            p.add_argument("--in", dest="infile", required=True,
+                           help="instance or family JSON")
         if epsilon:
-            p.add_argument("--epsilon", type=_rational,
+            p.add_argument("--epsilon", type=parse_rational, required=True,
                            help="exact rational like 1/4")
-        if out:
-            p.add_argument("--out", help="write the report here (atomic)")
+        p.add_argument("--out", help="write the report here (atomic)")
 
     vc = sub.add_parser("vc").add_subparsers(dest="sub", required=True)
     p = vc.add_parser("dim")
@@ -488,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vc.add_parser("shatter")
     common(p, infile=True)
     p.add_argument("--parts", default="0")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p = vc.add_parser("net")
     common(p, infile=True, epsilon=True)
     p.add_argument("--parts", default="0")
@@ -499,16 +490,19 @@ def _build_parser() -> argparse.ArgumentParser:
     reg = sub.add_parser("reg").add_subparsers(dest="sub", required=True)
     for name in ("partition", "verify", "rect", "eh-box"):
         p = reg.add_parser(name)
-        common(p, infile=True, epsilon=True)
+        common(p, infile=True, epsilon=name != "verify")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
         if name == "partition":
             p.add_argument("--uniform", action="store_true",
                            help="symmetric single-partition variant")
         if name == "verify":
-            p.add_argument("--partition", help="partition JSON or a prior report")
+            p.add_argument("--epsilon", type=parse_rational,
+                           help="check at this epsilon, not the partition's")
+            p.add_argument("--partition", required=True,
+                           help="partition JSON or a prior report")
         if name == "eh-box":
-            p.add_argument("--alpha", type=_rational)
+            p.add_argument("--alpha", type=parse_rational, required=True)
 
     st = sub.add_parser("stable").add_subparsers(dest="sub", required=True)
     p = st.add_parser("ladder")
@@ -524,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("density", "report", "bound"):
         p = dy.add_parser(name)
         common(p)
-        p.add_argument("--depth", type=int)
+        p.add_argument("--depth", type=int, required=True)
         p.add_argument("--parity", choices=("odd", "even"), default="odd")
         if name != "report":
             p.add_argument("--prefix", action="append",
@@ -533,16 +527,17 @@ def _build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("convexity").add_subparsers(dest="sub", required=True)
     p = cv.add_parser("density")
     common(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--interval", type=_parse_interval)
     p = cv.add_parser("involution")
     common(p)
-    p.add_argument("--interval", type=_parse_interval)
+    p.add_argument("--interval", type=_parse_interval, required=True)
 
     ro = sub.add_parser("rodl").add_subparsers(dest="sub", required=True)
     p = ro.add_parser("search")
-    common(p, infile=True)
-    p.add_argument("--eps", dest="epsilon", type=_rational)
+    common(p)
+    p.add_argument("--in", dest="infile", help="instance JSON (graph mode)")
+    p.add_argument("--eps", dest="epsilon", type=parse_rational, required=True)
     p.add_argument("--depth", type=int, help="ball-family mode on the split graph")
     p.add_argument("--parity", choices=("odd", "even"), default="odd")
     p.add_argument("--m", type=int, help="fiber-combination complexity (graph mode)")
@@ -591,24 +586,32 @@ _FLAG_SKIP = {"cmd", "sub", "out"}
 def _emit(report: dict, out_path: str | None):
     if out_path:
         dump_json(report, out_path)
-    else:
+        return
+    try:
         print(canonical_dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the exit flush, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
+    inputs = {"flags": {}, "files": {}}
+    report = {"subcommand": None, "inputs": inputs}
+    args = None
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-
-    name = args.cmd if args.__dict__.get("sub") is None else f"{args.cmd} {args.sub}"
-    flags = {k: v for k, v in vars(args).items()
-             if k not in _FLAG_SKIP and v is not None}
-    report = {"subcommand": name, "inputs": {"flags": flags, "files": {}}}
-    try:
-        handler = _HANDLERS[(args.cmd, getattr(args, "sub", None))]
-        outputs, verification, ok = handler(args, report["inputs"]["files"])
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:   # --help wrote its text; parse errors raise InputError
+            return 0
+        sub = args.__dict__.get("sub")
+        report["subcommand"] = args.cmd if sub is None else f"{args.cmd} {sub}"
+        inputs["flags"] = {k: v for k, v in vars(args).items()
+                           if k not in _FLAG_SKIP and v is not None}
+        outputs, verification, ok = _HANDLERS[(args.cmd, sub)](args, inputs["files"])
         require(bool(verification), "internal: empty verification section")
         report.update({"outputs": outputs, "verification": verification, "ok": ok})
         code = 0 if ok else 1

@@ -263,10 +263,6 @@ class Box:
         return Box.of(obj["sides"])
 
 
-def full_box(H: Hypergraph) -> Box:
-    return Box(tuple(tuple(range(n)) for n in H.part_sizes))
-
-
 class SpaceWeights:
     """Integer weight numerators over the product of a subset of parts.
 
@@ -518,33 +514,3 @@ def density(H: Hypergraph, measures, box: Box) -> Fraction:
     hit = sum(pm.tuple_num(e) for e in edge_array(H).tolist()
               if all(e[i] in sides[i] for i in range(H.k)))
     return Fraction(hit, pm.den) / total
-
-
-def weak_fubini_check(H: Hypergraph, measures, eps: Fraction) -> dict:
-    """If every fiber over the second part has mass < eps, the product mass
-    of the relation is < eps. Returns the exact quantities and the verdict
-    of that implication (k = 2 views only)."""
-    require(H.k == 2, "weak Fubini check needs a binary view")
-    measures = check_measures(H, measures)
-    view = binary_view(H, (0,))
-    lw = SpaceWeights(measures, (0,), H.part_sizes)
-    rnums, rden = measures[1].numerators()
-    fiber_masses = [Fraction(n, lw.den) for n in lw.sums(view.fibers)]
-    max_fiber = max(fiber_masses, default=Fraction(0))
-    total = sum((Fraction(rnums[r], rden) * fm for r, fm in enumerate(fiber_masses)),
-                Fraction(0))
-    premise = max_fiber < eps
-    holds = (not premise) or (total < eps)
-    return {"max_fiber_mass": max_fiber, "product_mass": total,
-            "premise": premise, "holds": holds}
-
-
-def fubini_mass(H: Hypergraph, measures, left_parts) -> Fraction:
-    """Edge mass computed by integrating fibers over one side; equals
-    edge_mass for every split (exact Fubini)."""
-    measures = check_measures(H, measures)
-    view = binary_view(H, tuple(left_parts))
-    lw = SpaceWeights(measures, view.left, H.part_sizes)
-    rw = SpaceWeights(measures, view.right, H.part_sizes)
-    total = sum(r * f for r, f in zip(rw.nums, lw.sums(view.fibers)))
-    return Fraction(total, rw.den * lw.den)

@@ -28,6 +28,7 @@ from .jsonio import require
 
 MAX_COMPLEXITY = 3
 EXACT_TUPLE_BUDGET = 1_000_000
+MIN_CO_DEPTH = 2
 
 
 @dataclass
@@ -124,26 +125,24 @@ class BallSearchResult:
     scanned: int = 0
 
 
-def ball_family_search(L: int, eps: Fraction, parity: str = "odd",
-                       min_co_depth: int = 2) -> BallSearchResult:
+def ball_family_search(L: int, eps: Fraction, parity: str = "odd") -> BallSearchResult:
     """Single-ball homogeneous-set search on the depth-L odd-split graph.
 
     Density depends only on the prefix length, so lengths are scanned from 0
-    (largest mass first). Balls with co-depth below min_co_depth are skipped:
+    (largest mass first). Balls with co-depth below MIN_CO_DEPTH are skipped:
     two-leaf balls are trivially homogeneous and carry no information about
     the family's limiting behavior. max_deviation reports how far from both
     0 and 1 every scanned density stays.
     """
     require(isinstance(eps, Fraction) and 0 < eps < Fraction(1, 2),
             "eps must be in (0, 1/2)")
-    require(min_co_depth >= 1, "min_co_depth must be >= 1")
-    require(L >= min_co_depth, "depth too small for the co-depth floor")
+    require(L >= MIN_CO_DEPTH, "depth too small for the co-depth floor")
     en, ed = eps.numerator, eps.denominator
     out = BallSearchResult(False, eps, L)
     best_len = None
     dev = Fraction(0)
     scanned = 0
-    for l in range(0, L - min_co_depth + 1):
+    for l in range(0, L - MIN_CO_DEPTH + 1):
         d = odd_split_density([DyadicBall("0" * l)], L, parity=parity)
         scanned += 1
         dev = max(dev, min(d, 1 - d))

@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import prod
 
-from .core import Hypergraph, Measure, uniform_measures
+from .core import MAX_DENSE_SPACE, Hypergraph, Measure, require_dense, uniform_measures
 from .dyadic import dyadic_hypergraph
 from .errors import InputError
-from .jsonio import KINDS, load_json, require
+from .jsonio import KINDS, require
 from .stable import ladder_index
 from .vc import SetFamily, fiber_family, vc_dimension
 
@@ -41,8 +42,13 @@ class GeneratorSpec:
     def __post_init__(self):
         require(self.kind in KINDS, f"unknown generator kind {self.kind!r}")
         require(self.k == len(self.sizes), "k must match the number of part sizes")
-        require(all(isinstance(s, int) and s >= 1 for s in self.sizes),
+        require(self.sizes and all(isinstance(s, int) and s >= 1 for s in self.sizes),
                 "part sizes must be positive integers")
+        # generate() builds binary_view(H, (0,)): refuse what it would, before any edge
+        left, right = self.sizes[0], prod(self.sizes[1:])
+        require(left <= MAX_DENSE_SPACE and right <= MAX_DENSE_SPACE,
+                f"part sizes {list(self.sizes)} are too large for a binary view")
+        require_dense(f"{self.kind} instance", right, left)
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
@@ -184,11 +190,3 @@ def generate(spec: GeneratorSpec) -> Generated:
                          "display": lad.display()},
     }
     return Generated(spec, H, uniform_measures(H), measured)
-
-
-def roundtrip(path: str) -> Hypergraph:
-    """Read a hypergraph back from a JSON file written by the CLI: either a
-    bare hypergraph object or a full generated-instance file."""
-    obj, _ = load_json(path)
-    require(isinstance(obj, dict), "instance file must hold a JSON object")
-    return Hypergraph.from_obj(obj.get("hypergraph", obj))

@@ -17,14 +17,13 @@ exceptional boxes: every box is eps-homogeneous. The pipeline here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import (Box, Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
+from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
                    fiber_atoms)
 from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
                      ZeroMeasureBox)
@@ -219,17 +218,6 @@ def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessRepo
                           witness=view.right_tuple(worst_r),
                           witness_density=Fraction(int(hits[worst_r]), a_num),
                           scanned=view.right_size)
-
-
-def product_goodness_check(H: Hypergraph, measures, A, B: Box, eps: Fraction) -> bool:
-    """Whether B x A is 2*eps-good: every remaining-coordinate fiber has
-    density on the product strictly outside (2*eps, 1 - 2*eps)."""
-    measures = check_measures(H, measures)
-    n = len(B.sides)
-    require(n < H.k, "box must leave at least the candidate part uncovered")
-    a_side = sorted({a if isinstance(a, int) else a[0] for a in A})
-    subset = itertools.product(*B.sides, a_side)
-    return good_check(H, measures, subset, tuple(range(n + 1)), 2 * eps).good
 
 
 @dataclass

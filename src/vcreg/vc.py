@@ -96,6 +96,8 @@ class VCDimension:
 
 # Row blocks copied out of a large boolean matrix are kept near this size.
 ROW_BLOCK_BYTES = 1 << 22
+# Random nets drawn before the random strategy falls back to the greedy net.
+NET_RETRIES = 10
 
 
 def _collapsed_columns(mat: np.ndarray) -> list[int]:
@@ -260,13 +262,6 @@ def sauer_bound(d: int, n: int) -> int:
     return sum(math.comb(n, i) for i in range(0, min(d, n) + 1))
 
 
-def sauer_check(family: SetFamily, d: int, n: int) -> dict:
-    """pi_F(n) against the binomial-sum bound for the given dimension."""
-    value = shatter_function(family, n)
-    bound = sauer_bound(d, n)
-    return {"shatter": value, "bound": bound, "ok": value <= bound}
-
-
 def fiber_family(H: Hypergraph, parts) -> SetFamily:
     """Fibers over V_I (= parts) indexed by the complementary side, deduplicated."""
     view = binary_view(H, tuple(parts))
@@ -391,8 +386,7 @@ def _net_dimension(family: SetFamily) -> VCDimension:
 
 
 def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
-                strategy: str = "greedy", seed: int | None = None,
-                max_retries: int = 10) -> EpsNet:
+                strategy: str = "greedy", seed: int | None = None) -> EpsNet:
     """A point set meeting every family member of measure >= eps, verified
     exhaustively and exactly."""
     require(isinstance(eps, Fraction), "eps must be a Fraction")
@@ -405,12 +399,11 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     # members are sorted tuples in sorted order, so the rows are in lex order
     heavy = np.packbits(mat[mass >= min(ceil_fraction(eps * den), den + 1)], axis=1)
     return heavy_net(heavy, mat.shape[1], weights, den, eps,
-                     lambda: _net_dimension(family), strategy, seed, max_retries)
+                     lambda: _net_dimension(family), strategy, seed)
 
 
 def heavy_net(heavy: np.ndarray, width: int, weights, den: int, eps: Fraction,
-              dimension, strategy: str = "greedy", seed: int | None = None,
-              max_retries: int = 10) -> EpsNet:
+              dimension, strategy: str = "greedy", seed: int | None = None) -> EpsNet:
     """An eps-net for the heavy rows (members of measure >= eps under the
     weights/den measure), `width` positions packed by np.packbits(axis=1),
     given in lex order of their member tuples.
@@ -429,15 +422,13 @@ def heavy_net(heavy: np.ndarray, width: int, weights, den: int, eps: Fraction,
     meta["dimension"] = dim.display()
     rng = random.Random(seed)
     cum = list(itertools.accumulate(weights))
-    attempts = 0
-    for attempt in range(max_retries):
-        attempts += 1
+    for attempt in range(1, NET_RETRIES + 1):
         pts = [bisect.bisect_right(cum, rng.randrange(den))
                for _ in range(sizes["size_ln"])]
         if net_hits_all(heavy, width, pts):
-            meta["attempts"] = attempts
+            meta["attempts"] = attempt
             return EpsNet(tuple(pts), eps, True, "random", meta)
-    meta["attempts"] = attempts
+    meta["attempts"] = NET_RETRIES
     meta["fallback"] = "greedy"
     pts = greedy_net(heavy, width)
     return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "random", meta)

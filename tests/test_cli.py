@@ -446,7 +446,8 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path):
         code, out, _ = run(argv)
         in_process.append(_without_timing(code, out))
     assert [c for c, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0]
-    assert in_process[2][1] is None
+    assert in_process[2][1]["subcommand"] is None
+    assert in_process[2][1]["error"]["kind"] == "input"
     # the second gen has no --out: its report goes to stdout, no file is made
     assert in_process[1][1]["subcommand"] == "gen"
     assert os.listdir(tmp_path) == ["h.json"]
@@ -691,9 +692,104 @@ def test_interval_flag_is_recorded_as_its_endpoints():
 
 @pytest.mark.parametrize("argv", [
     ["gen", "random-vc-capped", "--sizes", "8,8", "--d", "-1"],   # not read as --depth
-    ["stable", "partition", "--depth", "3"],                     # not read as --depth-cap
+    ["stable", "partition", "--in", "h.json", "--epsilon", "1/8",
+     "--depth", "3"],                                             # not read as --depth-cap
 ])
 def test_flag_prefixes_are_not_expanded(argv):
+    code, rep = report(argv)
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in rep["error"]["message"]
+
+
+def _parse_error(argv):
+    """The one report of a run that argparse refused."""
     code, out, err = run(argv)
-    assert code == 2 and out == ""
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    rep = json.loads(out)   # exactly one JSON document
+    assert code == 2 and err == ""
+    assert rep["error"]["kind"] == "input" and not rep["ok"]
+    assert rep["subcommand"] is None and rep["inputs"] == {"flags": {}, "files": {}}
+    return rep["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyadic", "density", "--depth", "4", "--no-such-flag"],
+    ["reg", "partition", "--in", "h.json", "--epsilon", "0.25"],
+    ["convexity", "density", "--n", "ten"],
+    ["no-such-command"],
+    ["vc"],
+])
+def test_parse_errors_are_input_reports(argv):
+    _parse_error(argv)
+
+
+# every flag a run of the subcommand needs, with a value that parses
+_REQUIRED = {
+    "vc dim": {"--in": "f.json"},
+    "vc shatter": {"--in": "f.json", "--n": "2"},
+    "vc net": {"--in": "f.json", "--epsilon": "1/4"},
+    "reg partition": {"--in": "h.json", "--epsilon": "1/4"},
+    "reg verify": {"--in": "h.json", "--partition": "p.json"},
+    "reg rect": {"--in": "h.json", "--epsilon": "1/4"},
+    "reg eh-box": {"--in": "h.json", "--epsilon": "1/4", "--alpha": "1/2"},
+    "stable ladder": {"--in": "h.json"},
+    "stable partition": {"--in": "h.json", "--epsilon": "1/8"},
+    "dyadic density": {"--depth": "4"},
+    "dyadic report": {"--depth": "4"},
+    "dyadic bound": {"--depth": "4"},
+    "convexity density": {"--n": "10"},
+    "convexity involution": {"--interval": "3..9"},
+    "rodl search": {"--eps": "1/4"},
+}
+
+
+@pytest.mark.parametrize("name, missing", [(name, flag) for name, flags in _REQUIRED.items()
+                                           for flag in flags])
+def test_missing_required_flag_is_named(name, missing):
+    argv = name.split() + [x for flag, value in _REQUIRED[name].items()
+                           if flag != missing for x in (flag, value)]
+    message = _parse_error(argv)
+    assert "the following arguments are required" in message and missing in message
+
+
+@pytest.mark.parametrize("name", sorted(_REQUIRED))
+def test_required_flags_are_all_a_run_needs_to_parse(name):
+    # past the parser: the report names its subcommand (missing files are input errors)
+    code, rep = report(name.split() + [x for kv in _REQUIRED[name].items() for x in kv])
+    assert rep["subcommand"] == name
+    assert code == 0 or rep["error"]["kind"] == "input"
+
+
+def test_help_exits_zero_without_a_report():
+    code, out, _ = run(["--help"])
+    assert code == 0 and out.startswith("usage: vcreg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "half-graph", "--sizes", "1048576,1048576"],   # 2^40 cells, over MAX_DIFF_BYTES
+    ["gen", "half-graph", "--sizes", "4194305,1"],         # a side over MAX_DENSE_SPACE
+    ["gen", "staircase", "--sizes", "1024,1024,1024"],
+    ["gen", "dyadic-export", "--depth", "-1"],
+    ["gen", "dyadic-export", "--depth", "11"],
+])
+def test_gen_refuses_an_unbuildable_instance_before_building(monkeypatch, argv):
+    import vcreg.instances
+
+    def never(*args, **kwargs):
+        pytest.fail("a generator ran on a spec the guard should refuse")
+    for builder in ("half_graph", "dyadic_hypergraph", "_staircase"):
+        monkeypatch.setattr(vcreg.instances, builder, never)
+    code, rep = report(argv)
+    assert code == 2 and rep["error"]["kind"] == "input"
+
+
+def test_closed_stdout_ends_without_traceback():
+    # a 183 KB report: more than a pipe holds, so the writer sees the close
+    proc = subprocess.Popen([sys.executable, "-m", "vcreg.cli", "gen", "half-graph",
+                             "--sizes", "200,200"], env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b"{") and "Traceback" not in err, err

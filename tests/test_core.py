@@ -1,4 +1,4 @@
-"""Exact measures, fibers, boxes, and the Fubini identities."""
+"""Exact measures, fibers and boxes."""
 
 import itertools
 import math
@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import (Box, Hypergraph, InputError, Measure, binary_view, density,
-                   edge_mass, fiber, fubini_mass, full_box, uniform_measures,
-                   weak_fubini_check)
+                   edge_mass, fiber, uniform_measures)
 from vcreg.core import ProductMeasure, edge_array, fiber_atoms
 from vcreg.oracles import (brute_density, brute_fiber, brute_hypergraph_error,
                            brute_set_mass)
-from vcreg.instances import GeneratorSpec, generate, half_graph
+from vcreg.instances import half_graph
 
 
 def test_fiber_frozen_value():
@@ -32,9 +31,7 @@ def test_edge_mass_frozen_value():
     H = half_graph(4)
     mu = uniform_measures(H)
     assert edge_mass(H, mu) == Fraction(10, 16)
-    assert density(H, mu, full_box(H)) == Fraction(10, 16)
-    assert fubini_mass(H, mu, (0,)) == Fraction(10, 16)
-    assert fubini_mass(H, mu, (1,)) == Fraction(10, 16)
+    assert density(H, mu, Box.of([range(4), range(4)])) == Fraction(10, 16)
 
 
 def test_edge_membership_orientation():
@@ -256,26 +253,3 @@ def test_cached_numerators_match_the_weights(regime, data):
         assert str(exc.value) == "measure weights on part 0 must sum to exactly 1"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6), n0=st.integers(1, 5), n1=st.integers(1, 5))
-def test_fubini_agrees_with_direct_mass(seed, n0, n1):
-    import random
-    rng = random.Random(seed)
-    edges = frozenset((i, j) for i in range(n0) for j in range(n1)
-                      if rng.getrandbits(1))
-    H = Hypergraph((n0, n1), edges)
-    mu = uniform_measures(H)
-    want = edge_mass(H, mu)
-    assert fubini_mass(H, mu, (0,)) == want
-    assert fubini_mass(H, mu, (1,)) == want
-
-
-def test_weak_fubini_premise_gives_small_product():
-    random6 = generate(GeneratorSpec("random-vc-capped", (6, 6), 2, seed=11)).hypergraph
-    for H in (half_graph(6), random6):
-        mu = uniform_measures(H)
-        probe = weak_fubini_check(H, mu, Fraction(1, 2))
-        eps = probe["max_fiber_mass"] + Fraction(1, 50)
-        rep = weak_fubini_check(H, mu, eps)
-        assert rep["premise"] and rep["holds"]
-        assert rep["product_mass"] < eps

@@ -11,8 +11,7 @@ import pytest
 
 from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
                    fiber_family, good_check, good_descent_partition, ladder_index,
-                   product_goodness_check, stable_regular_partition,
-                   uniform_measures, vc_dimension)
+                   stable_regular_partition, uniform_measures, vc_dimension)
 from vcreg.cli import main
 from vcreg.oracles import brute_ladder_check, brute_ladder_index
 from vcreg.instances import GeneratorSpec, block_pair_graph, generate, half_graph
@@ -224,14 +223,3 @@ def test_inhomogeneous_descent_box_raises(monkeypatch, tmp_path):
     rep = json.loads(out.getvalue())
     assert code == 1 and not rep["ok"]
     assert rep["error"]["kind"] == "verification" and rep["error"]["box"] == [0, 0]
-
-
-def test_product_goodness():
-    H = block_pair_graph(12, 2)
-    mu = uniform_measures(H)
-    A = [(j,) for j in range(3)]
-    B = Box.of([(0, 1, 2, 3)])
-    assert product_goodness_check(H, mu, A, B, Fraction(1, 8))
-    # straddling both blocks is not good at a small epsilon
-    A2 = [(j,) for j in range(12)]
-    assert not product_goodness_check(H, mu, A2, B, Fraction(1, 8))

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import (InputError, Measure, SetFamily, epsilon_net, fiber_family,
-                   net_size_formula, sauer_bound, sauer_check, shatter_function,
-                   vc_dimension)
+                   net_size_formula, sauer_bound, shatter_function, vc_dimension)
 from vcreg.oracles import block_vc_dimension, brute_vc_dimension
 from vcreg.instances import block_pair_graph, half_graph, interval_family
 from vcreg.stable import ladder_index
@@ -78,8 +77,7 @@ def test_sauer_holds_on_random_families(seed, n, count):
             for _ in range(count)]
     F = SetFamily.from_sets(n, sets)
     d = vc_dimension(F)
-    rep = sauer_check(F, d.value, n)
-    assert rep["ok"], rep
+    assert shatter_function(F, n) <= sauer_bound(d.value, n)
 
 
 def test_greedy_net_frozen_value():
