@@ -63,6 +63,15 @@ def _parse_parts(s: str) -> tuple[int, ...]:
     return parts
 
 
+# Flag types. argparse keeps the message of an ArgumentTypeError and
+# replaces that of any other ValueError, an InputError too.
+def _rational(s: str) -> Fraction:
+    try:
+        return parse_rational(s)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_interval(s: str) -> IntegerInterval:
     for sep in ("..", ":"):
         if sep in s:
@@ -71,7 +80,7 @@ def _parse_interval(s: str) -> IntegerInterval:
                 return IntegerInterval(int(lo), int(hi))
             except ValueError:
                 break
-    raise InputError(f"interval must look like 'lo..hi', got {s!r}")
+    raise argparse.ArgumentTypeError(f"interval must look like 'lo..hi', got {s!r}")
 
 
 def _load_instance(path: str, files: dict):
@@ -157,8 +166,7 @@ def _cmd_reg_partition(args, files):
     if args.uniform:
         # the symmetric variant runs on part 0's measure replicated everywhere
         measures = tuple(Measure(i, measures[0].weights) for i in range(H.k))
-    rp = regular_partition(H, measures, args.epsilon, uniform=args.uniform,
-                           strategy=args.strategy, seed=args.seed or 0)
+    rp = regular_partition(H, measures, args.epsilon, uniform=args.uniform)
     rep = verify_regular_partition(H, measures, rp)
     outputs = {"partition": rp.to_obj(), "meta": rp.meta,
                "class_counts": rp.class_counts()}
@@ -183,8 +191,7 @@ def _cmd_reg_rect(args, files):
     from .oracles import brute_union_mass_error
     from .regularity import rectangular_approximation
     H, measures = _load_instance(args.infile, files)
-    ra = rectangular_approximation(H, measures, args.epsilon,
-                                   strategy=args.strategy, seed=args.seed or 0)
+    ra = rectangular_approximation(H, measures, args.epsilon)
     outputs = {
         "boxes": [b.to_obj() for b in ra.boxes],
         "params": ra.params,
@@ -207,8 +214,7 @@ def _cmd_reg_ehbox(args, files):
     from .core import density
     from .regularity import find_dense_box
     H, measures = _load_instance(args.infile, files)
-    db = find_dense_box(H, measures, args.alpha, args.epsilon,
-                        strategy=args.strategy, seed=args.seed or 0)
+    db = find_dense_box(H, measures, args.alpha, args.epsilon)
     outputs = {"box": db.box, "density": db.density, "side_masses": db.side_masses,
                "delta_guarantee": db.delta_guarantee, "eps_used": db.eps_used,
                "partition_meta": db.partition_meta}
@@ -399,20 +405,28 @@ def _cmd_rodl_search(args, files):
     return outputs, verification, ok
 
 
+# The one `gen` kind that reads each kind-specific flag: (dest, flag, kind).
+# --seed is recorded in every spec, so every kind takes it.
+_GEN_FLAGS = (("blocks", "blocks", "block-union"), ("vc_cap", "cap", "random-vc-capped"),
+              ("depth", "depth", "dyadic-export"))
+
+
 def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
     kind = args.kind
     params = []
-    if args.blocks is not None:
-        params.append(("blocks", args.blocks))
-    if args.vc_cap is not None:
-        params.append(("cap", args.vc_cap))
+    for dest, flag, reader in _GEN_FLAGS:
+        value = getattr(args, dest)
+        if value is not None:
+            require(kind == reader, f"--{flag} applies only to {reader}, not {kind}")
+            params.append((flag, value))
     if kind == "dyadic-export":
+        require(args.sizes is None, "--sizes does not apply to dyadic-export: "
+                "its sizes are 2^depth")
         require(args.depth is not None, "--depth is required for dyadic-export")
         # dyadic_hypergraph's range, checked before the shift
         require(2 <= args.depth <= 10, "export depth must be in [2, 10]")
-        params.append(("depth", args.depth))
         sizes = (1 << args.depth, 1 << args.depth)
     else:
         require(args.sizes is not None, "--sizes is required")
@@ -466,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="infile", required=True,
                            help="instance or family JSON")
         if epsilon:
-            p.add_argument("--epsilon", type=parse_rational, required=True,
+            p.add_argument("--epsilon", type=_rational, required=True,
                            help="exact rational like 1/4")
         p.add_argument("--out", help="write the report here (atomic)")
 
@@ -491,18 +505,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("partition", "verify", "rect", "eh-box"):
         p = reg.add_parser(name)
         common(p, infile=True, epsilon=name != "verify")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
         if name == "partition":
             p.add_argument("--uniform", action="store_true",
                            help="symmetric single-partition variant")
         if name == "verify":
-            p.add_argument("--epsilon", type=parse_rational,
+            p.add_argument("--epsilon", type=_rational,
                            help="check at this epsilon, not the partition's")
             p.add_argument("--partition", required=True,
                            help="partition JSON or a prior report")
         if name == "eh-box":
-            p.add_argument("--alpha", type=parse_rational, required=True)
+            p.add_argument("--alpha", type=_rational, required=True)
 
     st = sub.add_parser("stable").add_subparsers(dest="sub", required=True)
     p = st.add_parser("ladder")
@@ -537,13 +549,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = ro.add_parser("search")
     common(p)
     p.add_argument("--in", dest="infile", help="instance JSON (graph mode)")
-    p.add_argument("--eps", dest="epsilon", type=parse_rational, required=True)
+    p.add_argument("--eps", dest="epsilon", type=_rational, required=True)
     p.add_argument("--depth", type=int, help="ball-family mode on the split graph")
     p.add_argument("--parity", choices=("odd", "even"), default="odd")
     p.add_argument("--m", type=int, help="fiber-combination complexity (graph mode)")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prefix", action="append", help=argparse.SUPPRESS)
 
     p = sub.add_parser("gen")
     p.add_argument("kind", choices=KINDS)

@@ -257,11 +257,6 @@ class Box:
     def to_obj(self) -> dict:
         return {"sides": [list(s) for s in self.sides]}
 
-    @staticmethod
-    def from_obj(obj) -> "Box":
-        require(isinstance(obj, dict) and "sides" in obj, 'box JSON must be {"sides": [...]}')
-        return Box.of(obj["sides"])
-
 
 class SpaceWeights:
     """Integer weight numerators over the product of a subset of parts.

@@ -41,12 +41,6 @@ class DyadicBall:
         require(L >= len(self.prefix), "depth below prefix length")
         return 1 << (L - len(self.prefix))
 
-    def leaves(self, L: int):
-        """Leaves as integers, most significant bit first."""
-        require(L >= len(self.prefix), "depth below prefix length")
-        base = int(self.prefix, 2) << (L - len(self.prefix)) if self.prefix else 0
-        return range(base, base + self.leaf_count(L))
-
     def contains(self, other: "DyadicBall") -> bool:
         return other.prefix.startswith(self.prefix)
 

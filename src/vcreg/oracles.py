@@ -282,8 +282,7 @@ def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
             "size_ln": size, "fallback": "greedy"}
 
 
-def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
-                          strategy: str = "greedy", seed: int = 0) -> dict:
+def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts) -> dict:
     """The delta partition by sets: every pairwise fiber difference, the
     eps/2-net of the heavy ones, classes as fingerprint atoms over the net
     (or by equal fibers when the net is not smaller than the measured side).
@@ -308,15 +307,10 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     if len(distinct) > 1:
         diffs = {tuple(sorted(set(f) ^ set(g)))
                  for f, g in itertools.combinations(distinct, 2)}
-        if strategy == "greedy":
-            points, _ = brute_greedy_net(diffs, weights, eps / 2)
-        else:
-            dd = brute_vc_dimension(diffs, len(lefts), cap=8)
-            points = brute_random_net(diffs, weights, eps / 2, dd, seed)["points"]
+        points, _ = brute_greedy_net(diffs, weights, eps / 2)
         net = sorted(set(points))
         bound = math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
-        meta.update({"net_size": len(net), "net_param_bound": bound,
-                     "net_strategy": strategy})
+        meta.update({"net_size": len(net), "net_param_bound": bound})
         if len(net) < len(lefts) and len(net) <= bound:
             keys = [frozenset(f & set(net)) for f in fibers]
             params, path = net, "net"

@@ -38,22 +38,19 @@ from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, Sp
                    edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys, weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
-from .vc import (ROW_BLOCK_BYTES, heavy_net, net_dimension, packed_lex_keys,
-                 sauer_bound, unpack_rows, vc_dimension_matrix)
+from .vc import (ROW_BLOCK_BYTES, greedy_net, net_hits_all, packed_lex_keys,
+                 sauer_bound, vc_dimension_matrix)
 
 FIBER_DIM_BUDGET = 200_000   # search nodes for the fiber family's VC dimension
 
 
 @dataclass
 class DeltaPartition:
-    measured_parts: tuple[int, ...]
-    split_parts: tuple[int, ...]
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
-    representatives: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[tuple[int, ...], ...], ...]   # each one's first member represents it
     params: tuple[tuple[int, ...], ...]
     epsilon: Fraction
     path: str                     # "net" | "trivial" | "single"
-    max_pair_distance: Fraction | None = None
+    max_pair_distance: Fraction
     meta: dict = field(default_factory=dict)
 
 
@@ -90,8 +87,8 @@ def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
     return packed[ii[first]] ^ packed[jj[first]]
 
 
-def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_parts,
-                           strategy: str = "greedy", seed: int = 0) -> DeltaPartition:
+def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
+                           measured_parts) -> DeltaPartition:
     """Partition the complement of `measured_parts` into classes of pairwise
     fiber distance < eps, with the parameter set the classes are atoms over.
 
@@ -107,22 +104,17 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
 
     if eps > 1:
         members = tuple(view.right_tuple(r) for r in range(view.right_size))
-        return DeltaPartition(left, view.right, (members,), (members[0],), (),
-                              eps, "single",
+        return DeltaPartition((members,), (), eps, "single",
                               _pairwise_max_distance(view.fibers, lw))
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
         classes = tuple(tuple(view.right_tuple(p) for p in ps) for ps in ordered)
-        reps = tuple(c[0] for c in classes)
-        worst = Fraction(0)
-        for ps in ordered:
-            if len(ps) > 1:
-                worst = max(worst, _pairwise_max_distance(view.fibers[list(ps)], lw))
+        worst = max((_pairwise_max_distance(view.fibers[list(ps)], lw)
+                     for ps in ordered if len(ps) > 1), default=Fraction(0))
         if worst >= eps:
             raise VerificationError(
                 f"class fiber distance {worst} is not below eps={eps}")
-        return DeltaPartition(left, view.right, classes, reps, params, eps,
-                              path, worst, meta)
+        return DeltaPartition(classes, params, eps, path, worst, meta)
 
     fibers = view.fibers[np.unique(row_keys(view.fibers), return_index=True)[1]]
     dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
@@ -140,18 +132,12 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction, measured_part
         heavy_pair = np.triu(dist >= min(ceil_fraction(half * lw.den), lw.den + 1), 1)
         packed, width = np.packbits(fibers, axis=1), fibers.shape[1]
         heavy = _difference_rows(packed, width, *np.nonzero(heavy_pair))
-        # the random sampler draws from the measure in lowest terms
-        g = math.gcd(lw.den, *lw.nums)
-        net = heavy_net(heavy, width, [n // g for n in lw.nums], lw.den // g, half,
-                        lambda: net_dimension(unpack_rows(_difference_rows(
-                            packed, width, *np.triu_indices(len(fibers), 1)), width)),
-                        strategy=strategy, seed=seed)
-        if not net.verified:
+        net = greedy_net(heavy, width)
+        if not net_hits_all(heavy, width, net):
             raise VerificationError("difference-family net failed verification")
-        net_points = sorted(set(net.points))
+        net_points = sorted(set(net))
         bound = net_param_bound(d_bound, eps)
-        meta.update({"net_size": len(net_points), "net_param_bound": bound,
-                     "net_strategy": strategy})
+        meta.update({"net_size": len(net_points), "net_param_bound": bound})
         if len(net_points) < view.left_size and len(net_points) <= bound:
             params = tuple(view.left_tuple(p) for p in net_points)
             return finish(atoms(view.fibers[:, net_points]), params, "net", meta)
@@ -178,26 +164,24 @@ def _support_rect(support) -> tuple:
     return [Box((support,))] if support else [], (((),),), Fraction(0), []
 
 
-def rectangular_approximation(H: Hypergraph, measures, eps: Fraction,
-                              strategy: str = "greedy", seed: int = 0) -> RectApprox:
+def rectangular_approximation(H: Hypergraph, measures, eps: Fraction) -> RectApprox:
     """Union of boxes with definable sides within eps of the relation, with
     the parameter sets each side is definable over and the exact error."""
     require(isinstance(eps, Fraction) and eps > 0, "eps must be a positive Fraction")
     measures = check_measures(H, measures)
-    boxes, params, error, levels = _rect_recurse(H, measures, eps, strategy, seed)
+    boxes, params, error, levels = _rect_recurse(H, measures, eps)
     if error >= eps:
         raise VerificationError(f"approximation error {error} not below eps={eps}")
     return RectApprox(tuple(boxes), params, error, eps, levels)
 
 
-def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: int):
+def _rect_recurse(H: Hypergraph, measures, eps: Fraction):
     k = H.k
     if k == 1:
         return _support_rect(edge_array(H)[:, 0].tolist())
 
     child_eps = eps if k == 2 else eps / 2
-    dp = delta_approx_partition(H, measures, child_eps, tuple(range(k - 1)),
-                                strategy=strategy, seed=seed)
+    dp = delta_approx_partition(H, measures, child_eps, tuple(range(k - 1)))
     view = binary_view(H, tuple(range(k - 1)))
     lw = SpaceWeights(measures, view.left, H.part_sizes)
     rnums, rden = measures[k - 1].numerators()
@@ -206,8 +190,8 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
     param_sets = [set() for _ in range(k)]
     sub_levels = []
     err_num = 0
-    for cls, rep in zip(dp.classes, dp.representatives):
-        rep_v = rep[0]
+    for cls in dp.classes:
+        rep_v = cls[0][0]
         if k == 2:
             # the sub-relation is one cached fiber row, and so is its mask
             amask = view.fibers[rep_v]
@@ -215,8 +199,7 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction, strategy: str, seed: i
         else:
             sub = Hypergraph(H.part_sizes[:-1],
                              np.argwhere(view.fibers[rep_v].reshape(view.left_sizes)))
-            sub_boxes, sub_params, _, lv = _rect_recurse(
-                sub, measures[:-1], eps / 2, strategy, seed)
+            sub_boxes, sub_params, _, lv = _rect_recurse(sub, measures[:-1], eps / 2)
             amask = boxes_mask(view.left_sizes, (b.sides for b in sub_boxes))
         sub_levels.extend(lv)
         class_vertices = tuple(sorted(b[0] for b in cls))
@@ -348,8 +331,7 @@ def label_grid(labels: dict, counts) -> np.ndarray:
 
 
 def regular_partition(H: Hypergraph, measures, eps: Fraction,
-                      uniform: bool = False, strategy: str = "greedy",
-                      seed: int = 0) -> RegularPartition:
+                      uniform: bool = False) -> RegularPartition:
     """0-1 regular partition at eps: per-part definable classes, exceptional
     boxes Sigma of total mass <= eps, every other box of edge density below
     eps or above 1 - eps relative to its own mass (label 0 / 1).
@@ -357,11 +339,11 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     uniform=True is the symmetric variant: one partition shared by every
     part, atoms over the pooled parameter set. It needs the symmetric flag
     and one measure, so every part's weights must equal part 0's."""
-    return _build_regular_partition(H, measures, eps, uniform, strategy, seed)[0]
+    return _build_regular_partition(H, measures, eps, uniform)[0]
 
 
-def _build_regular_partition(H: Hypergraph, measures, eps: Fraction, uniform: bool,
-                             strategy: str, seed: int) -> tuple:
+def _build_regular_partition(H: Hypergraph, measures, eps: Fraction,
+                             uniform: bool) -> tuple:
     """regular_partition's partition with its box sums (t, e, den), as
     core.box_counts returns them."""
     require(isinstance(eps, Fraction) and 0 < eps, "eps must be a positive Fraction")
@@ -370,7 +352,7 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction, uniform: bo
     measures = check_measures(H, measures)
     require(not uniform or len({tuple(m.weights) for m in measures}) == 1,
             "uniform partition needs the same weights on every part")
-    ra = rectangular_approximation(H, measures, eps * eps, strategy=strategy, seed=seed)
+    ra = rectangular_approximation(H, measures, eps * eps)
 
     if uniform:
         pooled = sorted(set(itertools.chain.from_iterable(ra.params)))
@@ -541,8 +523,7 @@ class DenseBox:
     partition_meta: dict = field(default_factory=dict)
 
 
-def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
-                   strategy: str = "greedy", seed: int = 0) -> DenseBox:
+def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction) -> DenseBox:
     """A box of density > 1 - eps with every side mass above an explicit
     guarantee, provided the relation has mass at least alpha."""
     measures = check_measures(H, measures)
@@ -552,7 +533,7 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction,
     if e_mass < alpha:
         raise InputError(f"relation mass {e_mass} is below alpha={alpha}")
     eps_p = min(alpha, eps) / 4
-    part, t, e, den = _build_regular_partition(H, measures, eps_p, False, strategy, seed)
+    part, t, e, den = _build_regular_partition(H, measures, eps_p, False)
     counts = part.class_counts()
     delta = eps_p / prod(counts)
     one = part.labels == 1

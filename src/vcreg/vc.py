@@ -373,16 +373,12 @@ def net_size_formula(d: int, eps: Fraction) -> dict:
     }
 
 
-def net_dimension(mat: np.ndarray) -> VCDimension:
-    """Dimension used to size random nets, over distinct member rows."""
-    return vc_dimension_matrix(mat, cap=8, budget=500_000)
-
-
 @lru_cache(maxsize=32)
 def _net_dimension(family: SetFamily) -> VCDimension:
-    # the sampling size depends only on the family; repeated seeded draws on
-    # the same family should not pay for the dimension search each time
-    return net_dimension(family.matrix())
+    """Dimension used to size random nets. The sampling size depends only on
+    the family; repeated seeded draws on the same family should not pay for
+    the dimension search each time."""
+    return vc_dimension_matrix(family.matrix(), cap=8, budget=500_000)
 
 
 def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
@@ -395,28 +391,17 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
             "measure length does not match the ground set")
     weights, den = mu.numerators()
     mat = family.matrix()
-    mass = weighted_inner(mat, np.ones((1, mat.shape[1]), dtype=bool), weights, den)[:, 0]
+    width = mat.shape[1]
+    mass = weighted_inner(mat, np.ones((1, width), dtype=bool), weights, den)[:, 0]
     # members are sorted tuples in sorted order, so the rows are in lex order
     heavy = np.packbits(mat[mass >= min(ceil_fraction(eps * den), den + 1)], axis=1)
-    return heavy_net(heavy, mat.shape[1], weights, den, eps,
-                     lambda: _net_dimension(family), strategy, seed)
-
-
-def heavy_net(heavy: np.ndarray, width: int, weights, den: int, eps: Fraction,
-              dimension, strategy: str = "greedy", seed: int | None = None) -> EpsNet:
-    """An eps-net for the heavy rows (members of measure >= eps under the
-    weights/den measure), `width` positions packed by np.packbits(axis=1),
-    given in lex order of their member tuples.
-
-    `dimension` is called only by the random strategy and returns the
-    VCDimension of the whole family the heavy rows were taken from."""
     meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
         pts = greedy_net(heavy, width)
         return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
-    dim = dimension()
+    dim = _net_dimension(family)
     sizes = net_size_formula(dim.value, eps)
     meta.update(sizes)
     meta["dimension"] = dim.display()

@@ -312,7 +312,7 @@ def test_acceptance_10_deterministic_reports(tmp_path):
         ["vc", "dim", "--in", str(fam)],
         ["vc", "net", "--in", str(fam), "--epsilon", "1/4",
          "--strategy", "random", "--seed", "11"],
-        ["reg", "partition", "--in", half, "--epsilon", "1/4", "--seed", "2"],
+        ["reg", "partition", "--in", half, "--epsilon", "1/4"],
         ["reg", "rect", "--in", half, "--epsilon", "1/8"],
         ["stable", "partition", "--in", blocks, "--epsilon", "1/8"],
         ["dyadic", "density", "--depth", "6"],

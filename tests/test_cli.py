@@ -717,9 +717,28 @@ def _parse_error(argv):
     ["convexity", "density", "--n", "ten"],
     ["no-such-command"],
     ["vc"],
+    # flags no run reads
+    ["reg", "partition", "--in", "h.json", "--epsilon", "1/4", "--strategy", "random"],
+    ["reg", "verify", "--in", "h.json", "--partition", "p.json", "--seed", "1"],
+    ["rodl", "search", "--eps", "1/4", "--prefix", "0"],
 ])
 def test_parse_errors_are_input_reports(argv):
-    _parse_error(argv)
+    message = _parse_error(argv)
+    if "0.25" in argv:   # a refused rational keeps its reason
+        assert "decimal rationals are not accepted: '0.25'" in message
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["reg", "eh-box", "--in", "h.json", "--epsilon", "1/4", "--alpha", "0.5"],
+     "argument --alpha: decimal rationals are not accepted"),
+    (["reg", "verify", "--in", "h.json", "--partition", "p.json", "--epsilon", "1/0"],
+     "argument --epsilon: cannot parse rational '1/0'"),
+    (["rodl", "search", "--eps", "1e-2"], "argument --eps: decimal rationals are not accepted"),
+    (["convexity", "involution", "--interval", "3"],
+     "argument --interval: interval must look like 'lo..hi'"),
+])
+def test_refused_flag_value_keeps_its_reason(argv, reason):
+    assert reason in _parse_error(argv)
 
 
 # every flag a run of the subcommand needs, with a value that parses
@@ -770,13 +789,20 @@ def test_help_exits_zero_without_a_report():
     ["gen", "staircase", "--sizes", "1024,1024,1024"],
     ["gen", "dyadic-export", "--depth", "-1"],
     ["gen", "dyadic-export", "--depth", "11"],
+    # a flag the kind does not read
+    ["gen", "half-graph", "--sizes", "8,8", "--blocks", "3"],
+    ["gen", "block-union", "--sizes", "8,8", "--cap", "3"],
+    ["gen", "interval-graph", "--sizes", "8,8", "--depth", "3"],
+    ["gen", "dyadic-export", "--depth", "3", "--sizes", "8,8"],
+    ["gen", "random-vc-capped", "--sizes", "8,8", "--blocks", "2", "--cap", "3"],
 ])
 def test_gen_refuses_an_unbuildable_instance_before_building(monkeypatch, argv):
     import vcreg.instances
 
     def never(*args, **kwargs):
         pytest.fail("a generator ran on a spec the guard should refuse")
-    for builder in ("half_graph", "dyadic_hypergraph", "_staircase"):
+    for builder in ("half_graph", "dyadic_hypergraph", "_staircase", "_interval_graph",
+                    "_block_union", "_random_capped"):
         monkeypatch.setattr(vcreg.instances, builder, never)
     code, rep = report(argv)
     assert code == 2 and rep["error"]["kind"] == "input"

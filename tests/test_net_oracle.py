@@ -115,12 +115,6 @@ def test_greedy_net_matches_oracle(seed, regime, n, count, eps):
 def test_random_strategy_matches_oracle():
     rng = random.Random(5)
     for regime in REGIMES:
-        for _ in range(4):
-            H, measures, left = _instance(rng, regime)
-            dp = delta_approx_partition(H, measures, Fraction(1, 3), left,
-                                        strategy="random", seed=11)
-            _same_partition(dp, brute_delta_partition(
-                H, measures, Fraction(1, 3), left, strategy="random", seed=11))
         n = 8
         den = {"float64": 24, "int64": P_INT64, "bigint": P_BIG}[regime]
         mu = Measure(0, _weights(rng, n, den))
@@ -182,14 +176,3 @@ def test_greedy_net_matches_oracle_past_one_byte(seed, regime, n, count, eps):
     # the same comparison as test_greedy_net_matches_oracle, on grounds of
     # two to five packed bytes
     test_greedy_net_matches_oracle.hypothesis.inner_test(seed, regime, n, count, eps)
-
-
-def test_random_strategy_matches_oracle_past_one_byte():
-    rng = random.Random(7)
-    for regime in REGIMES:
-        for _ in range(3):
-            H, measures, left = _wide_instance(rng, regime)
-            dp = delta_approx_partition(H, measures, Fraction(1, 4), left,
-                                        strategy="random", seed=5)
-            _same_partition(dp, brute_delta_partition(
-                H, measures, Fraction(1, 4), left, strategy="random", seed=5))
