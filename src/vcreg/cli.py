@@ -77,9 +77,13 @@ def _parse_interval(s: str) -> IntegerInterval:
         if sep in s:
             lo, hi = s.split(sep, 1)
             try:
-                return IntegerInterval(int(lo), int(hi))
+                lo, hi = int(lo), int(hi)
             except ValueError:
                 break
+            try:
+                return IntegerInterval(lo, hi)
+            except InputError as exc:   # endpoints out of order
+                raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"interval must look like 'lo..hi', got {s!r}")
 
 

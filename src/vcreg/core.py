@@ -90,7 +90,7 @@ class Hypergraph:
             arr = edges
         else:
             edges = list(edges)
-            if set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {k}:
+            if set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {k}:
                 flat = list(itertools.chain.from_iterable(edges))
                 if set(map(type, flat)) <= {int}:
                     with contextlib.suppress(OverflowError):   # past int64: out of range
@@ -99,11 +99,13 @@ class Hypergraph:
             with contextlib.suppress(ValueError):   # a vertex out of range
                 keys = np.sort(np.ravel_multi_index(arr.T, sizes))
         if keys is None:
-            # name the lex-first bad edge; a vertex that is not an int orders
-            # after every int, by its repr, an edge that is not a tuple as (e,)
-            for e in sorted(edges if arr is None else map(tuple, arr.tolist()),
+            # name the lex-first bad edge, a list one as a tuple; a vertex that
+            # is not an int orders after every int, by its repr, an edge that
+            # is neither a tuple nor a list as (e,)
+            for e in sorted(edges if arr is None else arr.tolist(),
                             key=lambda e: [(0, v) if type(v) is int else (1, repr(v))
-                                           for v in (e if type(e) is tuple else (e,))]):
+                                           for v in (e if type(e) in (tuple, list) else (e,))]):
+                e = tuple(e) if type(e) is list else e
                 if type(e) is not tuple or len(e) != k:
                     raise InputError(f"edge {e!r} does not have arity {k}")
                 for i, (v, n) in enumerate(zip(e, sizes)):
@@ -165,7 +167,9 @@ class Hypergraph:
             require(key in obj, f"hypergraph JSON missing key {key!r}")
         try:
             sizes = tuple(obj["part_sizes"])
-            edges = list(map(tuple, obj["edges"]))
+            edges = obj["edges"]
+            if not set(map(type, edges)) <= {list}:   # edge lists go in as they are
+                edges = list(map(tuple, edges))
         except TypeError:
             raise InputError("part_sizes must be a list of integers and edges "
                              "a list of integer lists") from None

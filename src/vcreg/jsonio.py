@@ -10,6 +10,7 @@ Generator spec:  {"kind": one of KINDS, "sizes": [int], "k": int, "seed": int, "
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -60,7 +61,10 @@ def _json_default(x):
 def canonical_dumps(obj) -> str:
     """The one JSON encoding of reports and files. Keys are sorted as they
     are, so every dict key must be built as a str."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
+    # every report and file is an acyclic tree, so the encoder need not
+    # keep an id per container to catch a cycle
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default,
+                      check_circular=False)
 
 
 def load_json(path):
@@ -68,7 +72,17 @@ def load_json(path):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+        text = raw.decode("utf-8")
+        # A parsed JSON tree holds no reference cycles, so a collection during
+        # the parse frees nothing; it only rescans every list parsed so far.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            obj = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
+        return obj, hashlib.sha256(raw).hexdigest()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -736,6 +736,10 @@ def test_parse_errors_are_input_reports(argv):
     (["rodl", "search", "--eps", "1e-2"], "argument --eps: decimal rationals are not accepted"),
     (["convexity", "involution", "--interval", "3"],
      "argument --interval: interval must look like 'lo..hi'"),
+    (["convexity", "involution", "--interval", "9..3"],
+     "argument --interval: interval endpoints out of order"),
+    (["convexity", "density", "--n", "10", "--interval", "9:3"],
+     "argument --interval: interval endpoints out of order"),
 ])
 def test_refused_flag_value_keeps_its_reason(argv, reason):
     assert reason in _parse_error(argv)

@@ -70,6 +70,47 @@ def test_bad_edge_messages_name_the_edge_and_coordinate():
         Hypergraph((2, 2), frozenset({(0, 1)}), True)
 
 
+_SHAPE = "part_sizes must be a list of integers and edges a list of integer lists"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"edges": 5}, _SHAPE),
+    ({"edges": None}, _SHAPE),
+    ({"edges": "01"}, "edge ('0',) does not have arity 2"),
+    ({"edges": [5]}, _SHAPE),
+    ({"edges": [[True, 0]]}, "edge (True, 0) out of range in coordinate 0"),
+    ({"edges": [[0, 1.0]]}, "edge (0, 1.0) out of range in coordinate 1"),
+    ({"edges": ["ab"]}, "edge ('a', 'b') out of range in coordinate 0"),
+    ({"edges": [{"a": 1, "b": 2}]}, "edge ('a', 'b') out of range in coordinate 0"),
+    ({"edges": [[0, 5], [1]]}, "edge (0, 5) out of range in coordinate 1"),
+    ({"edges": [[0, -1]]}, "edge (0, -1) out of range in coordinate 1"),
+    ({"edges": [[0, 2 ** 70]]}, f"edge (0, {2 ** 70}) out of range in coordinate 1"),
+    ({"edges": [[0, "x"], [1, None]]}, "edge (0, 'x') out of range in coordinate 1"),
+    ({"edges": [[0, [1]]]}, "edge (0, [1]) out of range in coordinate 1"),
+    ({"edges": [[0, 0, 0]]}, "edge (0, 0, 0) does not have arity 2"),
+    ({"symmetric": True},
+     "symmetric flag set but permutation (1, 0) of edge (0, 1) is absent"),
+    ({"part_sizes": [True, 2]}, "part sizes must be positive integers"),
+    ({"part_sizes": 5}, _SHAPE),
+    ({"k": 3}, "k must be an integer equal to the part_sizes length"),
+])
+def test_hypergraph_json_messages(change, message):
+    """Each malformed hypergraph object is refused with its exact message;
+    an edge is named as a tuple, whatever container the file gave it."""
+    obj = {"k": 2, "part_sizes": [2, 2], "edges": [[0, 1]], **change}
+    with pytest.raises(InputError) as info:
+        Hypergraph.from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_hypergraph_json_edge_lists_are_read_as_they_are():
+    obj = {"k": 2, "part_sizes": [3, 2], "edges": [[2, 1], [0, 1], [2, 1]]}
+    H = Hypergraph.from_obj(obj)
+    assert H == Hypergraph((3, 2), [(0, 1), (2, 1)])
+    assert edge_array(H).tolist() == [[0, 1], [2, 1]]
+    assert obj["edges"] == [[2, 1], [0, 1], [2, 1]]
+
+
 def test_binary_view_cached_per_object():
     H = half_graph(6)
     view = binary_view(H, (0,))
