@@ -473,6 +473,43 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """parse_args on the one tree. argparse checks required flags before it
+    sets unknown ones aside, so a failed parse is run again with no flag
+    required, and the unknown flags that one finds join its InputError."""
+    parser = _build_parser()
+    try:
+        args, extras = parser.parse_known_args(argv)
+    except InputError as exc:
+        extras = _unknown_without_required(parser, argv)
+        if not extras:
+            raise
+        raise InputError(f"{exc}; unrecognized arguments: {' '.join(extras)}") from None
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _unknown_without_required(parser: argparse.ArgumentParser, argv) -> list[str]:
+    """What parse_known_args sets aside from argv while no argument in the
+    tree is required; none if that parse fails as well."""
+    parsers, required = [parser], []
+    for p in parsers:
+        for action in p._actions:
+            if action.required:
+                required.append(action)
+                action.required = False
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    try:
+        return parser.parse_known_args(argv)[1]
+    except InputError:
+        return []
+    finally:
+        for action in required:
+            action.required = True
+
+
 # parse_args leaves the parser as it was, so one tree serves every call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -619,7 +656,7 @@ def main(argv=None) -> int:
     args = None
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit:   # --help wrote its text; parse errors raise InputError
             return 0
         sub = args.__dict__.get("sub")

@@ -260,6 +260,12 @@ def brute_greedy_net(members, weights, eps: Fraction) -> tuple[list[int], int]:
     return _brute_greedy(heavy), len(heavy)
 
 
+def brute_difference_rows(members, pairs) -> list[tuple[int, ...]]:
+    """The distinct symmetric differences of members[i] and members[j] over
+    the index pairs (i, j), as sorted member tuples in sorted order."""
+    return sorted({tuple(sorted(set(members[i]) ^ set(members[j]))) for i, j in pairs})
+
+
 def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
                      max_retries: int = 10) -> dict:
     """The seeded random eps-net: 8 d (1/eps) ln(1/eps) draws from the

@@ -77,14 +77,19 @@ def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
             f"over the {MAX_DIFF_BYTES}-byte guard")
     if not len(ii):
         return packed[:0]
-    # XOR-ed and keyed in blocks: only the keys, two bits per position, are
-    # held for every pair at once
+    # XOR-ed and keyed in blocks into one key array, ceil(width / 8) + 4
+    # bytes per pair; np.unique compares a void view of it by memcmp
     step = max(1, ROW_BLOCK_BYTES // max(1, width))
-    keys = np.concatenate([packed_lex_keys(packed[ii[s:s + step]] ^ packed[jj[s:s + step]],
-                                           width)
-                           for s in range(0, len(ii), step)])
-    _, first = np.unique(keys, return_index=True)
-    return packed[ii[first]] ^ packed[jj[first]]
+    keys = np.empty(len(ii), np.dtype((np.bytes_, packed.shape[1] + 4)))
+    for s in range(0, len(ii), step):
+        packed_lex_keys(packed[ii[s:s + step]] ^ packed[jj[s:s + step]], width,
+                        keys[s:s + step])
+    first = np.unique(keys.view(np.dtype((np.void, keys.itemsize))), return_index=True)[1]
+    rows = np.empty((len(first), packed.shape[1]), np.uint8)
+    for s in range(0, len(first), step):
+        pick = first[s:s + step]
+        np.bitwise_xor(packed[ii[pick]], packed[jj[pick]], out=rows[s:s + step])
+    return rows
 
 
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,

@@ -277,44 +277,54 @@ class EpsNet:
     meta: dict = field(default_factory=dict)
 
 
-def _key_codes() -> np.ndarray:
-    """For byte b, entry b codes the 8 positions of b as 2-bit codes, 01
-    for a member and 10 for a gap, big-endian; entry 256 + b does the same
-    but codes every position after the last member of b as 00 (all of them
-    for b = 0)."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    through = np.logical_or.accumulate(bits[:, ::-1], axis=1)[:, ::-1]
-    codes = np.concatenate([2 - bits, (2 - bits) * through]).astype(np.uint16)
-    codes = (codes << np.arange(14, -1, -2, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
-    # native uint16 entries whose bytes in memory are big-endian
-    return codes.astype(">u2").view(np.uint16)
+def _last_byte_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For byte b as the last nonzero byte of a row: its key byte
+    ~(b | (b - 1)), the complement of b at the positions up to its last
+    member and 0 after it, and its last member's position + 1 (both 0 for
+    b = 0)."""
+    b = np.arange(256)
+    ends = np.zeros(256, np.int64)
+    for p in range(8):
+        ends[(b >> (7 - p)) & 1 == 1] = p + 1   # later positions win
+    return (~(b | (b - 1)) & 0xFF).astype(np.uint8), ends
 
 
-_KEY_CODES = _key_codes()
+_LAST_BYTE_KEY, _LAST_BYTE_END = _last_byte_tables()
 
 
-def packed_lex_keys(packed: np.ndarray, width: int) -> np.ndarray:
+def packed_lex_keys(packed: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """One fixed-width bytes key per row of `width` positions packed by
     np.packbits(axis=1); keys sort like the rows' sorted member-index
-    tuples, and equal keys mean equal rows.
+    tuples, and equal keys mean equal rows. `out`, when given, is the
+    contiguous np.bytes_ array of len(packed) keys to fill and return.
 
-    Position p gets 1 if it is a member, 2 if it is a gap before a later
-    member and 0 past the last member, packed two bits per position,
-    big-endian, so bytewise comparison is tuple comparison (a proper prefix
-    sorts first because 0 < 1, 2). Bytes before a row's last nonzero byte
-    are coded whole, that byte up to its last member, and every later byte
-    (a zero byte) as 00."""
-    nb = packed.shape[1]
-    nonzero = packed != 0
-    last = nb - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    # an empty row has no last member: every byte codes as 00
-    last[(last == nb - 1) & ~nonzero[:, -1]] = 0
-    index = (np.arange(nb) >= last[:, None]) * np.uint16(256)
-    index |= packed
-    key = np.take(_KEY_CODES, index)
-    nbytes = max(1, -(-width // 4))
-    return np.ascontiguousarray(key.view(np.uint8)[:, :nbytes]).view(
-        np.dtype((np.bytes_, nbytes)))[:, 0]
+    A key is ceil(width / 8) + 4 bytes: the row's complement at the
+    positions up to its last member and 0 after it, packed as the row is,
+    then the last member's position + 1 as 4 big-endian bytes, 0 for the
+    empty row (4 bytes suffice: binary views are at most MAX_DENSE_SPACE =
+    2^22 wide).
+
+    Let p be the first position where rows a and b differ, a member of a.
+    If b has a member after p, the keys agree before p and hold 0 (a) and
+    1 (b) at p: a sorts first, as its tuple does. If not, b's tuple is a
+    proper prefix of a's, and b's key is 0 past b's last member. There a's
+    key holds a 1 at each gap before a's last member, and if it has none,
+    a's end field is the larger: b sorts first."""
+    rows, nb = packed.shape[0], -(-width // 8)
+    if out is None:
+        out = np.empty(rows, np.dtype((np.bytes_, nb + 4)))
+    key = out.view(np.uint8).reshape(rows, nb + 4)
+    # the last nonzero byte, or byte 0 of an empty row
+    last, index = nb - 1 - np.argmax(packed[:, ::-1] != 0, axis=1), np.arange(rows)
+    at = packed[index, last]
+    last[at == 0] = 0
+    body = key[:, :nb]
+    np.invert(packed, out=body)
+    body *= np.arange(nb) < last[:, None]
+    body[index, last] = _LAST_BYTE_KEY[at]
+    end = 8 * last + _LAST_BYTE_END[at]
+    key[:, nb:] = end.astype(">u4").view(np.uint8).reshape(rows, 4)
+    return out
 
 
 def unpack_rows(packed: np.ndarray, width: int) -> np.ndarray:
@@ -338,7 +348,12 @@ def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
 
     # column p of the rows is bit 128 >> (p & 7) of row p >> 3 here
     columns = np.ascontiguousarray(heavy.T)
-    hits = column_sums(np.arange(heavy.shape[0]))
+    # the one sum over every row adds uint8 sums of slabs of at most 255
+    # rows, which are exact, and casts no block to int32
+    hits = np.zeros(width, dtype=np.int32)
+    slab = min(255, step)
+    for s in range(0, heavy.shape[0], slab):
+        hits += unpack_rows(heavy[s:s + slab], width).sum(axis=0, dtype=np.uint8)
     unhit = np.ones(heavy.shape[0], dtype=bool)
     first = 0
     while first < heavy.shape[0]:

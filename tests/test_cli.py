@@ -774,6 +774,20 @@ def test_missing_required_flag_is_named(name, missing):
     assert "the following arguments are required" in message and missing in message
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["stable", "partition", "--bogus"], ["--in, --epsilon", "unrecognized arguments: --bogus"]),
+    (["reg", "verify", "--in", "h.json", "--no-such-flag", "3"],
+     ["--partition", "unrecognized arguments: --no-such-flag 3"]),
+    (["gen", "--sizes", "8,8", "--bogus"], ["kind", "unrecognized arguments: --bogus"]),
+])
+def test_missing_and_unknown_flags_are_named_together(argv, named):
+    message = _parse_error(argv)
+    assert "the following arguments are required" in message
+    assert all(x in message for x in named), message
+    # the second parse left every flag as required as it was
+    assert "arguments are required: --in, --epsilon" in _parse_error(["stable", "partition"])
+
+
 @pytest.mark.parametrize("name", sorted(_REQUIRED))
 def test_required_flags_are_all_a_run_needs_to_parse(name):
     # past the parser: the report names its subcommand (missing files are input errors)

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vcreg import (Hypergraph, Measure, SetFamily, delta_approx_partition,
-                   epsilon_net)
+                   epsilon_net, regularity, vc)
 from vcreg.core import INT64_SAFE, SpaceWeights, weighted_inner
-from vcreg.oracles import (brute_delta_partition, brute_greedy_net,
+from vcreg.oracles import (brute_delta_partition, brute_difference_rows, brute_greedy_net,
                            brute_random_net, brute_vc_dimension)
 
 # primes, so weights n/p with 0 < n < p keep the denominator p in lowest terms
@@ -176,3 +176,76 @@ def test_greedy_net_matches_oracle_past_one_byte(seed, regime, n, count, eps):
     # the same comparison as test_greedy_net_matches_oracle, on grounds of
     # two to five packed bytes
     test_greedy_net_matches_oracle.hypothesis.inner_test(seed, regime, n, count, eps)
+
+
+def _same_difference_rows(rows: np.ndarray, ii, jj):
+    width = rows.shape[1]
+    got = regularity._difference_rows(np.packbits(rows, axis=1), width,
+                                      np.asarray(ii, np.intp), np.asarray(jj, np.intp))
+    assert got.dtype == np.uint8 and got.shape[1] == -(-width // 8)
+    members = [np.flatnonzero(row).tolist() for row in rows]
+    assert [tuple(np.flatnonzero(row).tolist()) for row in vc.unpack_rows(got, width)] == \
+        brute_difference_rows(members, zip(ii, jj))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(width=st.one_of(st.integers(1, 70), st.sampled_from(range(8, 71, 8))),
+       seed=st.integers(0, 10 ** 6), count=st.integers(1, 12),
+       density=st.floats(0, 1), pairs=st.integers(0, 60), collide=st.booleans(),
+       block=st.sampled_from([vc.ROW_BLOCK_BYTES, 40, 1]))
+@example(width=9, seed=0, count=1, density=0.5, pairs=0, collide=False, block=40)
+def test_difference_rows_match_oracle(width, seed, count, density, pairs, collide, block):
+    """Random rows, two empty rows, and for each row r two more, r ^ x and
+    x; random pairs, none at all in the explicit example. With collide,
+    also the pairs (r, r ^ x) and (empty, x), whose differences are both x,
+    and every pair once more. Blocks of 40 and 1 bytes key a few pairs or
+    one pair at a time."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((count, width)) < density
+    x = rng.random((count, width)) < 0.5
+    rows = np.vstack([rows, np.zeros((2, width), bool), rows ^ x, x])
+    ii = rng.integers(0, len(rows), pairs)
+    jj = rng.integers(0, len(rows), pairs)
+    if collide:
+        r = np.arange(count)
+        ii = np.concatenate([ii, r, np.full(count, count)])
+        jj = np.concatenate([jj, count + 2 + r, 2 * count + 2 + r])
+        ii, jj = np.tile(ii, 2), np.tile(jj, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
+        _same_difference_rows(rows, ii, jj)
+
+
+def test_difference_rows_span_several_blocks():
+    """All 21,321 pairs of 207 rows of 300 positions, past the 13,981 pairs
+    one ROW_BLOCK_BYTES block keys: random rows, the empty row, and runs
+    0..k-1 whose differences with it share their complement bytes and
+    differ only in the end field, past one byte of it."""
+    width = 300
+    runs = np.arange(width) < np.array([250, 255, 256, 257, 299, 300])[:, None]
+    rows = np.vstack([np.random.default_rng(11).random((200, width)) < 0.1,
+                      np.zeros((1, width), bool), runs])
+    ii, jj = np.triu_indices(len(rows), 1)
+    assert len(ii) > vc.ROW_BLOCK_BYTES // width
+    _same_difference_rows(rows, ii, jj)
+
+
+@pytest.mark.parametrize("block", [vc.ROW_BLOCK_BYTES, 300])
+@pytest.mark.parametrize("shared", [255, 256, 511, 640])
+def test_greedy_net_counts_past_255_rows(shared, block):
+    """840 distinct rows, row r holding the bits of r in columns 2..11:
+    column 0 lies in rows 0..639 and column 1 in rows 0..shared-1 and
+    640..839, so a run of 255, 256 or 511 rows ends at a uint8 slab edge.
+    The first point is the one of these two columns with the larger count,
+    640 against shared + 200; counts wrapped at 256 would compare 128 with
+    199, 200, 199 or 72."""
+    width = 12
+    rows = [((0,) if r < 640 else ()) + ((1,) if r < shared or r >= 640 else ())
+            + tuple(2 + b for b in range(10) if r >> b & 1) for r in range(840)]
+    fam = SetFamily.from_sets(width, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vc, "ROW_BLOCK_BYTES", block)
+        got = vc.greedy_net(np.packbits(fam.matrix(), axis=1), width)
+    want, heavy = brute_greedy_net(fam.members, [Fraction(1, width)] * width, Fraction(1, width))
+    assert heavy == len(fam.members) == 840
+    assert got == want
