@@ -16,21 +16,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "convexity": ("IntegerInterval", "ap_count", "convexity_density", "is_edge",
                   "reflection_involution_check"),
-    "core": ("Box", "Fiber", "Hypergraph", "Measure", "binary_view", "density",
-             "edge_mass", "fiber", "uniform_measures"),
-    "dyadic": ("DyadicBall", "anti_homogeneity_bound_check", "ball_parity_report",
-               "dyadic_hypergraph", "level_pair_counts", "odd_split_density",
-               "parse_balls", "random_ball_union"),
+    "core": ("Box", "Hypergraph", "Measure", "binary_view", "density", "edge_mass",
+             "uniform_measures"),
+    "dyadic": ("DyadicBall", "anti_homogeneity_bound_check", "ball_family_search",
+               "ball_parity_report", "dyadic_hypergraph", "level_pair_counts",
+               "odd_split_density", "parse_balls", "random_ball_union"),
     "errors": ("DepthCapExceeded", "InputError", "RefinementFailed",
                "VerificationError", "ZeroMeasureBox"),
-    "homog": ("ball_family_search", "definable_homogeneous_search"),
+    "homog": ("definable_homogeneous_search",),
     "instances": ("GeneratorSpec", "Generated", "generate"),
     "regularity": ("DeltaPartition", "DenseBox", "RectApprox", "RegularPartition",
                    "delta_approx_partition", "find_dense_box", "net_param_bound",
                    "rectangular_approximation", "regular_partition",
                    "verify_regular_partition"),
-    "stable": ("GoodDescent", "GoodnessReport", "LadderCertificate", "good_check",
-               "good_descent_partition", "ladder_index", "stable_regular_partition"),
+    "stable": ("GoodDescent", "LadderCertificate", "good_descent_partition",
+               "ladder_index", "stable_regular_partition"),
     "vc": ("EpsNet", "SetFamily", "VCDimension", "epsilon_net", "fiber_family",
            "net_size_formula", "sauer_bound", "shatter_function", "vc_dimension"),
 }

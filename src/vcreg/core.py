@@ -181,14 +181,6 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class Fiber:
-    """The fiber R_b = {a in V_I : (a, b) in R} for a parameter b in V_{I comp}."""
-    parts: tuple[int, ...]
-    parameter: tuple[int, ...]
-    members: frozenset[tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class Measure:
     """Exact weighted counting measure on one part: weights sum to 1. The
     numerators over den = lcm of the denominators are computed once, here."""
@@ -351,12 +343,6 @@ class BinaryView:
         fib[rows, np.ravel_multi_index(cells[list(left)], self.left_sizes)] = True
         self.fibers = fib
 
-    def left_pos(self, t: tuple[int, ...]) -> int:
-        p = 0
-        for v, n in zip(t, self.left_sizes):
-            p = p * n + v
-        return p
-
     def right_pos(self, t: tuple[int, ...]) -> int:
         p = 0
         for v, n in zip(t, self.right_sizes):
@@ -393,22 +379,6 @@ def binary_view(H: Hypergraph, left) -> BinaryView:
     if view is None:
         view = views[left] = BinaryView(H, left)
     return view
-
-
-def fiber(H: Hypergraph, parts, b) -> Fiber:
-    """R_b over V_I for I = parts and b a tuple over the complementary parts."""
-    parts = tuple(sorted(parts))
-    comp = H.complement_parts(parts)
-    b = tuple(b)
-    require(len(b) == len(comp), f"parameter arity {len(b)} != {len(comp)}")
-    for v, i in zip(b, comp):
-        require(0 <= v < H.part_sizes[i], f"parameter {b!r} out of range on part {i}")
-    members = frozenset(
-        tuple(e[i] for i in parts)
-        for e in edge_array(H).tolist()
-        if tuple(e[i] for i in comp) == b
-    )
-    return Fiber(parts, b, members)
 
 
 class ProductMeasure:

@@ -9,7 +9,8 @@ the 2^(m-l) level-m nodes, each holding 2 * (2^(L-m-1))^2 ordered pairs.
 
 This is the finite witness that the graph has no large set of density near
 0 or 1 among ball-definable sets: every ball's density is pinned near 1/3
-or 2/3 by its prefix parity.
+or 2/3 by its prefix parity, and ball_family_search scans the single balls
+for one outside (eps, 1 - eps). Nothing here loads numpy at import.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ class DyadicBall:
     def __post_init__(self):
         require(all(c in "01" for c in self.prefix),
                 f"ball prefix must be a 0/1 string, got {self.prefix!r}")
-
-    def __len__(self) -> int:
-        return len(self.prefix)
 
     def measure(self) -> Fraction:
         return Fraction(1, 1 << len(self.prefix))
@@ -99,6 +97,47 @@ def odd_split_density(balls, L: int, parity: str = "odd") -> Fraction:
     want = 1 if parity == "odd" else 0
     hit = sum(c for m, c in enumerate(counts) if m % 2 == want)
     return Fraction(hit, total)
+
+
+# Balls of co-depth below this hold at most two leaves: trivially homogeneous,
+# they say nothing about the family's limiting behavior.
+MIN_CO_DEPTH = 2
+
+
+@dataclass
+class BallSearchResult:
+    found: bool
+    epsilon: Fraction
+    depth: int
+    prefix_length: int | None = None
+    density: Fraction | None = None
+    mass: Fraction | None = None
+    max_deviation: Fraction = Fraction(0)
+    scanned: int = 0
+
+
+def ball_family_search(L: int, eps: Fraction, parity: str = "odd") -> BallSearchResult:
+    """Single-ball homogeneous-set search on the depth-L odd-split graph: the
+    largest ball whose density is strictly below eps or above 1 - eps.
+
+    Density depends only on the prefix length, so lengths are scanned from 0
+    (largest mass first) down to co-depth MIN_CO_DEPTH. max_deviation reports
+    how far from both 0 and 1 every scanned density stays.
+    """
+    require(isinstance(eps, Fraction) and 0 < eps < Fraction(1, 2),
+            "eps must be in (0, 1/2)")
+    require(L >= MIN_CO_DEPTH, "depth too small for the co-depth floor")
+    en, ed = eps.numerator, eps.denominator
+    out = BallSearchResult(False, eps, L, scanned=L - MIN_CO_DEPTH + 1)
+    for l in range(out.scanned):
+        d = odd_split_density([DyadicBall("0" * l)], L, parity=parity)
+        out.max_deviation = max(out.max_deviation, min(d, 1 - d))
+        low = d.numerator * ed < en * d.denominator
+        high = (d.denominator - d.numerator) * ed < en * d.denominator
+        if (low or high) and not out.found:
+            out.found, out.prefix_length, out.density = True, l, d
+            out.mass = Fraction(1, 1 << l)
+    return out
 
 
 def ball_parity_report(L: int, parity: str = "odd") -> list[dict]:

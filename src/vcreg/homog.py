@@ -7,9 +7,8 @@ unions of trace atoms of the chosen parameter tuple, with per-atom mass and
 edge aggregates so each candidate costs O(4^m) integer work. NOT-FOUND is a
 legitimate outcome, not an error.
 
-ball_family_search is the same predicate on the odd-split tree graph with
-the family fixed to single balls, where the 1/3-2/3 parity law keeps every
-density bounded away from both 0 and 1.
+The same predicate on the odd-split tree graph, with the family fixed to
+single balls, is dyadic.ball_family_search: it needs no numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +22,10 @@ from math import comb
 import numpy as np
 
 from .core import Hypergraph, Measure, binary_view, edge_array, exact_dtype
-from .dyadic import DyadicBall, odd_split_density
 from .jsonio import require
 
 MAX_COMPLEXITY = 3
 EXACT_TUPLE_BUDGET = 1_000_000
-MIN_CO_DEPTH = 2
 
 
 @dataclass
@@ -111,48 +108,3 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
                     best_mass_num = w_a
     best.examined = examined
     return best
-
-
-@dataclass
-class BallSearchResult:
-    found: bool
-    epsilon: Fraction
-    depth: int
-    prefix_length: int | None = None
-    density: Fraction | None = None
-    mass: Fraction | None = None
-    max_deviation: Fraction = Fraction(0)
-    scanned: int = 0
-
-
-def ball_family_search(L: int, eps: Fraction, parity: str = "odd") -> BallSearchResult:
-    """Single-ball homogeneous-set search on the depth-L odd-split graph.
-
-    Density depends only on the prefix length, so lengths are scanned from 0
-    (largest mass first). Balls with co-depth below MIN_CO_DEPTH are skipped:
-    two-leaf balls are trivially homogeneous and carry no information about
-    the family's limiting behavior. max_deviation reports how far from both
-    0 and 1 every scanned density stays.
-    """
-    require(isinstance(eps, Fraction) and 0 < eps < Fraction(1, 2),
-            "eps must be in (0, 1/2)")
-    require(L >= MIN_CO_DEPTH, "depth too small for the co-depth floor")
-    en, ed = eps.numerator, eps.denominator
-    out = BallSearchResult(False, eps, L)
-    best_len = None
-    dev = Fraction(0)
-    scanned = 0
-    for l in range(0, L - MIN_CO_DEPTH + 1):
-        d = odd_split_density([DyadicBall("0" * l)], L, parity=parity)
-        scanned += 1
-        dev = max(dev, min(d, 1 - d))
-        low = d.numerator * ed < en * d.denominator
-        high = (d.denominator - d.numerator) * ed < en * d.denominator
-        if (low or high) and best_len is None:
-            best_len = l
-            out = BallSearchResult(True, eps, L, l, d, Fraction(1, 1 << l))
-    out.max_deviation = dev
-    out.scanned = scanned
-    if best_len is None:
-        out.found = False
-    return out

@@ -25,7 +25,6 @@ from math import prod
 
 from .core import MAX_DENSE_SPACE, Hypergraph, Measure, require_dense, uniform_measures
 from .dyadic import dyadic_hypergraph
-from .errors import InputError
 from .jsonio import KINDS, require
 from .stable import ladder_index
 from .vc import SetFamily, fiber_family, vc_dimension
@@ -58,16 +57,6 @@ class GeneratorSpec:
     def to_obj(self) -> dict:
         return {"kind": self.kind, "sizes": list(self.sizes), "k": self.k,
                 "seed": self.seed, "params": dict(self.params)}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "GeneratorSpec":
-        require(isinstance(obj, dict), "spec object must be a JSON object")
-        try:
-            return cls(obj["kind"], tuple(obj["sizes"]), obj["k"],
-                       obj.get("seed", 0),
-                       tuple((str(k), int(v)) for k, v in obj.get("params", {}).items()))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad generator spec: {exc}") from exc
 
 
 @dataclass

@@ -56,7 +56,7 @@ def brute_hypergraph_error(part_sizes, edges, symmetric: bool = False):
 
 
 def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
-    """Fiber membership by enumerating all of V_I and testing reassembled tuples."""
+    """The fiber's members, by enumerating all of V_I and testing reassembled tuples."""
     parts = tuple(sorted(parts))
     comp = tuple(i for i in range(H.k) if i not in parts)
     members = []
@@ -397,13 +397,13 @@ def brute_ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = 
     comp = tuple(i for i in range(H.k) if i not in parts)
     lefts = list(itertools.product(*[range(H.part_sizes[i]) for i in parts]))
     rights = list(itertools.product(*[range(H.part_sizes[i]) for i in comp]))
-    left_pos = {a: p for p, a in enumerate(lefts)}
-    right_pos = {b: p for p, b in enumerate(rights)}
+    left_index = {a: p for p, a in enumerate(lefts)}
+    right_index = {b: p for p, b in enumerate(rights)}
     fiber_mask = [0] * len(rights)
     contains = [0] * len(lefts)
     for e in H.edges:
-        a = left_pos[tuple(e[i] for i in parts)]
-        b = right_pos[tuple(e[i] for i in comp)]
+        a = left_index[tuple(e[i] for i in parts)]
+        b = right_index[tuple(e[i] for i in comp)]
         fiber_mask[b] |= 1 << a
         contains[a] |= 1 << b
 

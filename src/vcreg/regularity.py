@@ -78,13 +78,17 @@ def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
     if not len(ii):
         return packed[:0]
     # XOR-ed and keyed in blocks into one key array, ceil(width / 8) + 4
-    # bytes per pair; np.unique compares a void view of it by memcmp
+    # bytes per pair; a stable argsort of a void view compares keys by memcmp,
+    # and the first of each run of equal keys is the first pair with that row
     step = max(1, ROW_BLOCK_BYTES // max(1, width))
     keys = np.empty(len(ii), np.dtype((np.bytes_, packed.shape[1] + 4)))
     for s in range(0, len(ii), step):
         packed_lex_keys(packed[ii[s:s + step]] ^ packed[jj[s:s + step]], width,
                         keys[s:s + step])
-    first = np.unique(keys.view(np.dtype((np.void, keys.itemsize))), return_index=True)[1]
+    keys = keys.view(np.dtype((np.void, keys.itemsize)))
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     rows = np.empty((len(first), packed.shape[1]), np.uint8)
     for s in range(0, len(first), step):
         pick = first[s:s + step]

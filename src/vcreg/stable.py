@@ -25,8 +25,7 @@ import numpy as np
 
 from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
                    fiber_atoms)
-from .errors import (DepthCapExceeded, RefinementFailed, VerificationError,
-                     ZeroMeasureBox)
+from .errors import DepthCapExceeded, RefinementFailed, VerificationError
 from .jsonio import require
 from .regularity import RegularPartition, band, box_keys
 
@@ -161,17 +160,6 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
     return cert
 
 
-@dataclass
-class GoodnessReport:
-    good: bool
-    epsilon: Fraction
-    parts: tuple[int, ...]
-    subset: tuple[tuple[int, ...], ...]
-    witness: tuple[int, ...] | None = None
-    witness_density: Fraction | None = None
-    scanned: int = 0
-
-
 def _fiber_hits(view, lw: SpaceWeights, current: np.ndarray):
     """The fibers' columns at the positions current (an intp array), each
     fiber's numerator mass there (an exact_dtype array) and current's mass."""
@@ -193,31 +181,6 @@ def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:
     r = int(dist.argmin())
     en, ed = eps.numerator, eps.denominator
     return r if int(dist[r]) * ed <= a_num * (ed - 2 * en) else None
-
-
-def good_check(H: Hypergraph, measures, A, parts, eps: Fraction) -> GoodnessReport:
-    """Is every fiber density on A strictly below eps or above 1 - eps?
-
-    Scans every parameter tuple of the complementary parts. The witness, when
-    A is not good, is the fiber whose density sits closest to 1/2 (ties to the
-    least parameter).
-    """
-    require(isinstance(eps, Fraction) and 0 < eps, "eps must be a positive Fraction")
-    measures = check_measures(H, measures)
-    parts = tuple(sorted(parts))
-    subset = sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
-    view = binary_view(H, parts)
-    lw = SpaceWeights(measures, parts, H.part_sizes)
-    _, hits, a_num = _fiber_hits(view, lw, np.array([view.left_pos(a) for a in subset], np.intp))
-    if a_num == 0:
-        raise ZeroMeasureBox("goodness needs a set of positive measure")
-    worst_r = _witness(hits, a_num, eps)
-    if worst_r is None:
-        return GoodnessReport(True, eps, parts, tuple(subset), scanned=view.right_size)
-    return GoodnessReport(False, eps, parts, tuple(subset),
-                          witness=view.right_tuple(worst_r),
-                          witness_density=Fraction(int(hits[worst_r]), a_num),
-                          scanned=view.right_size)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +161,23 @@ def test_out_file_matches_stdout(tmp_path):
     via_file = json.load(open(out_path))
     via_stdout.pop("timing"), via_file.pop("timing")
     assert via_file == via_stdout
+
+
+def test_rodl_ball_mode_recounts_without_the_search_kernel(monkeypatch):
+    """The ball scan's densities are recounted by brute-force pair counting,
+    so a wrong odd_split_density fails the report; above depth 8 the recount
+    is skipped."""
+    code, rep = report(["rodl", "search", "--depth", "9", "--eps", "6/25"])
+    assert code == 0 and rep["verification"] == {
+        "deviation_recomputed_equal": "skipped-large"}
+    import vcreg.cli
+    import vcreg.dyadic
+    import vcreg.homog
+    for mod in (vcreg.dyadic, vcreg.cli, vcreg.homog):
+        monkeypatch.setattr(mod, "odd_split_density", lambda *a, **kw: Fraction(1, 2),
+                            raising=False)
+    code, rep = report(["rodl", "search", "--depth", "6", "--eps", "6/25"])
+    assert code == 1 and rep["verification"]["deviation_recomputed_equal"] is False
 
 
 def test_rodl_graph_mode(write_json):
@@ -468,7 +486,10 @@ def test_numpy_free_subcommands_do_not_load_numpy():
             "import vcreg.cli\n"
             "assert 'numpy' not in sys.modules, 'import vcreg.cli'\n"
             "for argv in (['dyadic', 'density', '--depth', '6'],\n"
-            "             ['convexity', 'density', '--n', '40']):\n"
+            "             ['dyadic', 'report', '--depth', '6'],\n"
+            "             ['dyadic', 'bound', '--depth', '8', '--prefix', '0'],\n"
+            "             ['convexity', 'density', '--n', '40'],\n"
+            "             ['rodl', 'search', '--depth', '6', '--eps', '6/25']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert vcreg.cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv\n")
