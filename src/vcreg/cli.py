@@ -3,8 +3,8 @@
 Each computing subcommand emits one RunReport JSON object: the subcommand,
 input hashes and flag values, the outputs, a non-empty verification section,
 and timing. Reports are deterministic for fixed flags and seed except the
-"timing" block. Rationals on the command line are "num/den" strings; decimal
-epsilons are rejected.
+"timing" block. Rationals on the command line are "num/den" strings of ASCII
+digits, read by the same `jsonio` grammar as the files.
 
 Handlers return engine values as they are; `jsonio.canonical_dumps` is the
 one encoder of reports and `--out` files. JSON-native values go out as they
@@ -171,7 +171,7 @@ def _cmd_reg_partition(args, files):
     H, measures = _load_instance(args.infile, files)
     if args.uniform:
         # the symmetric variant runs on part 0's measure replicated everywhere
-        measures = tuple(Measure(i, measures[0].weights) for i in range(H.k))
+        measures = tuple(Measure(i, num_den=measures[0].numerators()) for i in range(H.k))
     rp = regular_partition(H, measures, args.epsilon, uniform=args.uniform)
     rep = verify_regular_partition(H, measures, rp)
     outputs = {"partition": rp.to_obj(), "meta": rp.meta,
@@ -228,8 +228,9 @@ def _cmd_reg_ehbox(args, files):
     verification = {
         "density_recomputed_equal": dens == db.density,
         "density_above_threshold": dens > 1 - db.eps_used,
-        "sides_above_guarantee": all(m >= db.delta_guarantee > 0
-                                     for m in db.side_masses),
+        # the masses of the reported sides, not the builder's side_masses
+        "sides_above_guarantee": all(m.mass(side) >= db.delta_guarantee > 0
+                                     for m, side in zip(measures, db.box.sides)),
     }
     return outputs, verification, all(v is True for v in verification.values())
 

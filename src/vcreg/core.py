@@ -1,10 +1,10 @@
 """Finite k-partite hypergraphs with exact weighted counting measures.
 
 Vertices of part i are the integers 0..part_sizes[i]-1 and relations live in
-V_0 x ... x V_{k-1}. All measure arithmetic is exact: weights are nonnegative
-Fractions summing to 1 per part, and internally everything runs on integer
-numerators over a common denominator den (the product of the per-part ones
-over a product of parts).
+V_0 x ... x V_{k-1}. All measure arithmetic is exact, on integer numerators
+over a common denominator den: a Measure holds nothing else (its Fraction
+`weights` are a view), and over a product of parts den is the product of
+the per-part ones.
 
 A Hypergraph stores its relation once: a read-only (#edges, k) intp array of
 the distinct edges in lex order (`edge_array`) with their ascending row-major
@@ -42,12 +42,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import InputError, ZeroMeasureBox
-from .jsonio import format_rational, parse_rational, require
+from .jsonio import format_rational, rational_terms, require
 
 # Largest product space a box count accepts, and largest binary-view side.
 MAX_DENSE_SPACE = 1 << 22
@@ -180,30 +180,42 @@ class Hypergraph:
         return Hypergraph(sizes, edges, symmetric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Measure:
-    """Exact weighted counting measure on one part: weights sum to 1. The
-    numerators over den = lcm of the denominators are computed once, here."""
+    """Exact weighted counting measure on one part: numerators summing to den,
+    the lcm of the reduced weights' denominators. Built from Fractions or
+    from numerators over any common denominator, `num_den=(nums, d)`,
+    reduced here; `weights`, the Fractions, is a view built on first use."""
     part: int
-    weights: tuple[Fraction, ...]
+    num_den: tuple[tuple[int, ...], int]
 
-    def __post_init__(self):
-        require(all(isinstance(w, Fraction) for w in self.weights),
-                "measure weights must be Fractions")
-        den = lcm(*(w.denominator for w in self.weights))
-        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
-        require(all(n >= 0 for n in nums), "measure weights must be nonnegative")
-        require(sum(nums) == den, f"measure weights on part {self.part} must sum to exactly 1")
-        self.__dict__["_num_den"] = (nums, den)   # frozen, and not a dataclass field
+    def __init__(self, part: int, weights=(), *, num_den=None):
+        if num_den is None:
+            require(all(isinstance(w, Fraction) for w in weights),
+                    "measure weights must be Fractions")
+            den = lcm(*(w.denominator for w in weights))
+            num_den = [w.numerator * (den // w.denominator) for w in weights], den
+        nums, den = num_den
+        require(min(nums, default=0) >= 0, "measure weights must be nonnegative")
+        require(sum(nums) == den > 0, f"measure weights on part {part} must sum to exactly 1")
+        g = gcd(*nums, den)
+        object.__setattr__(self, "part", part)
+        nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        object.__setattr__(self, "num_den", (nums, den // g))
+
+    @functools.cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        nums, den = self.num_den
+        return tuple(Fraction(n, den) for n in nums)
 
     @staticmethod
     def uniform(part: int, n: int) -> "Measure":
         require(n >= 1, "uniform measure needs a nonempty part")
-        return Measure(part, tuple(Fraction(1, n) for _ in range(n)))
+        return Measure(part, num_den=((1,) * n, n))
 
     def numerators(self) -> tuple[tuple[int, ...], int]:
         """Weights as integer numerators over a single common denominator."""
-        return self._num_den
+        return self.num_den
 
     def mass(self, subset) -> Fraction:
         nums, den = self.numerators()
@@ -217,7 +229,9 @@ class Measure:
         require(isinstance(obj, dict) and type(obj.get("part")) is int
                 and isinstance(obj.get("weights"), list),
                 'measure JSON must be {"part": int, "weights": [...]}')
-        return Measure(obj["part"], tuple(parse_rational(w) for w in obj["weights"]))
+        nums, dens = rational_terms(obj["weights"])
+        den = lcm(*dens)
+        return Measure(obj["part"], num_den=([n * (den // d) for n, d in zip(nums, dens)], den))
 
 
 def require_dense(what: str, rows: int, cols: int) -> None:
@@ -236,8 +250,9 @@ def check_measures(H: Hypergraph, measures) -> tuple[Measure, ...]:
     require(len(measures) == H.k, f"need {H.k} measures, got {len(measures)}")
     for i, m in enumerate(measures):
         require(m.part == i, f"measure at position {i} is labeled part {m.part}")
-        require(len(m.weights) == H.part_sizes[i],
-                f"measure on part {i} has {len(m.weights)} weights, part has {H.part_sizes[i]}")
+        n = len(m.numerators()[0])
+        require(n == H.part_sizes[i], f"measure on part {i} has {n} weights, part has "
+                f"{H.part_sizes[i]}")
     return measures
 
 

@@ -1,7 +1,8 @@
 """Exact-rational JSON serialization and the on-disk schemas.
 
-Every rational crosses the boundary as a "num/den" string. Decimal floats are
-rejected on input so no tolerance can sneak in through parsing.
+Every rational crosses the boundary as a "num/den" string. One is read from
+a JSON integer (not true/false) or an ASCII [0-9]+ or [0-9]+/[0-9]+, the
+denominator nonzero; no sign, space, "_", other digit or decimal gets in.
 
 Hypergraph JSON: {"k": int, "part_sizes": [int], "edges": [[int, ...]], "symmetric": bool}
 Measure JSON:    {"part": int, "weights": ["num/den", ...]}
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -24,20 +27,37 @@ from .errors import InputError
 KINDS = ("interval-graph", "half-graph", "block-union", "staircase",
          "random-vc-capped", "dyadic-export")
 
+# the docstring's rational string; re compiles (and caches) it on first use,
+# not while `import vcreg.cli` runs
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+
 
 def parse_rational(s) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into an exact Fraction."""
-    if isinstance(s, int):
+    """Read one rational of the module docstring's grammar as a Fraction."""
+    if type(s) is int:   # bool is an int subclass, but true/false are not numbers
         return Fraction(s)
-    if not isinstance(s, str):
+    if type(s) is not str:
         raise InputError(f"rational must be a 'num/den' string, got {type(s).__name__}")
-    t = s.strip()
-    if "." in t or "e" in t.lower():
+    if "." in s or "e" in s.lower():
         raise InputError(f"decimal rationals are not accepted: {s!r}")
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse rational {s!r}: {exc}") from None
+    num, _, den = s.partition("/")
+    if not re.fullmatch(_RATIONAL, s) or den and not int(den):
+        raise InputError(f"cannot parse rational {s!r}: not [0-9]+ or [0-9]+/[0-9]+ "
+                         "with a nonzero denominator")
+    return Fraction(int(num), int(den or 1))
+
+
+def rational_terms(items) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of a list of rationals read as parse_rational
+    reads each: a type and a regex pass, then str.partition and int."""
+    if items and set(map(type, items)) <= {str} and all(map(re.compile(_RATIONAL).fullmatch, items)):
+        nums, _, dens = zip(*map(str.partition, items, itertools.repeat("/")))
+        dens = [int(d) if d else 1 for d in dens]
+        if 0 not in dens:
+            return list(map(int, nums)), dens
+    # an integer item, or a bad one, which parse_rational names
+    qs = list(map(parse_rational, items))
+    return [q.numerator for q in qs], [q.denominator for q in qs]
 
 
 def format_rational(q: Fraction) -> str:

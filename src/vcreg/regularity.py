@@ -263,28 +263,48 @@ class RegularPartition:
         require(isinstance(obj, dict) and obj.get("classes") and "epsilon" in obj,
                 "partition JSON needs classes and epsilon")
         pairs = obj.get("labels", [])
-        require(isinstance(pairs, list) and all(isinstance(x, list) and len(x) == 2
-                                                for x in pairs),
+        require(isinstance(pairs, list) and set(map(type, pairs)) <= {list}
+                and set(map(len, pairs)) <= {2},
                 "partition field 'labels' must be a list of [box, label] pairs")
-        labels = {_int_lists(kbox, 1, "labels"): _int_lists(v, 0, "labels")
-                  for kbox, v in pairs}
-        require(set(labels.values()) <= {0, 1}, "partition labels must be 0 or 1")
-        classes = _int_lists(obj["classes"], 3, "classes")
+        keys, values = tuple(zip(*pairs)) or ((), ())
+        if not (_nested_ints(keys, 1) and _nested_ints(values, 0)):
+            for key, value in pairs:   # name the first bad entry
+                _int_lists(key, 1, "labels"), _int_lists(value, 0, "labels")
+        if not set(values) <= {0, 1}:   # the last label of a box named twice counts
+            keys, values = zip(*dict(zip(map(tuple, keys), values)).items())
+            require(set(values) <= {0, 1}, "partition labels must be 0 or 1")
+        classes = _tuples(_int_lists(obj["classes"], 3, "classes"))
         counts = [len(c) for c in classes]   # as the error messages print them
-        sigma = dict.fromkeys(_int_lists(obj.get("sigma", []), 2, "sigma"), 1)
+        sigma = _int_lists(obj.get("sigma", []), 2, "sigma")
         return RegularPartition(classes, parse_rational(obj["epsilon"]),
-                                np.flatnonzero(label_grid(sigma, counts) == 1),
-                                label_grid(labels, counts),
-                                _int_lists(obj.get("provenance", []), 3, "provenance"))
+                                np.flatnonzero(label_grid(sigma, 1, counts) == 1),
+                                label_grid(keys, values, counts),
+                                _tuples(_int_lists(obj.get("provenance", []), 3, "provenance")))
+
+
+def _nested_ints(items, depth: int) -> bool:
+    """Whether every item is integers nested `depth` lists deep, a level at a time."""
+    for _ in range(depth):
+        if not set(map(type, items)) <= {list}:
+            return False
+        items = list(itertools.chain.from_iterable(items))
+    return set(map(type, items)) <= {int}
 
 
 def _int_lists(obj, depth: int, name: str):
-    """A partition field of integers nested `depth` lists deep, as tuples."""
-    if depth == 0:
-        require(type(obj) is int, f"partition field {name!r} must hold integers")
-        return obj
-    require(isinstance(obj, list), f"partition field {name!r} must be nested lists")
-    return tuple(_int_lists(x, depth - 1, name) for x in obj)
+    """`obj`, a partition field of integers nested `depth` lists deep; a bad
+    field is walked in document order to name its first bad entry's kind."""
+    if not _nested_ints([obj], depth):
+        require(depth > 0, f"partition field {name!r} must hold integers")
+        require(isinstance(obj, list), f"partition field {name!r} must be nested lists")
+        for x in obj:
+            _int_lists(x, depth - 1, name)
+    return obj
+
+
+def _tuples(parts):
+    """Per-part lists of integer lists as tuples of tuples."""
+    return tuple(tuple(map(tuple, part)) for part in parts)
 
 
 def _atoms_over_sides(n: int, sides) -> list[list[int]]:
@@ -322,18 +342,24 @@ def box_keys(flat, counts) -> list[tuple[int, ...]]:
     return list(zip(*(c.tolist() for c in np.unravel_index(flat, counts))))
 
 
-def label_grid(labels: dict, counts) -> np.ndarray:
-    """The labels in row-major box order, -1 where a box has none; an
-    InputError names the first key that names no box."""
+def label_grid(keys, values, counts) -> np.ndarray:
+    """The labels `values` (a sequence, or one int for all) of the boxes
+    `keys` in row-major box order: -1 where a box has none, the last one where
+    a key repeats. An InputError names the first key that names no box."""
     require(prod(counts) <= MAX_DENSE_SPACE, f"{prod(counts)} boxes exceed the dense-array guard")
-    keys, k, arr = list(labels), len(counts), None
-    with contextlib.suppress(ValueError, OverflowError):   # ragged or past int64
-        arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64).reshape(len(keys), k)
-    if arr is not None and set(map(len, keys)) <= {k} and ((arr >= 0) & (arr < counts)).all():
-        grid = np.full(prod(counts), -1, np.int8)
-        grid[np.ravel_multi_index(arr.T, counts)] = np.fromiter(labels.values(), np.int8)
+    k, arr = len(counts), None
+    if set(map(len, keys)) <= {k}:
+        with contextlib.suppress(OverflowError):   # past int64
+            arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64,
+                              len(keys) * k).reshape(-1, k)
+    if arr is not None and ((arr >= 0) & (arr < counts)).all():
+        flat, grid = np.ravel_multi_index(arr.T, counts), np.full(prod(counts), -1, np.int8)
+        if type(values) is not int:   # numpy assigns a repeated index in no fixed order
+            last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+            flat, values = flat[last], np.fromiter(values, np.int8, len(flat))[last]
+        grid[flat] = values
         return grid
-    stray = next(key for key in keys if len(key) != len(counts)
+    stray = next(key for key in keys if len(key) != k
                  or not all(0 <= c < n for c, n in zip(key, counts)))
     raise InputError(f"label or sigma entry {list(stray)} names no box of "
                      f"class counts {counts}")
@@ -359,7 +385,7 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction,
     require(eps <= 1, "eps above 1 makes every partition regular; pass eps <= 1")
     require(not uniform or H.symmetric, "uniform partition needs the symmetric flag")
     measures = check_measures(H, measures)
-    require(not uniform or len({tuple(m.weights) for m in measures}) == 1,
+    require(not uniform or len({m.numerators() for m in measures}) == 1,
             "uniform partition needs the same weights on every part")
     ra = rectangular_approximation(H, measures, eps * eps)
 

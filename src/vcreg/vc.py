@@ -402,9 +402,8 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     exhaustively and exactly."""
     require(isinstance(eps, Fraction), "eps must be a Fraction")
     require(eps > 0, "eps must be positive")
-    require(len(mu.weights) == family.ground_size,
-            "measure length does not match the ground set")
     weights, den = mu.numerators()
+    require(len(weights) == family.ground_size, "measure length does not match the ground set")
     mat = family.matrix()
     width = mat.shape[1]
     mass = weighted_inner(mat, np.ones((1, width), dtype=bool), weights, den)[:, 0]

@@ -502,7 +502,7 @@ def _stand_in_partition(monkeypatch, classes, labels):
     import numpy as np
     import vcreg.stable
     from vcreg.regularity import RegularPartition, label_grid
-    grid = label_grid(labels, [len(c) for c in classes])
+    grid = label_grid(tuple(labels), tuple(labels.values()), [len(c) for c in classes])
     monkeypatch.setattr(vcreg.stable, "stable_regular_partition",
                         lambda H, measures, eps, **kw: RegularPartition(
                             classes, eps, np.zeros(0, np.intp), grid, ((), ()), {}))
@@ -858,3 +858,36 @@ def test_closed_stdout_ends_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert head.startswith(b"{") and "Traceback" not in err, err
+
+
+def test_json_booleans_are_not_rationals(tmp_path, write_json):
+    # true/false are ints to Python, but no weight or epsilon in a file
+    inst = write_json("b.json", {
+        "hypergraph": {"k": 2, "part_sizes": [2, 2], "edges": [[0, 0]]},
+        "measures": [{"part": 0, "weights": [True, False]},
+                     {"part": 1, "weights": ["1/2", "1/2"]}]})
+    code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert rep["error"]["message"] == "rational must be a 'num/den' string, got bool"
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "4,4", "--out", inst])
+    code, rep = report(["reg", "verify", "--in", inst, "--partition",
+                        write_json("p.json", {**_GOOD_PARTITION, "epsilon": True})])
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert rep["error"]["message"] == "rational must be a 'num/den' string, got bool"
+
+
+def test_eh_box_checks_the_masses_of_the_reported_sides(tmp_path, monkeypatch):
+    import vcreg.regularity
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    # box {0} x {0} is one edge, of density 1, but each side weighs 1/8,
+    # under the guarantee of 1/4 that the inflated side masses claim to meet
+    light = vcreg.regularity.DenseBox(vcreg.Box.of([[0], [0]]), Fraction(1), (Fraction(1),) * 2,
+                                      Fraction(1, 4), Fraction(1, 16))
+    monkeypatch.setattr(vcreg.regularity, "find_dense_box", lambda *a: light)
+    code, rep = report(["reg", "eh-box", "--in", inst, "--epsilon", "1/4", "--alpha", "1/4"])
+    assert code == 1 and not rep["ok"]
+    assert rep["verification"] == {"density_recomputed_equal": True,
+                                   "density_above_threshold": True,
+                                   "sides_above_guarantee": False}

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcreg import cli, jsonio
+from vcreg.core import Measure
 from vcreg.errors import InputError
 from vcreg.instances import half_graph
-from vcreg.jsonio import _json_default, canonical_dumps, load_json
+from vcreg.jsonio import _json_default, canonical_dumps, load_json, parse_rational
 
 
 class Record:
@@ -87,3 +89,66 @@ def test_load_json_parses_with_the_collector_paused(tmp_path, monkeypatch):
         else:
             gc.disable()
     assert seen == [False] * 4
+
+
+# reduced common denominators of the three arithmetic regimes
+_DEN_RANGES = {"float64": (1, 2 ** 53 - 1), "int64": (2 ** 53, 2 ** 62 - 1),
+               "bigint": (2 ** 62, 2 ** 100)}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(regime=st.sampled_from(sorted(_DEN_RANGES)), data=st.data())
+def test_rational_reader_matches_fraction(regime, data):
+    # numerators summing to den, the first 1, so that den is the lcm of the
+    # reduced weights' denominators; each weight written reduced, over den,
+    # over a multiple of den, or (a zero) over any denominator
+    den = data.draw(st.integers(*_DEN_RANGES[regime]))
+    cuts = sorted(data.draw(st.lists(st.integers(1, den), max_size=6)))
+    nums = [b - a for a, b in zip([0, 1] + cuts, [1] + cuts + [den])]
+    texts = []
+    for n in nums:
+        q, m = Fraction(n, den), data.draw(st.integers(1, 2 ** 70))
+        texts.append(data.draw(st.sampled_from([
+            f"{q.numerator}/{q.denominator}", f"{n}/{den}", f"{n * m}/{den * m}",
+            f"0/{m}" if n == 0 else f"{n}/{den}", str(q.numerator) if q.denominator == 1
+            else f"0{n}/00{den}"])))
+    assert [parse_rational(t) for t in texts] == [Fraction(t) for t in texts]
+    mu = Measure.from_obj({"part": 0, "weights": texts})
+    assert mu.numerators() == Measure(0, tuple(map(Fraction, texts))).numerators()
+    assert mu.numerators()[1] == den and mu.to_obj()["weights"] == [
+        jsonio.format_rational(Fraction(t)) for t in texts]
+    # a near miss of one weight, including the classes Fraction reads
+    # (signs, spaces, "_", non-ASCII digits), is refused by both readers
+    i = data.draw(st.integers(0, len(texts) - 1))
+    t = texts[i]
+    miss = data.draw(st.sampled_from([
+        "+" + t, "-" + t, " " + t, t + " ", t + "\n", t[0] + "_" + t[1:] if len(t) > 1 else "_" + t,
+        t.replace("0", "٠").replace("1", "١").replace("2", "٢") + "٣",
+        t.replace("/", "//") if "/" in t else t + "/", t + "/0", t + "/00", "/" + t,
+        t.split("/")[0] + "/3/4", "", "1/-2", "１/２", "0x10"]))
+    with pytest.raises(InputError):
+        parse_rational(miss)
+    with pytest.raises(InputError):
+        Measure.from_obj({"part": 0, "weights": texts[:i] + [miss] + texts[i + 1:]})
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "rational must be a 'num/den' string, got bool"),
+    (0.5, "rational must be a 'num/den' string, got float"),
+    ("0.5", "decimal rationals are not accepted: '0.5'"),
+    ("1/0", "cannot parse rational '1/0'"),
+    # strings Fraction reads, refused by the file format: a sign, a space,
+    # an "_" separator, non-ASCII digits
+    ("-1/2", "cannot parse rational '-1/2'"),
+    ("+1/2", "cannot parse rational '+1/2'"),
+    (" 1/2", "cannot parse rational ' 1/2'"),
+    ("1_0/3", "cannot parse rational '1_0/3'"),
+    ("١/٢", "cannot parse rational '١/٢'"),
+])
+def test_rational_reader_messages(value, message):
+    with pytest.raises(InputError) as exc:
+        parse_rational(value)
+    assert str(exc.value).startswith(message)
+    with pytest.raises(InputError) as exc:
+        Measure.from_obj({"part": 0, "weights": ["1/2", value]})
+    assert str(exc.value).startswith(message)

@@ -285,3 +285,112 @@ def test_regular_partition_labels_match_brute_approximation(uniform, seed, regim
         else:
             assert sym / t < eps
             assert labels[key] == (1 if 2 * a >= t else 0)
+
+
+def _ref_int_lists(obj, depth, name):
+    """The partition reader before it read a level at a time: one call per
+    entry, building tuples."""
+    if depth == 0:
+        if type(obj) is not int:
+            raise InputError(f"partition field {name!r} must hold integers")
+        return obj
+    if not isinstance(obj, list):
+        raise InputError(f"partition field {name!r} must be nested lists")
+    return tuple(_ref_int_lists(x, depth - 1, name) for x in obj)
+
+
+def _ref_label_grid(labels, counts):
+    grid = np.full(math.prod(counts), -1, np.int8)
+    for key, label in labels.items():
+        if len(key) != len(counts) or not all(0 <= c < n for c, n in zip(key, counts)):
+            raise InputError(f"label or sigma entry {list(key)} names no box of "
+                             f"class counts {counts}")
+        grid[np.ravel_multi_index(key, counts)] = label
+    return grid
+
+
+def _ref_partition(obj):
+    """What a partition file reads as, by dicts of key tuples."""
+    if not (isinstance(obj, dict) and obj.get("classes") and "epsilon" in obj):
+        raise InputError("partition JSON needs classes and epsilon")
+    pairs = obj.get("labels", [])
+    if not (isinstance(pairs, list) and all(isinstance(x, list) and len(x) == 2
+                                            for x in pairs)):
+        raise InputError("partition field 'labels' must be a list of [box, label] pairs")
+    labels = {_ref_int_lists(k, 1, "labels"): _ref_int_lists(v, 0, "labels") for k, v in pairs}
+    if not set(labels.values()) <= {0, 1}:
+        raise InputError("partition labels must be 0 or 1")
+    classes = _ref_int_lists(obj["classes"], 3, "classes")
+    counts = [len(c) for c in classes]
+    sigma = dict.fromkeys(_ref_int_lists(obj.get("sigma", []), 2, "sigma"), 1)
+    sigma = np.flatnonzero(_ref_label_grid(sigma, counts) == 1)
+    labels = _ref_label_grid(labels, counts)
+    return (labels.tolist(), sigma.tolist(), classes,
+            _ref_int_lists(obj.get("provenance", []), 3, "provenance"))
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, list):
+        for i, x in enumerate(obj):
+            yield from _paths(x, path + (i,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_partition_reader_matches_the_dict_reader(data):
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    boxes = list(itertools.product(*map(range, counts)))
+    ints = st.lists(st.integers(0, 9), max_size=3)
+    obj = {"epsilon": "1/4",
+           "classes": [data.draw(st.lists(ints, min_size=n, max_size=n)) for n in counts],
+           "labels": [[list(b), data.draw(st.integers(0, 1))]
+                      for b in data.draw(st.lists(st.sampled_from(boxes), unique=True))],
+           "sigma": [list(b) for b in data.draw(st.lists(st.sampled_from(boxes), unique=True))],
+           "provenance": [data.draw(st.lists(ints, max_size=2)) for _ in counts]}
+    for i, label, before in data.draw(st.lists(st.tuples(
+            st.integers(0, 99), st.sampled_from([0, 1, 2, True]), st.booleans()), max_size=2)):
+        # a box labelled twice: the later label counts, a bad earlier one too
+        if obj["labels"]:
+            i %= len(obj["labels"])
+            obj["labels"].insert(i + (not before), [list(obj["labels"][i][0]), label])
+    for _ in range(data.draw(st.integers(0, 2))):
+        # replace one node of one field: by a bool, a string, another int
+        # (2, -1, past int64), a deeper or a shallower node, or the node and
+        # a copy of it (a duplicate key or label pair)
+        field = data.draw(st.sampled_from(["labels", "sigma", "classes", "provenance"]))
+        *up, at = (field,) + data.draw(st.sampled_from(list(_paths(obj[field]))))
+        parent = obj
+        for i in up:
+            parent = parent[i]
+        old = parent[at]
+        resized = [old[0], old[:-1], old + old[:1]] if isinstance(old, list) and old else []
+        new = data.draw(st.sampled_from([True, False, "1", 2, -1, 2 ** 70, [old], "twice"]
+                                        + resized))
+        if new == "twice" and isinstance(parent, list):
+            parent.insert(at, json.loads(json.dumps(old)))
+        else:
+            parent[at] = new
+    obj = json.loads(json.dumps(obj))
+    try:
+        want = _ref_partition(obj)
+    except InputError as exc:
+        want = str(exc)
+    try:
+        rp = RegularPartition.from_obj(obj)
+        got = rp.labels.tolist(), rp.sigma.tolist(), rp.classes, rp.provenance
+    except InputError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([[[0, 0], True], [5, 1]], "partition field 'labels' must hold integers"),
+    ([[5, 1], [[0, 0], True]], "partition field 'labels' must be nested lists"),
+])
+def test_partition_reader_names_the_first_bad_label_pair(labels, message):
+    obj = {"epsilon": "1/4", "classes": [[[0]], [[0]]], "labels": labels}
+    for read in (RegularPartition.from_obj, _ref_partition):
+        with pytest.raises(InputError) as exc:
+            read(obj)
+        assert str(exc.value) == message
