@@ -10,7 +10,7 @@ A Hypergraph stores its relation once: a read-only (#edges, k) intp array of
 the distinct edges in lex order (`edge_array`) with their ascending row-major
 keys, which `Hypergraph.has` searches. Tuple and integer-array input are
 validated on that array, and a refused input names its lex-first bad edge.
-`H.edges`, a frozenset of the same tuples, is built on first use.
+There is no second, set form: the oracles build their own (`oracles.edge_set`).
 
 The counting kernels live here once each:
 
@@ -32,7 +32,10 @@ The counting kernels live here once each:
 Coordinate splits: for an index set I of parts, V_I is the product of those
 parts in increasing part order, enumerated row-major. A BinaryView presents
 the relation as left side V_I versus right side V_{I complement}, with the
-fiber of each right element cached as a boolean row.
+fiber of each right element cached as a boolean row. Engines work on
+positions; `tuples_at` is the one way back to vertex tuples, and tuples go
+to positions by np.ravel_multi_index. `edge_mass` and `density` sum Python
+products of `Measure.numerators()` over the edge list.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ def exact_dtype(bound: int):
 
 
 class Hypergraph:
-    """A relation R in V_0 x ... x V_{k-1}, stored as the module docstring
-    says; `edges` is its frozenset view for the oracles."""
+    """A relation R in V_0 x ... x V_{k-1}, stored as the module docstring says."""
 
     def __init__(self, part_sizes, edges, symmetric: bool = False):
         sizes = self.part_sizes = tuple(part_sizes)
@@ -125,10 +127,6 @@ class Hypergraph:
                 e = tuple(self._array[row].tolist())
                 raise InputError(f"symmetric flag set but permutation "
                                  f"{tuple(e[i] for i in perms[j])} of edge {e} is absent")
-
-    @functools.cached_property
-    def edges(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(tuple, self._array.tolist()))
 
     def has(self, cells) -> np.ndarray:
         """Membership of each of a sequence of in-range vertex tuples."""
@@ -358,25 +356,14 @@ class BinaryView:
         fib[rows, np.ravel_multi_index(cells[list(left)], self.left_sizes)] = True
         self.fibers = fib
 
-    def right_pos(self, t: tuple[int, ...]) -> int:
-        p = 0
-        for v, n in zip(t, self.right_sizes):
-            p = p * n + v
-        return p
 
-    def left_tuple(self, p: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(self.left_sizes):
-            out.append(p % n)
-            p //= n
-        return tuple(reversed(out))
-
-    def right_tuple(self, p: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(self.right_sizes):
-            out.append(p % n)
-            p //= n
-        return tuple(reversed(out))
+def tuples_at(positions, sizes) -> list[tuple[int, ...]]:
+    """The vertex tuples at row-major positions (a sequence of ints) over the
+    product of `sizes`; () at each position when sizes is ()."""
+    positions = np.asarray(positions, dtype=np.intp)
+    if not sizes:
+        return [()] * len(positions)
+    return list(zip(*(c.tolist() for c in np.unravel_index(positions, sizes))))
 
 
 def edge_array(H: Hypergraph) -> np.ndarray:
@@ -394,27 +381,6 @@ def binary_view(H: Hypergraph, left) -> BinaryView:
     if view is None:
         view = views[left] = BinaryView(H, left)
     return view
-
-
-class ProductMeasure:
-    """Product of per-part measures; evaluates boxes and tuple sets exactly."""
-
-    def __init__(self, measures):
-        self.measures = tuple(measures)
-        for i, m in enumerate(self.measures):
-            require(m.part == i, "measures must be ordered part 0..k-1")
-        self.den = prod(m.numerators()[1] for m in self.measures)
-
-    def box_mass(self, box: Box) -> Fraction:
-        require(len(box.sides) == len(self.measures), "box arity mismatch")
-        return prod((m.mass(side) for m, side in zip(self.measures, box.sides)),
-                    start=Fraction(1))
-
-    def tuple_num(self, t) -> int:
-        return prod(m.numerators()[0][v] for m, v in zip(self.measures, t))
-
-    def set_mass(self, tuples) -> Fraction:
-        return Fraction(sum(self.tuple_num(t) for t in tuples), self.den)
 
 
 def box_counts(H: Hypergraph, measures, classes_by_part) -> tuple:
@@ -480,21 +446,33 @@ def fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
     """The vertices of one part grouped by membership in the fibers of the
     given parameters, tuples over the other parts in increasing order."""
     view = binary_view(H, (part,))
-    return atoms(view.fibers[[view.right_pos(b) for b in params]].T)
+    cells = np.asarray(params, dtype=np.intp).reshape(len(params), H.k - 1)
+    rows = np.ravel_multi_index(cells.T, view.right_sizes) if view.right \
+        else np.zeros(len(cells), np.intp)
+    return atoms(view.fibers[rows].T)
+
+
+def _edge_num(H: Hypergraph, measures, sides=None) -> tuple[int, int]:
+    """(numerator sum, den) of the edges inside the box `sides` (per-part
+    vertex sets; every edge when None): one Python product of per-part
+    numerators per edge."""
+    per = [m.numerators() for m in check_measures(H, measures)]
+    hit = 0
+    for e in edge_array(H).tolist():
+        if sides is None or all(v in side for v, side in zip(e, sides)):
+            hit += prod(nums[v] for (nums, _), v in zip(per, e))
+    return hit, prod(den for _, den in per)
 
 
 def edge_mass(H: Hypergraph, measures) -> Fraction:
-    return ProductMeasure(check_measures(H, measures)).set_mass(edge_array(H).tolist())
+    return Fraction(*_edge_num(H, measures))
 
 
 def density(H: Hypergraph, measures, box: Box) -> Fraction:
     """Exact relative measure of the edge set inside a box."""
-    pm = ProductMeasure(check_measures(H, measures))
-    sides = [frozenset(s) for s in box.sides]
-    require(len(sides) == H.k, "box arity mismatch")
-    total = pm.box_mass(box)
+    measures = check_measures(H, measures)
+    require(len(box.sides) == H.k, "box arity mismatch")
+    total = prod((m.mass(side) for m, side in zip(measures, box.sides)), start=Fraction(1))
     if total == 0:
         raise ZeroMeasureBox("box has measure zero")
-    hit = sum(pm.tuple_num(e) for e in edge_array(H).tolist()
-              if all(e[i] in sides[i] for i in range(H.k)))
-    return Fraction(hit, pm.den) / total
+    return Fraction(*_edge_num(H, measures, [frozenset(s) for s in box.sides])) / total

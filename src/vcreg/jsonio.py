@@ -6,6 +6,12 @@ denominator nonzero; no sign, space, "_", other digit or decimal gets in.
 
 Hypergraph JSON: {"k": int, "part_sizes": [int], "edges": [[int, ...]], "symmetric": bool}
 Measure JSON:    {"part": int, "weights": ["num/den", ...]}
+Set family JSON: {"ground_size": int in 0..2^22, "members": [[int in 0..ground_size-1, ...]]}
+Partition JSON:  {"epsilon": "num/den" > 0, "classes": [[[int, ...]]] (per part, its classes),
+                  "sigma": [[int, ...]], "labels": [[[int, ...], 0 or 1]],
+                  "provenance": [[[int, ...]]] (per part, its parameter tuples)},
+                 a box being one class index per part; `reg verify --partition`
+                 also takes a whole report and reads its outputs.partition.
 Generator spec:  {"kind": one of KINDS, "sizes": [int], "k": int, "seed": int, "params": {name: int}}
 """
 
@@ -27,9 +33,11 @@ from .errors import InputError
 KINDS = ("interval-graph", "half-graph", "block-union", "staircase",
          "random-vc-capped", "dyadic-export")
 
-# the docstring's rational string; re compiles (and caches) it on first use,
-# not while `import vcreg.cli` runs
+# the docstring's rational string, and the numerals refused as decimals (those
+# with a "." or an "e"); re compiles and caches each on first use, not while
+# `import vcreg.cli` runs
 _RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 def parse_rational(s) -> Fraction:
@@ -38,13 +46,13 @@ def parse_rational(s) -> Fraction:
         return Fraction(s)
     if type(s) is not str:
         raise InputError(f"rational must be a 'num/den' string, got {type(s).__name__}")
-    if "." in s or "e" in s.lower():
-        raise InputError(f"decimal rationals are not accepted: {s!r}")
     num, _, den = s.partition("/")
-    if not re.fullmatch(_RATIONAL, s) or den and not int(den):
-        raise InputError(f"cannot parse rational {s!r}: not [0-9]+ or [0-9]+/[0-9]+ "
-                         "with a nonzero denominator")
-    return Fraction(int(num), int(den or 1))
+    if re.fullmatch(_RATIONAL, s) and (not den or int(den)):
+        return Fraction(int(num), int(den or 1))
+    if ("." in s or "e" in s.lower()) and re.fullmatch(_DECIMAL, s):
+        raise InputError(f"decimal rationals are not accepted: {s!r}")
+    raise InputError(f"cannot parse rational {s!r}: not [0-9]+ or [0-9]+/[0-9]+ "
+                     "with a nonzero denominator")
 
 
 def rational_terms(items) -> tuple[list[int], list[int]]:

@@ -3,7 +3,8 @@
 Deliberately naive and independent of the production code paths: plain
 enumeration over tuples, subsets, leaves, and triples. The test suite
 compares engine outputs against these, exactly, and `vcreg selftest` runs
-a few of those comparisons on an installed copy.
+a few of those comparisons on an installed copy. Each reads the relation as
+a set of tuples, `edge_set(H)`, built once per call.
 
 Nothing here uses numpy at import: the measure-based recounts import `core`
 (which does) and `block_vc_dimension` imports numpy only when called, so the
@@ -21,9 +22,20 @@ from .errors import DepthCapExceeded, VerificationError, ZeroMeasureBox
 from .jsonio import require
 
 
-def _product_measure(H: Hypergraph, measures):
-    from .core import ProductMeasure, check_measures
-    return ProductMeasure(check_measures(H, measures))
+def edge_set(H: Hypergraph) -> frozenset[tuple[int, ...]]:
+    """The relation as a frozenset of vertex tuples, built anew on each call."""
+    from .core import edge_array
+    return frozenset(map(tuple, edge_array(H).tolist()))
+
+
+def _tuple_num(H: Hypergraph, measures):
+    """(num, den): num(t), tuple t's product of per-part numerators, over den."""
+    from .core import check_measures
+    per = [m.numerators() for m in check_measures(H, measures)]
+
+    def num(t) -> int:
+        return math.prod(nums[v] for (nums, _), v in zip(per, t))
+    return num, math.prod(den for _, den in per)
 
 
 def brute_hypergraph_error(part_sizes, edges, symmetric: bool = False):
@@ -55,10 +67,12 @@ def brute_hypergraph_error(part_sizes, edges, symmetric: bool = False):
     return None
 
 
-def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
-    """The fiber's members, by enumerating all of V_I and testing reassembled tuples."""
+def brute_fiber(H: Hypergraph, parts, b, edges=None) -> frozenset:
+    """The fiber's members, by enumerating all of V_I and testing reassembled
+    tuples against `edges`, edge_set(H) when not given."""
     parts = tuple(sorted(parts))
     comp = tuple(i for i in range(H.k) if i not in parts)
+    edges = edge_set(H) if edges is None else edges
     members = []
     for a in itertools.product(*[range(H.part_sizes[i]) for i in parts]):
         t = [None] * H.k
@@ -66,28 +80,28 @@ def brute_fiber(H: Hypergraph, parts, b) -> frozenset:
             t[i] = v
         for i, v in zip(comp, b):
             t[i] = v
-        if tuple(t) in H.edges:
+        if tuple(t) in edges:
             members.append(a)
     return frozenset(members)
 
 
 def brute_set_mass(H: Hypergraph, measures, tuples) -> Fraction:
-    pm = _product_measure(H, measures)
-    return Fraction(sum(pm.tuple_num(t) for t in tuples), pm.den)
+    num, den = _tuple_num(H, measures)
+    return Fraction(sum(map(num, tuples)), den)
 
 
 def brute_density(H: Hypergraph, measures, box: Box) -> Fraction:
-    pm = _product_measure(H, measures)
-    hit = Fraction(0)
-    total = Fraction(0)
+    num, _ = _tuple_num(H, measures)
+    edges = edge_set(H)
+    hit = total = 0
     for t in itertools.product(*box.sides):
-        w = Fraction(pm.tuple_num(t), pm.den)
+        w = num(t)
         total += w
-        if t in H.edges:
+        if t in edges:
             hit += w
     if total == 0:
         raise ZeroDivisionError("box has measure zero")
-    return hit / total
+    return Fraction(hit, total)
 
 
 def one_pass_box_counts(H: Hypergraph, measures, classes, keys) -> list[tuple[int, int]]:
@@ -107,7 +121,7 @@ def one_pass_box_counts(H: Hypergraph, measures, classes, keys) -> list[tuple[in
                 row[v] = c
         owner.append(row)
     hits: dict = {}
-    for e in H.edges:
+    for e in edge_set(H):
         key = tuple(o[v] for o, v in zip(owner, e))
         w = 1
         for ns, v in zip(nums, e):
@@ -131,12 +145,13 @@ def brute_boxes_membership(boxes, t) -> bool:
 def brute_union_mass_error(H: Hypergraph, measures, boxes) -> Fraction:
     """Exact mass of the symmetric difference between the relation and a
     union of boxes, by enumerating the whole product space."""
-    pm = _product_measure(H, measures)
+    num, den = _tuple_num(H, measures)
+    edges = edge_set(H)
     err = 0
     for t in itertools.product(*[range(n) for n in H.part_sizes]):
-        if (t in H.edges) != brute_boxes_membership(boxes, t):
-            err += pm.tuple_num(t)
-    return Fraction(err, pm.den)
+        if (t in edges) != brute_boxes_membership(boxes, t):
+            err += num(t)
+    return Fraction(err, den)
 
 
 def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
@@ -144,6 +159,7 @@ def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
     puts the vertex at `part` and spreads a parameter over the other parts,
     groups ordered by their first member."""
     comp = tuple(i for i in range(H.k) if i != part)
+    edges = edge_set(H)
     groups: dict = {}
     for v in range(H.part_sizes[part]):
         sig = []
@@ -152,7 +168,7 @@ def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:
             t[part] = v
             for idx, val in zip(comp, b):
                 t[idx] = val
-            sig.append(tuple(t) in H.edges)
+            sig.append(tuple(t) in edges)
         groups.setdefault(tuple(sig), []).append(v)
     return sorted(groups.values(), key=lambda g: g[0])
 
@@ -302,7 +318,8 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     weights = [math.prod((measures[i].weights[v] for i, v in zip(left, a)), start=Fraction(1))
                for a in lefts]
     index = {a: p for p, a in enumerate(lefts)}
-    fibers = [frozenset(index[a] for a in brute_fiber(H, left, b)) for b in rights]
+    edges = edge_set(H)
+    fibers = [frozenset(index[a] for a in brute_fiber(H, left, b, edges)) for b in rights]
     distinct = sorted({tuple(sorted(f)) for f in fibers})
     d = brute_vc_dimension(distinct, len(lefts), cap=8)
     meta = {"fiber_dimension": f">={d}" if d == 8 else str(d),
@@ -401,7 +418,7 @@ def brute_ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = 
     right_index = {b: p for p, b in enumerate(rights)}
     fiber_mask = [0] * len(rights)
     contains = [0] * len(lefts)
-    for e in H.edges:
+    for e in edge_set(H):
         a = left_index[tuple(e[i] for i in parts)]
         b = right_index[tuple(e[i] for i in comp)]
         fiber_mask[b] |= 1 << a
@@ -449,6 +466,7 @@ def brute_ladder_check(H: Hypergraph, parts, a_seq, b_seq) -> bool:
     comp = tuple(i for i in range(H.k) if i not in parts)
     if len(a_seq) != len(b_seq):
         return False
+    edges = edge_set(H)
     for i, a in enumerate(a_seq):
         for j, b in enumerate(b_seq):
             t = [None] * H.k
@@ -456,7 +474,7 @@ def brute_ladder_check(H: Hypergraph, parts, a_seq, b_seq) -> bool:
                 t[idx] = v
             for idx, v in zip(comp, b):
                 t[idx] = v
-            if (tuple(t) in H.edges) != (i <= j):
+            if (tuple(t) in edges) != (i <= j):
                 return False
     return True
 
@@ -485,7 +503,8 @@ def brute_descent(H: Hypergraph, measures, part: int, eps: Fraction, depth_cap: 
     comp = [i for i in range(H.k) if i != part]
     rights = list(itertools.product(*[range(H.part_sizes[i]) for i in comp]))
     size = H.part_sizes[part]
-    fibers = [[(*b[:part], v, *b[part:]) in H.edges for v in range(size)] for b in rights]
+    edges = edge_set(H)
+    fibers = [[(*b[:part], v, *b[part:]) in edges for v in range(size)] for b in rights]
     nums, _ = measures[part].numerators()
     per = [measures[i].numerators()[0] for i in comp]
     rnums = [math.prod(per[j][x] for j, x in enumerate(b)) for b in rights]

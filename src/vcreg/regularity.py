@@ -35,7 +35,8 @@ import numpy as np
 
 from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights,
                    atoms, binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
-                   edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys, weighted_inner)
+                   edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys, tuples_at,
+                   weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 from .vc import (ROW_BLOCK_BYTES, greedy_net, net_hits_all, packed_lex_keys,
@@ -111,13 +112,13 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     view = binary_view(H, left)
     lw = SpaceWeights(measures, view.left, H.part_sizes)
 
+    rights = tuples_at(np.arange(view.right_size), view.right_sizes)
     if eps > 1:
-        members = tuple(view.right_tuple(r) for r in range(view.right_size))
-        return DeltaPartition((members,), (), eps, "single",
+        return DeltaPartition((tuple(rights),), (), eps, "single",
                               _pairwise_max_distance(view.fibers, lw))
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
-        classes = tuple(tuple(view.right_tuple(p) for p in ps) for ps in ordered)
+        classes = tuple(tuple(rights[p] for p in ps) for ps in ordered)
         worst = max((_pairwise_max_distance(view.fibers[list(ps)], lw)
                      for ps in ordered if len(ps) > 1), default=Fraction(0))
         if worst >= eps:
@@ -148,10 +149,10 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
         bound = net_param_bound(d_bound, eps)
         meta.update({"net_size": len(net_points), "net_param_bound": bound})
         if len(net_points) < view.left_size and len(net_points) <= bound:
-            params = tuple(view.left_tuple(p) for p in net_points)
+            params = tuple(tuples_at(net_points, view.left_sizes))
             return finish(atoms(view.fibers[:, net_points]), params, "net", meta)
 
-    params = tuple(view.left_tuple(p) for p in range(view.left_size))
+    params = tuple(tuples_at(np.arange(view.left_size), view.left_sizes))
     return finish(atoms(view.fibers), params, "trivial", meta)
 
 
@@ -216,7 +217,7 @@ def _rect_recurse(H: Hypergraph, measures, eps: Fraction):
         for j in range(k - 1):
             param_sets[j].update(tuple(c) + (rep_v,) for c in sub_params[j])
         # exact error contribution: nu(b) * mu_left(fiber_b Delta A_class)
-        diffs = lw.sums(view.fibers[[view.right_pos(b) for b in cls]] ^ amask)
+        diffs = lw.sums(view.fibers[[b[0] for b in cls]] ^ amask)
         err_num += sum(rnums[b[0]] * d for b, d in zip(cls, diffs))
     param_sets[k - 1].update(map(tuple, dp.params))
 
@@ -255,8 +256,8 @@ class RegularPartition:
         # row-major order is the lex order of the keys; tuples go out as lists
         counts, live = self.class_counts(), np.flatnonzero(self.labels >= 0)
         return {"epsilon": format_rational(self.epsilon), "classes": self.classes,
-                "sigma": box_keys(self.sigma, counts), "provenance": self.provenance,
-                "labels": list(zip(box_keys(live, counts), self.labels[live].tolist()))}
+                "sigma": tuples_at(self.sigma, counts), "provenance": self.provenance,
+                "labels": list(zip(tuples_at(live, counts), self.labels[live].tolist()))}
 
     @staticmethod
     def from_obj(obj) -> "RegularPartition":
@@ -335,11 +336,6 @@ def band(t: np.ndarray, e: np.ndarray, eps: Fraction) -> tuple:
     if exact_dtype(int(t.max()) * max(en, ed)) is object:
         t, e = t.astype(object), e.astype(object)
     return e * ed < en * t, (t - e) * ed < en * t
-
-
-def box_keys(flat, counts) -> list[tuple[int, ...]]:
-    """The class-index tuples of the boxes at row-major positions `flat`."""
-    return list(zip(*(c.tolist() for c in np.unravel_index(flat, counts))))
 
 
 def label_grid(keys, values, counts) -> np.ndarray:
@@ -492,6 +488,7 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
                     f"provenance parameter {list(b)} of part {i} is not a vertex "
                     f"tuple over parts {list(comp)}")
     eps = partition.epsilon
+    require(eps > 0, f"partition epsilon must be positive, not {format_rational(eps)}")
     violations = [{"kind": "not_a_partition", "part": i}
                   for i, part_classes in enumerate(partition.classes)
                   if sorted(v for c in part_classes for v in c) != list(range(H.part_sizes[i]))]
@@ -512,7 +509,7 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
     low, high = e * ed < en * t, (t - e) * ed < en * t
     dense = (low & (lab != 1)) | (high & (lab != 0))   # either, when unlabelled
     bad = np.flatnonzero(~(dense | in_sigma | (t == 0)))
-    for key, b in zip(np.transpose(np.unravel_index(bad, counts)).tolist(), bad.tolist()):
+    for key, b in zip(tuples_at(bad, counts), bad.tolist()):
         violations.append({
             "kind": "box_not_01_dense", "box": key, "label": int(lab[b]) if lab[b] >= 0 else None,
             "edge_mass": format_rational(Fraction(int(e[b]), den)),
@@ -577,7 +574,7 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction) -> D
     if not (one[best] and Fraction(int(t[best]), den) > delta):
         raise VerificationError(
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
-    sides = [cls[c] for cls, c in zip(part.classes, np.unravel_index(best, counts))]
+    sides = [cls[c] for cls, c in zip(part.classes, tuples_at([best], counts)[0])]
     box = Box.of(sides)
     dens = Fraction(int(e[best]), int(t[best]))
     if not dens > 1 - eps_p:

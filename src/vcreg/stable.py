@@ -24,10 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
-                   fiber_atoms)
+                   fiber_atoms, tuples_at)
 from .errors import DepthCapExceeded, RefinementFailed, VerificationError
 from .jsonio import require
-from .regularity import RegularPartition, band, box_keys
+from .regularity import RegularPartition, band
 
 # How deep one descent may go before it gives up with DepthCapExceeded. A
 # guard, not the paper's bound: Malliaris-Shelah bound the height by an
@@ -152,8 +152,9 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
 
     full_b = (1 << nr) - 1
     dfs((1 << nl) - 1, full_b, reach(full_b), [])
-    cert = LadderCertificate(best_len, tuple(view.left_tuple(a) for a, _ in best_stack),
-                             tuple(view.right_tuple(b) for _, b in best_stack), parts,
+    a_seq = tuples_at([a for a, _ in best_stack], view.left_sizes)
+    b_seq = tuples_at([b for _, b in best_stack], view.right_sizes)
+    cert = LadderCertificate(best_len, tuple(a_seq), tuple(b_seq), parts,
                              capped=best_len >= cap, budget_exhausted=exhausted)
     if not cert.verify(H):
         raise VerificationError("ladder certificate failed direct verification")
@@ -197,7 +198,9 @@ class GoodDescent:
 
 def _descent_extract(view, lw, current: np.ndarray, eps_half: Fraction, depth_cap: int):
     """One eps/2-good piece found by descending from current through non-goodness
-    witnesses, always into the heavier child: (piece, path, its numerator mass)."""
+    witnesses, always into the heavier child: (piece, path, its numerator mass).
+    A path step names its witness by fiber position; the DepthCapExceeded
+    tree names them by vertex tuple."""
     path = []
     while True:
         sub, hits, a_num = _fiber_hits(view, lw, current)
@@ -205,12 +208,14 @@ def _descent_extract(view, lw, current: np.ndarray, eps_half: Fraction, depth_ca
         if worst_r is None:
             return current, path, a_num
         if len(path) >= depth_cap:
+            tuples = tuples_at([step["witness"] for step in path], view.right_sizes)
             raise DepthCapExceeded(f"descent exceeded depth cap {depth_cap}; the relation "
-                                   f"is less stable than assumed", tree=list(path))
+                                   f"is less stable than assumed",
+                                   tree=[dict(step, witness=t) for step, t in zip(path, tuples)])
         row = sub[worst_r]
         inside, outside = current[row], current[~row]
         take_in = 2 * int(hits[worst_r]) >= a_num   # hits[worst_r]: the mass inside the fiber
-        path.append({"witness": view.right_tuple(worst_r), "side": "in" if take_in else "out",
+        path.append({"witness": worst_r, "side": "in" if take_in else "out",
                      "sizes": (len(inside), len(outside))})
         current = inside if take_in else outside
 
@@ -236,7 +241,7 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
 
     pieces: list[np.ndarray] = []    # sorted intp arrays until the zeros join
     depths: list[int] = []
-    witnesses: set = set()
+    witnesses: set = set()    # fiber positions
     residue, r_mass, p_mass = support, lw.sums(positive), 0
     live = positive.copy()    # the residue as a mask
     while len(residue) and not (pieces and r_mass * eps_half.denominator
@@ -268,7 +273,7 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
 
     # attach zero-weight vertices by fingerprint atom
     pieces = [p.tolist() for p in pieces]
-    params = sorted(witnesses)
+    params = tuples_at(sorted(witnesses), view.right_sizes)   # row-major is lex order
     zeros = np.flatnonzero(~positive).tolist()
     if zeros:
         piece_of = {v: i for i, piece in enumerate(pieces) for v in piece}
@@ -300,7 +305,7 @@ def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,
     mixed = np.flatnonzero((t > 0) & ~(low | high))
     if len(mixed):
         raise RefinementFailed("box of the descent pieces is not eps-homogeneous",
-                               box=box_keys(mixed[:1], counts)[0])
+                               box=tuples_at(mixed[:1], counts)[0])
     labels = np.where(t > 0, t - e <= e, -1).astype(np.int8)
 
     meta = {

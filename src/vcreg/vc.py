@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Hypergraph, Measure, binary_view, ceil_fraction,
+from .core import (MAX_DENSE_SPACE, Hypergraph, Measure, binary_view, ceil_fraction,
                    require_dense, row_keys, weighted_inner)
 from .errors import InputError
 from .jsonio import require
@@ -80,7 +80,14 @@ class SetFamily:
     def from_obj(obj) -> "SetFamily":
         require(isinstance(obj, dict) and "ground_size" in obj and "members" in obj,
                 'set family JSON must be {"ground_size": int, "members": [[...]]}')
-        return SetFamily.from_sets(int(obj["ground_size"]), obj["members"])
+        n, members = obj["ground_size"], obj["members"]
+        # at most a binary-view side, the ground set of a hypergraph's fiber family
+        require(type(n) is int and 0 <= n <= MAX_DENSE_SPACE,
+                f"set family ground_size must be an integer in 0..{MAX_DENSE_SPACE}")
+        require(type(members) is list and set(map(type, members)) <= {list}
+                and set(map(type, itertools.chain.from_iterable(members))) <= {int},
+                "set family members must be lists of integers")
+        return SetFamily.from_sets(n, members)
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,24 @@ def test_malformed_instance_is_input_error(write_json, hobj):
     assert rep["error"]["kind"] == "input" and not rep["ok"]
 
 
+@pytest.mark.parametrize("fobj", [
+    {"ground_size": 3, "members": [["a"]]},
+    {"ground_size": 3, "members": [5]},
+    {"ground_size": 3, "members": "ab"},
+    {"ground_size": None, "members": []},
+    {"ground_size": 3, "members": [[0.5]]},
+    {"ground_size": 3, "members": [[True]]},
+    {"ground_size": "3", "members": [[0]]},
+    {"ground_size": 3.7, "members": [[0]]},
+    {"ground_size": 10 ** 30, "members": []},
+])
+def test_malformed_set_family_is_input_error(write_json, fobj):
+    code, out, err = run(["vc", "dim", "--in", write_json("f.json", fobj)])
+    rep = json.loads(out)
+    assert code == 2 and "Traceback" not in err
+    assert rep["error"]["kind"] == "input" and not rep["ok"]
+
+
 def test_dyadic_depth_beyond_print_limit_is_input_error():
     code, rep = report(["dyadic", "density", "--depth", "100000"])
     assert code == 2
@@ -610,6 +628,19 @@ def test_verify_rejects_labels_and_sigma_naming_no_box(tmp_path, write_json, cha
     assert rep["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_verify_refuses_a_zero_epsilon(tmp_path, write_json, where):
+    inst, part = _half8_partition(tmp_path)
+    argv = ["reg", "verify", "--in", inst, "--partition"]
+    if where == "file":
+        argv.append(write_json("p.json", {**part, "epsilon": "0/3"}))
+    else:
+        argv += [write_json("p.json", part), "--epsilon", "0"]
+    code, rep = report(argv)
+    assert code == 2 and not rep["ok"]
+    assert rep["error"]["kind"] == "input" and "positive" in rep["error"]["message"]
+
+
 def _outputs_bytes(rep):
     return json.dumps(rep["outputs"], sort_keys=True, separators=(",", ":"))
 
@@ -696,13 +727,27 @@ def test_stable_partition_recounts_the_boxes_once(tmp_path, monkeypatch):
 
 
 def test_stable_partition_never_builds_the_edge_set(tmp_path, monkeypatch):
-    import vcreg.core
+    import vcreg.oracles
     inst = str(tmp_path / "b.json")
     report(["gen", "block-union", "--sizes", "12,12", "--blocks", "3", "--out", inst])
-    monkeypatch.setattr(vcreg.core.Hypergraph, "edges", property(
-        lambda H: pytest.fail("stable partition built H.edges")))
+    monkeypatch.setattr(vcreg.oracles, "edge_set",
+                        lambda H: pytest.fail("stable partition built the edge set"))
     code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/4"])
     assert code == 0 and rep["verification"]["all_boxes_exactly_homogeneous"] is True
+
+
+def test_vc_net_recounts_the_masses_without_the_net_kernel(write_json, monkeypatch):
+    import numpy as np
+    import vcreg.vc
+    fam = write_json("f.json", {"ground_size": 12, "members": [[i, i + 1] for i in range(11)]})
+    argv = ["vc", "net", "--in", fam, "--epsilon", "1/8"]
+    code, rep = report(argv)
+    assert code == 0 and rep["verification"]["verified_exhaustively"] is True
+    monkeypatch.setattr(vcreg.vc, "weighted_inner",
+                        lambda a, b, nums, den: np.zeros((len(a), len(b))))
+    code, rep = report(argv)
+    assert rep["outputs"]["points"] == []
+    assert code == 1 and rep["verification"]["verified_exhaustively"] is False
 
 
 def test_interval_flag_is_recorded_as_its_endpoints():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vcreg import (DyadicBall, InputError, anti_homogeneity_bound_check,
                    ball_parity_report, dyadic_hypergraph, level_pair_counts,
                    odd_split_density, parse_balls, random_ball_union)
-from vcreg.oracles import brute_dyadic_pair_count, dyadic_leaves, split_level
+from vcreg.oracles import brute_dyadic_pair_count, dyadic_leaves, edge_set, split_level
 
 
 def test_whole_tree_frozen_values():
@@ -96,10 +96,11 @@ def test_bad_ball_input_rejected():
 def test_dyadic_hypergraph_edges_match_valuation():
     L = 3
     H = dyadic_hypergraph(L)
+    edges = edge_set(H)
     n = 1 << L
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
             odd = split_level(x, y, L) % 2 == 1
-            assert ((x, y) in H.edges) == odd
+            assert ((x, y) in edges) == odd

@@ -136,6 +136,9 @@ def test_rational_reader_matches_fraction(regime, data):
     (True, "rational must be a 'num/den' string, got bool"),
     (0.5, "rational must be a 'num/den' string, got float"),
     ("0.5", "decimal rationals are not accepted: '0.5'"),
+    # a "." or an "e" alone does not make a decimal numeral
+    ("one", "cannot parse rational 'one'"),
+    ("1/2e", "cannot parse rational '1/2e'"),
     ("1/0", "cannot parse rational '1/0'"),
     # strings Fraction reads, refused by the file format: a sign, a space,
     # an "_" separator, non-ASCII digits

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_net_oracle import P_BIG, REGIMES, _regime, _weights
 from vcreg import (Hypergraph, InputError, Measure, ball_family_search,
                    ball_parity_report, definable_homogeneous_search)
+from vcreg.oracles import edge_set
 
 # the search sums pair products up to den^2: these denominators put den^2
 # below 2^53, in [2^53, 2^62) and at or above 2^62 (a prime, so the weights
@@ -50,9 +51,9 @@ def test_search_agrees_with_direct_enumeration(seed, regime, m):
     eps = Fraction(rng.randint(1, 7), 16)
     res = definable_homogeneous_search(H, mu, eps, m)
 
-    best = None
+    best, R = None, edge_set(H)
     for D in itertools.combinations(range(n), m):
-        pat = [sum(((v, d) in H.edges) << i for i, d in enumerate(D)) for v in range(n)]
+        pat = [sum(((v, d) in R) << i for i, d in enumerate(D)) for v in range(n)]
         present = sorted({pat[v] for v in range(n) if nums[v]})
         for r in range(1, len(present) + 1):
             for chosen in itertools.combinations(present, r):
@@ -62,7 +63,7 @@ def test_search_agrees_with_direct_enumeration(seed, regime, m):
                 tot = sum(nums[x] * nums[y] for x, y in pairs)
                 if tot == 0 or (best and mass <= best[0]):
                     continue
-                d = Fraction(sum(nums[x] * nums[y] for x, y in pairs if (x, y) in H.edges),
+                d = Fraction(sum(nums[x] * nums[y] for x, y in pairs if (x, y) in R),
                              tot)
                 if d < eps or d > 1 - eps:
                     best = (mass, d)

@@ -13,7 +13,7 @@ from vcreg import (Box, Hypergraph, Measure, RefinementFailed, density,
                    fiber_family, good_descent_partition, ladder_index,
                    stable_regular_partition, uniform_measures, vc_dimension)
 from vcreg.cli import main
-from vcreg.oracles import brute_ladder_check, brute_ladder_index, brute_witness
+from vcreg.oracles import brute_ladder_check, brute_ladder_index, brute_witness, edge_set
 from vcreg.instances import GeneratorSpec, block_pair_graph, generate, half_graph
 
 
@@ -117,7 +117,7 @@ def test_ladder_length_survives_relabelling():
         H = _random_relation(rng)
         perm = [rng.sample(range(n), n) for n in H.part_sizes]
         P = Hypergraph(H.part_sizes, frozenset(tuple(p[v] for p, v in zip(perm, e))
-                                              for e in H.edges))
+                                              for e in edge_set(H)))
         for r in range(1, H.k + 1):
             for parts in itertools.combinations(range(H.k), r):
                 for cap in (3, 8):
@@ -131,8 +131,8 @@ def test_ladder_length_survives_relabelling():
 def _good(H, mu, piece, eps):
     """No fiber over part 0 has density in [eps, 1 - eps] on the part-1 set
     `piece`, by plain sums of the part-1 weights."""
-    w = mu[1].weights
-    hits = [sum(w[a] for a in piece if (b, a) in H.edges) for b in range(H.part_sizes[0])]
+    w, edges = mu[1].weights, edge_set(H)
+    hits = [sum(w[a] for a in piece if (b, a) in edges) for b in range(H.part_sizes[0])]
     return brute_witness(hits, sum(w[a] for a in piece), eps) is None
 
 
