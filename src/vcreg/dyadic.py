@@ -107,8 +107,6 @@ MIN_CO_DEPTH = 2
 @dataclass
 class BallSearchResult:
     found: bool
-    epsilon: Fraction
-    depth: int
     prefix_length: int | None = None
     density: Fraction | None = None
     mass: Fraction | None = None
@@ -128,7 +126,7 @@ def ball_family_search(L: int, eps: Fraction, parity: str = "odd") -> BallSearch
             "eps must be in (0, 1/2)")
     require(L >= MIN_CO_DEPTH, "depth too small for the co-depth floor")
     en, ed = eps.numerator, eps.denominator
-    out = BallSearchResult(False, eps, L, scanned=L - MIN_CO_DEPTH + 1)
+    out = BallSearchResult(False, scanned=L - MIN_CO_DEPTH + 1)
     for l in range(out.scanned):
         d = odd_split_density([DyadicBall("0" * l)], L, parity=parity)
         out.max_deviation = max(out.max_deviation, min(d, 1 - d))

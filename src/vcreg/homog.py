@@ -31,8 +31,6 @@ EXACT_TUPLE_BUDGET = 1_000_000
 @dataclass
 class SearchResult:
     found: bool
-    epsilon: Fraction
-    complexity: int
     params: tuple[int, ...] | None = None
     patterns: tuple[int, ...] | None = None
     vertices: tuple[int, ...] | None = None
@@ -76,7 +74,7 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
         tuples = (tuple(sorted(rng.sample(range(n), m))) for _ in range(budget))
 
     en, ed = eps.numerator, eps.denominator
-    best = SearchResult(False, eps, m, examined=0, exhaustive=exhaustive)
+    best = SearchResult(False, examined=0, exhaustive=exhaustive)
     best_mass_num = 0
     examined = 0
     npat = 1 << m
@@ -102,7 +100,7 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
                 e_num = sum(mm[p][q] for p in combo for q in combo)
                 if e_num * ed < en * tot or (tot - e_num) * ed < en * tot:
                     members = tuple(int(v) for v in np.flatnonzero(np.isin(pat, combo)))
-                    best = SearchResult(True, eps, m, tuple(D), tuple(combo),
+                    best = SearchResult(True, tuple(D), tuple(combo),
                                         members, Fraction(e_num, tot),
                                         Fraction(w_a, den), examined, exhaustive)
                     best_mass_num = w_a

@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -49,7 +50,6 @@ FIBER_DIM_BUDGET = 200_000   # search nodes for the fiber family's VC dimension
 class DeltaPartition:
     classes: tuple[tuple[tuple[int, ...], ...], ...]   # each one's first member represents it
     params: tuple[tuple[int, ...], ...]
-    epsilon: Fraction
     path: str                     # "net" | "trivial" | "single"
     max_pair_distance: Fraction
     meta: dict = field(default_factory=dict)
@@ -114,7 +114,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
 
     rights = tuples_at(np.arange(view.right_size), view.right_sizes)
     if eps > 1:
-        return DeltaPartition((tuple(rights),), (), eps, "single",
+        return DeltaPartition((tuple(rights),), (), "single",
                               _pairwise_max_distance(view.fibers, lw))
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
@@ -124,7 +124,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
         if worst >= eps:
             raise VerificationError(
                 f"class fiber distance {worst} is not below eps={eps}")
-        return DeltaPartition(classes, params, eps, path, worst, meta)
+        return DeltaPartition(classes, params, path, worst, meta)
 
     fibers = view.fibers[np.unique(row_keys(view.fibers), return_index=True)[1]]
     dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
@@ -161,7 +161,6 @@ class RectApprox:
     boxes: tuple[Box, ...]
     params: tuple[tuple[tuple[int, ...], ...], ...]
     error: Fraction
-    epsilon: Fraction
     levels: list = field(default_factory=list)
 
     def param_width(self) -> int:
@@ -182,7 +181,7 @@ def rectangular_approximation(H: Hypergraph, measures, eps: Fraction) -> RectApp
     boxes, params, error, levels = _rect_recurse(H, measures, eps)
     if error >= eps:
         raise VerificationError(f"approximation error {error} not below eps={eps}")
-    return RectApprox(tuple(boxes), params, error, eps, levels)
+    return RectApprox(tuple(boxes), params, error, levels)
 
 
 def _rect_recurse(H: Hypergraph, measures, eps: Fraction):
@@ -427,14 +426,8 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction,
         "param_width": ra.param_width(),
         "uniform": uniform,
     }
-    classes = tuple(tuple(tuple(int(v) for v in c) for c in part)
-                    for part in per_part_classes)
-    # numpy scalars leak out of the rect-approx params; JSON writers stringify
-    # them, so force native ints before they reach the partition record
-    provenance = tuple(tuple(tuple(int(v) for v in p) for p in part)
-                       for part in provenance)
-    return RegularPartition(classes, eps, np.flatnonzero(sigma), labels, provenance,
-                            meta), t, e, den
+    return RegularPartition(_tuples(per_part_classes), eps, np.flatnonzero(sigma), labels,
+                            provenance, meta), t, e, den
 
 
 def recount_boxes(H: Hypergraph, measures, classes_by_part) -> tuple:
@@ -520,11 +513,16 @@ def verify_regular_partition(H: Hypergraph, measures, partition: RegularPartitio
         violations.append({"kind": "sigma_mass_exceeds_eps",
                            "sigma_mass": format_rational(sigma_mass)})
     for i, params in enumerate(partition.provenance):
-        if params:   # a class must hold every atom it meets
-            atom_of = {v: set(a) for a in fiber_atoms(H, i, params) for v in a}
+        if params:   # no two classes may share a membership row over the params' fibers
+            view = binary_view(H, (i,))
+            cells = np.array(params, np.intp).reshape(len(params), H.k - 1)
+            pos = (np.ravel_multi_index(cells.T, view.right_sizes) if view.right
+                   else [0] * len(params))   # k = 1: the one fiber, as core.fiber_atoms
+            keys = list(map(bytes, np.packbits(view.fibers[pos].T, axis=1)))
+            pairs = {(keys[v], ci) for ci, c in enumerate(partition.classes[i]) for v in c}
+            shared = Counter(key for key, _ in pairs)
             violations += [{"kind": "class_not_definable", "part": i, "class": ci}
-                           for ci, c in enumerate(partition.classes[i])
-                           if not all(atom_of[v] <= set(c) for v in c)]
+                           for ci in sorted({ci for key, ci in pairs if shared[key] > 1})]
     return {"ok": not violations, "violations": violations,
             "sigma_mass": format_rational(sigma_mass),
             "box_count": len(t), "class_counts": counts}
@@ -574,12 +572,9 @@ def find_dense_box(H: Hypergraph, measures, alpha: Fraction, eps: Fraction) -> D
     if not (one[best] and Fraction(int(t[best]), den) > delta):
         raise VerificationError(
             "no labeled-1 box above the mass guarantee; the partition engine broke its promise")
+    # label 1 means band's high test held: the density is above 1 - eps_p
     sides = [cls[c] for cls, c in zip(part.classes, tuples_at([best], counts)[0])]
-    box = Box.of(sides)
-    dens = Fraction(int(e[best]), int(t[best]))
-    if not dens > 1 - eps_p:
-        raise VerificationError(f"dense box density {dens} not above {1 - eps_p}")
     side_masses = tuple(m.mass(side) for m, side in zip(measures, sides))
-    return DenseBox(box, dens, side_masses, delta, eps_p,
-                    {"class_counts": counts,
-                     "sigma_mass": format_rational(part.meta["sigma_mass"])})
+    return DenseBox(Box.of(sides), Fraction(int(e[best]), int(t[best])), side_masses, delta,
+                    eps_p, {"class_counts": counts,
+                            "sigma_mass": format_rational(part.meta["sigma_mass"])})

@@ -138,10 +138,6 @@ class SelfTestReport:
     failed: int
     results: list
 
-    def to_obj(self) -> dict:
-        return {"ok": self.ok, "passed": self.passed, "failed": self.failed,
-                "results": self.results}
-
 
 def run_selftest(names: list[str] | None = None) -> SelfTestReport:
     results = []

@@ -226,8 +226,8 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
 
     Extraction repeats until the residue mass drops to (eps/2) of the first
     piece; the residue then merges into the first piece, which stays
-    eps-good (re-verified). Zero-weight vertices join the class of their
-    fingerprint atom so every class stays definable.
+    eps-good. Only that merged piece is tested again. Zero-weight vertices
+    join the class of their fingerprint atom so every class stays definable.
     """
     require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     require(depth_cap >= 1, "depth_cap must be >= 1")
@@ -255,21 +255,21 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
         residue = np.flatnonzero(live)
     steps = len(pieces)
 
-    def is_good(vertices, level: Fraction) -> bool:
-        return _witness(*_fiber_hits(view, lw, vertices)[1:], level) is None
-
-    # The first piece (mass p) is eps/2-good and the residue weighs r <= eps/2 p,
-    # so their union is eps-good: a fiber holding less than eps/2 p of the
-    # piece holds less than eps/2 p + r <= eps (p + r) of the union, and a
-    # fiber leaving out less than eps/2 p leaves out less than eps (p + r).
+    # Every piece left _descent_extract with no eps/2 witness. The first piece
+    # (mass p) and the residue (r <= eps/2 p) make an eps-good union: a fiber
+    # holding less than eps/2 p of the piece holds less than eps/2 p + r <=
+    # eps (p + r) of the union, and one leaving out less than eps/2 p leaves
+    # out less than eps (p + r). That union alone is tested again.
     residue_action = "none"
     if len(residue):
         pieces[0] = np.union1d(pieces[0], residue)
-        residue_action = "merged_first" if is_good(pieces[0], eps_half) else "merged_first_at_eps"
-    for i, piece in enumerate(pieces):
-        level = eps if i == 0 and len(residue) else eps_half
-        if not is_good(piece, level):
-            raise VerificationError(f"piece {i} failed goodness at {level}")
+        _, hits, a_num = _fiber_hits(view, lw, pieces[0])
+        if _witness(hits, a_num, eps_half) is None:
+            residue_action = "merged_first"
+        elif _witness(hits, a_num, eps) is None:
+            residue_action = "merged_first_at_eps"
+        else:
+            raise VerificationError(f"piece 0 failed goodness at {eps}")
 
     # attach zero-weight vertices by fingerprint atom
     pieces = [p.tolist() for p in pieces]

@@ -278,7 +278,6 @@ def fiber_family(H: Hypergraph, parts) -> SetFamily:
 @dataclass
 class EpsNet:
     points: tuple[int, ...]
-    epsilon: Fraction
     verified: bool
     strategy: str
     meta: dict = field(default_factory=dict)
@@ -419,7 +418,7 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
         pts = greedy_net(heavy, width)
-        return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "greedy", meta)
+        return EpsNet(tuple(pts), net_hits_all(heavy, width, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
     dim = _net_dimension(family)
@@ -433,8 +432,8 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
                for _ in range(sizes["size_ln"])]
         if net_hits_all(heavy, width, pts):
             meta["attempts"] = attempt
-            return EpsNet(tuple(pts), eps, True, "random", meta)
+            return EpsNet(tuple(pts), True, "random", meta)
     meta["attempts"] = NET_RETRIES
     meta["fallback"] = "greedy"
     pts = greedy_net(heavy, width)
-    return EpsNet(tuple(pts), eps, net_hits_all(heavy, width, pts), "random", meta)
+    return EpsNet(tuple(pts), net_hits_all(heavy, width, pts), "random", meta)

@@ -750,6 +750,27 @@ def test_vc_net_recounts_the_masses_without_the_net_kernel(write_json, monkeypat
     assert code == 1 and rep["verification"]["verified_exhaustively"] is False
 
 
+def test_reg_partition_checks_definability_without_the_atoms_kernel(write_json, monkeypatch):
+    """class_not_definable groups the vertices by their membership rows
+    itself, so a fiber_atoms that splits every atom into singletons fails the
+    uniform partition built with it."""
+    import vcreg.core
+    import vcreg.regularity
+    import vcreg.stable
+    from vcreg.instances import same_block_equivalence
+    p = write_json("blocks.json", {"hypergraph": same_block_equivalence(16, 4).to_obj()})
+    argv = ["reg", "partition", "--in", p, "--uniform", "--epsilon", "1/2"]
+    code, rep = report(argv)
+    assert code == 0 and rep["outputs"]["class_counts"] == [4, 4]
+    for mod in (vcreg.core, vcreg.regularity, vcreg.stable):
+        monkeypatch.setattr(mod, "fiber_atoms",
+                            lambda H, part, params: [[v] for v in range(H.part_sizes[part])])
+    code, rep = report(argv)
+    assert rep["outputs"]["class_counts"] == [16, 16]
+    kinds = {v["kind"] for v in rep["verification"]["violations"]}
+    assert code == 1 and kinds == {"class_not_definable"}
+
+
 def test_interval_flag_is_recorded_as_its_endpoints():
     code, rep = report(["convexity", "involution", "--interval", "3..9"])
     assert code == 0
