@@ -16,9 +16,14 @@ written (`gen --out`), so other whitespace gives another hash.
 
 Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
-or missing flags, malformed files, bad rationals, a `gen` instance too large
-for any engine), whose report has "subcommand": null if argparse refused the
-flags. Only `--help` writes no report. A closed stdout ends it without a traceback.
+or missing flags, flags the run does not read, malformed files, bad rationals,
+a `gen` instance too large for any engine), whose report has "subcommand":
+null if argparse refused the flags. Only `--help` writes no report. A closed
+stdout ends it without a traceback. Handlers return (outputs, verification);
+`main` alone sets "ok", true when every verification entry is True or
+"skipped-large", except the data keys that carry figures (`DATA_KEYS`:
+violations, sigma_mass, box_count, class_counts, note, results, edge_count,
+measured). Any other value fails the run (exit 1).
 
 `stable partition` also checks, on the verifier's own recount of the boxes
 (`regularity.exactly_homogeneous`), that each labelled box holds none or all
@@ -116,6 +121,18 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict):
     return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), parts)
 
 
+def _given_flags(args, table, user: str) -> list:
+    """(flag, value) of each flag of `table`, rows (dest, flag, reader), that
+    was given; an InputError for one whose reader is not `user`."""
+    given = []
+    for dest, flag, reader in table:
+        value = getattr(args, dest)
+        if value is not None:
+            require(user == reader, f"--{flag} applies only to {reader}, not {user}")
+            given.append((flag, value))
+    return given
+
+
 # ---------------------------------------------------------------- handlers
 
 def _cmd_vc_dim(args, files):
@@ -128,9 +145,7 @@ def _cmd_vc_dim(args, files):
                "display": d.display(), "witness": d.witness}
     witness_ok = d.value == 0 or brute_shatters(fam.members, d.witness)
     size_ok = d.value == 0 or len(d.witness) == d.value
-    verification = {"witness_shattered": witness_ok,
-                    "witness_size_matches": size_ok}
-    return outputs, verification, witness_ok and size_ok
+    return outputs, {"witness_shattered": witness_ok, "witness_size_matches": size_ok}
 
 
 def _cmd_vc_shatter(args, files):
@@ -145,7 +160,7 @@ def _cmd_vc_shatter(args, files):
         "within_power_bound": all(v <= (1 << n) for n, v in enumerate(vals)),
         "monotone": all(vals[n] <= vals[n + 1] for n in range(args.n)),
     }
-    return outputs, verification, all(verification.values())
+    return outputs, verification
 
 
 def _cmd_vc_net(args, files):
@@ -164,9 +179,8 @@ def _cmd_vc_net(args, files):
     # every member's mass recounted in Python ints, not by the net's mass kernel
     nums, den = mu.numerators()
     en, ed, pts = args.epsilon.numerator, args.epsilon.denominator, set(net.points)
-    ok = net.verified and all(not pts.isdisjoint(m) for m in fam.members
-                              if sum(nums[v] for v in m) * ed >= en * den)
-    return outputs, {"verified_exhaustively": ok}, ok
+    return outputs, {"verified_exhaustively": net.verified and all(
+        not pts.isdisjoint(m) for m in fam.members if sum(nums[v] for v in m) * ed >= en * den)}
 
 
 def _cmd_reg_partition(args, files):
@@ -180,7 +194,7 @@ def _cmd_reg_partition(args, files):
     rep = verify_regular_partition(H, measures, rp)
     outputs = {"partition": rp.to_obj(), "meta": rp.meta,
                "class_counts": rp.class_counts()}
-    return outputs, rep, rep["ok"]
+    return outputs, rep
 
 
 def _cmd_reg_verify(args, files):
@@ -193,8 +207,7 @@ def _cmd_reg_verify(args, files):
     if args.epsilon is not None and args.epsilon != rp.epsilon:
         rp = dataclasses.replace(rp, epsilon=args.epsilon)
     rep = verify_regular_partition(H, measures, rp)
-    outputs = {"epsilon": rp.epsilon, "class_counts": rp.class_counts()}
-    return outputs, rep, rep["ok"]
+    return {"epsilon": rp.epsilon, "class_counts": rp.class_counts()}, rep
 
 
 def _cmd_reg_rect(args, files):
@@ -209,15 +222,10 @@ def _cmd_reg_rect(args, files):
         "param_width": ra.param_width(),
         "bound_table": ra.levels,
     }
-    verification = {"error_below_eps": ra.error < args.epsilon}
+    recount = "skipped-large"
     if prod(H.part_sizes) <= 1 << 16:
-        brute = brute_union_mass_error(H, measures, ra.boxes)
-        verification["brute_recount_equal"] = brute == ra.error
-    else:
-        verification["brute_recount_equal"] = "skipped-large"
-    ok = verification["error_below_eps"] and \
-        verification["brute_recount_equal"] in (True, "skipped-large")
-    return outputs, verification, ok
+        recount = brute_union_mass_error(H, measures, ra.boxes) == ra.error
+    return outputs, {"error_below_eps": ra.error < args.epsilon, "brute_recount_equal": recount}
 
 
 def _cmd_reg_ehbox(args, files):
@@ -236,7 +244,7 @@ def _cmd_reg_ehbox(args, files):
         "sides_above_guarantee": all(m.mass(side) >= db.delta_guarantee > 0
                                      for m, side in zip(measures, db.box.sides)),
     }
-    return outputs, verification, all(v is True for v in verification.values())
+    return outputs, verification
 
 
 def _cmd_stable_ladder(args, files):
@@ -247,8 +255,7 @@ def _cmd_stable_ladder(args, files):
     outputs = {"length": cert.length, "display": cert.display(),
                "capped": cert.capped, "budget_exhausted": cert.budget_exhausted,
                "left": cert.left, "right": cert.right}
-    checks = cert.verify(H)
-    return outputs, {"certificate_checks": checks}, checks
+    return outputs, {"certificate_checks": cert.verify(H)}
 
 
 def _cmd_stable_partition(args, files):
@@ -262,10 +269,8 @@ def _cmd_stable_partition(args, files):
     homogeneous = exactly_homogeneous(H, measures, sp, recount)
     outputs = {"partition": sp.to_obj(), "meta": sp.meta,
                "class_counts": sp.class_counts()}
-    verification = {**rep, "sigma_empty": len(sp.sigma) == 0,
-                    "all_boxes_exactly_homogeneous": homogeneous}
-    ok = rep["ok"] and len(sp.sigma) == 0 and homogeneous
-    return outputs, verification, ok
+    return outputs, {**rep, "sigma_empty": len(sp.sigma) == 0,
+                     "all_boxes_exactly_homogeneous": homogeneous}
 
 
 # Deepest tree the dyadic subcommands accept: level pair counts reach
@@ -296,16 +301,14 @@ def _cmd_dyadic_density(args, files):
         hit, total = brute_dyadic_pair_count([b.prefix for b in balls],
                                              args.depth, parity=want)
         verification["brute_recount_equal"] = Fraction(hit, total) == d
-    ok = all(v is True for v in verification.values())
-    return outputs, verification, ok
+    return outputs, verification
 
 
 def _cmd_dyadic_report(args, files):
     _check_depth(args)
     rows = ball_parity_report(args.depth, parity=args.parity)
-    outputs = {"rows": rows, "parity": args.parity}
-    verification = {"all_rows_within_bound": all(r["ok"] for r in rows)}
-    return outputs, verification, verification["all_rows_within_bound"]
+    return ({"rows": rows, "parity": args.parity},
+            {"all_rows_within_bound": all(r["ok"] for r in rows)})
 
 
 def _cmd_dyadic_bound(args, files):
@@ -324,8 +327,7 @@ def _cmd_dyadic_bound(args, files):
                                          args.depth, parity=want)
         verification["brute_recount_equal"] = \
             rep.pair_mass == Fraction(hit, 1 << (2 * args.depth))
-    ok = all(v is True for v in verification.values())
-    return outputs, verification, ok
+    return outputs, verification
 
 
 def _cmd_convexity_density(args, files):
@@ -336,26 +338,30 @@ def _cmd_convexity_density(args, files):
     outputs = {"density": d, "interval": iv.to_obj(),
                "ap_count": ap_count(n), "triples": comb(n, 3),
                "distance_to_half": abs(d - Fraction(1, 2))}
-    verification = {}
+    recount = "skipped-large"
     if n <= 200:
         edges, total = brute_convexity_edges(iv.points())
-        verification["brute_recount_equal"] = Fraction(edges, total) == d
-    else:
-        verification["brute_recount_equal"] = "skipped-large"
-    ok = verification["brute_recount_equal"] in (True, "skipped-large")
-    return outputs, verification, ok
+        recount = Fraction(edges, total) == d
+    return outputs, {"brute_recount_equal": recount}
 
 
 def _cmd_convexity_involution(args, files):
     holds = reflection_involution_check(args.interval)
-    outputs = {"interval": args.interval.to_obj(), "holds": holds}
-    return outputs, {"involution_holds": holds}, holds
+    return {"interval": args.interval.to_obj(), "holds": holds}, {"involution_holds": holds}
+
+
+# The one `rodl search` mode that reads each mode-specific flag: (dest, flag,
+# mode). --parity has a default, so an unread one cannot be told from none.
+_RODL_FLAGS = (("depth", "depth", "ball mode"), ("m", "m", "graph mode"),
+               ("budget", "budget", "graph mode"), ("seed", "seed", "graph mode"))
 
 
 def _cmd_rodl_search(args, files):
-    if args.infile is None:   # the ball scan, recounted by brute force to depth 8
+    graph = args.infile is not None
+    require(graph or args.depth is not None, "--depth (ball mode) or --in (graph mode)")
+    _given_flags(args, _RODL_FLAGS, "graph mode" if graph else "ball mode")
+    if not graph:   # the ball scan, recounted by brute force to depth 8
         from .oracles import brute_dyadic_pair_count
-        require(args.depth is not None, "--depth (ball mode) or --in (graph mode)")
         _check_depth(args)
         rep = ball_family_search(args.depth, args.epsilon, parity=args.parity)
         outputs = {"mode": "ball-family", "found": rep.found,
@@ -373,16 +379,15 @@ def _cmd_rodl_search(args, files):
                 max(min(d, 1 - d) for d in dens) == rep.max_deviation
             if rep.found:
                 verification["density_recomputed_equal"] = dens[rep.prefix_length] == rep.density
-        ok = all(v in (True, "skipped-large") for v in verification.values())
-        return outputs, verification, ok
+        return outputs, verification
 
     from .core import edge_array
-    from .homog import definable_homogeneous_search
+    from .homog import EXACT_TUPLE_BUDGET, definable_homogeneous_search
     H, measures = _load_instance(args.infile, files)
     require(args.m is not None, "--m is required in graph mode")
+    budget = EXACT_TUPLE_BUDGET if args.budget is None else args.budget
     res = definable_homogeneous_search(H, measures[0], args.epsilon, args.m,
-                                       budget=args.budget or 1_000_000,
-                                       seed=args.seed or 0)
+                                       budget=budget, seed=args.seed or 0)
     outputs = {"mode": "boolean-combinations", "found": res.found,
                "examined": res.examined, "exhaustive": res.exhaustive}
     if res.found:
@@ -402,15 +407,13 @@ def _cmd_rodl_search(args, files):
             "strictly_outside_band": e_num * ed < en * tot
             or (tot - e_num) * ed < en * tot,
         }
-        ok = all(v is True for v in verification.values())
     else:
         n = H.part_sizes[0]
         covered = res.examined == comb(n, min(args.m, n)) if res.exhaustive \
-            else res.examined == (args.budget or 1_000_000)
+            else res.examined == budget
         verification = {"scan_covered_claim": covered,
                         "note": "absence of a witness is a valid outcome"}
-        ok = covered
-    return outputs, verification, ok
+    return outputs, verification
 
 
 # The one `gen` kind that reads each kind-specific flag: (dest, flag, kind).
@@ -423,12 +426,7 @@ def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
     kind = args.kind
-    params = []
-    for dest, flag, reader in _GEN_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            require(kind == reader, f"--{flag} applies only to {reader}, not {kind}")
-            params.append((flag, value))
+    params = _given_flags(args, _GEN_FLAGS, kind)
     if kind == "dyadic-export":
         require(args.sizes is None, "--sizes does not apply to dyadic-export: "
                 "its sizes are 2^depth")
@@ -450,7 +448,7 @@ def _cmd_gen(args, files):
         # --out names the instance file; the report still goes to stdout
         files["out"] = dump_json(outputs, args.out)
         args.out = None
-    return outputs, verification, verification["roundtrip_equal"]
+    return outputs, verification
 
 
 def _cmd_selftest(args, files):
@@ -459,9 +457,8 @@ def _cmd_selftest(args, files):
     for r in rep.results:
         tag = "PASS" if r["ok"] else "FAIL"
         print(f"{tag} {r['name']}: {r['detail']}", file=sys.stderr)
-    outputs = {"passed": rep.passed, "failed": rep.failed}
-    verification = {"results": rep.results, "all_passed": rep.ok}
-    return outputs, verification, rep.ok
+    return ({"passed": rep.passed, "failed": rep.failed},
+            {"results": rep.results, "all_passed": rep.ok})
 
 
 # ------------------------------------------------------------ arg plumbing
@@ -638,6 +635,10 @@ _HANDLERS = {
 
 _FLAG_SKIP = {"cmd", "sub", "out"}
 
+# Verification entries that carry figures, not verdicts (see "Exit codes").
+DATA_KEYS = frozenset({"violations", "sigma_mass", "box_count", "class_counts",
+                       "note", "results", "edge_count", "measured"})
+
 
 def _emit(report: dict, out_path: str | None):
     if out_path:
@@ -667,8 +668,10 @@ def main(argv=None) -> int:
         report["subcommand"] = args.cmd if sub is None else f"{args.cmd} {sub}"
         inputs["flags"] = {k: v for k, v in vars(args).items()
                            if k not in _FLAG_SKIP and v is not None}
-        outputs, verification, ok = _HANDLERS[(args.cmd, sub)](args, inputs["files"])
-        require(bool(verification), "internal: empty verification section")
+        outputs, verification = _HANDLERS[(args.cmd, sub)](args, inputs["files"])
+        verdicts = [v for k, v in verification.items() if k not in DATA_KEYS]
+        require(bool(verdicts), "internal: no verdict in the verification section")
+        ok = all(v is True or v == "skipped-large" for v in verdicts)
         report.update({"outputs": outputs, "verification": verification, "ok": ok})
         code = 0 if ok else 1
     except InputError as exc:

@@ -51,6 +51,7 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
             "eps must be in (0, 1/2)")
     require(1 <= m <= MAX_COMPLEXITY,
             f"complexity cap is {MAX_COMPLEXITY}; the atom count grows double-exponentially")
+    require(budget >= 1, f"budget must be >= 1, not {budget}")
     n = H.part_sizes[0]
     m = min(m, n)
     nums, den = mu.numerators()

@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DepthCapExceeded, VerificationError, ZeroMeasureBox
+from .errors import DepthCapExceeded, VerificationError
 from .jsonio import require
 
 
@@ -102,40 +102,6 @@ def brute_density(H: Hypergraph, measures, box: Box) -> Fraction:
     if total == 0:
         raise ZeroDivisionError("box has measure zero")
     return Fraction(hit, total)
-
-
-def one_pass_box_counts(H: Hypergraph, measures, classes, keys) -> list[tuple[int, int]]:
-    """(edge numerator, box numerator) of each box in `keys`, a key being one
-    class index per part, both over the product of the measures' common
-    denominators. One pass over the edges adds each edge's numerator product
-    to its box; a box's total is the product of its sides' numerator sums.
-    Plain Python, so it checks partitions independently of the box-sum
-    kernel that builds them. A key whose box has total 0 is a ZeroMeasureBox."""
-    require(len(measures) == H.k == len(classes), "need one measure and one class list per part")
-    nums = [m.numerators()[0] for m in measures]
-    owner = []
-    for n, part in zip(H.part_sizes, classes):
-        row = [-1] * n
-        for c, members in enumerate(part):
-            for v in members:
-                row[v] = c
-        owner.append(row)
-    hits: dict = {}
-    for e in edge_set(H):
-        key = tuple(o[v] for o, v in zip(owner, e))
-        w = 1
-        for ns, v in zip(nums, e):
-            w *= ns[v]
-        hits[key] = hits.get(key, 0) + w
-    sides = [[sum(ns[v] for v in members) for members in part]
-             for ns, part in zip(nums, classes)]
-    out = []
-    for key in keys:
-        total = math.prod(s[c] for s, c in zip(sides, key))
-        if total == 0:
-            raise ZeroMeasureBox(f"box {list(key)} has measure zero")
-        out.append((hits.get(key, 0), total))
-    return out
 
 
 def brute_boxes_membership(boxes, t) -> bool:

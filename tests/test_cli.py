@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import vcreg
-from vcreg.cli import _build_parser, main
+from vcreg.cli import DATA_KEYS, _build_parser, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcreg.__file__)))
 
@@ -133,11 +133,75 @@ def test_every_computing_report_has_verification(tmp_path):
         ["convexity", "density", "--n", "8"],
         ["convexity", "involution", "--interval", "1..5"],
         ["rodl", "search", "--depth", "5", "--eps", "1/3"],
+        ["gen", "half-graph", "--sizes", "8,8"],
+        ["selftest", "core.fiber"],
     ):
         code, rep = report(argv)
         assert code == 0, (argv, rep.get("error"))
+        assert rep["ok"] is (code == 0), argv
         assert rep["verification"], argv
-        assert rep["ok"], argv
+        for key, value in rep["verification"].items():
+            assert value is True or value == "skipped-large" or key in DATA_KEYS, (argv, key)
+
+
+def test_data_keys_are_the_figures_only():
+    assert DATA_KEYS == {"violations", "sigma_mass", "box_count", "class_counts",
+                         "note", "results", "edge_count", "measured"}
+
+
+@pytest.mark.parametrize("verification, code", [
+    ({"check": True, "note": "a figure"}, 0),
+    ({"check": "skipped-large", "violations": []}, 0),
+    ({"check": True, "other": False}, 1),
+    ({"check": None}, 1),
+    ({"check": 1}, 1),
+    ({"check": "true"}, 1),
+    ({"note": "no verdict at all"}, 2),
+])
+def test_verdict_rule_fails_closed(monkeypatch, verification, code):
+    import vcreg.cli
+    monkeypatch.setitem(vcreg.cli._HANDLERS, ("dyadic", "report"),
+                        lambda args, files: ({}, verification))
+    got, rep = report(["dyadic", "report", "--depth", "2"])
+    assert got == code and rep["ok"] is (code == 0)
+
+
+def _flip_rect_recount(monkeypatch):
+    import vcreg.oracles
+    real = vcreg.oracles.brute_union_mass_error
+    monkeypatch.setattr(vcreg.oracles, "brute_union_mass_error",
+                        lambda *a: real(*a) + Fraction(1, 1 << 20))
+
+
+def _flip_homogeneity(monkeypatch):
+    import vcreg.regularity
+    monkeypatch.setattr(vcreg.regularity, "exactly_homogeneous", lambda *a: False)
+
+
+def _flip_roundtrip(monkeypatch):
+    # the reader drops every edge of the instance written
+    from vcreg.core import Hypergraph
+    real = Hypergraph.from_obj
+    monkeypatch.setattr(Hypergraph, "from_obj", lambda obj: real({**obj, "edges": []}))
+
+
+@pytest.mark.parametrize("argv, flip, check", [
+    (["reg", "rect", "--epsilon", "1/2"], _flip_rect_recount, "brute_recount_equal"),
+    (["stable", "partition", "--epsilon", "1/4"], _flip_homogeneity,
+     "all_boxes_exactly_homogeneous"),
+    (["gen", "half-graph", "--sizes", "8,8"], _flip_roundtrip, "roundtrip_equal"),
+], ids=["reg rect", "stable partition", "gen"])
+def test_one_false_check_fails_the_run(tmp_path, monkeypatch, argv, flip, check):
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    if argv[0] != "gen":
+        argv = argv + ["--in", inst]
+    code, rep = report(argv)
+    assert code == 0 and rep["verification"][check] is True
+    flip(monkeypatch)
+    code, rep = report(argv)
+    assert code == 1 and rep["ok"] is False
+    assert rep["verification"][check] is False
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -180,17 +244,45 @@ def test_rodl_ball_mode_recounts_without_the_search_kernel(monkeypatch):
     assert code == 1 and rep["verification"]["deviation_recomputed_equal"] is False
 
 
-def test_rodl_graph_mode(write_json):
-    n = 12
+def _two_cliques(write_json, n=8):
     edges = [[x, y] for x in range(n) for y in range(n)
-             if x != y and (x < 6) == (y < 6)]
-    p = write_json("sym.json", {"hypergraph": {
+             if x != y and (x < n // 2) == (y < n // 2)]
+    return write_json("cliques.json", {"hypergraph": {
         "k": 2, "part_sizes": [n, n], "edges": edges, "symmetric": True}})
-    code, rep = report(["rodl", "search", "--in", p, "--eps", "1/8",
+
+
+def test_rodl_graph_mode(write_json):
+    code, rep = report(["rodl", "search", "--in", _two_cliques(write_json, 12), "--eps", "1/8",
                         "--m", "2"])
     assert code == 0
     assert rep["outputs"]["found"]
     assert rep["outputs"]["density"] == "1/1"
+
+
+def test_rodl_graph_mode_budget(write_json):
+    argv = ["rodl", "search", "--in", _two_cliques(write_json), "--eps", "1/8", "--m", "2"]
+    code, rep = report(argv)   # no --budget: all C(8, 2) = 28 tuples
+    assert code == 0 and rep["outputs"]["examined"] == 28 and rep["outputs"]["exhaustive"]
+    code, rep = report(argv + ["--budget", "1"])
+    assert code == 0 and rep["outputs"]["examined"] == 1
+    assert rep["outputs"]["exhaustive"] is False
+    for budget in ("0", "-5"):
+        code, rep = report(argv + ["--budget", budget])
+        assert code == 2 and rep["error"]["kind"] == "input", budget
+        assert rep["error"]["message"] == f"budget must be >= 1, not {budget}"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--depth", "6", "--m", "2"], "--m applies only to graph mode, not ball mode"),
+    (["--depth", "6", "--budget", "10"], "--budget applies only to graph mode, not ball mode"),
+    (["--depth", "6", "--seed", "0"], "--seed applies only to graph mode, not ball mode"),
+    (["--in", None, "--m", "2", "--depth", "6"],
+     "--depth applies only to ball mode, not graph mode"),
+])
+def test_rodl_refuses_a_flag_its_mode_does_not_read(write_json, extra, message):
+    extra = [_two_cliques(write_json) if x is None else x for x in extra]
+    code, rep = report(["rodl", "search", "--eps", "6/25", *extra])
+    assert code == 2 and rep["error"] == {"kind": "input", "message": message}
 
 
 def test_rodl_graph_mode_past_int64_weights(write_json):

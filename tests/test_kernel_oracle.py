@@ -3,19 +3,16 @@ atoms, packed row keys) against the tuple-enumerating oracles, in all three arit
 of the product-space denominator."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
-from vcreg import Box, Hypergraph, Measure, ZeroMeasureBox
+from vcreg import Hypergraph, Measure
 from vcreg.core import INT64_SAFE, SpaceWeights, atoms, box_counts, fiber_atoms, row_keys
-from vcreg.oracles import (brute_density, brute_fiber_atoms, brute_set_mass, edge_set,
-                           one_pass_box_counts)
+from vcreg.oracles import brute_fiber_atoms, brute_set_mass, edge_set
 from vcreg.regularity import recount_boxes
 from vcreg.vc import _collapsed_columns
 
@@ -43,26 +40,40 @@ def _classes(rng, n):
     return [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _classes_with_dead(rng, weights):
+    """A random partition of one part; half the time the weight-0 vertices
+    form classes of their own, whose boxes have mass 0."""
+    dead = [v for v, w in enumerate(weights) if w == 0]
+    live = [v for v, w in enumerate(weights) if w]
+    if not dead or rng.random() < 0.5:
+        return _classes(rng, len(weights))
+    return [[dead[i] for i in c] for c in _classes(rng, len(dead))] + \
+        [[live[i] for i in c] for c in _classes(rng, len(live))]
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
 def test_box_sums_match_oracle(seed, regime):
+    """The builders' box kernel and the verifier's recount, each against the
+    tuple sums of the oracle, boxes of mass 0 included."""
     rng = random.Random(seed)
     H, measures = _instance(rng, regime)
-    classes = [_classes(rng, n) for n in H.part_sizes]
-    counts, tot, edge, den = box_counts(H, measures, classes)
-    assert _regime(den) == regime
-    assert counts == [len(c) for c in classes]
-    keys = list(itertools.product(*map(range, counts)))
-    assert (tot.dtype == edge.dtype == np.int64) == (den < INT64_SAFE)
-    tot, edge = tot.tolist(), edge.tolist()
-    assert len(tot) == len(edge) == len(keys)
+    classes = [_classes_with_dead(rng, m.weights) for m in measures]
+    keys = list(itertools.product(*[range(len(c)) for c in classes]))
     edges = edge_set(H)
-    for key, t, e in zip(keys, tot, edge):
-        cell = list(itertools.product(*[classes[i][c] for i, c in enumerate(key)]))
-        assert type(t) is int and type(e) is int
-        assert Fraction(t, den) == brute_set_mass(H, measures, cell)
-        assert Fraction(e, den) == brute_set_mass(
-            H, measures, [x for x in cell if x in edges])
+    for kernel in (box_counts, recount_boxes):
+        counts, tot, edge, den = kernel(H, measures, classes)
+        assert _regime(den) == regime
+        assert counts == [len(c) for c in classes]
+        assert (tot.dtype == edge.dtype == np.int64) == (den < INT64_SAFE)
+        tot, edge = tot.tolist(), edge.tolist()
+        assert len(tot) == len(edge) == len(keys)
+        for key, t, e in zip(keys, tot, edge):
+            cell = list(itertools.product(*[classes[i][c] for i, c in enumerate(key)]))
+            assert type(t) is int and type(e) is int
+            assert Fraction(t, den) == brute_set_mass(H, measures, cell)
+            assert Fraction(e, den) == brute_set_mass(
+                H, measures, [x for x in cell if x in edges])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -121,59 +132,3 @@ def test_row_keys_dedup_matches_unique(n, width, pool, seed):
     assert _collapsed_columns(m) == want_cols
     if m.size:
         assert want_cols == sorted(np.unique(m, axis=1, return_index=True)[1].tolist())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
-def test_one_pass_box_counts_match_oracle(seed, regime):
-    rng = random.Random(seed)
-    H, measures = _instance(rng, regime)
-    assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
-    classes = [_classes(rng, n) for n in H.part_sizes]
-    keys = list(itertools.product(*map(range, map(len, classes))))
-    cells = {key: Box.of([classes[i][c] for i, c in enumerate(key)]) for key in keys}
-    empty = [key for key in keys
-             if brute_set_mass(H, measures, itertools.product(*cells[key].sides)) == 0]
-    for key in empty:
-        with pytest.raises(ZeroMeasureBox):
-            one_pass_box_counts(H, measures, classes, [key])
-    live = [key for key in keys if key not in empty]
-    counts = one_pass_box_counts(H, measures, classes, live)
-    assert len(counts) == len(live)
-    for key, (hit, total) in zip(live, counts):
-        assert type(hit) is int and type(total) is int and 0 <= hit <= total
-        assert Fraction(hit, total) == brute_density(H, measures, cells[key])
-
-
-def _classes_with_dead(rng, weights):
-    """A random partition of one part; half the time the weight-0 vertices
-    form classes of their own, whose boxes have mass 0."""
-    dead = [v for v, w in enumerate(weights) if w == 0]
-    live = [v for v, w in enumerate(weights) if w]
-    if not dead or rng.random() < 0.5:
-        return _classes(rng, len(weights))
-    return [[dead[i] for i in c] for c in _classes(rng, len(dead))] + \
-        [[live[i] for i in c] for c in _classes(rng, len(live))]
-
-
-@settings(max_examples=90, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES))
-def test_verifier_recount_matches_one_pass_oracle(seed, regime):
-    rng = random.Random(seed)
-    H, measures = _instance(rng, regime)
-    classes = [_classes_with_dead(rng, m.weights) for m in measures]
-    counts, tot, hit, den = recount_boxes(H, measures, classes)
-    assert _regime(den) == regime
-    assert counts == [len(c) for c in classes]
-    keys = list(itertools.product(*map(range, counts)))
-    tot, hit = tot.tolist(), hit.tolist()
-    assert len(tot) == len(hit) == len(keys)
-    assert all(type(t) is int and type(h) is int for t, h in zip(tot, hit))
-    live = [key for key, t in zip(keys, tot) if t]
-    assert [(h, t) for h, t in zip(hit, tot) if t] == \
-        one_pass_box_counts(H, measures, classes, live)
-    for key, h, t in zip(keys, hit, tot):
-        if not t:
-            assert h == 0
-            with pytest.raises(ZeroMeasureBox):
-                one_pass_box_counts(H, measures, classes, [key])
