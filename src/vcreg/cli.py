@@ -351,9 +351,10 @@ def _cmd_convexity_involution(args, files):
 
 
 # The one `rodl search` mode that reads each mode-specific flag: (dest, flag,
-# mode). --parity has a default, so an unread one cannot be told from none.
-_RODL_FLAGS = (("depth", "depth", "ball mode"), ("m", "m", "graph mode"),
-               ("budget", "budget", "graph mode"), ("seed", "seed", "graph mode"))
+# mode). --parity has no argparse default; _parse_args fills in ball mode's.
+_RODL_FLAGS = (("depth", "depth", "ball mode"), ("parity", "parity", "ball mode"),
+               ("m", "m", "graph mode"), ("budget", "budget", "graph mode"),
+               ("seed", "seed", "graph mode"))
 
 
 def _cmd_rodl_search(args, files):
@@ -488,6 +489,8 @@ def _parse_args(argv) -> argparse.Namespace:
         raise InputError(f"{exc}; unrecognized arguments: {' '.join(extras)}") from None
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.cmd == "rodl" and args.infile is None and args.parity is None:
+        args.parity = "odd"   # ball mode's default, recorded in its flags
     return args
 
 
@@ -593,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="instance JSON (graph mode)")
     p.add_argument("--eps", dest="epsilon", type=_rational, required=True)
     p.add_argument("--depth", type=int, help="ball-family mode on the split graph")
-    p.add_argument("--parity", choices=("odd", "even"), default="odd")
+    p.add_argument("--parity", choices=("odd", "even"), help="ball mode; default odd")
     p.add_argument("--m", type=int, help="fiber-combination complexity (graph mode)")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -110,14 +110,15 @@ def brute_boxes_membership(boxes, t) -> bool:
 
 def brute_union_mass_error(H: Hypergraph, measures, boxes) -> Fraction:
     """Exact mass of the symmetric difference between the relation and a
-    union of boxes, by enumerating the whole product space."""
+    union of boxes, both as tuple sets. The union holds each box's tuples
+    that lie in the product space: a side's vertex out of range counts
+    nothing, as in brute_boxes_membership cell by cell."""
     num, den = _tuple_num(H, measures)
-    edges = edge_set(H)
-    err = 0
-    for t in itertools.product(*[range(n) for n in H.part_sizes]):
-        if (t in edges) != brute_boxes_membership(boxes, t):
-            err += num(t)
-    return Fraction(err, den)
+    covered = set()
+    for b in boxes:
+        covered.update(itertools.product(*[[v for v in side if 0 <= v < n]
+                                           for side, n in zip(b.sides, H.part_sizes)]))
+    return Fraction(sum(map(num, edge_set(H) ^ covered)), den)
 
 
 def brute_fiber_atoms(H: Hypergraph, part: int, params) -> list[list[int]]:

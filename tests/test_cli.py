@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -173,6 +174,17 @@ def _flip_rect_recount(monkeypatch):
                         lambda *a: real(*a) + Fraction(1, 1 << 20))
 
 
+def _skew_rect_error(monkeypatch):
+    # the builder's side: the approximation reports an error off by 2^-20
+    import vcreg.regularity
+    real = vcreg.regularity.rectangular_approximation
+
+    def skewed(*a):
+        ra = real(*a)
+        return dataclasses.replace(ra, error=ra.error + Fraction(1, 1 << 20))
+    monkeypatch.setattr(vcreg.regularity, "rectangular_approximation", skewed)
+
+
 def _flip_homogeneity(monkeypatch):
     import vcreg.regularity
     monkeypatch.setattr(vcreg.regularity, "exactly_homogeneous", lambda *a: False)
@@ -187,10 +199,11 @@ def _flip_roundtrip(monkeypatch):
 
 @pytest.mark.parametrize("argv, flip, check", [
     (["reg", "rect", "--epsilon", "1/2"], _flip_rect_recount, "brute_recount_equal"),
+    (["reg", "rect", "--epsilon", "1/2"], _skew_rect_error, "brute_recount_equal"),
     (["stable", "partition", "--epsilon", "1/4"], _flip_homogeneity,
      "all_boxes_exactly_homogeneous"),
     (["gen", "half-graph", "--sizes", "8,8"], _flip_roundtrip, "roundtrip_equal"),
-], ids=["reg rect", "stable partition", "gen"])
+], ids=["reg rect", "reg rect builder", "stable partition", "gen"])
 def test_one_false_check_fails_the_run(tmp_path, monkeypatch, argv, flip, check):
     inst = str(tmp_path / "h.json")
     report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
@@ -201,7 +214,8 @@ def test_one_false_check_fails_the_run(tmp_path, monkeypatch, argv, flip, check)
     flip(monkeypatch)
     code, rep = report(argv)
     assert code == 1 and rep["ok"] is False
-    assert rep["verification"][check] is False
+    assert [k for k, v in rep["verification"].items()
+            if k not in DATA_KEYS and v not in (True, "skipped-large")] == [check]
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -234,6 +248,7 @@ def test_rodl_ball_mode_recounts_without_the_search_kernel(monkeypatch):
     code, rep = report(["rodl", "search", "--depth", "9", "--eps", "6/25"])
     assert code == 0 and rep["verification"] == {
         "deviation_recomputed_equal": "skipped-large"}
+    assert rep["inputs"]["flags"]["parity"] == "odd"   # ball mode's default
     import vcreg.cli
     import vcreg.dyadic
     import vcreg.homog
@@ -257,6 +272,7 @@ def test_rodl_graph_mode(write_json):
     assert code == 0
     assert rep["outputs"]["found"]
     assert rep["outputs"]["density"] == "1/1"
+    assert "parity" not in rep["inputs"]["flags"]   # graph mode reads none
 
 
 def test_rodl_graph_mode_budget(write_json):
@@ -278,6 +294,10 @@ def test_rodl_graph_mode_budget(write_json):
     (["--depth", "6", "--seed", "0"], "--seed applies only to graph mode, not ball mode"),
     (["--in", None, "--m", "2", "--depth", "6"],
      "--depth applies only to ball mode, not graph mode"),
+    (["--in", None, "--m", "2", "--parity", "even"],
+     "--parity applies only to ball mode, not graph mode"),
+    (["--in", None, "--m", "2", "--parity", "odd"],
+     "--parity applies only to ball mode, not graph mode"),
 ])
 def test_rodl_refuses_a_flag_its_mode_does_not_read(write_json, extra, message):
     extra = [_two_cliques(write_json) if x is None else x for x in extra]

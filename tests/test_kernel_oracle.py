@@ -17,10 +17,10 @@ from vcreg.regularity import recount_boxes
 from vcreg.vc import _collapsed_columns
 
 
-def _instance(rng, regime):
-    """A random relation on k <= 3 parts with zero weights, whose product
-    denominator lies in the given regime."""
-    k = rng.choice((1, 2, 3))
+def _instance(rng, regime, k=None):
+    """A random relation on k <= 3 parts (drawn when not given) with zero
+    weights, whose product denominator lies in the given regime."""
+    k = k or rng.choice((1, 2, 3))
     sizes = tuple(rng.randint(2, 5) for _ in range(k))
     cells = list(itertools.product(*[range(n) for n in sizes]))
     H = Hypergraph(sizes, frozenset(t for t in cells if rng.getrandbits(1)))

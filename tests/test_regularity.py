@@ -80,6 +80,23 @@ def test_rect_threeway_against_brute():
     assert ra.levels  # the per-level bound table is filled in
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("regime", REGIMES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_union_mass_error_matches_per_cell_enumeration(k, regime, seed, data):
+    # sides may be empty, repeat a vertex or hold one out of range (-1 or n)
+    H, measures = _instance(random.Random(seed), regime, k)
+    assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
+    box = st.tuples(*[st.lists(st.integers(-1, n), max_size=5).map(tuple)
+                      for n in H.part_sizes]).map(Box)
+    boxes = data.draw(st.lists(box, max_size=4))
+    edges = edge_set(H)
+    wrong = [t for t in itertools.product(*map(range, H.part_sizes))
+             if (t in edges) != brute_boxes_membership(boxes, t)]
+    assert brute_union_mass_error(H, measures, boxes) == brute_set_mass(H, measures, wrong)
+
+
 def test_regular_partition_blocks_is_exact():
     H = block_pair_graph(8, 2)
     mu = uniform_measures(H)
