@@ -30,6 +30,12 @@ measured). Any other value fails the run (exit 1).
 of its mass. The descents promise only density below eps or above 1 - eps,
 so this exact check can fail (exit 1) where the verifier passes.
 
+One table, `COMMANDS`, declares each subcommand's handler and flags: their
+argparse keywords, required state and the modes that read them (a `gen` kind;
+`rodl search` is in graph mode with `--in`, else in ball mode). The parser,
+the missing-flag message, the mode refusals and the dispatch read it. Every
+`--budget` is at least 1; `selftest` filters that match no check exit 2.
+
 The argparse tree is built once per process, and each handler imports the
 engine modules and oracles it needs. `dyadic` and `convexity` never load
 numpy, so the `dyadic` and `convexity` subcommands and `rodl search` without
@@ -94,6 +100,17 @@ def _parse_interval(s: str) -> IntegerInterval:
     raise argparse.ArgumentTypeError(f"interval must look like 'lo..hi', got {s!r}")
 
 
+def _budget(s: str) -> int:
+    """The one --budget type: a count of at least 1, so no run is vacuous."""
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"budget must be >= 1, not {n}")
+    return n
+
+
 def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
     instance file; measures default to uniform when the file has none."""
@@ -119,18 +136,6 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict):
     if "members" in obj and "ground_size" in obj:
         return SetFamily.from_obj(obj)
     return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), parts)
-
-
-def _given_flags(args, table, user: str) -> list:
-    """(flag, value) of each flag of `table`, rows (dest, flag, reader), that
-    was given; an InputError for one whose reader is not `user`."""
-    given = []
-    for dest, flag, reader in table:
-        value = getattr(args, dest)
-        if value is not None:
-            require(user == reader, f"--{flag} applies only to {reader}, not {user}")
-            given.append((flag, value))
-    return given
 
 
 # ---------------------------------------------------------------- handlers
@@ -332,6 +337,7 @@ def _cmd_dyadic_bound(args, files):
 
 def _cmd_convexity_density(args, files):
     from .oracles import brute_convexity_edges
+    require(args.n >= 3, f"--n must be >= 3, not {args.n}")
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
     n = len(iv)
@@ -350,17 +356,10 @@ def _cmd_convexity_involution(args, files):
     return {"interval": args.interval.to_obj(), "holds": holds}, {"involution_holds": holds}
 
 
-# The one `rodl search` mode that reads each mode-specific flag: (dest, flag,
-# mode). --parity has no argparse default; _parse_args fills in ball mode's.
-_RODL_FLAGS = (("depth", "depth", "ball mode"), ("parity", "parity", "ball mode"),
-               ("m", "m", "graph mode"), ("budget", "budget", "graph mode"),
-               ("seed", "seed", "graph mode"))
-
-
 def _cmd_rodl_search(args, files):
     graph = args.infile is not None
     require(graph or args.depth is not None, "--depth (ball mode) or --in (graph mode)")
-    _given_flags(args, _RODL_FLAGS, "graph mode" if graph else "ball mode")
+    _check_modes(args, ("rodl", "search"))
     if not graph:   # the ball scan, recounted by brute force to depth 8
         from .oracles import brute_dyadic_pair_count
         _check_depth(args)
@@ -417,18 +416,11 @@ def _cmd_rodl_search(args, files):
     return outputs, verification
 
 
-# The one `gen` kind that reads each kind-specific flag: (dest, flag, kind).
-# --seed is recorded in every spec, so every kind takes it.
-_GEN_FLAGS = (("blocks", "blocks", "block-union"), ("vc_cap", "cap", "random-vc-capped"),
-              ("depth", "depth", "dyadic-export"))
-
-
 def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
-    kind = args.kind
-    params = _given_flags(args, _GEN_FLAGS, kind)
-    if kind == "dyadic-export":
+    params = _check_modes(args, ("gen", None))
+    if args.kind == "dyadic-export":
         require(args.sizes is None, "--sizes does not apply to dyadic-export: "
                 "its sizes are 2^depth")
         require(args.depth is not None, "--depth is required for dyadic-export")
@@ -438,7 +430,7 @@ def _cmd_gen(args, files):
     else:
         require(args.sizes is not None, "--sizes is required")
         sizes = _parse_ints(args.sizes, "sizes")
-    spec = GeneratorSpec(kind, sizes, len(sizes), args.seed or 0, tuple(params))
+    spec = GeneratorSpec(args.kind, sizes, len(sizes), args.seed or 0, tuple(params))
     g = generate(spec)
     outputs = g.to_obj()
     back = Hypergraph.from_obj(outputs["hypergraph"])
@@ -455,6 +447,7 @@ def _cmd_gen(args, files):
 def _cmd_selftest(args, files):
     from .selftest import run_selftest
     rep = run_selftest(args.names or None)
+    require(bool(rep.results), f"no check name contains {' or '.join(map(repr, args.names))}")
     for r in rep.results:
         tag = "PASS" if r["ok"] else "FAIL"
         print(f"{tag} {r['name']}: {r['detail']}", file=sys.stderr)
@@ -462,7 +455,91 @@ def _cmd_selftest(args, files):
             {"results": rep.results, "all_passed": rep.ok})
 
 
-# ------------------------------------------------------------ arg plumbing
+# ------------------------------------------------------------ command table
+
+# Flag rows of several subcommands: (name, argparse keywords).
+_IN = ("--in", {"dest": "infile", "required": True, "help": "instance or family JSON"})
+_EPSILON = ("--epsilon", {"type": _rational, "required": True, "help": "exact rational like 1/4"})
+_OUT = ("--out", {"help": "write the report here (atomic)"})
+_PARTS = ("--parts", {"default": "0"})
+_CAP = ("--cap", {"type": int, "default": 8})
+_BUDGET = ("--budget", {"type": _budget})
+_DEPTH = ("--depth", {"type": int, "required": True})
+_PARITY = ("--parity", {"choices": ("odd", "even"), "default": "odd", "help": "default odd"})
+_PREFIX = ("--prefix", {"action": "append",
+                        "help": "ball prefix; repeat for a union; first is B for `bound`"})
+
+# Each subcommand, declared once: (cmd, sub) -> (handler, mode, *flag rows).
+# A row is (name, argparse keywords, modes that read it...); "required" is
+# checked by _parse_args. `mode` maps parsed flags to the run's mode; a row
+# naming modes is refused in the others (_check_modes), defaulted in its own.
+COMMANDS = {
+    ("vc", "dim"): (_cmd_vc_dim, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
+    ("vc", "shatter"): (_cmd_vc_shatter, None, _IN, _OUT, _PARTS,
+                        ("--n", {"type": int, "required": True})),
+    ("vc", "net"): (
+        _cmd_vc_net, None, _IN, _EPSILON, _OUT, _PARTS,
+        ("--strategy", {"choices": ("greedy", "random"), "default": "greedy"}),
+        ("--seed", {"type": int}), ("--weights", {"help": "Measure JSON for the ground set"})),
+    ("reg", "partition"): (
+        _cmd_reg_partition, None, _IN, _EPSILON, _OUT,
+        ("--uniform", {"action": "store_true", "help": "symmetric single-partition variant"})),
+    ("reg", "verify"): (
+        _cmd_reg_verify, None, _IN, _OUT,
+        ("--epsilon", {"type": _rational, "help": "check at this epsilon, not the partition's"}),
+        ("--partition", {"required": True, "help": "partition JSON or a prior report"})),
+    ("reg", "rect"): (_cmd_reg_rect, None, _IN, _EPSILON, _OUT),
+    ("reg", "eh-box"): (_cmd_reg_ehbox, None, _IN, _EPSILON, _OUT,
+                        ("--alpha", {"type": _rational, "required": True})),
+    ("stable", "ladder"): (_cmd_stable_ladder, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
+    ("stable", "partition"): (_cmd_stable_partition, None, _IN, _EPSILON, _OUT,
+                              ("--depth-cap", {"type": int})),
+    ("dyadic", "density"): (_cmd_dyadic_density, None, _OUT, _DEPTH, _PARITY, _PREFIX),
+    ("dyadic", "report"): (_cmd_dyadic_report, None, _OUT, _DEPTH, _PARITY),
+    ("dyadic", "bound"): (_cmd_dyadic_bound, None, _OUT, _DEPTH, _PARITY, _PREFIX),
+    ("convexity", "density"): (
+        _cmd_convexity_density, None, _OUT, ("--n", {"type": int, "required": True}),
+        ("--interval", {"type": _parse_interval})),
+    ("convexity", "involution"): (_cmd_convexity_involution, None, _OUT,
+                                  ("--interval", {"type": _parse_interval, "required": True})),
+    ("rodl", "search"): (
+        _cmd_rodl_search, lambda args: "ball mode" if args.infile is None else "graph mode",
+        _OUT, ("--in", {"dest": "infile", "help": "instance JSON (graph mode)"}),
+        ("--eps", {"dest": "epsilon", "type": _rational, "required": True}),
+        ("--depth", {"type": int, "help": "scan the split graph's balls"}, "ball mode"),
+        (*_PARITY, "ball mode"),
+        ("--m", {"type": int, "help": "fiber-combination complexity"}, "graph mode"),
+        (*_BUDGET, "graph mode"), ("--seed", {"type": int}, "graph mode")),
+    # --seed is recorded in every spec, so every kind takes it
+    ("gen", None): (
+        _cmd_gen, lambda args: args.kind,
+        ("kind", {"choices": KINDS, "nargs": "?", "required": True}),
+        ("--sizes", {"help": "comma-separated part sizes, e.g. 16,16"}),
+        ("--seed", {"type": int, "default": 0}), ("--blocks", {"type": int}, "block-union"),
+        ("--cap", {"dest": "vc_cap", "type": int}, "random-vc-capped"),
+        ("--depth", {"type": int}, "dyadic-export"),
+        ("--out", {"help": "write the instance here (atomic)"})),
+    ("selftest", None): (_cmd_selftest, None, _OUT,
+                         ("names", {"nargs": "*", "help": "substring filters on check names"})),
+}
+
+
+def _dest(name: str, kw: dict) -> str:
+    return kw.get("dest", name.lstrip("-").replace("-", "_"))
+
+
+def _check_modes(args, key) -> list:
+    """(flag, value) of each set flag of COMMANDS[key] that only some modes
+    read, in table order; an InputError for one the run's mode does not read."""
+    _, mode, *rows = COMMANDS[key]
+    user, given = mode(args), []
+    for name, kw, *modes in rows:
+        value = getattr(args, _dest(name, kw))
+        if modes and value is not None:
+            require(user in modes, f"{name} applies only to {' or '.join(modes)}, not {user}")
+            given.append((name.lstrip("-"), value))
+    return given
+
 
 class _Parser(argparse.ArgumentParser):
     """No prefix matching (`--d` is not `--depth`) and parse errors as InputError,
@@ -475,166 +552,54 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """parse_args on the one tree. argparse checks required flags before it
-    sets unknown ones aside, so a failed parse is run again with no flag
-    required, and the unknown flags that one finds join its InputError."""
-    parser = _build_parser()
-    try:
-        args, extras = parser.parse_known_args(argv)
-    except InputError as exc:
-        extras = _unknown_without_required(parser, argv)
-        if not extras:
-            raise
-        raise InputError(f"{exc}; unrecognized arguments: {' '.join(extras)}") from None
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.cmd == "rodl" and args.infile is None and args.parity is None:
-        args.parity = "odd"   # ball mode's default, recorded in its flags
-    return args
-
-
-def _unknown_without_required(parser: argparse.ArgumentParser, argv) -> list[str]:
-    """What parse_known_args sets aside from argv while no argument in the
-    tree is required; none if that parse fails as well."""
-    parsers, required = [parser], []
-    for p in parsers:
-        for action in p._actions:
-            if action.required:
-                required.append(action)
-                action.required = False
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    try:
-        return parser.parse_known_args(argv)[1]
-    except InputError:
-        return []
-    finally:
-        for action in required:
-            action.required = True
-
-
-# parse_args leaves the parser as it was, so one tree serves every call
-@functools.cache
+@functools.cache   # parsing leaves the tree as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS. It requires nothing, so that one parse
+    finds the missing arguments and the unknown ones; the help says which."""
     top = _Parser(prog="vcreg", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p, *, infile=False, epsilon=False):
-        if infile:
-            p.add_argument("--in", dest="infile", required=True,
-                           help="instance or family JSON")
-        if epsilon:
-            p.add_argument("--epsilon", type=_rational, required=True,
-                           help="exact rational like 1/4")
-        p.add_argument("--out", help="write the report here (atomic)")
-
-    vc = sub.add_parser("vc").add_subparsers(dest="sub", required=True)
-    p = vc.add_parser("dim")
-    common(p, infile=True)
-    p.add_argument("--parts", default="0")
-    p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--budget", type=int, default=None)
-    p = vc.add_parser("shatter")
-    common(p, infile=True)
-    p.add_argument("--parts", default="0")
-    p.add_argument("--n", type=int, required=True)
-    p = vc.add_parser("net")
-    common(p, infile=True, epsilon=True)
-    p.add_argument("--parts", default="0")
-    p.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", help="Measure JSON for the ground set")
-
-    reg = sub.add_parser("reg").add_subparsers(dest="sub", required=True)
-    for name in ("partition", "verify", "rect", "eh-box"):
-        p = reg.add_parser(name)
-        common(p, infile=True, epsilon=name != "verify")
-        if name == "partition":
-            p.add_argument("--uniform", action="store_true",
-                           help="symmetric single-partition variant")
-        if name == "verify":
-            p.add_argument("--epsilon", type=_rational,
-                           help="check at this epsilon, not the partition's")
-            p.add_argument("--partition", required=True,
-                           help="partition JSON or a prior report")
-        if name == "eh-box":
-            p.add_argument("--alpha", type=_rational, required=True)
-
-    st = sub.add_parser("stable").add_subparsers(dest="sub", required=True)
-    p = st.add_parser("ladder")
-    common(p, infile=True)
-    p.add_argument("--parts", default="0")
-    p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--budget", type=int, default=None)
-    p = st.add_parser("partition")
-    common(p, infile=True, epsilon=True)
-    p.add_argument("--depth-cap", dest="depth_cap", type=int, default=None)
-
-    dy = sub.add_parser("dyadic").add_subparsers(dest="sub", required=True)
-    for name in ("density", "report", "bound"):
-        p = dy.add_parser(name)
-        common(p)
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--parity", choices=("odd", "even"), default="odd")
-        if name != "report":
-            p.add_argument("--prefix", action="append",
-                           help="ball prefix; repeat for a union; first is B for `bound`")
-
-    cv = sub.add_parser("convexity").add_subparsers(dest="sub", required=True)
-    p = cv.add_parser("density")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--interval", type=_parse_interval)
-    p = cv.add_parser("involution")
-    common(p)
-    p.add_argument("--interval", type=_parse_interval, required=True)
-
-    ro = sub.add_parser("rodl").add_subparsers(dest="sub", required=True)
-    p = ro.add_parser("search")
-    common(p)
-    p.add_argument("--in", dest="infile", help="instance JSON (graph mode)")
-    p.add_argument("--eps", dest="epsilon", type=_rational, required=True)
-    p.add_argument("--depth", type=int, help="ball-family mode on the split graph")
-    p.add_argument("--parity", choices=("odd", "even"), help="ball mode; default odd")
-    p.add_argument("--m", type=int, help="fiber-combination complexity (graph mode)")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("gen")
-    p.add_argument("kind", choices=KINDS)
-    p.add_argument("--sizes", help="comma-separated part sizes, e.g. 16,16")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--cap", dest="vc_cap", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out", help="write the instance here (atomic)")
-
-    p = sub.add_parser("selftest")
-    p.add_argument("names", nargs="*", help="substring filters on check names")
-    p.add_argument("--out", help="write the report here (atomic)")
+    cmds, groups = top.add_subparsers(dest="cmd"), {}
+    for (cmd, sub), (_, _, *rows) in COMMANDS.items():
+        if sub is None:
+            p = cmds.add_parser(cmd)
+        else:
+            if cmd not in groups:
+                groups[cmd] = cmds.add_parser(cmd).add_subparsers(dest="sub")
+            p = groups[cmd].add_parser(sub)
+        for name, kw, *modes in rows:
+            kw, notes = dict(kw), [f"{' or '.join(modes)} only"] if modes else []
+            if modes:
+                kw.pop("default", None)   # _parse_args fills it in those modes
+            if kw.pop("required", False):
+                notes.append("required")
+            if notes:
+                kw["help"] = f"{kw.get('help', '')} ({'; '.join(notes)})".lstrip()
+            p.add_argument(name, **kw)
     return top
 
 
-_HANDLERS = {
-    ("vc", "dim"): _cmd_vc_dim,
-    ("vc", "shatter"): _cmd_vc_shatter,
-    ("vc", "net"): _cmd_vc_net,
-    ("reg", "partition"): _cmd_reg_partition,
-    ("reg", "verify"): _cmd_reg_verify,
-    ("reg", "rect"): _cmd_reg_rect,
-    ("reg", "eh-box"): _cmd_reg_ehbox,
-    ("stable", "ladder"): _cmd_stable_ladder,
-    ("stable", "partition"): _cmd_stable_partition,
-    ("dyadic", "density"): _cmd_dyadic_density,
-    ("dyadic", "report"): _cmd_dyadic_report,
-    ("dyadic", "bound"): _cmd_dyadic_bound,
-    ("convexity", "density"): _cmd_convexity_density,
-    ("convexity", "involution"): _cmd_convexity_involution,
-    ("rodl", "search"): _cmd_rodl_search,
-    ("gen", None): _cmd_gen,
-    ("selftest", None): _cmd_selftest,
-}
+def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
+    """(cmd, sub) and the flags of one parse. The missing arguments COMMANDS
+    requires are named with the unknown ones, as argparse names them; a mode
+    flag's default is filled in the modes that read it."""
+    args, extras = _build_parser().parse_known_args(argv)
+    key = (args.cmd, getattr(args, "sub", None))
+    if key in COMMANDS:
+        missing = [name for name, kw, *_ in COMMANDS[key][2:]
+                   if kw.get("required") and getattr(args, _dest(name, kw)) is None]
+    else:
+        missing = ["sub" if args.cmd else "cmd"]
+    errors = [f"the following arguments are required: {', '.join(missing)}"] * bool(missing) \
+        + [f"unrecognized arguments: {' '.join(extras)}"] * bool(extras)
+    if errors:   # argparse names the missing in the subparser, the unknown at the top
+        prog = " ".join(filter(None, ("vcreg", *key))) if missing else "vcreg"
+        raise InputError(f"{prog}: {'; '.join(errors)}")
+    _, mode, *rows = COMMANDS[key]
+    for name, kw, *modes in rows:
+        dest = _dest(name, kw)
+        if modes and "default" in kw and getattr(args, dest) is None and mode(args) in modes:
+            setattr(args, dest, kw["default"])
+    return key, args
+
 
 _FLAG_SKIP = {"cmd", "sub", "out"}
 
@@ -664,14 +629,13 @@ def main(argv=None) -> int:
     args = None
     try:
         try:
-            args = _parse_args(argv)
+            key, args = _parse_args(argv)
         except SystemExit:   # --help wrote its text; parse errors raise InputError
             return 0
-        sub = args.__dict__.get("sub")
-        report["subcommand"] = args.cmd if sub is None else f"{args.cmd} {sub}"
+        report["subcommand"] = " ".join(filter(None, key))
         inputs["flags"] = {k: v for k, v in vars(args).items()
                            if k not in _FLAG_SKIP and v is not None}
-        outputs, verification = _HANDLERS[(args.cmd, sub)](args, inputs["files"])
+        outputs, verification = COMMANDS[key][0](args, inputs["files"])
         verdicts = [v for k, v in verification.items() if k not in DATA_KEYS]
         require(bool(verdicts), "internal: no verdict in the verification section")
         ok = all(v is True or v == "skipped-large" for v in verdicts)

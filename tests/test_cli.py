@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 import vcreg
+from vcreg import cli
 from vcreg.cli import DATA_KEYS, _build_parser, main
+from vcreg.jsonio import KINDS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcreg.__file__)))
 
@@ -161,8 +163,9 @@ def test_data_keys_are_the_figures_only():
 ])
 def test_verdict_rule_fails_closed(monkeypatch, verification, code):
     import vcreg.cli
-    monkeypatch.setitem(vcreg.cli._HANDLERS, ("dyadic", "report"),
-                        lambda args, files: ({}, verification))
+    key = ("dyadic", "report")
+    monkeypatch.setitem(vcreg.cli.COMMANDS, key, (lambda args, files: ({}, verification),
+                                                  *vcreg.cli.COMMANDS[key][1:]))
     got, rep = report(["dyadic", "report", "--depth", "2"])
     assert got == code and rep["ok"] is (code == 0)
 
@@ -285,7 +288,8 @@ def test_rodl_graph_mode_budget(write_json):
     for budget in ("0", "-5"):
         code, rep = report(argv + ["--budget", budget])
         assert code == 2 and rep["error"]["kind"] == "input", budget
-        assert rep["error"]["message"] == f"budget must be >= 1, not {budget}"
+        assert rep["error"]["message"] == \
+            f"vcreg rodl search: argument --budget: budget must be >= 1, not {budget}"
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -333,6 +337,10 @@ def test_selftest_subcommand_filter():
     ran = {r["name"].split(".")[0] for r in rep["verification"]["results"]}
     assert ran == {"core", "vc", "regularity", "stable", "dyadic", "convexity",
                    "search", "instances"}
+    # a filter that matches no check runs none: an input error, not a failed check
+    code, rep = report(["selftest", "nosuch"])
+    assert code == 2 and rep["error"] == {"kind": "input",
+                                          "message": "no check name contains 'nosuch'"}
 
 
 def test_rational_outputs_never_use_floats(tmp_path):
@@ -706,10 +714,17 @@ def test_vc_shatter_checks_each_field_on_its_own(tmp_path, monkeypatch):
 def test_negative_budget_is_input_error(tmp_path, argv):
     inst = str(tmp_path / "half.json")
     report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
-    code, rep = report(argv + ["--in", inst, "--budget", "-1"])
-    assert code == 2 and not rep["ok"]
-    assert rep["error"]["kind"] == "input"
-    assert "budget" in rep["error"]["message"]
+    for budget in ("-1", "0"):
+        code, rep = report(argv + ["--in", inst, "--budget", budget])
+        assert code == 2 and not rep["ok"]
+        assert rep["error"]["kind"] == "input"
+        assert "budget" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("n", ["0", "2", "-1"])
+def test_convexity_density_names_an_n_below_three(n):
+    code, rep = report(["convexity", "density", "--n", n])
+    assert code == 2 and rep["error"] == {"kind": "input", "message": f"--n must be >= 3, not {n}"}
 
 
 def _half8_partition(tmp_path):
@@ -944,32 +959,32 @@ def test_refused_flag_value_keeps_its_reason(argv, reason):
     assert reason in _parse_error(argv)
 
 
-# every flag a run of the subcommand needs, with a value that parses
-_REQUIRED = {
-    "vc dim": {"--in": "f.json"},
-    "vc shatter": {"--in": "f.json", "--n": "2"},
-    "vc net": {"--in": "f.json", "--epsilon": "1/4"},
-    "reg partition": {"--in": "h.json", "--epsilon": "1/4"},
-    "reg verify": {"--in": "h.json", "--partition": "p.json"},
-    "reg rect": {"--in": "h.json", "--epsilon": "1/4"},
-    "reg eh-box": {"--in": "h.json", "--epsilon": "1/4", "--alpha": "1/2"},
-    "stable ladder": {"--in": "h.json"},
-    "stable partition": {"--in": "h.json", "--epsilon": "1/8"},
-    "dyadic density": {"--depth": "4"},
-    "dyadic report": {"--depth": "4"},
-    "dyadic bound": {"--depth": "4"},
-    "convexity density": {"--n": "10"},
-    "convexity involution": {"--interval": "3..9"},
-    "rodl search": {"--eps": "1/4"},
-}
+def _sample(kw):
+    """A value of the flag's type that parses."""
+    if "choices" in kw:
+        return kw["choices"][0]
+    return {cli._rational: "1/4", int: "4", cli._budget: "4", cli._parse_interval: "3..9",
+            None: "h.json"}[kw.get("type")]
+
+
+# every argument a run of the subcommand needs, with a value that parses
+_REQUIRED = {" ".join(filter(None, key)): {name: _sample(kw) for name, kw, *_ in rows
+                                           if kw.get("required")}
+             for key, (_, _, *rows) in cli.COMMANDS.items()
+             if any(kw.get("required") for _, kw, *_ in rows)}
+
+
+def _argv(name, flags):
+    """The subcommand with each (flag, value); a positional gives its value only."""
+    return name.split() + [x for flag, value in flags
+                           for x in ((flag, value) if flag.startswith("-") else (value,))]
 
 
 @pytest.mark.parametrize("name, missing", [(name, flag) for name, flags in _REQUIRED.items()
                                            for flag in flags])
 def test_missing_required_flag_is_named(name, missing):
-    argv = name.split() + [x for flag, value in _REQUIRED[name].items()
-                           if flag != missing for x in (flag, value)]
-    message = _parse_error(argv)
+    message = _parse_error(_argv(name, [(flag, value) for flag, value in _REQUIRED[name].items()
+                                        if flag != missing]))
     assert "the following arguments are required" in message and missing in message
 
 
@@ -983,21 +998,47 @@ def test_missing_and_unknown_flags_are_named_together(argv, named):
     message = _parse_error(argv)
     assert "the following arguments are required" in message
     assert all(x in message for x in named), message
-    # the second parse left every flag as required as it was
+    # a refused parse leaves the next one as it was
     assert "arguments are required: --in, --epsilon" in _parse_error(["stable", "partition"])
 
 
 @pytest.mark.parametrize("name", sorted(_REQUIRED))
 def test_required_flags_are_all_a_run_needs_to_parse(name):
     # past the parser: the report names its subcommand (missing files are input errors)
-    code, rep = report(name.split() + [x for kv in _REQUIRED[name].items() for x in kv])
+    code, rep = report(_argv(name, _REQUIRED[name].items()))
     assert rep["subcommand"] == name
     assert code == 0 or rep["error"]["kind"] == "input"
+
+
+# an argv that puts a subcommand whose flags differ by mode in each mode
+_MODE_ARGV = {
+    ("gen", None): {kind: ["gen", kind] for kind in KINDS},
+    ("rodl", "search"): {"ball mode": ["rodl", "search", "--eps", "1/4", "--depth", "6"],
+                         "graph mode": ["rodl", "search", "--eps", "1/4", "--in", "h.json"]},
+}
+
+
+@pytest.mark.parametrize("key, flag, kw, modes, other", [
+    pytest.param(key, name, kw, modes, other, id=f"{key[0]} {name} in {other}")
+    for key, (_, _, *rows) in cli.COMMANDS.items() for name, kw, *modes in rows if modes
+    for other in _MODE_ARGV[key] if other not in modes])
+def test_every_other_mode_refuses_a_mode_flag(key, flag, kw, modes, other):
+    assert set(modes) < set(_MODE_ARGV[key])   # every mode named is one a run can be in
+    code, rep = report(_MODE_ARGV[key][other] + [flag, _sample(kw)])
+    assert code == 2 and rep["error"] == {
+        "kind": "input", "message": f"{flag} applies only to {' or '.join(modes)}, not {other}"}
 
 
 def test_help_exits_zero_without_a_report():
     code, out, _ = run(["--help"])
     assert code == 0 and out.startswith("usage: vcreg")
+
+
+def test_subcommand_help_marks_the_required_flags():
+    code, out, _ = run(["vc", "net", "--help"])
+    assert code == 0 and out.startswith("usage: vcreg vc net")
+    marked = {line.split()[0] for line in out.splitlines() if line.endswith("(required)")}
+    assert marked == {"--in", "--epsilon"}
 
 
 @pytest.mark.parametrize("argv", [
