@@ -34,7 +34,8 @@ One table, `COMMANDS`, declares each subcommand's handler and flags: their
 argparse keywords, required state and the modes that read them (a `gen` kind;
 `rodl search` is in graph mode with `--in`, else in ball mode). The parser,
 the missing-flag message, the mode refusals and the dispatch read it. Every
-`--budget` is at least 1; `selftest` filters that match no check exit 2.
+`--budget` is at least 1; `selftest` filters that match no check exit 2;
+`vc dim`, `vc shatter` and `vc net` refuse `--parts` on a set family file.
 
 The argparse tree is built once per process, and each handler imports the
 engine modules and oracles it needs. `dyadic` and `convexity` never load
@@ -127,15 +128,18 @@ def _load_instance(path: str, files: dict):
     return H, measures
 
 
-def _load_family(path: str, parts: tuple[int, ...], files: dict):
+def _load_family(args, files: dict):
+    """A family file as it is (refusing --parts), or a hypergraph's fibers over --parts."""
     from .core import Hypergraph
     from .vc import SetFamily, fiber_family
-    obj, digest = load_json(path)
-    require(isinstance(obj, dict), f"{path} must hold a JSON object")
+    obj, digest = load_json(args.infile)
+    require(isinstance(obj, dict), f"{args.infile} must hold a JSON object")
     files["in"] = digest
     if "members" in obj and "ground_size" in obj:
+        require("parts" in args.defaulted,
+                "--parts applies only to a hypergraph input, not a set family")
         return SetFamily.from_obj(obj)
-    return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), parts)
+    return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), _parse_parts(args.parts))
 
 
 # ---------------------------------------------------------------- handlers
@@ -143,7 +147,7 @@ def _load_family(path: str, parts: tuple[int, ...], files: dict):
 def _cmd_vc_dim(args, files):
     from .oracles import brute_shatters
     from .vc import vc_dimension
-    fam = _load_family(args.infile, _parse_parts(args.parts), files)
+    fam = _load_family(args, files)
     d = vc_dimension(fam, cap=args.cap, budget=args.budget)
     outputs = {"value": d.value, "capped": d.capped,
                "budget_exhausted": d.budget_exhausted,
@@ -155,7 +159,7 @@ def _cmd_vc_dim(args, files):
 
 def _cmd_vc_shatter(args, files):
     from .vc import shatter_function
-    fam = _load_family(args.infile, _parse_parts(args.parts), files)
+    fam = _load_family(args, files)
     require(args.n >= 0, "--n must be nonnegative")
     # largest n first: a refusal (vc.MAX_SHATTER_SUBSETS) precedes the counts
     vals = [shatter_function(fam, n) for n in range(args.n, -1, -1)][::-1]
@@ -171,7 +175,7 @@ def _cmd_vc_shatter(args, files):
 def _cmd_vc_net(args, files):
     from .core import Measure
     from .vc import epsilon_net
-    fam = _load_family(args.infile, _parse_parts(args.parts), files)
+    fam = _load_family(args, files)
     if args.weights is None:
         mu = Measure.uniform(0, fam.ground_size)
     else:
@@ -382,9 +386,11 @@ def _cmd_rodl_search(args, files):
         return outputs, verification
 
     from .core import edge_array
-    from .homog import EXACT_TUPLE_BUDGET, definable_homogeneous_search
+    from .homog import EXACT_TUPLE_BUDGET, MAX_COMPLEXITY, definable_homogeneous_search
     H, measures = _load_instance(args.infile, files)
     require(args.m is not None, "--m is required in graph mode")
+    require(1 <= args.m <= MAX_COMPLEXITY, f"--m must be between 1 and {MAX_COMPLEXITY}, "
+            f"not {args.m}")
     budget = EXACT_TUPLE_BUDGET if args.budget is None else args.budget
     res = definable_homogeneous_search(H, measures[0], args.epsilon, args.m,
                                        budget=budget, seed=args.seed or 0)
@@ -567,8 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p = groups[cmd].add_parser(sub)
         for name, kw, *modes in rows:
             kw, notes = dict(kw), [f"{' or '.join(modes)} only"] if modes else []
-            if modes:
-                kw.pop("default", None)   # _parse_args fills it in those modes
+            kw.pop("default", None)   # _parse_args fills it in, where it applies
             if kw.pop("required", False):
                 notes.append("required")
             if notes:
@@ -579,8 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
     """(cmd, sub) and the flags of one parse. The missing arguments COMMANDS
-    requires are named with the unknown ones, as argparse names them; a mode
-    flag's default is filled in the modes that read it."""
+    requires are named with the unknown ones, as argparse names them. A flag's
+    default is filled in where it was not given, a mode flag's only in the
+    modes that read it; `args.defaulted` names the dests filled so."""
     args, extras = _build_parser().parse_known_args(argv)
     key = (args.cmd, getattr(args, "sub", None))
     if key in COMMANDS:
@@ -594,14 +600,16 @@ def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
         prog = " ".join(filter(None, ("vcreg", *key))) if missing else "vcreg"
         raise InputError(f"{prog}: {'; '.join(errors)}")
     _, mode, *rows = COMMANDS[key]
+    args.defaulted = set()
     for name, kw, *modes in rows:
         dest = _dest(name, kw)
-        if modes and "default" in kw and getattr(args, dest) is None and mode(args) in modes:
+        if "default" in kw and getattr(args, dest) is None and (not modes or mode(args) in modes):
             setattr(args, dest, kw["default"])
+            args.defaulted.add(dest)
     return key, args
 
 
-_FLAG_SKIP = {"cmd", "sub", "out"}
+_FLAG_SKIP = {"cmd", "sub", "out", "defaulted"}
 
 # Verification entries that carry figures, not verdicts (see "Exit codes").
 DATA_KEYS = frozenset({"violations", "sigma_mass", "box_count", "class_counts",

@@ -54,12 +54,10 @@ from .jsonio import format_rational, rational_terms, require
 
 # Largest product space a box count accepts, and largest binary-view side.
 MAX_DENSE_SPACE = 1 << 22
-# Largest dense boolean matrix (one byte per cell) built at once: the binary
-# view's fibers, a set family's matrix, the delta partition's fiber
-# differences. The differences are counted at one byte per cell although
-# they are held bit-packed, one eighth of that: `reg partition` on a
-# 384x384 half-graph at eps 1/4 counts about 27 MB of differences, a
-# 1024x1024 one about 504 MB.
+# Largest dense matrix built at once, in bytes: a boolean one at one byte per
+# cell (the binary view's fibers, a set family's matrix), and the delta
+# partition's float64 ones over m distinct fibers of w positions, three m x m
+# and four m x w at 8 m (3 m + 4 w): 8.3 MB on the 384x384 half-graph.
 MAX_DIFF_BYTES = 1 << 28
 # int64 sums and products stay exact while a bound on them is below this.
 INT64_SAFE = 1 << 62

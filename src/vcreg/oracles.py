@@ -243,12 +243,6 @@ def brute_greedy_net(members, weights, eps: Fraction) -> tuple[list[int], int]:
     return _brute_greedy(heavy), len(heavy)
 
 
-def brute_difference_rows(members, pairs) -> list[tuple[int, ...]]:
-    """The distinct symmetric differences of members[i] and members[j] over
-    the index pairs (i, j), as sorted member tuples in sorted order."""
-    return sorted({tuple(sorted(set(members[i]) ^ set(members[j]))) for i, j in pairs})
-
-
 def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
                      max_retries: int = 10) -> dict:
     """The seeded random eps-net: 8 d (1/eps) ln(1/eps) draws from the
@@ -272,10 +266,15 @@ def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
 
 
 def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts) -> dict:
-    """The delta partition by sets: every pairwise fiber difference, the
-    eps/2-net of the heavy ones, classes as fingerprint atoms over the net
-    (or by equal fibers when the net is not smaller than the measured side).
-    For eps <= 1 and inputs small enough for brute_vc_dimension."""
+    """The delta partition by sets: the greedy net over the pairs of
+    distinct fibers at distance >= eps/2, classes as fingerprint atoms over
+    the net (or by equal fibers when the net is not smaller than the measured
+    side). For eps <= 1 and inputs small enough for brute_vc_dimension.
+
+    The pairs (i, j), i < j, of fibers in the order of their 0/1 indicator
+    vectors: while some pair agrees on every point taken, the net takes the
+    point of the first such pair's symmetric difference that separates the
+    most of them, ties to the largest."""
     from .core import check_measures
     left = tuple(sorted(measured_parts))
     right = tuple(i for i in range(H.k) if i not in left)
@@ -287,7 +286,7 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     index = {a: p for p, a in enumerate(lefts)}
     edges = edge_set(H)
     fibers = [frozenset(index[a] for a in brute_fiber(H, left, b, edges)) for b in rights]
-    distinct = sorted({tuple(sorted(f)) for f in fibers})
+    distinct = sorted(set(fibers), key=lambda f: [p in f for p in range(len(lefts))])
     d = brute_vc_dimension(distinct, len(lefts), cap=8)
     meta = {"fiber_dimension": f">={d}" if d == 8 else str(d),
             "fiber_dimension_value": d, "trivial_params": len(lefts)}
@@ -295,15 +294,18 @@ def brute_delta_partition(H: Hypergraph, measures, eps: Fraction, measured_parts
     params = list(range(len(lefts)))
     path = "trivial"
     if len(distinct) > 1:
-        diffs = {tuple(sorted(set(f) ^ set(g)))
-                 for f, g in itertools.combinations(distinct, 2)}
-        points, _ = brute_greedy_net(diffs, weights, eps / 2)
-        net = sorted(set(points))
+        unhit = [(f, g) for f, g in itertools.combinations(distinct, 2)
+                 if sum((weights[p] for p in f ^ g), Fraction(0)) >= eps / 2]
+        net = []
+        while unhit:
+            f, g = unhit[0]
+            net.append(max(f ^ g, key=lambda v: (sum((v in a) != (v in b) for a, b in unhit), v)))
+            unhit = [(a, b) for a, b in unhit if (net[-1] in a) == (net[-1] in b)]
         bound = math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
         meta.update({"net_size": len(net), "net_param_bound": bound})
         if len(net) < len(lefts) and len(net) <= bound:
             keys = [frozenset(f & set(net)) for f in fibers]
-            params, path = net, "net"
+            params, path = sorted(net), "net"
     groups: dict = {}
     for r, key in enumerate(keys):
         groups.setdefault(key, []).append(r)

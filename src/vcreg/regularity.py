@@ -4,10 +4,10 @@ boxes approximating the relation, and 0-1 regular partitions.
 Everything is verified exactly as it is built. The plan:
 
   1. delta_approx_partition splits one side into classes whose fibers are
-     pairwise closer than eps in measure, using either an eps/2-net for the
-     fiber-difference family (classes = fingerprint atoms over the net) or
-     the trivial exact grouping by equal fibers, whichever needs the smaller
-     parameter set.
+     pairwise closer than eps in measure, using either a greedy eps/2-net
+     that separates every pair of fibers at distance >= eps/2 (classes =
+     fingerprint atoms over the net) or the trivial exact grouping by equal
+     fibers, whichever needs the smaller parameter set.
   2. rectangular_approximation recurses on the last coordinate: split it at
      eps/2, approximate each representative's fiber relation at eps/2, and
      glue. The exact symmetric-difference mass is computed fiberwise and
@@ -40,8 +40,7 @@ from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, Sp
                    weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
-from .vc import (ROW_BLOCK_BYTES, greedy_net, net_hits_all, packed_lex_keys,
-                 sauer_bound, vc_dimension_matrix)
+from .vc import sauer_bound, vc_dimension_matrix
 
 FIBER_DIM_BUDGET = 200_000   # search nodes for the fiber family's VC dimension
 
@@ -65,36 +64,39 @@ def net_param_bound(d: int, eps: Fraction) -> int:
     return math.ceil(320 * max(d, 1) * (1 / eps) ** 2)
 
 
-def _difference_rows(packed: np.ndarray, width: int, ii: np.ndarray,
-                     jj: np.ndarray) -> np.ndarray:
-    """The distinct rows packed[ii] ^ packed[jj], still packed, in the lex
-    order of their member tuples; `packed` holds fibers of `width` positions
-    packed by np.packbits(axis=1)."""
-    need = len(ii) * width
-    if need > MAX_DIFF_BYTES:
-        raise InputError(
-            f"delta_approx_partition: the fiber-difference matrix needs about "
-            f"{need} bytes ({len(ii)} fiber pairs x {width} left positions), "
-            f"over the {MAX_DIFF_BYTES}-byte guard")
-    if not len(ii):
-        return packed[:0]
-    # XOR-ed and keyed in blocks into one key array, ceil(width / 8) + 4
-    # bytes per pair; a stable argsort of a void view compares keys by memcmp,
-    # and the first of each run of equal keys is the first pair with that row
-    step = max(1, ROW_BLOCK_BYTES // max(1, width))
-    keys = np.empty(len(ii), np.dtype((np.bytes_, packed.shape[1] + 4)))
-    for s in range(0, len(ii), step):
-        packed_lex_keys(packed[ii[s:s + step]] ^ packed[jj[s:s + step]], width,
-                        keys[s:s + step])
-    keys = keys.view(np.dtype((np.void, keys.itemsize)))
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    rows = np.empty((len(first), packed.shape[1]), np.uint8)
-    for s in range(0, len(first), step):
-        pick = first[s:s + step]
-        np.bitwise_xor(packed[ii[pick]], packed[jj[pick]], out=rows[s:s + step])
-    return rows
+def _pair_net(fibers: np.ndarray, heavy: np.ndarray) -> list[int]:
+    """The greedy net separating the pairs of rows of `fibers` that the
+    symmetric boolean matrix `heavy` marks. A pair is unhit while both lie in
+    one atom over the points taken. Each step takes the first unhit pair
+    (i, j) in (i, j) order and adds the point of fibers[i] ^ fibers[j] that
+    separates the most unhit pairs, ties to the largest.
+
+    With y = 1 - 2 * fibers, a pair (a, b) differs at q where y[a, q] y[b, q]
+    is -1, so a count over pairs is (pairs - the sum of those products) / 2:
+    one float64 product over every heavy pair, then one per point over the
+    smaller side of each atom it splits, exact below m(m - 1)/2 < 2^44."""
+    y = 1 - 2 * fibers.astype(np.float64)
+    hits = (heavy.sum() - (y * (heavy.astype(np.float64) @ y)).sum(axis=0)) / 4
+    atom = np.zeros(len(fibers), np.intp)
+    points, i = [], 0
+    while i < len(fibers):
+        unhit = heavy[i, i + 1:] & (atom[i + 1:] == atom[i])
+        if not unhit.any():
+            i += 1
+            continue
+        cand = np.flatnonzero(fibers[i] != fibers[i + 1 + int(np.argmax(unhit))])
+        p = int(cand[len(cand) - 1 - int(np.argmax(hits[cand][::-1]))])
+        points.append(p)
+        col = fibers[:, p]
+        key = 2 * atom + col   # an atom's two sides of p are keys k and k ^ 1
+        cnt = np.bincount(key, minlength=2 * len(fibers))
+        own, other = cnt[key], cnt[key ^ 1]
+        # the smaller side of each atom p splits, ties to the side holding p
+        small = np.flatnonzero((other > 0) & ((own < other) | ((own == other) & col)))
+        pairs = (heavy[small] & ((key[small, None] ^ 1) == key)).astype(np.float64)
+        hits -= (pairs.sum() - (y[small] * (pairs @ y)).sum(axis=0)) / 2
+        atom = (np.cumsum(cnt > 0) - 1)[key]
+    return points
 
 
 def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
@@ -102,9 +104,10 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     """Partition the complement of `measured_parts` into classes of pairwise
     fiber distance < eps, with the parameter set the classes are atoms over.
 
-    The eps/2-net for the fiber-difference family is built from the distinct
-    fibers alone: one exact weighted distance matrix picks the heavy pairs,
-    only those are XOR-ed, and the greedy net runs on the heavy rows."""
+    The eps/2-net is built from the distinct fibers alone: one exact
+    weighted distance matrix picks the heavy pairs, at distance >= eps/2,
+    and _pair_net separates them. A heavy pair left inside one atom of the
+    net, recounted apart from the greedy, is a VerificationError."""
     require(isinstance(eps, Fraction) and eps > 0, "eps must be a positive Fraction")
     measures = check_measures(H, measures)
     left = tuple(sorted(measured_parts))
@@ -134,18 +137,22 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
             "trivial_params": view.left_size}
 
     if len(fibers) > 1:
+        m, w = fibers.shape
+        need = 8 * m * (3 * m + 4 * w)   # the float64 matrices, as core.MAX_DIFF_BYTES says
+        require(need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance matrices "
+                f"need about {need} bytes ({m} distinct fibers x {w} left positions), over "
+                f"the {MAX_DIFF_BYTES}-byte guard")
         # D[i, j] = m_i + m_j - 2 G[i, j], exact in every arithmetic regime
         gram = weighted_inner(fibers, fibers, lw.nums, lw.den)
         mass = gram.diagonal()
-        dist = (mass[:, None] - gram) + (mass[None, :] - gram)
-        half = eps / 2
-        heavy_pair = np.triu(dist >= min(ceil_fraction(half * lw.den), lw.den + 1), 1)
-        packed, width = np.packbits(fibers, axis=1), fibers.shape[1]
-        heavy = _difference_rows(packed, width, *np.nonzero(heavy_pair))
-        net = greedy_net(heavy, width)
-        if not net_hits_all(heavy, width, net):
-            raise VerificationError("difference-family net failed verification")
-        net_points = sorted(set(net))
+        heavy = ((mass[:, None] - gram) + (mass[None, :] - gram)
+                 >= min(ceil_fraction(eps / 2 * lw.den), lw.den + 1))
+        net_points = sorted(_pair_net(fibers, heavy))
+        # checked apart from the greedy: no heavy pair may share an atom
+        atom = np.unique(row_keys(fibers[:, net_points]), return_inverse=True)[1]
+        if (heavy & (atom[:, None] == atom)).any():
+            raise VerificationError("delta_approx_partition: the net leaves a heavy "
+                                    "fiber pair inside one atom")
         bound = net_param_bound(d_bound, eps)
         meta.update({"net_size": len(net_points), "net_param_bound": bound})
         if len(net_points) < view.left_size and len(net_points) <= bound:

@@ -283,61 +283,6 @@ class EpsNet:
     meta: dict = field(default_factory=dict)
 
 
-def _last_byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For byte b as the last nonzero byte of a row: its key byte
-    ~(b | (b - 1)), the complement of b at the positions up to its last
-    member and 0 after it, and its last member's position + 1 (both 0 for
-    b = 0)."""
-    b = np.arange(256)
-    ends = np.zeros(256, np.int64)
-    for p in range(8):
-        ends[(b >> (7 - p)) & 1 == 1] = p + 1   # later positions win
-    return (~(b | (b - 1)) & 0xFF).astype(np.uint8), ends
-
-
-_LAST_BYTE_KEY, _LAST_BYTE_END = _last_byte_tables()
-
-
-def packed_lex_keys(packed: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """One fixed-width bytes key per row of `width` positions packed by
-    np.packbits(axis=1); keys sort like the rows' sorted member-index
-    tuples, and equal keys mean equal rows. `out`, when given, is the
-    contiguous np.bytes_ array of len(packed) keys to fill and return.
-
-    A key is ceil(width / 8) + 4 bytes: the row's complement at the
-    positions up to its last member and 0 after it, packed as the row is,
-    then the last member's position + 1 as 4 big-endian bytes, 0 for the
-    empty row (4 bytes suffice: binary views are at most MAX_DENSE_SPACE =
-    2^22 wide).
-
-    Let p be the first position where rows a and b differ, a member of a.
-    If b has a member after p, the keys agree before p and hold 0 (a) and
-    1 (b) at p: a sorts first, as its tuple does. If not, b's tuple is a
-    proper prefix of a's, and b's key is 0 past b's last member. There a's
-    key holds a 1 at each gap before a's last member, and if it has none,
-    a's end field is the larger: b sorts first."""
-    rows, nb = packed.shape[0], -(-width // 8)
-    if out is None:
-        out = np.empty(rows, np.dtype((np.bytes_, nb + 4)))
-    key = out.view(np.uint8).reshape(rows, nb + 4)
-    # the last nonzero byte, or byte 0 of an empty row
-    last, index = nb - 1 - np.argmax(packed[:, ::-1] != 0, axis=1), np.arange(rows)
-    at = packed[index, last]
-    last[at == 0] = 0
-    body = key[:, :nb]
-    np.invert(packed, out=body)
-    body *= np.arange(nb) < last[:, None]
-    body[index, last] = _LAST_BYTE_KEY[at]
-    end = 8 * last + _LAST_BYTE_END[at]
-    key[:, nb:] = end.astype(">u4").view(np.uint8).reshape(rows, 4)
-    return out
-
-
-def unpack_rows(packed: np.ndarray, width: int) -> np.ndarray:
-    """The boolean rows of a matrix packed by np.packbits(axis=1)."""
-    return np.unpackbits(packed, axis=1, count=width).view(bool)
-
-
 def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
     """Deterministic greedy over heavy rows (`width` positions packed by
     np.packbits(axis=1)) sorted in the lex order of their member tuples:
@@ -349,7 +294,7 @@ def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
 
     def column_sums(rows):
         # int32 is exact: the dense-matrix guard keeps rows below 2^28
-        return sum((unpack_rows(heavy[rows[s:s + step]], width).sum(axis=0, dtype=np.int32)
+        return sum((np.unpackbits(heavy[rows[s:s + step]], axis=1, count=width).sum(0, np.int32)
                     for s in range(0, len(rows), step)), np.zeros(width, dtype=np.int32))
 
     # column p of the rows is bit 128 >> (p & 7) of row p >> 3 here
@@ -359,11 +304,11 @@ def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
     hits = np.zeros(width, dtype=np.int32)
     slab = min(255, step)
     for s in range(0, heavy.shape[0], slab):
-        hits += unpack_rows(heavy[s:s + slab], width).sum(axis=0, dtype=np.uint8)
+        hits += np.unpackbits(heavy[s:s + slab], axis=1, count=width).sum(0, np.uint8)
     unhit = np.ones(heavy.shape[0], dtype=bool)
     first = 0
     while first < heavy.shape[0]:
-        members = np.flatnonzero(unpack_rows(heavy[first:first + 1], width)[0])
+        members = np.flatnonzero(np.unpackbits(heavy[first], count=width))
         score = hits[members]
         best = int(members[len(members) - 1 - int(np.argmax(score[::-1]))])
         points.append(best)

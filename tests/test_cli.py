@@ -309,6 +309,27 @@ def test_rodl_refuses_a_flag_its_mode_does_not_read(write_json, extra, message):
     assert code == 2 and rep["error"] == {"kind": "input", "message": message}
 
 
+@pytest.mark.parametrize("m", ["0", "-1", "4"])
+def test_rodl_graph_mode_names_an_out_of_range_m(write_json, m):
+    code, rep = report(["rodl", "search", "--in", _two_cliques(write_json), "--eps", "1/8",
+                        "--m", m])
+    assert code == 2 and rep["error"] == {
+        "kind": "input", "message": f"--m must be between 1 and 3, not {m}"}
+
+
+@pytest.mark.parametrize("sub, extra", [("dim", []), ("shatter", ["--n", "2"]),
+                                        ("net", ["--epsilon", "1/4"])])
+def test_vc_refuses_parts_on_a_set_family(write_json, sub, extra):
+    fam = write_json("fam.json", {"ground_size": 4, "members": [[0], [1, 2], [3]]})
+    code, rep = report(["vc", sub, "--in", fam, *extra])
+    assert code == 0 and rep["inputs"]["flags"]["parts"] == "0"   # the default, unread
+    for parts in ("0", "1"):
+        code, rep = report(["vc", sub, "--in", fam, "--parts", parts, *extra])
+        assert code == 2 and rep["error"] == {
+            "kind": "input", "message": "--parts applies only to a hypergraph input, "
+                                        "not a set family"}
+
+
 def test_rodl_graph_mode_past_int64_weights(write_json):
     # denominator 2^70 + 25 and one numerator 2^63: only the bigint path fits
     den = (1 << 70) + 25
@@ -421,10 +442,24 @@ def test_difference_guard_is_input_error(tmp_path, monkeypatch):
     inst = str(tmp_path / "half24.json")
     report(["gen", "half-graph", "--sizes", "24,24", "--out", inst])
     monkeypatch.setattr(vcreg.regularity, "MAX_DIFF_BYTES", 1000)
+    # refused before the distance matrices are built
+    monkeypatch.setattr(vcreg.regularity, "weighted_inner", lambda *a: pytest.fail("built"))
     code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
     assert code == 2
     assert rep["error"]["kind"] == "input"
     assert "delta_approx_partition" in rep["error"]["message"]
+
+
+def test_delta_partition_net_is_checked_apart_from_the_greedy(tmp_path, monkeypatch):
+    import vcreg.regularity
+    inst = str(tmp_path / "half24.json")
+    report(["gen", "half-graph", "--sizes", "24,24", "--out", inst])
+    greedy = vcreg.regularity._pair_net
+    monkeypatch.setattr(vcreg.regularity, "_pair_net", lambda *a: greedy(*a)[:-1])
+    code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 1 and rep["error"] == {
+        "kind": "verification", "message": "delta_approx_partition: the net leaves a heavy "
+                                           "fiber pair inside one atom"}
 
 
 @pytest.mark.parametrize("obj, what, need", [
@@ -786,15 +821,15 @@ def test_uniform_partition_on_weighted_symmetric_instance(write_json):
     assert rep["verification"]["ok"] and rep["verification"]["violations"] == []
     assert _outputs_bytes(rep) == (
         '{"class_counts":[5,5],"meta":{"class_counts":[5,5],"levels":[{"arity":2,'
-        '"class_bound_sauer":11,"classes":5,"eps_level":"1/4","fiber_dimension":"2",'
-        '"net_param_bound":10240,"split_params":4,"split_path":"net"}],"param_width":5,'
+        '"class_bound_sauer":7,"classes":5,"eps_level":"1/4","fiber_dimension":"2",'
+        '"net_param_bound":10240,"split_params":3,"split_path":"net"}],"param_width":5,'
         '"rect_eps":"1/4","rect_error":"0/1","sigma_mass":"0/1","uniform":true},'
         '"partition":{"classes":[[[0,1,2],[3],[4],[5,7],[6]],[[0,1,2],[3],[4],[5,7],[6]]],'
         '"epsilon":"1/2","labels":[[[0,0],1],[[0,1],1],[[0,2],0],[[0,3],0],[[0,4],0],'
         '[[1,0],1],[[1,1],1],[[1,2],1],[[1,3],0],[[1,4],0],[[2,0],0],[[2,1],1],[[2,2],1],'
         '[[2,3],1],[[2,4],1],[[3,0],0],[[3,1],0],[[3,2],1],[[3,3],1],[[3,4],1],[[4,0],0],'
-        '[[4,1],0],[[4,2],1],[[4,3],1],[[4,4],1]],"provenance":[[[0],[1],[3],[4],[5],[6],'
-        '[7]],[[0],[1],[3],[4],[5],[6],[7]]],"sigma":[]}}')
+        '[[4,1],0],[[4,2],1],[[4,3],1],[[4,4],1]],"provenance":[[[0],[1],[3],[4],[5],[6]],'
+        '[[0],[1],[3],[4],[5],[6]]],"sigma":[]}}')
 
 
 def test_eh_box_in_the_bigint_regime(write_json):

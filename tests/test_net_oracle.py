@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vcreg import (Hypergraph, Measure, SetFamily, delta_approx_partition,
-                   epsilon_net, regularity, vc)
+                   epsilon_net, vc)
 from vcreg.core import INT64_SAFE, SpaceWeights, weighted_inner
-from vcreg.oracles import (brute_delta_partition, brute_difference_rows, brute_greedy_net,
-                           brute_random_net, brute_vc_dimension)
+from vcreg.oracles import (brute_delta_partition, brute_greedy_net, brute_random_net,
+                           brute_vc_dimension)
 
 # primes, so weights n/p with 0 < n < p keep the denominator p in lowest terms
 P_INT64 = 2 ** 55 - 55     # left denominators in [2^53, 2^62)
@@ -167,6 +167,28 @@ def test_delta_partition_matches_oracle_past_one_byte(seed, regime, eps):
     _same_partition(dp, brute_delta_partition(H, measures, eps, left))
 
 
+def _many_fibers_instance(rng, regime):
+    """Two parts, 4 to 8 measured positions and 16 to 40 fibers, so that one
+    net point splits several atoms of several fibers each."""
+    sizes = (rng.randint(4, 8), rng.randint(16, 40))
+    p = rng.random()
+    H = Hypergraph(sizes, frozenset(t for t in itertools.product(*map(range, sizes))
+                                    if rng.random() < p))
+    den = {"float64": rng.randint(sizes[0], 40), "int64": P_INT64, "bigint": P_BIG}[regime]
+    measures = (Measure(0, _weights(rng, sizes[0], den)), Measure.uniform(1, sizes[1]))
+    assert _regime(measures[0].numerators()[1]) == regime
+    return H, measures, (0,)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 32)]))
+def test_delta_partition_matches_oracle_on_many_fibers(seed, regime, eps):
+    H, measures, left = _many_fibers_instance(random.Random(seed), regime)
+    dp = delta_approx_partition(H, measures, eps, left)
+    _same_partition(dp, brute_delta_partition(H, measures, eps, left))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
        n=st.integers(9, 40), count=st.integers(0, 30),
@@ -176,58 +198,6 @@ def test_greedy_net_matches_oracle_past_one_byte(seed, regime, n, count, eps):
     # the same comparison as test_greedy_net_matches_oracle, on grounds of
     # two to five packed bytes
     test_greedy_net_matches_oracle.hypothesis.inner_test(seed, regime, n, count, eps)
-
-
-def _same_difference_rows(rows: np.ndarray, ii, jj):
-    width = rows.shape[1]
-    got = regularity._difference_rows(np.packbits(rows, axis=1), width,
-                                      np.asarray(ii, np.intp), np.asarray(jj, np.intp))
-    assert got.dtype == np.uint8 and got.shape[1] == -(-width // 8)
-    members = [np.flatnonzero(row).tolist() for row in rows]
-    assert [tuple(np.flatnonzero(row).tolist()) for row in vc.unpack_rows(got, width)] == \
-        brute_difference_rows(members, zip(ii, jj))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(width=st.one_of(st.integers(1, 70), st.sampled_from(range(8, 71, 8))),
-       seed=st.integers(0, 10 ** 6), count=st.integers(1, 12),
-       density=st.floats(0, 1), pairs=st.integers(0, 60), collide=st.booleans(),
-       block=st.sampled_from([vc.ROW_BLOCK_BYTES, 40, 1]))
-@example(width=9, seed=0, count=1, density=0.5, pairs=0, collide=False, block=40)
-def test_difference_rows_match_oracle(width, seed, count, density, pairs, collide, block):
-    """Random rows, two empty rows, and for each row r two more, r ^ x and
-    x; random pairs, none at all in the explicit example. With collide,
-    also the pairs (r, r ^ x) and (empty, x), whose differences are both x,
-    and every pair once more. Blocks of 40 and 1 bytes key a few pairs or
-    one pair at a time."""
-    rng = np.random.default_rng(seed)
-    rows = rng.random((count, width)) < density
-    x = rng.random((count, width)) < 0.5
-    rows = np.vstack([rows, np.zeros((2, width), bool), rows ^ x, x])
-    ii = rng.integers(0, len(rows), pairs)
-    jj = rng.integers(0, len(rows), pairs)
-    if collide:
-        r = np.arange(count)
-        ii = np.concatenate([ii, r, np.full(count, count)])
-        jj = np.concatenate([jj, count + 2 + r, 2 * count + 2 + r])
-        ii, jj = np.tile(ii, 2), np.tile(jj, 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
-        _same_difference_rows(rows, ii, jj)
-
-
-def test_difference_rows_span_several_blocks():
-    """All 21,321 pairs of 207 rows of 300 positions, past the 13,981 pairs
-    one ROW_BLOCK_BYTES block keys: random rows, the empty row, and runs
-    0..k-1 whose differences with it share their complement bytes and
-    differ only in the end field, past one byte of it."""
-    width = 300
-    runs = np.arange(width) < np.array([250, 255, 256, 257, 299, 300])[:, None]
-    rows = np.vstack([np.random.default_rng(11).random((200, width)) < 0.1,
-                      np.zeros((1, width), bool), runs])
-    ii, jj = np.triu_indices(len(rows), 1)
-    assert len(ii) > vc.ROW_BLOCK_BYTES // width
-    _same_difference_rows(rows, ii, jj)
 
 
 @pytest.mark.parametrize("block", [vc.ROW_BLOCK_BYTES, 300])

@@ -217,32 +217,6 @@ def test_wide_matrix_search_stays_in_blocks():
     assert peak < 4000 * 4000 * 8 // 2
 
 
-def _edge_rows(width: int) -> list[np.ndarray]:
-    """The empty row, the all-ones row, and for each byte's last bit p a row
-    whose last member is p, alone and after a full run."""
-    rows = [np.zeros(width, dtype=bool), np.ones(width, dtype=bool)]
-    for p in range(7, width, 8):
-        rows += [np.arange(width) == p, np.arange(width) <= p]
-    return rows
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(width=st.one_of(st.integers(1, 70), st.sampled_from(range(8, 71, 8))),
-       seed=st.integers(0, 10 ** 6), count=st.integers(0, 40),
-       density=st.floats(0, 1))
-def test_packed_keys_sort_like_member_tuples(width, seed, count, density):
-    rng = np.random.default_rng(seed)
-    rows = np.vstack([rng.random((count, width)) < density, *_edge_rows(width)])
-    rows = np.vstack([rows, rows[rng.integers(0, len(rows), 5)]])
-    keys = vc.packed_lex_keys(np.packbits(rows, axis=1), width)
-    tuples = [tuple(np.flatnonzero(row).tolist()) for row in rows]
-    order = range(len(rows))
-    assert sorted(order, key=lambda i: (keys[i], i)) == \
-        sorted(order, key=lambda i: (tuples[i], i))
-    for i, j in itertools.combinations(order, 2):
-        assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
-
-
 def test_net_hits_all_on_packed_rows():
     width = 20
     rows = np.zeros((3, width), dtype=bool)
