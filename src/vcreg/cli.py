@@ -18,7 +18,7 @@ Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
 or missing flags, flags the run does not read, malformed files, bad rationals,
 a `gen` instance too large for any engine), whose report has "subcommand":
-null if argparse refused the flags. Only `--help` writes no report. A closed
+null if the parse refused the flags. Only `--help` writes no report. A closed
 stdout ends it without a traceback. Handlers return (outputs, verification);
 `main` alone sets "ok", true when every verification entry is True or
 "skipped-large", except the data keys that carry figures (`DATA_KEYS`:
@@ -33,9 +33,12 @@ so this exact check can fail (exit 1) where the verifier passes.
 One table, `COMMANDS`, declares each subcommand's handler and flags: their
 argparse keywords, required state and the modes that read them (a `gen` kind;
 `rodl search` is in graph mode with `--in`, else in ball mode). The parser,
-the missing-flag message, the mode refusals and the dispatch read it. Every
-`--budget` is at least 1; `selftest` filters that match no check exit 2;
-`vc dim`, `vc shatter` and `vc net` refuse `--parts` on a set family file.
+the missing-flag message, the mode refusals and the dispatch read it. The
+parse refuses every integer out of its range (`argument --m: m must be between
+1 and 3, not 0`, or `must be >= 1`) and every flag missing where the run's mode
+requires it (`required: --eps, --depth (ball mode)`). `selftest` filters that
+match no check exit 2; `vc dim`, `vc shatter` and `vc net` refuse `--parts` on
+a set family file.
 
 The argparse tree is built once per process, and each handler imports the
 engine modules and oracles it needs. `dyadic` and `convexity` never load
@@ -56,11 +59,11 @@ from math import comb, prod
 
 from .convexity import (IntegerInterval, ap_count, convexity_density,
                         reflection_involution_check)
-from .dyadic import (anti_homogeneity_bound_check, ball_family_search,
+from .dyadic import (EXPORT_DEPTHS, anti_homogeneity_bound_check, ball_family_search,
                      ball_parity_report, level_pair_counts, odd_split_density,
                      parse_balls)
 from .errors import InputError, VerificationError
-from .jsonio import (KINDS, canonical_dumps, dump_json, load_json,
+from .jsonio import (KINDS, MAX_COMPLEXITY, canonical_dumps, dump_json, load_json,
                      parse_rational, require)
 
 
@@ -101,15 +104,18 @@ def _parse_interval(s: str) -> IntegerInterval:
     raise argparse.ArgumentTypeError(f"interval must look like 'lo..hi', got {s!r}")
 
 
-def _budget(s: str) -> int:
-    """The one --budget type: a count of at least 1, so no run is vacuous."""
-    try:
+def _int_in(what: str, lo: int, hi: int | None = None, why: str = ""):
+    """The one integer flag type with a range: `what` >= lo, and <= hi if given;
+    `why` follows a value above hi. It keeps lo and hi, and argparse names it
+    int in "invalid int value"."""
+    def parse(s: str) -> int:
         n = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"budget must be >= 1, not {n}")
-    return n
+        if n < lo or hi is not None and n > hi:
+            bound = f">= {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}, not {n}{why * (n > lo)}")
+        return n
+    parse.lo, parse.hi, parse.__name__ = lo, hi, "int"
+    return parse
 
 
 def _load_instance(path: str, files: dict):
@@ -160,7 +166,6 @@ def _cmd_vc_dim(args, files):
 def _cmd_vc_shatter(args, files):
     from .vc import shatter_function
     fam = _load_family(args, files)
-    require(args.n >= 0, "--n must be nonnegative")
     # largest n first: a refusal (vc.MAX_SHATTER_SUBSETS) precedes the counts
     vals = [shatter_function(fam, n) for n in range(args.n, -1, -1)][::-1]
     outputs = {"n": args.n, "value": vals[-1],
@@ -282,21 +287,8 @@ def _cmd_stable_partition(args, files):
                      "all_boxes_exactly_homogeneous": homogeneous}
 
 
-# Deepest tree the dyadic subcommands accept: level pair counts reach
-# 2^(2 depth - 1), and 2^14283 still has no more than 4300 decimal digits,
-# the default limit on printing a Python int.
-MAX_DYADIC_DEPTH = 7142
-
-
-def _check_depth(args) -> None:
-    require(args.depth <= MAX_DYADIC_DEPTH,
-            f"--depth {args.depth} is above {MAX_DYADIC_DEPTH}: exact counts at that "
-            f"depth exceed the 4300-digit limit on printing an integer")
-
-
 def _cmd_dyadic_density(args, files):
     from .oracles import brute_dyadic_pair_count
-    _check_depth(args)
     balls = parse_balls(args.prefix or [""])
     d = odd_split_density(balls, args.depth, parity=args.parity)
     counts = level_pair_counts(balls, args.depth)
@@ -314,7 +306,6 @@ def _cmd_dyadic_density(args, files):
 
 
 def _cmd_dyadic_report(args, files):
-    _check_depth(args)
     rows = ball_parity_report(args.depth, parity=args.parity)
     return ({"rows": rows, "parity": args.parity},
             {"all_rows_within_bound": all(r["ok"] for r in rows)})
@@ -322,7 +313,6 @@ def _cmd_dyadic_report(args, files):
 
 def _cmd_dyadic_bound(args, files):
     from .oracles import brute_dyadic_pair_count
-    _check_depth(args)
     balls = parse_balls(args.prefix or [""])
     rep = anti_homogeneity_bound_check(balls, balls[0], args.depth,
                                        parity=args.parity)
@@ -341,7 +331,6 @@ def _cmd_dyadic_bound(args, files):
 
 def _cmd_convexity_density(args, files):
     from .oracles import brute_convexity_edges
-    require(args.n >= 3, f"--n must be >= 3, not {args.n}")
     iv = args.interval if args.interval else IntegerInterval(1, args.n)
     d = convexity_density(args.n, iv)
     n = len(iv)
@@ -361,12 +350,9 @@ def _cmd_convexity_involution(args, files):
 
 
 def _cmd_rodl_search(args, files):
-    graph = args.infile is not None
-    require(graph or args.depth is not None, "--depth (ball mode) or --in (graph mode)")
     _check_modes(args, ("rodl", "search"))
-    if not graph:   # the ball scan, recounted by brute force to depth 8
+    if args.infile is None:   # ball mode: the ball scan, recounted by brute force to depth 8
         from .oracles import brute_dyadic_pair_count
-        _check_depth(args)
         rep = ball_family_search(args.depth, args.epsilon, parity=args.parity)
         outputs = {"mode": "ball-family", "found": rep.found,
                    "prefix_length": rep.prefix_length, "density": rep.density,
@@ -386,11 +372,8 @@ def _cmd_rodl_search(args, files):
         return outputs, verification
 
     from .core import edge_array
-    from .homog import EXACT_TUPLE_BUDGET, MAX_COMPLEXITY, definable_homogeneous_search
+    from .homog import EXACT_TUPLE_BUDGET, definable_homogeneous_search
     H, measures = _load_instance(args.infile, files)
-    require(args.m is not None, "--m is required in graph mode")
-    require(1 <= args.m <= MAX_COMPLEXITY, f"--m must be between 1 and {MAX_COMPLEXITY}, "
-            f"not {args.m}")
     budget = EXACT_TUPLE_BUDGET if args.budget is None else args.budget
     res = definable_homogeneous_search(H, measures[0], args.epsilon, args.m,
                                        budget=budget, seed=args.seed or 0)
@@ -425,18 +408,11 @@ def _cmd_rodl_search(args, files):
 def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
-    params = _check_modes(args, ("gen", None))
-    if args.kind == "dyadic-export":
-        require(args.sizes is None, "--sizes does not apply to dyadic-export: "
-                "its sizes are 2^depth")
-        require(args.depth is not None, "--depth is required for dyadic-export")
-        # dyadic_hypergraph's range, checked before the shift
-        require(2 <= args.depth <= 10, "export depth must be in [2, 10]")
-        sizes = (1 << args.depth, 1 << args.depth)
-    else:
-        require(args.sizes is not None, "--sizes is required")
-        sizes = _parse_ints(args.sizes, "sizes")
-    spec = GeneratorSpec(args.kind, sizes, len(sizes), args.seed or 0, tuple(params))
+    params = dict(_check_modes(args, ("gen", None)))
+    # dyadic-export reads --depth, whose flag type checked dyadic_hypergraph's range
+    sizes = _parse_ints(params.pop("sizes"), "sizes") if "sizes" in params \
+        else (1 << args.depth,) * 2
+    spec = GeneratorSpec(args.kind, sizes, len(sizes), args.seed or 0, tuple(params.items()))
     g = generate(spec)
     outputs = g.to_obj()
     back = Hypergraph.from_obj(outputs["hypergraph"])
@@ -468,21 +444,26 @@ _IN = ("--in", {"dest": "infile", "required": True, "help": "instance or family 
 _EPSILON = ("--epsilon", {"type": _rational, "required": True, "help": "exact rational like 1/4"})
 _OUT = ("--out", {"help": "write the report here (atomic)"})
 _PARTS = ("--parts", {"default": "0"})
-_CAP = ("--cap", {"type": int, "default": 8})
-_BUDGET = ("--budget", {"type": _budget})
-_DEPTH = ("--depth", {"type": int, "required": True})
+_CAP = ("--cap", {"type": _int_in("cap", 1), "default": 8})
+_BUDGET = ("--budget", {"type": _int_in("budget", 1)})
+# Deepest dyadic tree: level pair counts reach 2^(2 depth - 1), and 2^14283
+# has no more than 4300 decimal digits, the default limit on printing an int.
+MAX_DYADIC_DEPTH = 7142
+_DEPTH = ("--depth", {"required": True, "type": _int_in("depth", 0, MAX_DYADIC_DEPTH, (
+    ": exact counts that deep exceed the 4300-digit limit on printing an integer"))})
 _PARITY = ("--parity", {"choices": ("odd", "even"), "default": "odd", "help": "default odd"})
 _PREFIX = ("--prefix", {"action": "append",
                         "help": "ball prefix; repeat for a union; first is B for `bound`"})
 
 # Each subcommand, declared once: (cmd, sub) -> (handler, mode, *flag rows).
 # A row is (name, argparse keywords, modes that read it...); "required" is
-# checked by _parse_args. `mode` maps parsed flags to the run's mode; a row
-# naming modes is refused in the others (_check_modes), defaulted in its own.
+# checked by _parse_args, in the modes that read the row. `mode` maps parsed
+# flags to the run's mode; a row naming modes is refused in the others
+# (_check_modes), defaulted in its own.
 COMMANDS = {
     ("vc", "dim"): (_cmd_vc_dim, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
     ("vc", "shatter"): (_cmd_vc_shatter, None, _IN, _OUT, _PARTS,
-                        ("--n", {"type": int, "required": True})),
+                        ("--n", {"type": _int_in("n", 0), "required": True})),
     ("vc", "net"): (
         _cmd_vc_net, None, _IN, _EPSILON, _OUT, _PARTS,
         ("--strategy", {"choices": ("greedy", "random"), "default": "greedy"}),
@@ -499,12 +480,12 @@ COMMANDS = {
                         ("--alpha", {"type": _rational, "required": True})),
     ("stable", "ladder"): (_cmd_stable_ladder, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
     ("stable", "partition"): (_cmd_stable_partition, None, _IN, _EPSILON, _OUT,
-                              ("--depth-cap", {"type": int})),
+                              ("--depth-cap", {"type": _int_in("depth-cap", 1)})),
     ("dyadic", "density"): (_cmd_dyadic_density, None, _OUT, _DEPTH, _PARITY, _PREFIX),
     ("dyadic", "report"): (_cmd_dyadic_report, None, _OUT, _DEPTH, _PARITY),
     ("dyadic", "bound"): (_cmd_dyadic_bound, None, _OUT, _DEPTH, _PARITY, _PREFIX),
     ("convexity", "density"): (
-        _cmd_convexity_density, None, _OUT, ("--n", {"type": int, "required": True}),
+        _cmd_convexity_density, None, _OUT, ("--n", {"type": _int_in("n", 3), "required": True}),
         ("--interval", {"type": _parse_interval})),
     ("convexity", "involution"): (_cmd_convexity_involution, None, _OUT,
                                   ("--interval", {"type": _parse_interval, "required": True})),
@@ -512,18 +493,21 @@ COMMANDS = {
         _cmd_rodl_search, lambda args: "ball mode" if args.infile is None else "graph mode",
         _OUT, ("--in", {"dest": "infile", "help": "instance JSON (graph mode)"}),
         ("--eps", {"dest": "epsilon", "type": _rational, "required": True}),
-        ("--depth", {"type": int, "help": "scan the split graph's balls"}, "ball mode"),
+        ("--depth", {**_DEPTH[1], "help": "scan the split graph's balls"}, "ball mode"),
         (*_PARITY, "ball mode"),
-        ("--m", {"type": int, "help": "fiber-combination complexity"}, "graph mode"),
+        ("--m", {"type": _int_in("m", 1, MAX_COMPLEXITY), "required": True,
+                 "help": "fiber-combination complexity"}, "graph mode"),
         (*_BUDGET, "graph mode"), ("--seed", {"type": int}, "graph mode")),
     # --seed is recorded in every spec, so every kind takes it
     ("gen", None): (
         _cmd_gen, lambda args: args.kind,
         ("kind", {"choices": KINDS, "nargs": "?", "required": True}),
-        ("--sizes", {"help": "comma-separated part sizes, e.g. 16,16"}),
-        ("--seed", {"type": int, "default": 0}), ("--blocks", {"type": int}, "block-union"),
-        ("--cap", {"dest": "vc_cap", "type": int}, "random-vc-capped"),
-        ("--depth", {"type": int}, "dyadic-export"),
+        ("--sizes", {"required": True, "help": "comma-separated part sizes, e.g. 16,16"},
+         *(kind for kind in KINDS if kind != "dyadic-export")),   # whose sizes are 2^depth
+        ("--seed", {"type": int, "default": 0}),
+        ("--blocks", {"type": _int_in("blocks", 1)}, "block-union"),
+        ("--cap", {"dest": "vc_cap", "type": _int_in("cap", 1)}, "random-vc-capped"),
+        ("--depth", {"type": _int_in("depth", *EXPORT_DEPTHS), "required": True}, "dyadic-export"),
         ("--out", {"help": "write the instance here (atomic)"})),
     ("selftest", None): (_cmd_selftest, None, _OUT,
                          ("names", {"nargs": "*", "help": "substring filters on check names"})),
@@ -555,6 +539,9 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
+        flag, _, reason = message.partition(": ")
+        if reason == "expected one argument":   # argparse took a value like -5..5 for a flag
+            message += f"; a value that starts with '-' is passed as {flag.split()[-1]}=VALUE"
         raise InputError(f"{self.prog}: {message}")
 
 
@@ -584,26 +571,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
     """(cmd, sub) and the flags of one parse. The missing arguments COMMANDS
-    requires are named with the unknown ones, as argparse names them. A flag's
-    default is filled in where it was not given, a mode flag's only in the
+    requires in the run's mode are named with the unknown ones, as argparse
+    names them. A flag's default is filled in where it was not given, in the
     modes that read it; `args.defaulted` names the dests filled so."""
     args, extras = _build_parser().parse_known_args(argv)
     key = (args.cmd, getattr(args, "sub", None))
-    if key in COMMANDS:
-        missing = [name for name, kw, *_ in COMMANDS[key][2:]
-                   if kw.get("required") and getattr(args, _dest(name, kw)) is None]
-    else:
+    _, mode, *rows = COMMANDS.get(key, (None, None))
+    read = [(name, kw, modes) for name, kw, *modes in rows if not modes or mode(args) in modes]
+    missing = [f"{name} ({mode(args)})" if modes else name for name, kw, modes in read
+               if kw.get("required") and getattr(args, _dest(name, kw)) is None]
+    if key not in COMMANDS:
         missing = ["sub" if args.cmd else "cmd"]
     errors = [f"the following arguments are required: {', '.join(missing)}"] * bool(missing) \
         + [f"unrecognized arguments: {' '.join(extras)}"] * bool(extras)
     if errors:   # argparse names the missing in the subparser, the unknown at the top
         prog = " ".join(filter(None, ("vcreg", *key))) if missing else "vcreg"
         raise InputError(f"{prog}: {'; '.join(errors)}")
-    _, mode, *rows = COMMANDS[key]
     args.defaulted = set()
-    for name, kw, *modes in rows:
+    for name, kw, _ in read:
         dest = _dest(name, kw)
-        if "default" in kw and getattr(args, dest) is None and (not modes or mode(args) in modes):
+        if "default" in kw and getattr(args, dest) is None:
             setattr(args, dest, kw["default"])
             args.defaulted.add(dest)
     return key, args

@@ -57,7 +57,8 @@ MAX_DENSE_SPACE = 1 << 22
 # Largest dense matrix built at once, in bytes: a boolean one at one byte per
 # cell (the binary view's fibers, a set family's matrix), and the delta
 # partition's float64 ones over m distinct fibers of w positions, three m x m
-# and four m x w at 8 m (3 m + 4 w): 8.3 MB on the 384x384 half-graph.
+# and four m x w at 8 m (3 m + 4 w): 8.3 MB on the 384x384 half-graph. Past
+# int64 an m x m cell is a pointer plus a Python int, not 8 bytes.
 MAX_DIFF_BYTES = 1 << 28
 # int64 sums and products stay exact while a bound on them is below this.
 INT64_SAFE = 1 << 62
@@ -330,8 +331,8 @@ class BinaryView:
     """The relation reindexed as left side V_I versus right side V_{I comp}.
 
     fibers[r] is the boolean row over left positions of the fiber of the
-    right element at position r. Rows double as the bit-packed fiber cache
-    used by the partition engines.
+    right element at position r, one byte per cell; the partition engines
+    read the fibers from these rows.
     """
 
     def __init__(self, H: Hypergraph, left: tuple[int, ...]):

@@ -216,10 +216,15 @@ def random_ball_union(L: int, seed: int, max_balls: int = 8) -> list[DyadicBall]
     return sorted(balls, key=lambda x: (len(x.prefix), x.prefix))
 
 
+# The depths dyadic_hypergraph builds, edge by edge (`gen dyadic-export --depth`).
+EXPORT_DEPTHS = (2, 10)
+
+
 def dyadic_hypergraph(L: int, parity: str = "odd"):
     """The full depth-L graph as a symmetric 2-partite hypergraph."""
     from .core import Hypergraph
-    require(2 <= L <= 10, "export depth must be in [2, 10]")
+    require(EXPORT_DEPTHS[0] <= L <= EXPORT_DEPTHS[1],
+            "export depth must be in [{}, {}]".format(*EXPORT_DEPTHS))
     require(parity in ("odd", "even"), 'parity must be "odd" or "even"')
     n = 1 << L
     want = 1 if parity == "odd" else 0

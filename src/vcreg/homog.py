@@ -22,9 +22,8 @@ from math import comb
 import numpy as np
 
 from .core import Hypergraph, Measure, binary_view, edge_array, exact_dtype
-from .jsonio import require
+from .jsonio import MAX_COMPLEXITY, require
 
-MAX_COMPLEXITY = 3
 EXACT_TUPLE_BUDGET = 1_000_000
 
 

@@ -28,10 +28,12 @@ from fractions import Fraction
 
 from .errors import InputError
 
-# Generator kinds of instance files; here rather than in `instances` so that
-# the CLI can offer them as choices without importing the engines.
+# Generator kinds of instance files, and the largest fiber-combination
+# complexity of `homog`'s search; here rather than in `instances` and `homog`
+# so that the CLI's flag table reads them without importing the engines.
 KINDS = ("interval-graph", "half-graph", "block-union", "staircase",
          "random-vc-capped", "dyadic-export")
+MAX_COMPLEXITY = 3
 
 # the docstring's rational string, and the numerals refused as decimals (those
 # with a "." or an "e"); re compiles and caches each on first use, not while

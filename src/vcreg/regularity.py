@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +139,10 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
 
     if len(fibers) > 1:
         m, w = fibers.shape
-        need = 8 * m * (3 * m + 4 * w)   # the float64 matrices, as core.MAX_DIFF_BYTES says
+        # as core.MAX_DIFF_BYTES says; an m x m cell of Python ints (exact_dtype
+        # object, past int64) holds a pointer and an int of up to den's size
+        cell = 8 if exact_dtype(lw.den) is np.int64 else 8 + sys.getsizeof(lw.den)
+        need = m * (3 * m * cell + 4 * w * 8)
         require(need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance matrices "
                 f"need about {need} bytes ({m} distinct fibers x {w} left positions), over "
                 f"the {MAX_DIFF_BYTES}-byte guard")

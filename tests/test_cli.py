@@ -314,7 +314,8 @@ def test_rodl_graph_mode_names_an_out_of_range_m(write_json, m):
     code, rep = report(["rodl", "search", "--in", _two_cliques(write_json), "--eps", "1/8",
                         "--m", m])
     assert code == 2 and rep["error"] == {
-        "kind": "input", "message": f"--m must be between 1 and 3, not {m}"}
+        "kind": "input", "message": f"vcreg rodl search: argument --m: m must be between 1 and 3, "
+                                    f"not {m}"}
 
 
 @pytest.mark.parametrize("sub, extra", [("dim", []), ("shatter", ["--n", "2"]),
@@ -450,6 +451,29 @@ def test_difference_guard_is_input_error(tmp_path, monkeypatch):
     assert "delta_approx_partition" in rep["error"]["message"]
 
 
+def test_delta_partition_guard_counts_python_int_cells(tmp_path, write_json, monkeypatch):
+    """Past int64 the delta partition's m x m matrices hold Python ints: the
+    200^2 half-graph at eps 1/8 peaks near 5.9 MB traced with weights over
+    2^63 - 25, against 1.8 MB uniform, and the guard counts 6.6 and 2.2 MB."""
+    import vcreg.regularity
+    inst = str(tmp_path / "half200.json")
+    report(["gen", "half-graph", "--sizes", "200,200", "--out", inst])
+    with open(inst) as f:
+        obj = json.load(f)
+    den = (1 << 63) - 25
+    nums = [den // 200] * 199 + [den - 199 * (den // 200)]
+    weights = [f"{x}/{den}" for x in nums]
+    big = write_json("big.json", {"hypergraph": obj["hypergraph"], "measures": [
+        {"part": 0, "weights": weights}, {"part": 1, "weights": weights}]})
+    monkeypatch.setattr(vcreg.regularity, "MAX_DIFF_BYTES", 4_000_000)
+    code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/8"])
+    assert code == 0
+    monkeypatch.setattr(vcreg.regularity, "weighted_inner", lambda *a: pytest.fail("built"))
+    code, rep = report(["reg", "partition", "--in", big, "--epsilon", "1/8"])
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert "delta_approx_partition" in rep["error"]["message"]
+
+
 def test_delta_partition_net_is_checked_apart_from_the_greedy(tmp_path, monkeypatch):
     import vcreg.regularity
     inst = str(tmp_path / "half24.json")
@@ -558,7 +582,9 @@ def test_stable_partition_on_an_interval_graph_at_the_default_depth_cap(tmp_path
 def test_missing_in_is_input_error(argv):
     code, rep = report(argv)
     assert code == 2 and not rep["ok"]
-    assert rep["error"]["kind"] == "input" and "--in" in rep["error"]["message"]
+    # without --in, rodl search is in ball mode, which requires --depth
+    named = "--depth (ball mode)" if argv[0] == "rodl" else "--in"
+    assert rep["error"]["kind"] == "input" and named in rep["error"]["message"]
 
 
 def _sha256(path):
@@ -759,7 +785,8 @@ def test_negative_budget_is_input_error(tmp_path, argv):
 @pytest.mark.parametrize("n", ["0", "2", "-1"])
 def test_convexity_density_names_an_n_below_three(n):
     code, rep = report(["convexity", "density", "--n", n])
-    assert code == 2 and rep["error"] == {"kind": "input", "message": f"--n must be >= 3, not {n}"}
+    assert code == 2 and rep["error"] == {
+        "kind": "input", "message": f"vcreg convexity density: argument --n: n must be >= 3, not {n}"}
 
 
 def _half8_partition(tmp_path):
@@ -937,6 +964,8 @@ def test_interval_flag_is_recorded_as_its_endpoints():
     code, rep = report(["convexity", "involution", "--interval", "3..9"])
     assert code == 0
     assert rep["inputs"]["flags"]["interval"] == [3, 9]
+    code, rep = report(["convexity", "involution", "--interval=-5..5"])
+    assert code == 0 and rep["inputs"]["flags"]["interval"] == [-5, 5]
 
 
 @pytest.mark.parametrize("argv", [
@@ -989,24 +1018,44 @@ def test_parse_errors_are_input_reports(argv):
      "argument --interval: interval endpoints out of order"),
     (["convexity", "density", "--n", "10", "--interval", "9:3"],
      "argument --interval: interval endpoints out of order"),
+    # argparse takes a value that starts with "-" for a flag
+    (["convexity", "involution", "--interval", "-5..5"], "argument --interval: expected one "
+     "argument; a value that starts with '-' is passed as --interval=VALUE"),
 ])
 def test_refused_flag_value_keeps_its_reason(argv, reason):
     assert reason in _parse_error(argv)
 
 
-def _sample(kw):
-    """A value of the flag's type that parses."""
+def _sample(kw, mode=None):
+    """A value of the flag's type that parses: the mode if it is a choice, the
+    low end of an integer range."""
     if "choices" in kw:
-        return kw["choices"][0]
-    return {cli._rational: "1/4", int: "4", cli._budget: "4", cli._parse_interval: "3..9",
+        return mode if mode in kw["choices"] else kw["choices"][0]
+    if hasattr(kw.get("type"), "lo"):
+        return str(kw["type"].lo)
+    return {cli._rational: "1/4", int: "4", cli._parse_interval: "3..9",
             None: "h.json"}[kw.get("type")]
 
 
-# every argument a run of the subcommand needs, with a value that parses
-_REQUIRED = {" ".join(filter(None, key)): {name: _sample(kw) for name, kw, *_ in rows
-                                           if kw.get("required")}
-             for key, (_, _, *rows) in cli.COMMANDS.items()
-             if any(kw.get("required") for _, kw, *_ in rows)}
+# the modes of a subcommand whose flags differ by mode, each with the flags
+# that select it besides its required ones (a gen kind is required)
+_MODES = {("gen", None): {kind: {} for kind in KINDS},
+          ("rodl", "search"): {"ball mode": {}, "graph mode": {"--in": "h.json"}}}
+
+
+def _required(key, mode):
+    """Each flag COMMANDS[key] requires in `mode`, with a value that parses."""
+    _, _, *rows = cli.COMMANDS[key]
+    return {name: _sample(kw, mode) for name, kw, *modes in rows
+            if kw.get("required") and (not modes or mode in modes)}
+
+
+# per subcommand and mode: the subcommand, its required flags and the flags
+# that select the mode
+_REQUIRED = {" ".join(filter(None, (*key, mode))): (" ".join(filter(None, key)),
+                                                     _required(key, mode), select)
+             for key in cli.COMMANDS for mode, select in _MODES.get(key, {None: {}}).items()
+             if _required(key, mode)}
 
 
 def _argv(name, flags):
@@ -1015,11 +1064,16 @@ def _argv(name, flags):
                            for x in ((flag, value) if flag.startswith("-") else (value,))]
 
 
-@pytest.mark.parametrize("name, missing", [(name, flag) for name, flags in _REQUIRED.items()
+def _run_argv(name, leave_out=None):
+    """A run of the _REQUIRED entry `name`, without the flag `leave_out`."""
+    sub, required, select = _REQUIRED[name]
+    return _argv(sub, [*select.items(), *((f, v) for f, v in required.items() if f != leave_out)])
+
+
+@pytest.mark.parametrize("name, missing", [(name, flag) for name, (_, flags, _) in _REQUIRED.items()
                                            for flag in flags])
 def test_missing_required_flag_is_named(name, missing):
-    message = _parse_error(_argv(name, [(flag, value) for flag, value in _REQUIRED[name].items()
-                                        if flag != missing]))
+    message = _parse_error(_run_argv(name, leave_out=missing))
     assert "the following arguments are required" in message and missing in message
 
 
@@ -1028,6 +1082,9 @@ def test_missing_required_flag_is_named(name, missing):
     (["reg", "verify", "--in", "h.json", "--no-such-flag", "3"],
      ["--partition", "unrecognized arguments: --no-such-flag 3"]),
     (["gen", "--sizes", "8,8", "--bogus"], ["kind", "unrecognized arguments: --bogus"]),
+    # a flag a mode requires is tagged with the mode
+    (["rodl", "search", "--bogus"], ["--eps, --depth (ball mode)", "unrecognized arguments"]),
+    (["gen", "half-graph", "--bogus"], ["--sizes (half-graph)", "unrecognized arguments"]),
 ])
 def test_missing_and_unknown_flags_are_named_together(argv, named):
     message = _parse_error(argv)
@@ -1040,17 +1097,14 @@ def test_missing_and_unknown_flags_are_named_together(argv, named):
 @pytest.mark.parametrize("name", sorted(_REQUIRED))
 def test_required_flags_are_all_a_run_needs_to_parse(name):
     # past the parser: the report names its subcommand (missing files are input errors)
-    code, rep = report(_argv(name, _REQUIRED[name].items()))
-    assert rep["subcommand"] == name
+    code, rep = report(_run_argv(name))
+    assert rep["subcommand"] == _REQUIRED[name][0]
     assert code == 0 or rep["error"]["kind"] == "input"
 
 
-# an argv that puts a subcommand whose flags differ by mode in each mode
-_MODE_ARGV = {
-    ("gen", None): {kind: ["gen", kind] for kind in KINDS},
-    ("rodl", "search"): {"ball mode": ["rodl", "search", "--eps", "1/4", "--depth", "6"],
-                         "graph mode": ["rodl", "search", "--eps", "1/4", "--in", "h.json"]},
-}
+# an argv with each flag a run in the mode requires, per mode
+_MODE_ARGV = {key: {mode: _run_argv(" ".join(filter(None, (*key, mode)))) for mode in modes}
+              for key, modes in _MODES.items()}
 
 
 @pytest.mark.parametrize("key, flag, kw, modes, other", [
@@ -1062,6 +1116,28 @@ def test_every_other_mode_refuses_a_mode_flag(key, flag, kw, modes, other):
     code, rep = report(_MODE_ARGV[key][other] + [flag, _sample(kw)])
     assert code == 2 and rep["error"] == {
         "kind": "input", "message": f"{flag} applies only to {' or '.join(modes)}, not {other}"}
+
+
+# each integer-range flag, in each mode that reads it
+_RANGES = [pytest.param(name, flag, kw, id=f"{name} {flag}")
+           for key, (_, _, *rows) in cli.COMMANDS.items() for mode in _MODES.get(key, [None])
+           for flag, kw, *modes in rows
+           if hasattr(kw.get("type"), "lo") and (not modes or mode in modes)
+           for name in [" ".join(filter(None, (*key, mode)))]]
+
+
+@pytest.mark.parametrize("name, flag, kw", _RANGES)
+def test_integer_ranges_are_refused_as_the_flags_are_parsed(name, flag, kw):
+    lo, hi = kw["type"].lo, kw["type"].hi
+    inside, outside = ([lo], [lo - 1]) if hi is None else ([lo, hi], [lo - 1, hi + 1])
+    argv = _run_argv(name, leave_out=flag)
+    for n in inside:
+        _, args = cli._parse_args(argv + [flag, str(n)])
+        assert getattr(args, cli._dest(flag, kw)) == n
+    for n in outside:
+        message = _parse_error(argv + [flag, str(n)])
+        assert f"argument {flag}: " in message and f" must be " in message
+        assert f", not {n}" in message
 
 
 def test_help_exits_zero_without_a_report():
