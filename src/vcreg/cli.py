@@ -63,8 +63,8 @@ from .dyadic import (EXPORT_DEPTHS, anti_homogeneity_bound_check, ball_family_se
                      ball_parity_report, level_pair_counts, odd_split_density,
                      parse_balls)
 from .errors import InputError, VerificationError
-from .jsonio import (KINDS, MAX_COMPLEXITY, canonical_dumps, dump_json, load_json,
-                     parse_rational, require)
+from .jsonio import (KINDS, MAX_COMPLEXITY, canonical_dumps, decode_json, dump_json,
+                     load_json, parse_rational, read_bytes, require)
 
 
 def _parse_ints(s: str, what: str) -> tuple[int, ...]:
@@ -118,11 +118,24 @@ def _int_in(what: str, lo: int, hi: int | None = None, why: str = ""):
     return parse
 
 
+# The last instance `_load_instance` built, as [sha256 of its file's bytes,
+# (H, measures)]: one entry, and parsed, validated inputs only.
+_INSTANCE: list = []
+
+
 def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
-    instance file; measures default to uniform when the file has none."""
+    instance file; measures default to uniform when the file has none. The
+    file is read and hashed on every call, and decoded only when its bytes
+    differ from the last instance's."""
     from .core import Hypergraph, Measure, uniform_measures
-    obj, digest = load_json(path)
+    raw, digest = read_bytes(path)
+    if _INSTANCE and _INSTANCE[0] == digest:
+        files["in"] = digest
+        return _INSTANCE[1]
+    _INSTANCE.clear()   # never two instances held at once
+    obj = decode_json(raw, path)
+    del raw   # freed before the relation is built, as load_json frees it
     require(isinstance(obj, dict), f"{path} must hold a JSON object")
     files["in"] = digest
     H = Hypergraph.from_obj(obj.get("hypergraph", obj))
@@ -131,6 +144,7 @@ def _load_instance(path: str, files: dict):
         measures = tuple(Measure.from_obj(m) for m in obj["measures"])
     else:
         measures = uniform_measures(H)
+    _INSTANCE[:] = digest, (H, measures)
     return H, measures
 
 

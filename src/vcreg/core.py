@@ -331,8 +331,8 @@ class BinaryView:
     """The relation reindexed as left side V_I versus right side V_{I comp}.
 
     fibers[r] is the boolean row over left positions of the fiber of the
-    right element at position r, one byte per cell; the partition engines
-    read the fibers from these rows.
+    right element at position r, one byte per cell, read-only; the partition
+    engines read the fibers from these rows.
     """
 
     def __init__(self, H: Hypergraph, left: tuple[int, ...]):
@@ -353,6 +353,7 @@ class BinaryView:
         rows = np.ravel_multi_index(cells[list(self.right)], self.right_sizes) \
             if self.right else 0
         fib[rows, np.ravel_multi_index(cells[list(left)], self.left_sizes)] = True
+        fib.setflags(write=False)   # a cached instance (cli) shares it across jobs
         self.fibers = fib
 
 

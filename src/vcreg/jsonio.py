@@ -97,28 +97,41 @@ def canonical_dumps(obj) -> str:
                       check_circular=False)
 
 
-def load_json(path):
-    """The parsed UTF-8 JSON file and the sha256 of its bytes, read once."""
+def read_bytes(path) -> tuple[bytes, str]:
+    """The bytes of a file and their sha256, read once."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+def decode_json(raw: bytes, path):
+    """The UTF-8 JSON document `raw`, the bytes of the file `path`."""
+    try:
         text = raw.decode("utf-8")
         # A parsed JSON tree holds no reference cycles, so a collection during
         # the parse frees nothing; it only rescans every list parsed so far.
         enabled = gc.isenabled()
         gc.disable()
         try:
-            obj = json.loads(text)
+            return json.loads(text)
         finally:
             if enabled:
                 gc.enable()
-        return obj, hashlib.sha256(raw).hexdigest()
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
+
+
+def load_json(path):
+    """The parsed UTF-8 JSON file and the sha256 of its bytes, read once."""
+    raw, digest = read_bytes(path)
+    return decode_json(raw, path), digest
 
 
 def dump_json(obj, path) -> str:

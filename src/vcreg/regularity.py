@@ -278,34 +278,36 @@ class RegularPartition:
                 and set(map(len, pairs)) <= {2},
                 "partition field 'labels' must be a list of [box, label] pairs")
         keys, values = tuple(zip(*pairs)) or ((), ())
-        if not (_nested_ints(keys, 1) and _nested_ints(values, 0)):
+        ints = _flat_ints(keys, 1)   # the keys' integers, flattened once
+        if ints is None or _flat_ints(values, 0) is None:
             for key, value in pairs:   # name the first bad entry
                 _int_lists(key, 1, "labels"), _int_lists(value, 0, "labels")
         if not set(values) <= {0, 1}:   # the last label of a box named twice counts
             keys, values = zip(*dict(zip(map(tuple, keys), values)).items())
+            ints = None
             require(set(values) <= {0, 1}, "partition labels must be 0 or 1")
         classes = _tuples(_int_lists(obj["classes"], 3, "classes"))
         counts = [len(c) for c in classes]   # as the error messages print them
         sigma = _int_lists(obj.get("sigma", []), 2, "sigma")
         return RegularPartition(classes, parse_rational(obj["epsilon"]),
                                 np.flatnonzero(label_grid(sigma, 1, counts) == 1),
-                                label_grid(keys, values, counts),
+                                label_grid(keys, values, counts, ints),
                                 _tuples(_int_lists(obj.get("provenance", []), 3, "provenance")))
 
 
-def _nested_ints(items, depth: int) -> bool:
-    """Whether every item is integers nested `depth` lists deep, a level at a time."""
+def _flat_ints(items, depth: int):
+    """The integers nested `depth` lists deep in `items`, flattened a level at a time, or None."""
     for _ in range(depth):
         if not set(map(type, items)) <= {list}:
-            return False
+            return None
         items = list(itertools.chain.from_iterable(items))
-    return set(map(type, items)) <= {int}
+    return items if set(map(type, items)) <= {int} else None
 
 
 def _int_lists(obj, depth: int, name: str):
     """`obj`, a partition field of integers nested `depth` lists deep; a bad
     field is walked in document order to name its first bad entry's kind."""
-    if not _nested_ints([obj], depth):
+    if _flat_ints([obj], depth) is None:
         require(depth > 0, f"partition field {name!r} must hold integers")
         require(isinstance(obj, list), f"partition field {name!r} must be nested lists")
         for x in obj:
@@ -348,16 +350,17 @@ def band(t: np.ndarray, e: np.ndarray, eps: Fraction) -> tuple:
     return e * ed < en * t, (t - e) * ed < en * t
 
 
-def label_grid(keys, values, counts) -> np.ndarray:
+def label_grid(keys, values, counts, key_ints=None) -> np.ndarray:
     """The labels `values` (a sequence, or one int for all) of the boxes
-    `keys` in row-major box order: -1 where a box has none, the last one where
-    a key repeats. An InputError names the first key that names no box."""
+    `keys` (their integers in one list `key_ints`, if given) in row-major box
+    order: -1 where a box has none, the last one where a key repeats. An
+    InputError names the first key that names no box."""
     require(prod(counts) <= MAX_DENSE_SPACE, f"{prod(counts)} boxes exceed the dense-array guard")
     k, arr = len(counts), None
     if set(map(len, keys)) <= {k}:
+        ints = itertools.chain.from_iterable(keys) if key_ints is None else key_ints
         with contextlib.suppress(OverflowError):   # past int64
-            arr = np.fromiter(itertools.chain.from_iterable(keys), np.int64,
-                              len(keys) * k).reshape(-1, k)
+            arr = np.fromiter(ints, np.int64, len(keys) * k).reshape(-1, k)
     if arr is not None and ((arr >= 0) & (arr < counts)).all():
         flat, grid = np.ravel_multi_index(arr.T, counts), np.full(prod(counts), -1, np.int8)
         if type(values) is not int:   # numpy assigns a repeated index in no fixed order

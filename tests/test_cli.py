@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1221,3 +1222,116 @@ def test_eh_box_checks_the_masses_of_the_reported_sides(tmp_path, monkeypatch):
     assert rep["verification"] == {"density_recomputed_equal": True,
                                    "density_above_threshold": True,
                                    "sides_above_guarantee": False}
+
+
+# ------------------------------------------------ the one-entry instance cache
+
+def _report_text(argv):
+    """(exit code, the report as written to stdout or --out, "timing" taken out)."""
+    code, out, _ = run(argv)
+    if "--out" in argv:
+        out = pathlib.Path(argv[argv.index("--out") + 1]).read_text()
+    return code, re.sub(r',?"timing":\{[^{}]*\}', "", out)
+
+
+def _cold_text(argv):
+    cli._INSTANCE.clear()
+    return _report_text(argv)
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+    real = cli.decode_json
+    monkeypatch.setattr(cli, "decode_json", lambda *a: calls.append(a[1]) or real(*a))
+    return calls
+
+
+def test_consecutive_jobs_on_one_file_match_cold_jobs(tmp_path, monkeypatch):
+    inst, out, part = (str(tmp_path / name) for name in ("b.json", "out.json", "p.json"))
+    report(["gen", "block-union", "--sizes", "12,12", "--blocks", "3", "--seed", "2",
+            "--out", inst])
+    assert run(["reg", "partition", "--in", inst, "--epsilon", "1/4", "--out", part])[0] == 0
+    jobs = [["reg", "partition", "--in", inst, "--epsilon", "1/4", "--out", out],
+            ["reg", "partition", "--in", inst, "--epsilon", "1/8"],
+            ["reg", "verify", "--in", inst, "--partition", part]]
+    decodes = _count_decodes(monkeypatch)
+    cli._INSTANCE.clear()
+    warm = [_report_text(argv) for argv in jobs]
+    assert decodes == [inst] and cli._INSTANCE[0] == _sha256(inst)
+    assert [code for code, _ in warm] == [0, 0, 0]
+    assert [_cold_text(argv) for argv in jobs] == warm and len(decodes) == 4
+    assert json.loads(warm[2][1])["inputs"]["files"]["in"] == _sha256(inst)
+
+
+def test_a_rewritten_file_is_read_fresh(tmp_path):
+    inst = str(tmp_path / "h.json")
+    argv = ["reg", "partition", "--in", inst, "--epsilon", "1/4"]
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    code, first = report(argv)
+    report(["gen", "block-union", "--sizes", "10,10", "--blocks", "2", "--out", inst])
+    warm = _report_text(argv)
+    assert warm == _cold_text(argv) and warm[0] == 0
+    rep = json.loads(warm[1])
+    assert rep["inputs"]["files"]["in"] == _sha256(inst) != first["inputs"]["files"]["in"]
+    assert [len(c) for c in rep["outputs"]["partition"]["classes"][0]] != \
+        [len(c) for c in first["outputs"]["partition"]["classes"][0]]
+
+
+@pytest.mark.parametrize("bad", [
+    b'{"k": 2, "part_sizes": [8, 8], "edges": [[0, 1]',
+    b"[1, 2]",
+    b'{"k": 2, "part_sizes": [8, 8], "edges": [[0, 9]]}',
+    b'{"hypergraph": {"k": 1, "part_sizes": [2], "edges": []}, "measures": {}}',
+    b'{"k": 1, "part_sizes": [2], "edges": [], "measures": [{"part": 0, "weights": ["1/3"]}]}',
+], ids=["malformed", "not-an-object", "bad-edge", "measures-not-a-list", "bad-measure"])
+def test_a_failed_load_is_never_stored(tmp_path, bad):
+    inst = str(tmp_path / "h.json")
+    argv = ["reg", "partition", "--in", inst, "--epsilon", "1/4"]
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    assert report(argv)[0] == 0 and cli._INSTANCE
+    pathlib.Path(inst).write_bytes(bad)
+    warm = _report_text(argv)
+    assert cli._INSTANCE == []
+    assert warm[0] == 2 and json.loads(warm[1])["error"]["kind"] == "input"
+    assert _cold_text(argv) == warm and cli._INSTANCE == []
+
+
+def test_uniform_job_after_a_weighted_job_replicates_part_0(write_json):
+    # a symmetric 4-clique pair with other weights on each part
+    edges = sorted([x, y] for c in (range(4), range(4, 8)) for x in c for y in c)
+    w0 = ["1/8"] * 8
+    w1 = ["1/4", "1/4", "1/16", "1/16", "1/16", "1/16", "1/8", "1/8"]
+    inst = write_json("sym.json", {
+        "hypergraph": {"k": 2, "part_sizes": [8, 8], "symmetric": True, "edges": edges},
+        "measures": [{"part": 0, "weights": w0}, {"part": 1, "weights": w1}]})
+    weighted = ["reg", "partition", "--in", inst, "--epsilon", "1/2"]
+    uniform = weighted + ["--uniform"]
+    cold = {" ".join(argv): _cold_text(argv) for argv in (weighted, uniform)}
+    cli._INSTANCE.clear()
+    for argv in (weighted, uniform, weighted, uniform):
+        assert _report_text(argv) == cold[" ".join(argv)]
+    H, measures = cli._INSTANCE[1]
+    assert [m.to_obj()["weights"] for m in measures] == [w0, w1]
+    assert json.loads(cold[" ".join(uniform)][1])["outputs"]["meta"]["uniform"] is True
+
+
+def test_verify_on_a_cached_instance_recounts(tmp_path, monkeypatch):
+    import vcreg.regularity
+    inst, part = str(tmp_path / "h.json"), str(tmp_path / "p.json")
+    report(["gen", "half-graph", "--sizes", "12,12", "--out", inst])
+    assert run(["reg", "partition", "--in", inst, "--epsilon", "1/4", "--out", part])[0] == 0
+    verify = ["reg", "verify", "--in", inst, "--partition", part]
+    decodes = _count_decodes(monkeypatch)
+    real = vcreg.regularity.recount_boxes
+
+    def wrong(*args):   # every box's edge mass swapped for its non-edge mass
+        counts, t, e, den = real(*args)
+        return counts, t, t - e, den
+    monkeypatch.setattr(vcreg.regularity, "recount_boxes", wrong)
+    code, rep = report(verify)
+    assert decodes == [] and code == 1
+    assert rep["ok"] is False and rep["verification"]["ok"] is False
+    assert rep["verification"]["violations"]
+    monkeypatch.setattr(vcreg.regularity, "recount_boxes", real)
+    code, rep = report(verify)
+    assert decodes == [] and code == 0 and rep["verification"]["ok"] is True

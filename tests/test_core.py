@@ -137,6 +137,17 @@ def test_edge_array_cached_read_only():
     assert edge_array(twin) is not edges
 
 
+def test_binary_view_fibers_are_read_only():
+    # a cached instance shares its views across jobs, so no job may write one
+    H = half_graph(6)
+    fibers = binary_view(H, (0,)).fibers
+    with pytest.raises(ValueError):
+        fibers[0, 0] = not fibers[0, 0]
+    with pytest.raises(ValueError):
+        fibers |= True
+    assert np.array_equal(fibers, binary_view(half_graph(6), (0,)).fibers)
+
+
 def test_equality_and_hash_follow_sizes_flag_and_edge_set():
     edges = [(i, j) for i in range(4) for j in range(4) if (i + j) % 3]
     shuffled = edges[::-1]
