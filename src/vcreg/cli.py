@@ -18,8 +18,9 @@ Exit codes: 0 all verifications pass; 1 a verification failed (e.g. a box
 of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
 or missing flags, flags the run does not read, malformed files, bad rationals,
 a `gen` instance too large for any engine), whose report has "subcommand":
-null if the parse refused the flags. Only `--help` writes no report. A closed
-stdout ends it without a traceback. Handlers return (outputs, verification);
+null if the parse refused the flags, a flag the run's mode does not read
+included. Only `--help` writes no report. A closed stdout ends it without a
+traceback. Handlers return (outputs, verification);
 `main` alone sets "ok", true when every verification entry is True or
 "skipped-large", except the data keys that carry figures (`DATA_KEYS`:
 violations, sigma_mass, box_count, class_counts, note, results, edge_count,
@@ -127,25 +128,26 @@ def _load_instance(path: str, files: dict):
     """Hypergraph plus measures from a bare hypergraph file or a generated
     instance file; measures default to uniform when the file has none. The
     file is read and hashed on every call, and decoded only when its bytes
-    differ from the last instance's."""
+    differ from the last instance's, and H and its measures are built under
+    decode_json's collector pause."""
     from .core import Hypergraph, Measure, uniform_measures
     raw, digest = read_bytes(path)
     if _INSTANCE and _INSTANCE[0] == digest:
         files["in"] = digest
         return _INSTANCE[1]
     _INSTANCE.clear()   # never two instances held at once
-    obj = decode_json(raw, path)
-    del raw   # freed before the relation is built, as load_json frees it
-    require(isinstance(obj, dict), f"{path} must hold a JSON object")
-    files["in"] = digest
-    H = Hypergraph.from_obj(obj.get("hypergraph", obj))
-    if "measures" in obj:
+
+    def build(obj):
+        require(isinstance(obj, dict), f"{path} must hold a JSON object")
+        files["in"] = digest
+        H = Hypergraph.from_obj(obj.get("hypergraph", obj))
+        if "measures" not in obj:
+            return H, uniform_measures(H)
         require(isinstance(obj["measures"], list), f"{path}: 'measures' must be a list")
-        measures = tuple(Measure.from_obj(m) for m in obj["measures"])
-    else:
-        measures = uniform_measures(H)
-    _INSTANCE[:] = digest, (H, measures)
-    return H, measures
+        return H, tuple(Measure.from_obj(m) for m in obj["measures"])
+
+    _INSTANCE[:] = digest, decode_json(raw, path, build)
+    return _INSTANCE[1]
 
 
 def _load_family(args, files: dict):
@@ -364,7 +366,6 @@ def _cmd_convexity_involution(args, files):
 
 
 def _cmd_rodl_search(args, files):
-    _check_modes(args, ("rodl", "search"))
     if args.infile is None:   # ball mode: the ball scan, recounted by brute force to depth 8
         from .oracles import brute_dyadic_pair_count
         rep = ball_family_search(args.depth, args.epsilon, parity=args.parity)
@@ -422,7 +423,7 @@ def _cmd_rodl_search(args, files):
 def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
-    params = dict(_check_modes(args, ("gen", None)))
+    params = dict(args.mode_flags)
     # dyadic-export reads --depth, whose flag type checked dyadic_hypergraph's range
     sizes = _parse_ints(params.pop("sizes"), "sizes") if "sizes" in params \
         else (1 << args.depth,) * 2
@@ -473,7 +474,7 @@ _PREFIX = ("--prefix", {"action": "append",
 # A row is (name, argparse keywords, modes that read it...); "required" is
 # checked by _parse_args, in the modes that read the row. `mode` maps parsed
 # flags to the run's mode; a row naming modes is refused in the others
-# (_check_modes), defaulted in its own.
+# (_check_modes, as the flags are parsed), defaulted in its own.
 COMMANDS = {
     ("vc", "dim"): (_cmd_vc_dim, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
     ("vc", "shatter"): (_cmd_vc_shatter, None, _IN, _OUT, _PARTS,
@@ -536,11 +537,12 @@ def _check_modes(args, key) -> list:
     """(flag, value) of each set flag of COMMANDS[key] that only some modes
     read, in table order; an InputError for one the run's mode does not read."""
     _, mode, *rows = COMMANDS[key]
-    user, given = mode(args), []
+    given = []
     for name, kw, *modes in rows:
         value = getattr(args, _dest(name, kw))
         if modes and value is not None:
-            require(user in modes, f"{name} applies only to {' or '.join(modes)}, not {user}")
+            require(mode(args) in modes,
+                    f"{name} applies only to {' or '.join(modes)}, not {mode(args)}")
             given.append((name.lstrip("-"), value))
     return given
 
@@ -587,7 +589,9 @@ def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
     """(cmd, sub) and the flags of one parse. The missing arguments COMMANDS
     requires in the run's mode are named with the unknown ones, as argparse
     names them. A flag's default is filled in where it was not given, in the
-    modes that read it; `args.defaulted` names the dests filled so."""
+    modes that read it; `args.defaulted` names the dests filled so. A flag
+    the run's mode does not read is refused here too, and `args.mode_flags`
+    holds the (flag, value) pairs of the mode flags given (_check_modes)."""
     args, extras = _build_parser().parse_known_args(argv)
     key = (args.cmd, getattr(args, "sub", None))
     _, mode, *rows = COMMANDS.get(key, (None, None))
@@ -607,10 +611,11 @@ def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
         if "default" in kw and getattr(args, dest) is None:
             setattr(args, dest, kw["default"])
             args.defaulted.add(dest)
+    args.mode_flags = _check_modes(args, key)
     return key, args
 
 
-_FLAG_SKIP = {"cmd", "sub", "out", "defaulted"}
+_FLAG_SKIP = {"cmd", "sub", "out", "defaulted", "mode_flags"}
 
 # Verification entries that carry figures, not verdicts (see "Exit codes").
 DATA_KEYS = frozenset({"violations", "sigma_mass", "box_count", "class_counts",

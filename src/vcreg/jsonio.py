@@ -109,23 +109,29 @@ def read_bytes(path) -> tuple[bytes, str]:
     return raw, hashlib.sha256(raw).hexdigest()
 
 
-def decode_json(raw: bytes, path):
-    """The UTF-8 JSON document `raw`, the bytes of the file `path`."""
+def decode_json(raw: bytes, path, build=None):
+    """The UTF-8 JSON document `raw`, the bytes of the file `path`, or
+    build(document) if a function is given.
+
+    A parsed JSON tree holds no reference cycles, so a collection during the
+    parse frees nothing; it only rescans every list parsed so far. The
+    collector waits through the parse and `build`, which walks those lists
+    again, and resumes, as the caller had it, once the tree is freed."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        text = raw.decode("utf-8")
-        # A parsed JSON tree holds no reference cycles, so a collection during
-        # the parse frees nothing; it only rescans every list parsed so far.
-        enabled = gc.isenabled()
-        gc.disable()
         try:
-            return json.loads(text)
-        finally:
-            if enabled:
-                gc.enable()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from None
+            tree = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed JSON in {path}: {exc}") from None
+        if build is not None:
+            tree = build(tree)   # the last reference to the parsed tree goes here
+        return tree
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_json(path):

@@ -243,14 +243,29 @@ def brute_greedy_net(members, weights, eps: Fraction) -> tuple[list[int], int]:
     return _brute_greedy(heavy), len(heavy)
 
 
+def brute_net_size(dimension: int, eps: Fraction, base2: bool = False) -> int:
+    """ceil(8 d (1/eps) max(1, log(1/eps))), the log natural or base 2, with
+    the log from `decimal` at 50 digits (exact for a power of two in base 2)
+    and the rest in Fractions."""
+    from decimal import Decimal, localcontext
+    x = 1 / Fraction(eps)
+    if base2 and x.denominator == 1 and x.numerator & (x.numerator - 1) == 0:
+        log = Fraction(x.numerator.bit_length() - 1)
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ln = (Decimal(x.numerator) / x.denominator).ln()
+            log = Fraction(ln / Decimal(2).ln() if base2 else ln)
+    return math.ceil(8 * max(1, dimension) * x * max(1, log))
+
+
 def brute_random_net(members, weights, eps: Fraction, dimension: int, seed,
                      max_retries: int = 10) -> dict:
-    """The seeded random eps-net: 8 d (1/eps) ln(1/eps) draws from the
-    weights in lowest terms per attempt, the greedy net after max_retries
-    failed attempts."""
+    """The seeded random eps-net: brute_net_size draws from the weights in
+    lowest terms per attempt, the greedy net after max_retries failed
+    attempts."""
     heavy = _brute_heavy(members, weights, eps)
-    inv = 1 / float(eps)
-    size = math.ceil(8 * max(1, dimension) * inv * max(1.0, math.log(inv)))
+    size = brute_net_size(dimension, eps)
     den = math.lcm(*(w.denominator for w in weights))
     cum = list(itertools.accumulate(int(w * den) for w in weights))
     rng = random.Random(seed)

@@ -17,17 +17,24 @@ min(2048 * ceil((h + 1) / 2048), N, R); a level with no shattered t-set and
 N <= R spends N and ends the search; otherwise the budget is exhausted, the
 result carries a flag and callers fall back to the provable upper bound
 floor(log2(#members)).
+
+The dimension of a fiber family is searched once per process: every
+finished search is remembered by content, the sha256 of the packed rows with
+the shape, cap and budget, so the delta partition, `vc dim`, `gen`'s measured
+dimension and the random net share it across jobs, files and Hypergraph
+objects. The memo holds at most MAX_DIMENSIONS entries, first in first out;
+nothing that depends on eps or on the weights is kept.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,12 +213,32 @@ def vc_dimension(family: SetFamily, cap: int = 8, budget: int | None = None) -> 
     return vc_dimension_matrix(family.matrix(), cap, budget)
 
 
+# Finished searches of vc_dimension_matrix, first in first out. The key is the
+# sha256 of the packed rows with the shape, cap and budget, and the row-block
+# size, which never changes a result but decides how the search runs.
+MAX_DIMENSIONS = 256
+_DIMENSIONS: dict = {}
+
+
 def vc_dimension_matrix(mat: np.ndarray, cap: int = 8,
                         budget: int | None = None) -> VCDimension:
     """vc_dimension of the family whose members are the rows of a boolean
-    matrix; the rows must be pairwise distinct (their order is irrelevant)."""
+    matrix; the rows must be pairwise distinct (their order is irrelevant).
+    Each result is remembered by the matrix's content (see _DIMENSIONS)."""
     require(cap >= 1, "cap must be >= 1")
     require(budget is None or budget >= 0, "budget must be >= 0")
+    key = (hashlib.sha256(np.packbits(mat, axis=1)).digest(), mat.shape, cap, budget,
+           ROW_BLOCK_BYTES)
+    dim = _DIMENSIONS.get(key)
+    if dim is None:
+        dim = _dimension_search(mat, cap, budget)
+        if len(_DIMENSIONS) >= MAX_DIMENSIONS:
+            del _DIMENSIONS[next(iter(_DIMENSIONS))]
+        _DIMENSIONS[key] = dim
+    return dim
+
+
+def _dimension_search(mat: np.ndarray, cap: int, budget: int | None) -> VCDimension:
     # 2^d distinct rows are needed to shatter d columns
     limit = min(cap, mat.shape[0].bit_length() - 1)
     if limit < 1:
@@ -327,24 +354,44 @@ def net_hits_all(heavy: np.ndarray, width: int, points) -> bool:
     return bool((heavy & np.packbits(mask)).any(axis=1).all())
 
 
+def _atanh_bounds(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Bounds on 2 atanh(z) = ln((1 + z) / (1 - z)), 0 <= z < 1: twice the
+    first `terms` terms of sum z^(2i+1) / (2i+1), and that plus twice the
+    bound z^(2 terms+1) / ((2 terms+1) (1 - z^2)) on the rest."""
+    lo = 2 * sum((z ** (2 * i + 1) / (2 * i + 1) for i in range(terms)), Fraction(0))
+    return lo, lo + 2 * z ** (2 * terms + 1) / ((2 * terms + 1) * (1 - z * z))
+
+
+def _ceil_log_size(scale: Fraction, x: Fraction, base2: bool) -> int:
+    """ceil(scale * max(1, log x)), log natural or base 2, exactly. With
+    x = 2^k m, 1 <= m < 2, ln x = k ln 2 + ln m and log2 x = k + ln m / ln 2,
+    where ln 2 = 2 atanh(1/3) and ln m = 2 atanh((m - 1) / (m + 1)). The
+    bounds tighten until both ends give one ceiling; log x is irrational
+    unless m = 1, where log2 x = k is exact, so that always happens."""
+    if x <= 2:   # log x <= 1 under either reading
+        return math.ceil(scale)
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    k -= x < 2 ** k
+    z, terms = (x / 2 ** k - 1) / (x / 2 ** k + 1), 4
+    while True:
+        (lo2, hi2), (lom, him) = _atanh_bounds(Fraction(1, 3), terms), _atanh_bounds(z, terms)
+        lo, hi = (k + lom / hi2, k + him / lo2) if base2 else (k * lo2 + lom, k * hi2 + him)
+        size = math.ceil(scale * max(1, lo))
+        if size == math.ceil(scale * max(1, hi)):
+            return size
+        terms *= 2
+
+
 def net_size_formula(d: int, eps: Fraction) -> dict:
-    """Sample sizes 8*d*(1/eps)*log(1/eps) under both log readings, with the
-    max(1, .) guard; the natural-log size is the one actually sampled."""
-    inv = 1 / float(eps)
+    """Sample sizes ceil(8*d*(1/eps)*max(1, log(1/eps))) under both log
+    readings, in exact arithmetic; the natural-log size is the one sampled."""
+    x = 1 / Fraction(eps)
     d_eff = max(1, d)
     return {
-        "size_ln": math.ceil(8 * d_eff * inv * max(1.0, math.log(inv))),
-        "size_log2": math.ceil(8 * d_eff * inv * max(1.0, math.log2(inv))),
+        "size_ln": _ceil_log_size(8 * d_eff * x, x, False),
+        "size_log2": _ceil_log_size(8 * d_eff * x, x, True),
         "d_used": d_eff,
     }
-
-
-@lru_cache(maxsize=32)
-def _net_dimension(family: SetFamily) -> VCDimension:
-    """Dimension used to size random nets. The sampling size depends only on
-    the family; repeated seeded draws on the same family should not pay for
-    the dimension search each time."""
-    return vc_dimension_matrix(family.matrix(), cap=8, budget=500_000)
 
 
 def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
@@ -366,7 +413,7 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
         return EpsNet(tuple(pts), net_hits_all(heavy, width, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
-    dim = _net_dimension(family)
+    dim = vc_dimension_matrix(mat, cap=8, budget=500_000)
     sizes = net_size_formula(dim.value, eps)
     meta.update(sizes)
     meta["dimension"] = dim.display()

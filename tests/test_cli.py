@@ -310,6 +310,15 @@ def test_rodl_refuses_a_flag_its_mode_does_not_read(write_json, extra, message):
     assert code == 2 and rep["error"] == {"kind": "input", "message": message}
 
 
+@pytest.mark.parametrize("argv", [["gen", "half-graph", "--sizes", "8,8", "--blocks", "3"],
+                                  ["gen", "half-graph", "--blocks", "3"]])
+def test_a_mode_refusal_is_a_parse_error(argv):
+    # refused as the flags are parsed, like a missing flag: no subcommand, no flags
+    code, rep = report(argv)
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert rep["subcommand"] is None and rep["inputs"] == {"flags": {}, "files": {}}
+
+
 @pytest.mark.parametrize("m", ["0", "-1", "4"])
 def test_rodl_graph_mode_names_an_out_of_range_m(write_json, m):
     code, rep = report(["rodl", "search", "--in", _two_cliques(write_json), "--eps", "1/8",

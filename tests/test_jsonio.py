@@ -91,6 +91,39 @@ def test_load_json_parses_with_the_collector_paused(tmp_path, monkeypatch):
     assert seen == [False] * 4
 
 
+def test_the_instance_is_built_with_the_collector_paused(tmp_path, monkeypatch, capsys):
+    from vcreg.core import Hypergraph
+    inst = str(tmp_path / "h.json")
+    assert cli.main(["gen", "half-graph", "--sizes", "8,8", "--out", inst]) == 0
+    seen, real = [], Hypergraph.from_obj
+    monkeypatch.setattr(Hypergraph, "from_obj",
+                        staticmethod(lambda obj: seen.append(gc.isenabled()) or real(obj)))
+    cli._INSTANCE.clear()
+    assert gc.isenabled()
+    assert cli.main(["reg", "partition", "--in", inst, "--epsilon", "1/4"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def test_decode_json_restores_the_callers_collector_around_build():
+    def refuse(tree):
+        raise InputError("refused")
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert jsonio.decode_json(b'[1]', "a.json", lambda t: (gc.isenabled(), t)) \
+                == (False, [1])
+            assert gc.isenabled() is enabled
+            for raw, build in ((b'{"k": [1', None), (b'{"k": [1', refuse), (b'\xff', refuse),
+                               (b'[1]', refuse)):
+                with pytest.raises(InputError):
+                    jsonio.decode_json(raw, "a.json", build)
+                assert gc.isenabled() is enabled, (raw, build)
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 # reduced common denominators of the three arithmetic regimes
 _DEN_RANGES = {"float64": (1, 2 ** 53 - 1), "int64": (2 ** 53, 2 ** 62 - 1),
                "bigint": (2 ** 62, 2 ** 100)}

@@ -1,7 +1,9 @@
 """Shattering, the growth bound, and exact epsilon-nets."""
 
 import itertools
+import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -228,3 +230,118 @@ def test_net_hits_all_on_packed_rows():
     assert not vc.net_hits_all(heavy, width, [0, 1, 3, 9, 14, 16, 18])
     assert not vc.net_hits_all(heavy, width, [])
     assert vc.net_hits_all(heavy[:0], width, [])
+
+
+# ------------------------------------------------------- the dimension memo
+
+@pytest.fixture
+def searches(monkeypatch):
+    """An empty memo for the test, and the shape, cap and budget of each
+    search that runs."""
+    calls, real = [], vc._dimension_search
+    monkeypatch.setattr(vc, "_DIMENSIONS", {})
+    monkeypatch.setattr(vc, "_dimension_search",
+                        lambda mat, cap, budget: calls.append((mat.shape, cap, budget))
+                        or real(mat, cap, budget))
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(0, 40), r=st.integers(0, 12),
+       density=st.floats(0.05, 0.95), cap=st.integers(1, 8),
+       budget=st.sampled_from((None, 0, 1, 3, 20, 100, 2047, 2049)))
+def test_a_warm_call_returns_the_cold_search(seed, m, r, density, cap, budget):
+    rng = np.random.default_rng(seed)
+    mat = np.unique(rng.random((m, r)) < density, axis=0) if m else np.zeros((0, r), bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vc, "_DIMENSIONS", {})
+        cold = vc_dimension_matrix(mat, cap, budget)
+        warm = vc_dimension_matrix(mat.copy(), cap, budget)
+    assert warm is cold and cold == block_vc_dimension(mat, cap, budget)
+
+
+def test_an_exhausted_budget_is_remembered_as_it_was_returned(searches):
+    mat = interval_family(12).matrix()
+    cold = vc_dimension_matrix(mat, 8, 1)
+    assert cold.budget_exhausted and cold == block_vc_dimension(mat, 8, 1)
+    assert vc_dimension_matrix(mat, 8, 1) is cold and len(searches) == 1
+
+
+def test_the_same_bytes_hit_the_memo(searches):
+    mat = interval_family(10).matrix()
+    first = vc_dimension_matrix(mat)
+    assert vc_dimension_matrix(np.array(mat.tolist(), dtype=bool)) is first
+    # one relation in two Hypergraph objects: one search of its fibers
+    dims = [vc_dimension(fiber_family(half_graph(12), (0,))) for _ in range(2)]
+    assert dims[0] is dims[1] and dims[0].value == 1
+    assert searches == [(mat.shape, 8, None), ((12, 12), 8, None)]
+
+
+def test_other_bytes_shape_cap_or_budget_miss_the_memo(searches):
+    mat = interval_family(10).matrix()
+    flipped = mat.copy()
+    flipped[0, 9] = True   # {0, 9} is no interval, so the rows stay distinct
+    wider = np.hstack([mat, np.zeros((len(mat), 1), bool)])   # the same packed bytes
+    assert np.array_equal(np.packbits(wider, axis=1), np.packbits(mat, axis=1))
+    vc_dimension_matrix(mat)
+    for args in ((flipped,), (wider,), (mat, 7), (mat, 8, 100), (mat, 8, 101)):
+        assert vc_dimension_matrix(*args) == block_vc_dimension(*args)
+    assert searches == [(mat.shape, 8, None), (mat.shape, 8, None), (wider.shape, 8, None),
+                        (mat.shape, 7, None), (mat.shape, 8, 100), (mat.shape, 8, 101)]
+
+
+def test_the_memo_never_holds_more_than_its_bound(searches):
+    # two distinct rows, the first spelling b in binary: a new content per b
+    mats = [np.array([[b >> i & 1 for i in range(9)], [0] * 9], dtype=bool)
+            for b in range(1, vc.MAX_DIMENSIONS + 41)]
+    for mat in mats:
+        vc_dimension_matrix(mat)
+        assert len(vc._DIMENSIONS) <= vc.MAX_DIMENSIONS
+    assert len(vc._DIMENSIONS) == vc.MAX_DIMENSIONS == len(searches) - 40
+    # first in, first out: the oldest entries are gone, the newest remain
+    vc_dimension_matrix(mats[-1])
+    assert len(searches) == len(mats)
+    vc_dimension_matrix(mats[0])
+    assert len(searches) == len(mats) + 1
+
+
+def _report_text(argv, capsys) -> str:
+    """The report of a job on a freshly read instance, "timing" taken out."""
+    from vcreg import cli
+    cli._INSTANCE.clear()
+    assert cli.main(argv) == 0
+    return re.sub(r',?"timing":\{[^{}]*\}', "", capsys.readouterr().out)
+
+
+def test_reg_partition_reports_match_with_the_memo_cold_and_warm(tmp_path, capsys, searches):
+    from vcreg import cli
+    inst = str(tmp_path / "s.json")
+    assert cli.main(["gen", "staircase", "--sizes", "6,6,6", "--out", inst]) == 0
+    capsys.readouterr()
+    argv = ["reg", "partition", "--in", inst, "--epsilon", "1/4"]
+    vc._DIMENSIONS.clear()
+    cold, searched = _report_text(argv, capsys), len(searches)
+    warm = _report_text(argv, capsys)
+    assert searched > 0 and len(searches) == searched   # the warm job searched nothing
+    assert warm == cold and json.loads(cold)["ok"] is True
+
+
+# 1/eps with ln(1/eps) <= 1 and 8 d / eps an integer, which a float product
+# rounded up past the integer
+_EXACT_PRODUCTS = [(Fraction(20, 23), 5, 46, 46), (Fraction(10, 23), 5, 92, 111),
+                   (Fraction(32, 49), 4, 49, 49), (Fraction(24, 55), 3, 55, 66)]
+
+
+def test_net_sizes_are_exact():
+    from vcreg.oracles import brute_net_size
+    for den in range(2, 65):
+        for eps in {Fraction(1, den), Fraction(3, den)}:
+            for d in range(1, 9):
+                sizes = net_size_formula(d, eps)
+                assert sizes["size_ln"] == brute_net_size(d, eps), (eps, d)
+                assert sizes["size_log2"] == brute_net_size(d, eps, base2=True), (eps, d)
+    for eps, d, size_ln, size_log2 in _EXACT_PRODUCTS:
+        assert net_size_formula(d, eps) == {"size_ln": size_ln, "size_log2": size_log2,
+                                            "d_used": d}
+    # log2 of a power of two is exact: 8 * 3 * 64 * 6
+    assert net_size_formula(3, Fraction(1, 64))["size_log2"] == 9216
