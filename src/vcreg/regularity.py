@@ -12,10 +12,12 @@ Everything is verified exactly as it is built. The plan:
      eps/2, approximate each representative's fiber relation at eps/2, and
      glue. The exact symmetric-difference mass is computed fiberwise and
      must come out below eps.
-  3. regular_partition runs 2 at eps^2, takes per-part atoms over the box
-     sides, collects exceptional boxes with sym-difference density >= eps
-     into Sigma, and labels the rest by the approximation, which makes them
-     0-1 dense. Sigma mass <= eps is re-checked exactly before returning.
+  3. regular_partition runs 2 at delta = eps, eps/2, eps^2 in turn, takes
+     per-part atoms over the box sides, collects exceptional boxes with
+     sym-difference density >= eps into Sigma, and labels the rest by the
+     approximation, which makes them 0-1 dense. It keeps the first delta
+     whose Sigma mass, computed exactly, is <= eps; at eps^2 Markov's bound
+     guarantees that, and the check still runs.
 
 The builders sum boxes with core.box_counts and decide them all at once by
 exact array comparisons; verify_regular_partition recounts them by another
@@ -386,6 +388,14 @@ def regular_partition(H: Hypergraph, measures, eps: Fraction,
     return _build_regular_partition(H, measures, eps, uniform)[0]
 
 
+def _rect_ladder(eps: Fraction) -> list[Fraction]:
+    """The rect deltas _build_regular_partition tries, coarsest first: eps,
+    eps/2 and eps^2, without repeats or any finer than eps^2. Markov's bound
+    (Sigma mass <= delta / eps) vouches only for the last, so a rung is kept
+    only when its Sigma mass, computed exactly, is <= eps."""
+    return sorted({d for d in (eps, eps / 2, eps * eps) if d >= eps * eps}, reverse=True)
+
+
 def _build_regular_partition(H: Hypergraph, measures, eps: Fraction,
                              uniform: bool) -> tuple:
     """regular_partition's partition with its box sums (t, e, den), as
@@ -396,44 +406,49 @@ def _build_regular_partition(H: Hypergraph, measures, eps: Fraction,
     measures = check_measures(H, measures)
     require(not uniform or len({m.numerators() for m in measures}) == 1,
             "uniform partition needs the same weights on every part")
-    ra = rectangular_approximation(H, measures, eps * eps)
+    attempts = []
+    for delta in _rect_ladder(eps):
+        ra = rectangular_approximation(H, measures, delta)
+        if uniform:
+            pooled = sorted(set(itertools.chain.from_iterable(ra.params)))
+            per_part_classes = [fiber_atoms(H, 0, pooled)] * H.k
+            provenance = (tuple(pooled),) * H.k
+        else:
+            per_part_classes = [_atoms_over_sides(n, sorted({b.sides[i] for b in ra.boxes}))
+                                for i, n in enumerate(H.part_sizes)]
+            provenance = ra.params
+        # _merge_zero_measure copies the classes, so the uniform parts share none
+        per_part_classes = [_merge_zero_measure(c, m) for c, m in zip(per_part_classes, measures)]
 
-    if uniform:
-        pooled = sorted(set(itertools.chain.from_iterable(ra.params)))
-        per_part_classes = [fiber_atoms(H, 0, pooled)] * H.k
-        provenance = (tuple(pooled),) * H.k
+        counts, t, e, den = box_counts(H, measures, per_part_classes)
+        # Up to weight-0 vertices, every class lies wholly inside or wholly outside
+        # each side of every rect box: non-uniform classes are atoms over the
+        # sides, uniform ones atoms over the pooled parameters that define every
+        # side, and _merge_zero_measure adds only weight-0 vertices. So a box's
+        # mass in the approximation A is 0 or all of it, and the box lies in A
+        # exactly when one positive-weight tuple does: each class's first
+        # positive-weight vertex (every class has one) stands for it.
+        reps = [[next(v for v in c if nums[v]) for c in classes] for classes, (nums, _)
+                in zip(per_part_classes, (m.numerators() for m in measures))]
+        inside = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes)).reshape(
+            H.part_sizes)[np.ix_(*reps)].reshape(-1)
+
+        # the majority label is `inside`, and the mass off it is the
+        # sym-difference mass, so a positive box outside Sigma is 0-1 dense
+        low, high = band(t, e, eps)
+        sigma = (t > 0) & ~np.where(inside, high, low)
+        labels = np.where((t > 0) & ~sigma, inside, -1).astype(np.int8)
+        sigma_mass = Fraction(sum(t[sigma].tolist()), den)
+        attempts.append({"delta": delta, "rect_error": ra.error, "sigma_mass": sigma_mass})
+        if sigma_mass <= eps:
+            break
     else:
-        per_part_classes = [_atoms_over_sides(n, sorted({b.sides[i] for b in ra.boxes}))
-                            for i, n in enumerate(H.part_sizes)]
-        provenance = ra.params
-    # _merge_zero_measure copies the classes, so the uniform parts share none
-    per_part_classes = [_merge_zero_measure(c, m) for c, m in zip(per_part_classes, measures)]
-
-    counts, t, e, den = box_counts(H, measures, per_part_classes)
-    # Up to weight-0 vertices, every class lies wholly inside or wholly outside
-    # each side of every rect box: non-uniform classes are atoms over the
-    # sides, uniform ones atoms over the pooled parameters that define every
-    # side, and _merge_zero_measure adds only weight-0 vertices. So a box's
-    # mass in the approximation A is 0 or all of it, and the box lies in A
-    # exactly when one positive-weight tuple does: each class's first
-    # positive-weight vertex (every class has one) stands for it.
-    reps = [[next(v for v in c if nums[v]) for c in classes] for classes, (nums, _)
-            in zip(per_part_classes, (m.numerators() for m in measures))]
-    inside = boxes_mask(H.part_sizes, (b.sides for b in ra.boxes)).reshape(
-        H.part_sizes)[np.ix_(*reps)].reshape(-1)
-
-    # the majority label is `inside`, and the mass off it is the
-    # sym-difference mass, so a positive box outside Sigma is 0-1 dense
-    low, high = band(t, e, eps)
-    sigma = (t > 0) & ~np.where(inside, high, low)
-    labels = np.where((t > 0) & ~sigma, inside, -1).astype(np.int8)
-    sigma_mass = Fraction(sum(t[sigma].tolist()), den)
-    if sigma_mass > eps:
         raise VerificationError("exceptional mass exceeds eps")
 
     meta = {
         "rect_error": ra.error,
-        "rect_eps": eps * eps,
+        "rect_eps": delta,
+        "rect_attempts": attempts,
         "levels": ra.levels,
         "sigma_mass": sigma_mass,
         "class_counts": tuple(counts),

@@ -858,15 +858,16 @@ def test_uniform_partition_on_weighted_symmetric_instance(write_json):
     assert rep["verification"]["ok"] and rep["verification"]["violations"] == []
     assert _outputs_bytes(rep) == (
         '{"class_counts":[5,5],"meta":{"class_counts":[5,5],"levels":[{"arity":2,'
-        '"class_bound_sauer":7,"classes":5,"eps_level":"1/4","fiber_dimension":"2",'
-        '"net_param_bound":10240,"split_params":3,"split_path":"net"}],"param_width":5,'
-        '"rect_eps":"1/4","rect_error":"0/1","sigma_mass":"0/1","uniform":true},'
+        '"class_bound_sauer":7,"classes":4,"eps_level":"1/2","fiber_dimension":"2",'
+        '"net_param_bound":2560,"split_params":3,"split_path":"net"}],"param_width":4,'
+        '"rect_attempts":[{"delta":"1/2","rect_error":"1/32","sigma_mass":"1/32"}],'
+        '"rect_eps":"1/2","rect_error":"1/32","sigma_mass":"1/32","uniform":true},'
         '"partition":{"classes":[[[0,1,2],[3],[4],[5,7],[6]],[[0,1,2],[3],[4],[5,7],[6]]],'
         '"epsilon":"1/2","labels":[[[0,0],1],[[0,1],1],[[0,2],0],[[0,3],0],[[0,4],0],'
-        '[[1,0],1],[[1,1],1],[[1,2],1],[[1,3],0],[[1,4],0],[[2,0],0],[[2,1],1],[[2,2],1],'
+        '[[1,0],1],[[1,1],1],[[1,2],1],[[1,3],0],[[1,4],0],[[2,0],0],[[2,2],1],'
         '[[2,3],1],[[2,4],1],[[3,0],0],[[3,1],0],[[3,2],1],[[3,3],1],[[3,4],1],[[4,0],0],'
-        '[[4,1],0],[[4,2],1],[[4,3],1],[[4,4],1]],"provenance":[[[0],[1],[3],[4],[5],[6]],'
-        '[[0],[1],[3],[4],[5],[6]]],"sigma":[]}}')
+        '[[4,1],0],[[4,2],1],[[4,3],1],[[4,4],1]],"provenance":[[[0],[1],[3],[4],[5],[6],[7]],'
+        '[[0],[1],[3],[4],[5],[6],[7]]],"sigma":[[2,1]]}}')
 
 
 def test_eh_box_in_the_bigint_regime(write_json):

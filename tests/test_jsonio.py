@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vcreg import cli, jsonio
 from vcreg.core import Measure
 from vcreg.errors import InputError
-from vcreg.instances import half_graph
+from vcreg.instances import GeneratorSpec, generate
 from vcreg.jsonio import _json_default, canonical_dumps, load_json, parse_rational
 
 
@@ -42,12 +42,14 @@ def test_canonical_dumps_encoding_rules():
 
 
 def test_canonical_dumps_skips_only_the_cycle_check(write_json, monkeypatch, capsys):
-    """Without the encoder's cycle check, the largest report the engines
-    write (reg partition of the 256^2 half-graph at eps 1/16) encodes to
-    the same bytes as with it."""
+    """Without the encoder's cycle check, a report of the largest kind the
+    engines write encodes to the same bytes as with it: reg partition of a
+    random 256^2 relation of VC dimension <= 2 at eps 1/16, whose classes
+    stay singletons (65,536 boxes)."""
     reports = []
     monkeypatch.setattr(cli, "canonical_dumps", lambda rep: reports.append(rep) or "")
-    path = write_json("half256.json", {"hypergraph": half_graph(256).to_obj()})
+    g = generate(GeneratorSpec("random-vc-capped", (256, 256), 2, 1))
+    path = write_json("capped256.json", {"hypergraph": g.hypergraph.to_obj()})
     assert cli.main(["reg", "partition", "--in", path, "--epsilon", "1/16"]) == 0
     capsys.readouterr()
     (rep,) = reports

@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_cli import report, run
 from test_kernel_oracle import _instance
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
+from vcreg import regularity
 from vcreg import (Box, Hypergraph, InputError, Measure, RegularPartition,
                    delta_approx_partition, density, find_dense_box,
                    rectangular_approximation, regular_partition,
                    uniform_measures, verify_regular_partition)
 from vcreg.oracles import (brute_boxes_membership, brute_fiber, brute_set_mass,
                            brute_union_mass_error, edge_set)
-from vcreg.instances import block_pair_graph, half_graph, same_block_equivalence
+from vcreg.instances import (GeneratorSpec, block_pair_graph, generate, half_graph,
+                             same_block_equivalence)
+from vcreg.jsonio import canonical_dumps, format_rational
 
 
 def _labels(rp):
@@ -276,15 +280,17 @@ def _symmetric_instance(rng, regime):
 @pytest.mark.parametrize("uniform", [False, True])
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(REGIMES),
-       # coarse eps leave boxes in Sigma
-       eps=st.sampled_from((Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1))))
+       # coarse eps leave boxes in Sigma; at 1/8 the three rect deltas differ
+       eps=st.sampled_from((Fraction(1, 8), Fraction(1, 5), Fraction(1, 2), Fraction(3, 4),
+                            Fraction(1))))
 def test_regular_partition_labels_match_brute_approximation(uniform, seed, regime, eps):
-    # every box's mass in the rect approximation A, recounted tuple by tuple
+    # every box's mass in the rect approximation A the builder kept, recounted
+    # tuple by tuple
     rng = random.Random(seed)
     H, measures = (_symmetric_instance if uniform else _instance)(rng, regime)
     assert _regime(math.prod(m.numerators()[1] for m in measures)) == regime
-    boxes = rectangular_approximation(H, measures, eps * eps).boxes
     rp = regular_partition(H, measures, eps, uniform=uniform)
+    boxes = rectangular_approximation(H, measures, rp.meta["rect_eps"]).boxes
     sigma = {tuple(key) for key in rp.to_obj()["sigma"]}
     labels = _labels(rp)
     edges = edge_set(H)
@@ -303,6 +309,76 @@ def test_regular_partition_labels_match_brute_approximation(uniform, seed, regim
         else:
             assert sym / t < eps
             assert labels[key] == (1 if 2 * a >= t else 0)
+
+
+def _threshold_graph(n):
+    """The symmetric relation i + j < n on n x n."""
+    return Hypergraph((n, n), frozenset((i, j) for i in range(n) for j in range(n - i)),
+                      symmetric=True)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
+def test_the_last_rect_rung_gives_the_eps_squared_partition(uniform, eps, monkeypatch,
+                                                              write_json, tmp_path):
+    # every rung coarser than eps^2 gets a boxless approximation: one class a
+    # part, Sigma the whole mass, so each of them fails its Sigma check
+    H = _threshold_graph(24) if uniform else half_graph(24)
+    mu = uniform_measures(H)
+    assert regularity._rect_ladder(eps)[-1] == eps * eps
+    with monkeypatch.context() as m:
+        m.setattr(regularity, "_rect_ladder", lambda e: [e * e])
+        want = regular_partition(H, mu, eps, uniform=uniform)
+    real = regularity.rectangular_approximation
+    monkeypatch.setattr(regularity, "rectangular_approximation", lambda H, measures, delta: (
+        real(H, measures, delta) if delta <= eps * eps
+        else regularity.RectApprox((), ((),) * H.k, Fraction(0))))
+    got = regular_partition(H, mu, eps, uniform=uniform)
+    assert canonical_dumps(got.to_obj()) == canonical_dumps(want.to_obj())
+    attempts = got.meta["rect_attempts"]
+    assert [a["delta"] for a in attempts] == regularity._rect_ladder(eps)
+    assert len(attempts) > 1 and all(a["sigma_mass"] > eps for a in attempts[:-1])
+    assert attempts[-1] == {"delta": eps * eps, "rect_error": want.meta["rect_error"],
+                            "sigma_mass": want.meta["sigma_mass"]}
+    assert got.meta["rect_eps"] == eps * eps
+    # reg verify accepts the fallback's report
+    inst = write_json("inst.json", {"hypergraph": H.to_obj()})
+    out = str(tmp_path / "part.json")
+    argv = ["reg", "partition", "--in", inst, "--epsilon", format_rational(eps), "--out", out]
+    assert run(argv + ["--uniform"] * uniform)[0] == 0
+    with open(out) as f:
+        assert json.load(f)["outputs"]["meta"]["rect_eps"] == format_rational(eps * eps)
+    code, rep = report(["reg", "verify", "--in", inst, "--partition", out])
+    assert code == 0 and rep["verification"]["ok"]
+
+
+def test_a_rung_with_sigma_mass_exactly_eps_is_kept(monkeypatch):
+    # the complete 4 x 1 relation, whose first rung (delta = eps = 1/4) is
+    # given the one box {0, 1, 2} x {0}: vertex 3's box, of mass 1/4, is
+    # outside it at density 1, so Sigma is that box and its mass is eps
+    H, eps = Hypergraph((4, 1), frozenset((i, 0) for i in range(4))), Fraction(1, 4)
+    mu = uniform_measures(H)
+    real = regularity.rectangular_approximation
+    monkeypatch.setattr(regularity, "rectangular_approximation", lambda H, measures, delta: (
+        real(H, measures, delta) if delta < eps
+        else regularity.RectApprox((Box(((0, 1, 2), (0,))),), ((), ()), Fraction(1, 4))))
+    rp = regular_partition(H, mu, eps)
+    assert [(a["delta"], a["sigma_mass"]) for a in rp.meta["rect_attempts"]] == [(eps, eps)]
+    assert rp.meta["rect_eps"] == eps and rp.class_counts() == (2, 1)
+    assert verify_regular_partition(H, mu, rp)["ok"]
+
+
+@pytest.mark.parametrize("H", [generate(GeneratorSpec("block-union", (32, 32), 2, 0)).hypergraph,
+                               half_graph(64)], ids=["block-union", "half-graph"])
+def test_eh_box_guarantee_is_no_smaller_than_at_eps_squared(H, monkeypatch, write_json):
+    inst = write_json("inst.json", {"hypergraph": H.to_obj()})
+    argv = ["reg", "eh-box", "--in", inst, "--alpha", "1/4", "--epsilon", "1/4"]
+    code, rep = report(argv)
+    monkeypatch.setattr(regularity, "_rect_ladder", lambda e: [e * e])
+    code_sq, rep_sq = report(argv)
+    assert code == code_sq == 0
+    got, want = (Fraction(r["outputs"]["delta_guarantee"]) for r in (rep, rep_sq))
+    assert got >= want > 0
 
 
 def _ref_int_lists(obj, depth, name):
