@@ -36,7 +36,28 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "reset"])
+
+# The one store of values a process keeps across calls, each built from its
+# inputs alone: MEMO[table] maps keys to values, oldest first.
+MEMO: dict = {}
+
+
+def remember(table: str, bound: int, key, compute):
+    """MEMO[table][key], else compute()'s value, stored once it returns; a miss
+    first drops the oldest entries, so at most `bound` are ever held."""
+    entries = MEMO.setdefault(table, {})
+    if key not in entries:
+        while len(entries) >= bound:
+            del entries[next(iter(entries))]
+        entries[key] = compute()
+    return entries[key]
+
+
+def reset() -> None:
+    """Empty every process-wide cache: the "input" table (cli) and the
+    "dimension" table (vc)."""
+    MEMO.clear()
 
 
 def __getattr__(name):

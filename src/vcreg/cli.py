@@ -39,9 +39,11 @@ parse refuses every integer out of its range (`argument --m: m must be between
 1 and 3, not 0`, or `must be >= 1`) and every flag missing where the run's mode
 requires it (`required: --eps, --depth (ball mode)`). `selftest` filters that
 match no check exit 2; `vc dim`, `vc shatter` and `vc net` refuse `--parts` on
-a set family file.
+a set family file, and every other `--in` subcommand refuses the file.
 
-The argparse tree is built once per process, and each handler imports the
+The argparse tree is built once per process. Jobs in one process share
+vcreg's memo of the last `--in` file (`_load_instance`) and of the fiber
+families' VC dimensions, which `vcreg.reset()` empties. Each handler imports the
 engine modules and oracles it needs. `dyadic` and `convexity` never load
 numpy, so the `dyadic` and `convexity` subcommands and `rodl search` without
 `--in` (the ball scan, `dyadic.ball_family_search`) run without it.
@@ -58,6 +60,7 @@ import time
 from fractions import Fraction
 from math import comb, prod
 
+from . import remember
 from .convexity import (IntegerInterval, ap_count, convexity_density,
                         reflection_involution_check)
 from .dyadic import (EXPORT_DEPTHS, anti_homogeneity_bound_check, ball_family_search,
@@ -119,49 +122,39 @@ def _int_in(what: str, lo: int, hi: int | None = None, why: str = ""):
     return parse
 
 
-# The last instance `_load_instance` built, as [sha256 of its file's bytes,
-# (H, measures)]: one entry, and parsed, validated inputs only.
-_INSTANCE: list = []
-
-
-def _load_instance(path: str, files: dict):
-    """Hypergraph plus measures from a bare hypergraph file or a generated
-    instance file; measures default to uniform when the file has none. The
-    file is read and hashed on every call, and decoded only when its bytes
-    differ from the last instance's, and H and its measures are built under
-    decode_json's collector pause."""
+def _load_instance(path: str, files: dict, vc_args=None):
+    """The --in file's Hypergraph and measures (uniform if it has none), or,
+    given a `vc` subcommand's flags, a set family: the file's own, refusing
+    --parts, or the fibers over --parts. The file is read and hashed on every
+    call. The memo's "input" table keeps one file's value by sha256, so only
+    other bytes are decoded, validated and built, under decode_json's
+    collector pause."""
     from .core import Hypergraph, Measure, uniform_measures
     raw, digest = read_bytes(path)
-    if _INSTANCE and _INSTANCE[0] == digest:
-        files["in"] = digest
-        return _INSTANCE[1]
-    _INSTANCE.clear()   # never two instances held at once
 
     def build(obj):
         require(isinstance(obj, dict), f"{path} must hold a JSON object")
         files["in"] = digest
+        if "members" in obj and "ground_size" in obj:
+            from .vc import SetFamily
+            return SetFamily.from_obj(obj)
         H = Hypergraph.from_obj(obj.get("hypergraph", obj))
         if "measures" not in obj:
             return H, uniform_measures(H)
         require(isinstance(obj["measures"], list), f"{path}: 'measures' must be a list")
         return H, tuple(Measure.from_obj(m) for m in obj["measures"])
 
-    _INSTANCE[:] = digest, decode_json(raw, path, build)
-    return _INSTANCE[1]
-
-
-def _load_family(args, files: dict):
-    """A family file as it is (refusing --parts), or a hypergraph's fibers over --parts."""
-    from .core import Hypergraph
-    from .vc import SetFamily, fiber_family
-    obj, digest = load_json(args.infile)
-    require(isinstance(obj, dict), f"{args.infile} must hold a JSON object")
+    got = remember("input", 1, digest, lambda: decode_json(raw, path, build))
     files["in"] = digest
-    if "members" in obj and "ground_size" in obj:
-        require("parts" in args.defaulted,
-                "--parts applies only to a hypergraph input, not a set family")
-        return SetFamily.from_obj(obj)
-    return fiber_family(Hypergraph.from_obj(obj.get("hypergraph", obj)), _parse_parts(args.parts))
+    if vc_args is None:
+        require(isinstance(got, tuple), f"{path} holds a set family, not a hypergraph")
+        return got
+    if isinstance(got, tuple):
+        from .vc import fiber_family
+        return fiber_family(got[0], _parse_parts(vc_args.parts))
+    require("parts" in vc_args.defaulted,
+            "--parts applies only to a hypergraph input, not a set family")
+    return got
 
 
 # ---------------------------------------------------------------- handlers
@@ -169,7 +162,7 @@ def _load_family(args, files: dict):
 def _cmd_vc_dim(args, files):
     from .oracles import brute_shatters
     from .vc import vc_dimension
-    fam = _load_family(args, files)
+    fam = _load_instance(args.infile, files, args)
     d = vc_dimension(fam, cap=args.cap, budget=args.budget)
     outputs = {"value": d.value, "capped": d.capped,
                "budget_exhausted": d.budget_exhausted,
@@ -181,7 +174,7 @@ def _cmd_vc_dim(args, files):
 
 def _cmd_vc_shatter(args, files):
     from .vc import shatter_function
-    fam = _load_family(args, files)
+    fam = _load_instance(args.infile, files, args)
     # largest n first: a refusal (vc.MAX_SHATTER_SUBSETS) precedes the counts
     vals = [shatter_function(fam, n) for n in range(args.n, -1, -1)][::-1]
     outputs = {"n": args.n, "value": vals[-1],
@@ -196,7 +189,7 @@ def _cmd_vc_shatter(args, files):
 def _cmd_vc_net(args, files):
     from .core import Measure
     from .vc import epsilon_net
-    fam = _load_family(args, files)
+    fam = _load_instance(args.infile, files, args)
     if args.weights is None:
         mu = Measure.uniform(0, fam.ground_size)
     else:

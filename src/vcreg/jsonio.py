@@ -105,7 +105,7 @@ def read_bytes(path) -> tuple[bytes, str]:
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
-        raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     return raw, hashlib.sha256(raw).hexdigest()
 
 

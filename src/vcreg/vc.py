@@ -18,12 +18,11 @@ N <= R spends N and ends the search; otherwise the budget is exhausted, the
 result carries a flag and callers fall back to the provable upper bound
 floor(log2(#members)).
 
-The dimension of a fiber family is searched once per process: every
-finished search is remembered by content, the sha256 of the packed rows with
-the shape, cap and budget, so the delta partition, `vc dim`, `gen`'s measured
-dimension and the random net share it across jobs, files and Hypergraph
-objects. The memo holds at most MAX_DIMENSIONS entries, first in first out;
-nothing that depends on eps or on the weights is kept.
+The dimension of a fiber family is searched once per process: the memo's
+"dimension" table (vcreg.remember) keeps MAX_DIMENSIONS finished searches,
+first in first out, by content, so the delta partition, `vc dim`, `gen`'s
+measured dimension and the random net share them across jobs, files and
+Hypergraph objects; nothing that depends on eps or on the weights is kept.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import remember
 from .core import (MAX_DENSE_SPACE, Hypergraph, Measure, binary_view, ceil_fraction,
                    require_dense, row_keys, weighted_inner)
 from .errors import InputError
@@ -213,29 +213,21 @@ def vc_dimension(family: SetFamily, cap: int = 8, budget: int | None = None) -> 
     return vc_dimension_matrix(family.matrix(), cap, budget)
 
 
-# Finished searches of vc_dimension_matrix, first in first out. The key is the
-# sha256 of the packed rows with the shape, cap and budget, and the row-block
-# size, which never changes a result but decides how the search runs.
-MAX_DIMENSIONS = 256
-_DIMENSIONS: dict = {}
+MAX_DIMENSIONS = 256   # finished searches the memo keeps
 
 
 def vc_dimension_matrix(mat: np.ndarray, cap: int = 8,
                         budget: int | None = None) -> VCDimension:
     """vc_dimension of the family whose members are the rows of a boolean
     matrix; the rows must be pairwise distinct (their order is irrelevant).
-    Each result is remembered by the matrix's content (see _DIMENSIONS)."""
+    Each result is remembered by the matrix's content: the key is the sha256
+    of the packed rows with the shape, cap and budget, and the row-block
+    size, which never changes a result but decides how the search runs."""
     require(cap >= 1, "cap must be >= 1")
     require(budget is None or budget >= 0, "budget must be >= 0")
     key = (hashlib.sha256(np.packbits(mat, axis=1)).digest(), mat.shape, cap, budget,
            ROW_BLOCK_BYTES)
-    dim = _DIMENSIONS.get(key)
-    if dim is None:
-        dim = _dimension_search(mat, cap, budget)
-        if len(_DIMENSIONS) >= MAX_DIMENSIONS:
-            del _DIMENSIONS[next(iter(_DIMENSIONS))]
-        _DIMENSIONS[key] = dim
-    return dim
+    return remember("dimension", MAX_DIMENSIONS, key, lambda: _dimension_search(mat, cap, budget))
 
 
 def _dimension_search(mat: np.ndarray, cap: int, budget: int | None) -> VCDimension:

@@ -3,6 +3,15 @@ import os
 
 import pytest
 
+import vcreg
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Every test starts on an empty process memo, so no verdict rests on the
+    tests that ran before it."""
+    vcreg.reset()
+
 
 @pytest.fixture
 def write_json(tmp_path):

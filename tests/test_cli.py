@@ -7,10 +7,12 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -640,6 +642,9 @@ def test_unreadable_input_is_input_error(tmp_path, write_json, flag, bad):
     code, rep = report(argv)
     assert code == 2 and not rep["ok"]
     assert rep["error"]["kind"] == "input" and str(path) in rep["error"]["message"]
+    if bad == "directory":   # the OS error names no decoding
+        assert rep["error"]["message"].startswith(f"cannot read {path}: [Errno ")
+        assert "UTF-8" not in rep["error"]["message"]
 
 
 def _fresh(argv):
@@ -1234,7 +1239,12 @@ def test_eh_box_checks_the_masses_of_the_reported_sides(tmp_path, monkeypatch):
                                    "sides_above_guarantee": False}
 
 
-# ------------------------------------------------ the one-entry instance cache
+# ------------------------------------------------ the one-entry instance memo
+
+def _inputs() -> dict:
+    """The memo's "input" table: sha256 of the last --in file -> its value."""
+    return vcreg.MEMO.get("input", {})
+
 
 def _report_text(argv):
     """(exit code, the report as written to stdout or --out, "timing" taken out)."""
@@ -1245,7 +1255,7 @@ def _report_text(argv):
 
 
 def _cold_text(argv):
-    cli._INSTANCE.clear()
+    vcreg.reset()
     return _report_text(argv)
 
 
@@ -1265,9 +1275,9 @@ def test_consecutive_jobs_on_one_file_match_cold_jobs(tmp_path, monkeypatch):
             ["reg", "partition", "--in", inst, "--epsilon", "1/8"],
             ["reg", "verify", "--in", inst, "--partition", part]]
     decodes = _count_decodes(monkeypatch)
-    cli._INSTANCE.clear()
+    vcreg.reset()
     warm = [_report_text(argv) for argv in jobs]
-    assert decodes == [inst] and cli._INSTANCE[0] == _sha256(inst)
+    assert decodes == [inst] and list(_inputs()) == [_sha256(inst)]
     assert [code for code, _ in warm] == [0, 0, 0]
     assert [_cold_text(argv) for argv in jobs] == warm and len(decodes) == 4
     assert json.loads(warm[2][1])["inputs"]["files"]["in"] == _sha256(inst)
@@ -1287,6 +1297,20 @@ def test_a_rewritten_file_is_read_fresh(tmp_path):
         [len(c) for c in first["outputs"]["partition"]["classes"][0]]
 
 
+def test_a_new_file_is_built_once_the_last_one_is_dropped(tmp_path, monkeypatch):
+    from vcreg.core import Hypergraph
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", a])
+    report(["gen", "block-union", "--sizes", "10,10", "--blocks", "2", "--out", b])
+    held, real = [], Hypergraph.from_obj
+    monkeypatch.setattr(Hypergraph, "from_obj",
+                        staticmethod(lambda obj: held.append(len(_inputs())) or real(obj)))
+    for inst in (a, b, b, a):
+        assert report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])[0] == 0
+        assert list(_inputs()) == [_sha256(inst)]
+    assert held == [0, 0, 0]   # never two instances held at once
+
+
 @pytest.mark.parametrize("bad", [
     b'{"k": 2, "part_sizes": [8, 8], "edges": [[0, 1]',
     b"[1, 2]",
@@ -1298,12 +1322,12 @@ def test_a_failed_load_is_never_stored(tmp_path, bad):
     inst = str(tmp_path / "h.json")
     argv = ["reg", "partition", "--in", inst, "--epsilon", "1/4"]
     report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
-    assert report(argv)[0] == 0 and cli._INSTANCE
+    assert report(argv)[0] == 0 and list(_inputs()) == [_sha256(inst)]
     pathlib.Path(inst).write_bytes(bad)
     warm = _report_text(argv)
-    assert cli._INSTANCE == []
+    assert _inputs() == {}
     assert warm[0] == 2 and json.loads(warm[1])["error"]["kind"] == "input"
-    assert _cold_text(argv) == warm and cli._INSTANCE == []
+    assert _cold_text(argv) == warm and _inputs() == {}
 
 
 def test_uniform_job_after_a_weighted_job_replicates_part_0(write_json):
@@ -1317,10 +1341,10 @@ def test_uniform_job_after_a_weighted_job_replicates_part_0(write_json):
     weighted = ["reg", "partition", "--in", inst, "--epsilon", "1/2"]
     uniform = weighted + ["--uniform"]
     cold = {" ".join(argv): _cold_text(argv) for argv in (weighted, uniform)}
-    cli._INSTANCE.clear()
+    vcreg.reset()
     for argv in (weighted, uniform, weighted, uniform):
         assert _report_text(argv) == cold[" ".join(argv)]
-    H, measures = cli._INSTANCE[1]
+    [(H, measures)] = _inputs().values()
     assert [m.to_obj()["weights"] for m in measures] == [w0, w1]
     assert json.loads(cold[" ".join(uniform)][1])["outputs"]["meta"]["uniform"] is True
 
@@ -1345,3 +1369,65 @@ def test_verify_on_a_cached_instance_recounts(tmp_path, monkeypatch):
     monkeypatch.setattr(vcreg.regularity, "recount_boxes", real)
     code, rep = report(verify)
     assert decodes == [] and code == 0 and rep["verification"]["ok"] is True
+
+
+# ------------------------------------------------- input errors and relabellings
+
+def test_the_one_reader_names_a_set_family_and_checks_every_instances_measures(write_json):
+    fam = write_json("fam.json", {"ground_size": 4, "members": [[0], [1, 2], [3]]})
+    for argv in (["reg", "partition", "--epsilon", "1/4"], ["reg", "rect", "--epsilon", "1/4"],
+                 ["stable", "ladder"], ["rodl", "search", "--eps", "1/4", "--m", "1"]):
+        code, rep = report([*argv, "--in", fam])
+        assert code == 2 and rep["error"] == {
+            "kind": "input", "message": f"{fam} holds a set family, not a hypergraph"}
+        assert rep["inputs"]["files"] == {"in": _sha256(fam)}
+    assert report(["vc", "dim", "--in", fam])[0] == 0   # the memo's family, as vc reads it
+    # a measure that does not sum to 1: refused by vc dim|shatter|net as by stable ladder
+    bad = write_json("bad.json", {"hypergraph": {"k": 2, "part_sizes": [2, 2], "edges": [[0, 1]]},
+                                  "measures": [{"part": 0, "weights": ["1/3"]}]})
+    for argv in (["vc", "dim"], ["vc", "shatter", "--n", "1"], ["vc", "net", "--epsilon", "1/4"],
+                 ["stable", "ladder"]):
+        code, rep = report([*argv, "--in", bad])
+        assert code == 2 and rep["error"] == {
+            "kind": "input", "message": "measure weights on part 0 must sum to exactly 1"}
+        assert rep["inputs"]["files"] == {"in": _sha256(bad)} and _inputs() == {}
+
+
+# prime denominators of the two parts' weights; their product picks the
+# arithmetic regime: float64 below 2^53, int64 below 2^62, Python ints beyond
+_REGIME_PRIMES = {"float64": (97, 89), "int64": (2 ** 31 - 1,) * 2,
+                  "bigint": (2 ** 31 - 1, 2 ** 61 - 1)}
+
+
+@pytest.mark.parametrize("regime", list(_REGIME_PRIMES))
+def test_reg_partition_verifies_on_every_relabelling(write_json, regime):
+    """Each part's vertices permuted: the partition verifies with Sigma mass
+    at most eps on every relabelling; the greedy net, and so the class
+    counts, may move with the labels."""
+    rng, sizes, primes = random.Random(regime), (24, 20), _REGIME_PRIMES[regime]
+    assert (2 ** 53 <= prod(primes), 2 ** 62 <= prod(primes)) == \
+        {"float64": (False, False), "int64": (True, False), "bigint": (True, True)}[regime]
+    starts = [rng.randrange(16) for _ in range(sizes[0])]
+    edges = [(x, y) for x, lo in enumerate(starts) for y in range(lo, lo + rng.randint(2, 8))
+             if y < sizes[1]]
+    weights = []
+    for n, p in zip(sizes, primes):
+        cuts = sorted(rng.sample(range(1, p), n - 1))
+        weights.append([b - a for a, b in zip([0, *cuts], [*cuts, p])])
+    eps = Fraction(1, 8)
+    for trial in range(4):
+        perms = [rng.sample(range(n), n) if trial else list(range(n)) for n in sizes]
+        moved = [[0] * n for n in sizes]
+        for i, perm in enumerate(perms):
+            for v, w in enumerate(weights[i]):
+                moved[i][perm[v]] = f"{w}/{primes[i]}"
+        inst = write_json(f"{regime}-{trial}.json", {
+            "hypergraph": {"k": 2, "part_sizes": list(sizes),
+                           "edges": sorted([perms[0][x], perms[1][y]] for x, y in edges)},
+            "measures": [{"part": i, "weights": moved[i]} for i in range(2)]})
+        code, rep = report(["reg", "partition", "--in", inst, "--epsilon", str(eps)])
+        assert code == 0 and rep["ok"] is True and rep["verification"]["ok"] is True, trial
+        assert Fraction(rep["verification"]["sigma_mass"]) <= eps
+        classes = rep["outputs"]["partition"]["classes"]
+        assert [sorted(v for c in part for v in c) for part in classes] == \
+            [list(range(n)) for n in sizes]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vcreg
 from vcreg import cli, jsonio
 from vcreg.core import Measure
 from vcreg.errors import InputError
@@ -100,7 +101,7 @@ def test_the_instance_is_built_with_the_collector_paused(tmp_path, monkeypatch, 
     seen, real = [], Hypergraph.from_obj
     monkeypatch.setattr(Hypergraph, "from_obj",
                         staticmethod(lambda obj: seen.append(gc.isenabled()) or real(obj)))
-    cli._INSTANCE.clear()
+    vcreg.reset()
     assert gc.isenabled()
     assert cli.main(["reg", "partition", "--in", inst, "--epsilon", "1/4"]) == 0
     assert seen == [False] and gc.isenabled()

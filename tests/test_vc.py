@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vcreg
 from vcreg import (InputError, Measure, SetFamily, epsilon_net, fiber_family,
                    net_size_formula, sauer_bound, shatter_function, vc_dimension)
 from vcreg.oracles import block_vc_dimension, brute_vc_dimension
@@ -236,10 +237,9 @@ def test_net_hits_all_on_packed_rows():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """An empty memo for the test, and the shape, cap and budget of each
-    search that runs."""
+    """The shape, cap and budget of each search that runs; the memo starts
+    empty (conftest's empty_memo)."""
     calls, real = [], vc._dimension_search
-    monkeypatch.setattr(vc, "_DIMENSIONS", {})
     monkeypatch.setattr(vc, "_dimension_search",
                         lambda mat, cap, budget: calls.append((mat.shape, cap, budget))
                         or real(mat, cap, budget))
@@ -253,10 +253,9 @@ def searches(monkeypatch):
 def test_a_warm_call_returns_the_cold_search(seed, m, r, density, cap, budget):
     rng = np.random.default_rng(seed)
     mat = np.unique(rng.random((m, r)) < density, axis=0) if m else np.zeros((0, r), bool)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vc, "_DIMENSIONS", {})
-        cold = vc_dimension_matrix(mat, cap, budget)
-        warm = vc_dimension_matrix(mat.copy(), cap, budget)
+    vcreg.reset()
+    cold = vc_dimension_matrix(mat, cap, budget)
+    warm = vc_dimension_matrix(mat.copy(), cap, budget)
     assert warm is cold and cold == block_vc_dimension(mat, cap, budget)
 
 
@@ -296,8 +295,8 @@ def test_the_memo_never_holds_more_than_its_bound(searches):
             for b in range(1, vc.MAX_DIMENSIONS + 41)]
     for mat in mats:
         vc_dimension_matrix(mat)
-        assert len(vc._DIMENSIONS) <= vc.MAX_DIMENSIONS
-    assert len(vc._DIMENSIONS) == vc.MAX_DIMENSIONS == len(searches) - 40
+        assert len(vcreg.MEMO["dimension"]) <= vc.MAX_DIMENSIONS
+    assert len(vcreg.MEMO["dimension"]) == vc.MAX_DIMENSIONS == len(searches) - 40
     # first in, first out: the oldest entries are gone, the newest remain
     vc_dimension_matrix(mats[-1])
     assert len(searches) == len(mats)
@@ -308,7 +307,7 @@ def test_the_memo_never_holds_more_than_its_bound(searches):
 def _report_text(argv, capsys) -> str:
     """The report of a job on a freshly read instance, "timing" taken out."""
     from vcreg import cli
-    cli._INSTANCE.clear()
+    vcreg.MEMO.pop("input", None)
     assert cli.main(argv) == 0
     return re.sub(r',?"timing":\{[^{}]*\}', "", capsys.readouterr().out)
 
@@ -319,7 +318,7 @@ def test_reg_partition_reports_match_with_the_memo_cold_and_warm(tmp_path, capsy
     assert cli.main(["gen", "staircase", "--sizes", "6,6,6", "--out", inst]) == 0
     capsys.readouterr()
     argv = ["reg", "partition", "--in", inst, "--epsilon", "1/4"]
-    vc._DIMENSIONS.clear()
+    vcreg.reset()
     cold, searched = _report_text(argv, capsys), len(searches)
     warm = _report_text(argv, capsys)
     assert searched > 0 and len(searches) == searched   # the warm job searched nothing
@@ -345,3 +344,21 @@ def test_net_sizes_are_exact():
                                             "d_used": d}
     # log2 of a power of two is exact: 8 * 3 * 64 * 6
     assert net_size_formula(3, Fraction(1, 64))["size_log2"] == 9216
+
+
+def test_net_size_series_run_on_the_mantissa_in_1_2(monkeypatch):
+    """With x = 1/eps = 2^k m and 1 <= m < 2, every atanh series runs at
+    z = (m - 1) / (m + 1) in [0, 1/3), inside the domain _atanh_bounds is
+    written for. A k one too large where x < 2^k (x = 20/3 guesses k = 3)
+    leaves m in [1/2, 1) and z < 0: the sizes still come out exact, since the
+    swapped bounds still bracket log x, so only the series' domain shows it."""
+    from vcreg.oracles import brute_net_size
+    seen, real = [], vc._atanh_bounds
+    monkeypatch.setattr(vc, "_atanh_bounds",
+                        lambda z, terms: seen.append(z) or real(z, terms))
+    for eps in (Fraction(3, 20), Fraction(5, 12), Fraction(7, 48), Fraction(1, 24)):
+        sizes = net_size_formula(2, eps)
+        assert (sizes["size_ln"], sizes["size_log2"]) == \
+            (brute_net_size(2, eps), brute_net_size(2, eps, base2=True)), eps
+    mantissas = [z for z in seen if z != Fraction(1, 3)]   # 1/3 is ln 2's series
+    assert mantissas and all(0 <= z < Fraction(1, 3) for z in mantissas)
