@@ -466,8 +466,8 @@ _PREFIX = ("--prefix", {"action": "append",
 # Each subcommand, declared once: (cmd, sub) -> (handler, mode, *flag rows).
 # A row is (name, argparse keywords, modes that read it...); "required" is
 # checked by _parse_args, in the modes that read the row. `mode` maps parsed
-# flags to the run's mode; a row naming modes is refused in the others
-# (_check_modes, as the flags are parsed), defaulted in its own.
+# flags to the run's mode; a row naming modes is refused in the others and
+# defaulted in its own, in the same walk of _parse_args.
 COMMANDS = {
     ("vc", "dim"): (_cmd_vc_dim, None, _IN, _OUT, _PARTS, _CAP, _BUDGET),
     ("vc", "shatter"): (_cmd_vc_shatter, None, _IN, _OUT, _PARTS,
@@ -526,20 +526,6 @@ def _dest(name: str, kw: dict) -> str:
     return kw.get("dest", name.lstrip("-").replace("-", "_"))
 
 
-def _check_modes(args, key) -> list:
-    """(flag, value) of each set flag of COMMANDS[key] that only some modes
-    read, in table order; an InputError for one the run's mode does not read."""
-    _, mode, *rows = COMMANDS[key]
-    given = []
-    for name, kw, *modes in rows:
-        value = getattr(args, _dest(name, kw))
-        if modes and value is not None:
-            require(mode(args) in modes,
-                    f"{name} applies only to {' or '.join(modes)}, not {mode(args)}")
-            given.append((name.lstrip("-"), value))
-    return given
-
-
 class _Parser(argparse.ArgumentParser):
     """No prefix matching (`--d` is not `--depth`) and parse errors as InputError,
     here and in every subparser (add_subparsers makes them of this class)."""
@@ -579,32 +565,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> tuple[tuple, argparse.Namespace]:
-    """(cmd, sub) and the flags of one parse. The missing arguments COMMANDS
-    requires in the run's mode are named with the unknown ones, as argparse
-    names them. A flag's default is filled in where it was not given, in the
-    modes that read it; `args.defaulted` names the dests filled so. A flag
-    the run's mode does not read is refused here too, and `args.mode_flags`
-    holds the (flag, value) pairs of the mode flags given (_check_modes)."""
+    """(cmd, sub) and the flags of one parse, from one walk over the rows of
+    COMMANDS. The missing arguments required in the run's mode are named with
+    the unknown ones, as argparse names them; then a flag the run's mode does
+    not read is refused. A flag's default is filled in where it was not given,
+    in the modes that read it; `args.defaulted` names the dests filled so and
+    `args.mode_flags` holds the (flag, value) pairs of the mode flags set."""
     args, extras = _build_parser().parse_known_args(argv)
     key = (args.cmd, getattr(args, "sub", None))
     _, mode, *rows = COMMANDS.get(key, (None, None))
-    read = [(name, kw, modes) for name, kw, *modes in rows if not modes or mode(args) in modes]
-    missing = [f"{name} ({mode(args)})" if modes else name for name, kw, modes in read
-               if kw.get("required") and getattr(args, _dest(name, kw)) is None]
-    if key not in COMMANDS:
-        missing = ["sub" if args.cmd else "cmd"]
+    now = mode(args) if mode else None
+    missing = [] if key in COMMANDS else ["sub" if args.cmd else "cmd"]
+    refused, args.defaulted, args.mode_flags = "", set(), []
+    for name, kw, *modes in rows:
+        dest = _dest(name, kw)
+        value = getattr(args, dest)
+        if modes and now not in modes:
+            if value is not None and not refused:
+                refused = f"{name} applies only to {' or '.join(modes)}, not {now}"
+            continue
+        if value is None and kw.get("required"):
+            missing.append(f"{name} ({now})" if modes else name)
+        elif value is None and "default" in kw:
+            value = kw["default"]
+            setattr(args, dest, value)
+            args.defaulted.add(dest)
+        if modes and value is not None:
+            args.mode_flags.append((name.lstrip("-"), value))
     errors = [f"the following arguments are required: {', '.join(missing)}"] * bool(missing) \
         + [f"unrecognized arguments: {' '.join(extras)}"] * bool(extras)
     if errors:   # argparse names the missing in the subparser, the unknown at the top
         prog = " ".join(filter(None, ("vcreg", *key))) if missing else "vcreg"
         raise InputError(f"{prog}: {'; '.join(errors)}")
-    args.defaulted = set()
-    for name, kw, _ in read:
-        dest = _dest(name, kw)
-        if "default" in kw and getattr(args, dest) is None:
-            setattr(args, dest, kw["default"])
-            args.defaulted.add(dest)
-    args.mode_flags = _check_modes(args, key)
+    require(not refused, refused)
     return key, args
 
 

@@ -302,36 +302,28 @@ class EpsNet:
     meta: dict = field(default_factory=dict)
 
 
-def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
-    """Deterministic greedy over heavy rows (`width` positions packed by
-    np.packbits(axis=1)) sorted in the lex order of their member tuples:
-    take the lex-least unhit row, add the point of it hitting the most
-    currently-unhit rows (ties by largest index, the classic right-endpoint
-    rule on interval families)."""
+def greedy_net(heavy: np.ndarray) -> list[int]:
+    """Deterministic greedy over boolean heavy rows sorted in the lex order
+    of their member tuples: take the lex-least unhit row, add the point of
+    it hitting the most currently-unhit rows (ties by largest index, the
+    classic right-endpoint rule on interval families). The hit counts are
+    summed over row blocks of about ROW_BLOCK_BYTES."""
     points: list[int] = []
-    step = max(1, ROW_BLOCK_BYTES // max(1, width))
+    step = max(1, ROW_BLOCK_BYTES // max(1, heavy.shape[1]))
 
     def column_sums(rows):
-        # int32 is exact: the dense-matrix guard keeps rows below 2^28
-        return sum((np.unpackbits(heavy[rows[s:s + step]], axis=1, count=width).sum(0, np.int32)
-                    for s in range(0, len(rows), step)), np.zeros(width, dtype=np.int32))
+        return sum((heavy[rows[s:s + step]].sum(0) for s in range(0, len(rows), step)),
+                   np.zeros(heavy.shape[1], dtype=np.intp))
 
-    # column p of the rows is bit 128 >> (p & 7) of row p >> 3 here
-    columns = np.ascontiguousarray(heavy.T)
-    # the one sum over every row adds uint8 sums of slabs of at most 255
-    # rows, which are exact, and casts no block to int32
-    hits = np.zeros(width, dtype=np.int32)
-    slab = min(255, step)
-    for s in range(0, heavy.shape[0], slab):
-        hits += np.unpackbits(heavy[s:s + slab], axis=1, count=width).sum(0, np.uint8)
+    hits = column_sums(np.arange(heavy.shape[0]))
     unhit = np.ones(heavy.shape[0], dtype=bool)
     first = 0
     while first < heavy.shape[0]:
-        members = np.flatnonzero(np.unpackbits(heavy[first], count=width))
+        members = np.flatnonzero(heavy[first])
         score = hits[members]
         best = int(members[len(members) - 1 - int(np.argmax(score[::-1]))])
         points.append(best)
-        newly = np.flatnonzero(unhit & (columns[best >> 3] & (128 >> (best & 7)) != 0))
+        newly = np.flatnonzero(unhit & heavy[:, best])
         hits -= column_sums(newly)
         unhit[newly] = False
         rest = unhit[first:]
@@ -339,11 +331,11 @@ def greedy_net(heavy: np.ndarray, width: int) -> list[int]:
     return points
 
 
-def net_hits_all(heavy: np.ndarray, width: int, points) -> bool:
-    """Whether every packed heavy row holds one of the points."""
-    mask = np.zeros(width, dtype=bool)
+def net_hits_all(heavy: np.ndarray, points) -> bool:
+    """Whether every boolean heavy row holds one of the points."""
+    mask = np.zeros(heavy.shape[1], dtype=bool)
     mask[np.asarray(points, dtype=np.intp)] = True
-    return bool((heavy & np.packbits(mask)).any(axis=1).all())
+    return bool((heavy @ mask).all())   # a boolean product is an any() of ands
 
 
 def _atanh_bounds(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
@@ -395,14 +387,17 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     weights, den = mu.numerators()
     require(len(weights) == family.ground_size, "measure length does not match the ground set")
     mat = family.matrix()
-    width = mat.shape[1]
-    mass = weighted_inner(mat, np.ones((1, width), dtype=bool), weights, den)[:, 0]
+    ones = np.ones((1, mat.shape[1]), dtype=bool)
+    # weighted_inner makes two float64 copies of its rows: one block at a time
+    step = max(1, ROW_BLOCK_BYTES // (16 * max(1, mat.shape[1])))
+    mass = np.concatenate([weighted_inner(mat[s:s + step], ones, weights, den)[:, 0]
+                           for s in range(0, max(1, mat.shape[0]), step)])
     # members are sorted tuples in sorted order, so the rows are in lex order
-    heavy = np.packbits(mat[mass >= min(ceil_fraction(eps * den), den + 1)], axis=1)
+    heavy = mat[mass >= min(ceil_fraction(eps * den), den + 1)]
     meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
-        pts = greedy_net(heavy, width)
-        return EpsNet(tuple(pts), net_hits_all(heavy, width, pts), "greedy", meta)
+        pts = greedy_net(heavy)
+        return EpsNet(tuple(pts), net_hits_all(heavy, pts), "greedy", meta)
     if strategy != "random":
         raise InputError(f"unknown net strategy {strategy!r}")
     dim = vc_dimension_matrix(mat, cap=8, budget=500_000)
@@ -414,10 +409,10 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     for attempt in range(1, NET_RETRIES + 1):
         pts = [bisect.bisect_right(cum, rng.randrange(den))
                for _ in range(sizes["size_ln"])]
-        if net_hits_all(heavy, width, pts):
+        if net_hits_all(heavy, pts):
             meta["attempts"] = attempt
             return EpsNet(tuple(pts), True, "random", meta)
     meta["attempts"] = NET_RETRIES
     meta["fallback"] = "greedy"
-    pts = greedy_net(heavy, width)
-    return EpsNet(tuple(pts), net_hits_all(heavy, width, pts), "random", meta)
+    pts = greedy_net(heavy)
+    return EpsNet(tuple(pts), net_hits_all(heavy, pts), "random", meta)

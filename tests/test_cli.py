@@ -1431,3 +1431,48 @@ def test_reg_partition_verifies_on_every_relabelling(write_json, regime):
         classes = rep["outputs"]["partition"]["classes"]
         assert [sorted(v for c in part for v in c) for part in classes] == \
             [list(range(n)) for n in sizes]
+
+
+# one prime denominator per part: the stable descent weighs one part at a
+# time, so each part's own denominator picks its arithmetic regime
+_PART_PRIMES = {"float64": (97, 89), "int64": (2 ** 61 - 1,) * 2, "bigint": (2 ** 89 - 1,) * 2}
+
+
+@pytest.mark.parametrize("regime", list(_PART_PRIMES))
+def test_stable_partition_finds_the_relabelled_blocks(write_json, regime):
+    """A weighted 24 x 20 union of 3 blocks, each part's vertices permuted:
+    every relabelling gives an exactly homogeneous partition with Sigma
+    empty whose classes are the relabelled blocks."""
+    rng, sizes, primes = random.Random(regime), (24, 20), _PART_PRIMES[regime]
+    assert {(2 ** 53 <= p, 2 ** 62 <= p) for p in primes} == \
+        {{"float64": (False, False), "int64": (True, False), "bigint": (True, True)}[regime]}
+    blocks = [sorted(rng.sample(range(1, n), 2)) for n in sizes]
+    block_of = [[sum(v >= c for c in cuts) for v in range(n)] for cuts, n in zip(blocks, sizes)]
+    edges = [(x, y) for x in range(sizes[0]) for y in range(sizes[1])
+             if block_of[0][x] == block_of[1][y]]
+    weights = []
+    for n, p in zip(sizes, primes):
+        cuts = set()
+        while len(cuts) < n - 1:   # randrange: range(1, p) has no len() past 2^63
+            cuts.add(rng.randrange(1, p))
+        cuts = sorted(cuts)
+        weights.append([b - a for a, b in zip([0, *cuts], [*cuts, p])])
+    for trial in range(6):
+        perms = [rng.sample(range(n), n) if trial else list(range(n)) for n in sizes]
+        moved = [[0] * n for n in sizes]
+        for i, perm in enumerate(perms):
+            for v, w in enumerate(weights[i]):
+                moved[i][perm[v]] = f"{w}/{primes[i]}"
+        inst = write_json(f"{regime}-{trial}.json", {
+            "hypergraph": {"k": 2, "part_sizes": list(sizes),
+                           "edges": sorted([perms[0][x], perms[1][y]] for x, y in edges)},
+            "measures": [{"part": i, "weights": moved[i]} for i in range(2)]})
+        code, rep = report(["stable", "partition", "--in", inst, "--epsilon", "1/8"])
+        assert code == 0 and rep["ok"] is True, (trial, rep.get("error"))
+        ver = rep["verification"]
+        assert ver["ok"] is True and ver["sigma_empty"] is True, trial
+        assert ver["all_boxes_exactly_homogeneous"] is True, trial
+        want = [sorted(sorted(perm[v] for v in range(n) if part[v] == b) for b in range(3))
+                for perm, part, n in zip(perms, block_of, sizes)]
+        assert [sorted(map(sorted, part)) for part in rep["outputs"]["partition"]["classes"]] \
+            == want, trial

@@ -205,7 +205,7 @@ def test_greedy_net_matches_oracle_past_one_byte(seed, regime, n, count, eps):
 def test_greedy_net_counts_past_255_rows(shared, block):
     """840 distinct rows, row r holding the bits of r in columns 2..11:
     column 0 lies in rows 0..639 and column 1 in rows 0..shared-1 and
-    640..839, so a run of 255, 256 or 511 rows ends at a uint8 slab edge.
+    640..839, so 255, 256 or 511 rows hold column 1 before row 640.
     The first point is the one of these two columns with the larger count,
     640 against shared + 200; counts wrapped at 256 would compare 128 with
     199, 200, 199 or 72."""
@@ -215,7 +215,7 @@ def test_greedy_net_counts_past_255_rows(shared, block):
     fam = SetFamily.from_sets(width, rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vc, "ROW_BLOCK_BYTES", block)
-        got = vc.greedy_net(np.packbits(fam.matrix(), axis=1), width)
+        got = vc.greedy_net(fam.matrix())
     want, heavy = brute_greedy_net(fam.members, [Fraction(1, width)] * width, Fraction(1, width))
     assert heavy == len(fam.members) == 840
     assert got == want

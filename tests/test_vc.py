@@ -224,14 +224,41 @@ def test_net_hits_all_on_packed_rows():
     width = 20
     rows = np.zeros((3, width), dtype=bool)
     rows[0, [2, 19]] = rows[1, 8] = rows[2, [7, 15]] = True
-    heavy = np.packbits(rows, axis=1)
-    assert vc.net_hits_all(heavy, width, [8, 15, 19])
-    assert vc.net_hits_all(heavy, width, [2, 8, 8, 7])
-    assert not vc.net_hits_all(heavy, width, [8, 15])
-    assert not vc.net_hits_all(heavy, width, [0, 1, 3, 9, 14, 16, 18])
-    assert not vc.net_hits_all(heavy, width, [])
-    assert vc.net_hits_all(heavy[:0], width, [])
+    assert vc.net_hits_all(rows, [8, 15, 19])
+    assert vc.net_hits_all(rows, [2, 8, 8, 7])
+    assert not vc.net_hits_all(rows, [8, 15])
+    assert not vc.net_hits_all(rows, [0, 1, 3, 9, 14, 16, 18])
+    assert not vc.net_hits_all(rows, [])
+    assert vc.net_hits_all(rows[:0], [])
 
+
+
+@pytest.mark.parametrize("den", [1_000_003, 2 ** 61 - 1, 2 ** 89 - 1],
+                         ids=["float64", "int64", "bigint"])
+def test_epsilon_net_memory_stays_near_the_matrix(den):
+    """4,000 intervals over 2,000 points: the member masses and the greedy
+    take row blocks, so the traced peak stays within three times the
+    family's boolean matrix (one float64 product over all rows would make
+    two float64 copies of it, 17 times its bytes)."""
+    rng = random.Random(den)
+    members = set()
+    while len(members) < 4000:
+        lo = rng.randrange(2000)
+        members.add(tuple(range(lo, min(2000, lo + rng.randint(1, 60)))))
+    fam = SetFamily.from_sets(2000, members)
+    cuts = set()
+    while len(cuts) < 1999:
+        cuts.add(rng.randrange(1, den))
+    cuts = sorted(cuts)
+    mu = Measure(0, num_den=([b - a for a, b in zip([0, *cuts], [*cuts, den])], den))
+    tracemalloc.start()
+    try:
+        net = epsilon_net(fam, mu, Fraction(1, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.verified and net.meta["heavy_members"] > 3000
+    assert peak <= 3 * 4000 * 2000
 
 # ------------------------------------------------------- the dimension memo
 
