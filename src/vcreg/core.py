@@ -17,15 +17,16 @@ The counting kernels live here once each:
   exact_dtype           the one arithmetic-regime rule: np.int64 while a
                         bound on every value and partial sum is below
                         INT64_SAFE = 2^62, object (Python integers) beyond;
-  SpaceWeights.sums     weight sums of boolean rows: int64 `mask @ nums` or
-                        per-row Python sums, by exact_dtype(den); the stable
-                        descent's int64 path is `fibers[:, S] @ nums64[S]`;
+  SpaceWeights.sums     weight sums of boolean rows: int64 `mask @ nums` over
+                        row blocks of about ROW_BLOCK_BYTES, or per-row Python
+                        sums, by exact_dtype(den);
   box_counts            per-box weight and edge sums of a partition, from the
                         edge list: one np.add.at into exact_dtype(den) arrays
                         (the builders' kernel: the verifier recounts with
                         regularity.recount_boxes);
-  weighted_inner        the fiber Gram matrix: float64 below 2^53, exact
-                        float64 limbs recombined in exact_dtype(den) above;
+  float_limbs           the weights as exact float64 limbs (one below 2^53),
+                        for weighted_inner's fiber Gram matrix and the stable
+                        descent's fiber masses, recombined in exact_dtype(den);
   boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
   row_keys              every distinct-rows step sorts (boolean only).
 
@@ -62,6 +63,8 @@ MAX_DENSE_SPACE = 1 << 22
 MAX_DIFF_BYTES = 1 << 28
 # int64 sums and products stay exact while a bound on them is below this.
 INT64_SAFE = 1 << 62
+# Row blocks copied out of a large boolean matrix are kept near this size.
+ROW_BLOCK_BYTES = 1 << 22
 
 
 def exact_dtype(bound: int):
@@ -287,14 +290,17 @@ class SpaceWeights:
         self.nums64 = (np.asarray(self.nums, np.int64)
                        if exact_dtype(self.den) is np.int64 else None)
 
-    def sums(self, mask: np.ndarray, at: np.ndarray | None = None):
+    def sums(self, mask: np.ndarray):
         """Exact numerator sum of the positions a boolean row selects (an int),
-        or of each row of a boolean matrix (a list of ints). The columns of
-        mask are the positions `at` (an intp array) when given, else all."""
+        or of each row of a boolean matrix (a list of ints). The int64 product
+        casts rows to int64, one block of about ROW_BLOCK_BYTES at a time."""
         if self.nums64 is not None:
-            return (mask @ (self.nums64 if at is None else self.nums64[at])).tolist()
-        nums = self.nums if at is None else [self.nums[p] for p in at.tolist()]
-        out = [sum(map(nums.__getitem__, np.flatnonzero(row).tolist()))
+            step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
+            if mask.ndim == 1 or len(mask) <= step:
+                return (mask @ self.nums64).tolist()
+            return np.concatenate([mask[s:s + step] @ self.nums64
+                                   for s in range(0, len(mask), step)]).tolist()
+        out = [sum(map(self.nums.__getitem__, np.flatnonzero(row).tolist()))
                for row in np.atleast_2d(mask)]
         return out if mask.ndim > 1 else out[0]
 
@@ -303,28 +309,32 @@ def ceil_fraction(q: Fraction) -> int:
     return -(-q.numerator // q.denominator)
 
 
+def float_limbs(nums, den: int, width: int) -> list[tuple[int, np.ndarray]]:
+    """The nonnegative integer nums, summing to at most den, as float64 limbs
+    (shift, limb), nums = sum(limb << shift), whose product with a 0/1 row of
+    `width` positions is exact in float64: nums itself while den < 2^53, else
+    limbs of 53 - width.bit_length() bits, so that width * 2^bits <= 2^53."""
+    if den < (1 << 53):
+        return [(0, np.asarray(nums, dtype=np.float64))]
+    bits = 53 - max(1, width).bit_length()
+    low = (1 << bits) - 1
+    return [(shift, np.asarray([(n >> shift) & low for n in nums], dtype=np.float64))
+            for shift in range(0, den.bit_length(), bits)]
+
+
 def weighted_inner(a: np.ndarray, b: np.ndarray, nums, den: int) -> np.ndarray:
     """Exact a . diag(nums) . b^T for boolean rows a and b over the same
-    positions, where the nonnegative integer nums sum to den.
-
-    Every partial sum is an integer in [0, den], so float64 BLAS is exact
-    while den < 2^53; the result is then float64. Above that the weights are
-    split into limbs small enough that each limb product is again exact in
-    float64, and the limb products are recombined in exact_dtype(den)."""
+    positions, where the nonnegative integer nums sum to den: float64 with
+    one limb (den < 2^53), the limb products recombined in exact_dtype(den)
+    with several (float_limbs)."""
     af = a.astype(np.float64)
     bt = b.astype(np.float64).T
-    if den < (1 << 53):
-        return (af * np.asarray(nums, dtype=np.float64)) @ bt
-    bits = 53 - max(1, a.shape[1]).bit_length()   # width * 2^bits <= 2^53
-    low = (1 << bits) - 1
+    limbs = float_limbs(nums, den, a.shape[1])
+    if len(limbs) == 1:
+        return (af * limbs[0][1]) @ bt
     dt = exact_dtype(den)
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=dt)
-    shift = 0
-    while den >> shift:
-        limb = np.asarray([(n >> shift) & low for n in nums], dtype=np.float64)
-        out += ((af * limb) @ bt).astype(np.int64).astype(dt) << shift
-        shift += bits
-    return out
+    return sum(((af * limb) @ bt).astype(np.int64).astype(dt) << shift
+               for shift, limb in limbs)
 
 
 class BinaryView:

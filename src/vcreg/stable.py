@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
-                   fiber_atoms, tuples_at)
+                   exact_dtype, fiber_atoms, float_limbs, row_keys, tuples_at)
 from .errors import DepthCapExceeded, RefinementFailed, VerificationError
 from .jsonio import require
 from .regularity import RegularPartition, band
@@ -161,15 +161,24 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
     return cert
 
 
-def _fiber_hits(view, lw: SpaceWeights, current: np.ndarray):
-    """The fibers' columns at the positions current (an intp array), each
-    fiber's numerator mass there (an exact_dtype array) and current's mass."""
-    sub = view.fibers[:, current]
-    if lw.nums64 is None:
-        every = np.ones(len(current), dtype=bool)
-        return sub, np.array(lw.sums(sub, current), object), lw.sums(every, current)
-    w = lw.nums64[current]
-    return sub, sub @ w, int(w.sum())
+class _PartFibers:
+    """One part's distinct fibers in order of their first position `first`, as
+    boolean rows and a float64 copy, and its weights as core.float_limbs."""
+
+    def __init__(self, view, lw: SpaceWeights):
+        self.first = np.sort(np.unique(row_keys(view.fibers), return_index=True)[1]).tolist()
+        self.rows = view.fibers[self.first]
+        self.dense = self.rows.astype(np.float64)
+        self.limbs = float_limbs(lw.nums, lw.den, lw.size)
+        self.dt = exact_dtype(lw.den)
+        self.right_sizes = view.right_sizes
+
+    def hits(self, mask: np.ndarray) -> np.ndarray:
+        """Each distinct fiber's exact numerator mass on the vertices of mask."""
+        if len(self.limbs) == 1:
+            return self.dense @ (self.limbs[0][1] * mask)
+        return sum((self.dense @ (limb * mask)).astype(np.int64).astype(self.dt, copy=False)
+                   << shift for shift, limb in self.limbs)
 
 
 def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:
@@ -177,7 +186,8 @@ def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:
     eps nor above 1 - eps and sits closest to 1/2, ties to the least; None
     when every fiber is outside that band. The band, |2h - a| ed <= a (ed - 2 en)
     on Python ints (a ed passes 2^63 in the int64 regime), is monotone in
-    |2h - a|, so the first minimum of |2h - a| is in it if any fiber is."""
+    |2h - a|, so the first minimum of |2h - a| is in it if any fiber is. Float64
+    hits hold exact integers, and then |2h - a| <= a_num < 2^53."""
     dist = np.abs(2 * hits - a_num)
     r = int(dist.argmin())
     en, ed = eps.numerator, eps.denominator
@@ -196,28 +206,32 @@ class GoodDescent:
     meta: dict = field(default_factory=dict)
 
 
-def _descent_extract(view, lw, current: np.ndarray, eps_half: Fraction, depth_cap: int):
-    """One eps/2-good piece found by descending from current through non-goodness
-    witnesses, always into the heavier child: (piece, path, its numerator mass).
-    A path step names its witness by fiber position; the DepthCapExceeded
-    tree names them by vertex tuple."""
+def _descent_extract(fib: _PartFibers, mask: np.ndarray, a_num: int, eps_half: Fraction,
+                     depth_cap: int):
+    """One eps/2-good piece found by descending from mask (of mass a_num) through
+    non-goodness witnesses, always into the heavier child: (piece mask, path,
+    its numerator mass). A step names its witness by its fiber's first position
+    (equal fibers tie); the DepthCapExceeded tree names them by vertex tuple."""
     path = []
+    size = int(np.count_nonzero(mask))
     while True:
-        sub, hits, a_num = _fiber_hits(view, lw, current)
+        hits = fib.hits(mask)
         worst_r = _witness(hits, a_num, eps_half)
         if worst_r is None:
-            return current, path, a_num
+            return mask, path, a_num
         if len(path) >= depth_cap:
-            tuples = tuples_at([step["witness"] for step in path], view.right_sizes)
+            tuples = tuples_at([step["witness"] for step in path], fib.right_sizes)
             raise DepthCapExceeded(f"descent exceeded depth cap {depth_cap}; the relation "
                                    f"is less stable than assumed",
                                    tree=[dict(step, witness=t) for step, t in zip(path, tuples)])
-        row = sub[worst_r]
-        inside, outside = current[row], current[~row]
-        take_in = 2 * int(hits[worst_r]) >= a_num   # hits[worst_r]: the mass inside the fiber
-        path.append({"witness": worst_r, "side": "in" if take_in else "out",
-                     "sizes": (len(inside), len(outside))})
-        current = inside if take_in else outside
+        inside = mask & fib.rows[worst_r]
+        n_in = int(np.count_nonzero(inside))
+        h = int(hits[worst_r])   # the mass inside the fiber
+        take_in = 2 * h >= a_num
+        path.append({"witness": fib.first[worst_r], "side": "in" if take_in else "out",
+                     "sizes": (n_in, size - n_in)})
+        mask, a_num, size = ((inside, h, n_in) if take_in
+                             else (mask ^ inside, a_num - h, size - n_in))
 
 
 def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
@@ -235,24 +249,22 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     require(0 <= part < H.k, "part out of range")
     view = binary_view(H, (part,))
     lw = SpaceWeights(measures, (part,), H.part_sizes)
+    fib = _PartFibers(view, lw)
     eps_half = eps / 2
     positive = np.array([n > 0 for n in lw.nums], dtype=bool)
-    support = np.flatnonzero(positive)
 
-    pieces: list[np.ndarray] = []    # sorted intp arrays until the zeros join
+    pieces: list[np.ndarray] = []    # boolean masks until the zeros join
     depths: list[int] = []
     witnesses: set = set()    # fiber positions
-    residue, r_mass, p_mass = support, lw.sums(positive), 0
-    live = positive.copy()    # the residue as a mask
-    while len(residue) and not (pieces and r_mass * eps_half.denominator
-                                <= eps_half.numerator * p_mass):
-        piece, path, mass = _descent_extract(view, lw, residue, eps_half, depth_cap)
+    live, r_mass, p_mass = positive, lw.sums(positive), 0   # live: the residue
+    while live.any() and not (pieces and r_mass * eps_half.denominator
+                              <= eps_half.numerator * p_mass):
+        piece, path, mass = _descent_extract(fib, live, r_mass, eps_half, depth_cap)
         r_mass, p_mass = r_mass - mass, p_mass or mass   # p_mass: the first piece's
         pieces.append(piece)
         depths.append(len(path))
         witnesses.update(step["witness"] for step in path)
-        live[piece] = False
-        residue = np.flatnonzero(live)
+        live = live ^ piece
     steps = len(pieces)
 
     # Every piece left _descent_extract with no eps/2 witness. The first piece
@@ -261,9 +273,9 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
     # eps (p + r) of the union, and one leaving out less than eps/2 p leaves
     # out less than eps (p + r). That union alone is tested again.
     residue_action = "none"
-    if len(residue):
-        pieces[0] = np.union1d(pieces[0], residue)
-        _, hits, a_num = _fiber_hits(view, lw, pieces[0])
+    if live.any():
+        pieces[0] = pieces[0] | live
+        hits, a_num = fib.hits(pieces[0]), p_mass + r_mass
         if _witness(hits, a_num, eps_half) is None:
             residue_action = "merged_first"
         elif _witness(hits, a_num, eps) is None:
@@ -272,7 +284,7 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
             raise VerificationError(f"piece 0 failed goodness at {eps}")
 
     # attach zero-weight vertices by fingerprint atom
-    pieces = [p.tolist() for p in pieces]
+    pieces = [np.flatnonzero(p).tolist() for p in pieces]
     params = tuples_at(sorted(witnesses), view.right_sizes)   # row-major is lex order
     zeros = np.flatnonzero(~positive).tolist()
     if zeros:
@@ -284,7 +296,7 @@ def good_descent_partition(H: Hypergraph, measures, part: int, eps: Fraction,
 
     return GoodDescent(part, tuple(tuple(p) for p in pieces), eps,
                        tuple(depths), tuple(params), steps, residue_action,
-                       {"support": len(support), "zero_weight": len(zeros)})
+                       {"support": int(positive.sum()), "zero_weight": len(zeros)})
 
 
 def stable_regular_partition(H: Hypergraph, measures, eps: Fraction,

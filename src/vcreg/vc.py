@@ -38,8 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import remember
-from .core import (MAX_DENSE_SPACE, Hypergraph, Measure, binary_view, ceil_fraction,
-                   require_dense, row_keys, weighted_inner)
+from .core import (MAX_DENSE_SPACE, ROW_BLOCK_BYTES, Hypergraph, Measure, binary_view,
+                   ceil_fraction, require_dense, row_keys, weighted_inner)
 from .errors import InputError
 from .jsonio import require
 
@@ -108,8 +108,6 @@ class VCDimension:
         return f">={self.value}" if (self.capped or self.budget_exhausted) else str(self.value)
 
 
-# Row blocks copied out of a large boolean matrix are kept near this size.
-ROW_BLOCK_BYTES = 1 << 22
 # Random nets drawn before the random strategy falls back to the greedy net.
 NET_RETRIES = 10
 

@@ -4,13 +4,15 @@ of the product-space denominator."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
-from vcreg import Hypergraph, Measure
+from vcreg import Hypergraph, Measure, core
 from vcreg.core import INT64_SAFE, SpaceWeights, atoms, box_counts, fiber_atoms, row_keys
 from vcreg.oracles import brute_fiber_atoms, brute_set_mass, edge_set
 from vcreg.regularity import recount_boxes
@@ -100,6 +102,30 @@ def test_weight_sums_match_oracle(seed, regime):
     want = [sum(n for n, x in zip(lw.nums, row) if x) for row in rows]
     assert lw.sums(rows) == want
     assert [lw.sums(row) for row in rows] == want
+    with pytest.MonkeyPatch.context() as mp:   # one row per int64 block
+        mp.setattr(core, "ROW_BLOCK_BYTES", 1)
+        assert lw.sums(rows) == want
+
+
+def test_weight_sums_hold_one_row_block_at_a_time():
+    """A 2,000 x 2,000 mask in the int64 regime: the product casts one row
+    block to int64 at a time, so the traced peak stays near the mask's bytes
+    (one cast of the whole mask is eight times them)."""
+    rng = random.Random(7)
+    mu = Measure(0, _weights(rng, 2000, P_INT64))
+    lw = SpaceWeights((mu,), (0,), (2000,))
+    assert lw.nums64 is not None
+    mask = np.random.default_rng(7).random((2000, 2000)) < 0.5
+    tracemalloc.start()
+    try:
+        got = lw.sums(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * mask.nbytes
+    assert len(got) == 2000
+    for r in (0, 1, 999, 1999):
+        assert got[r] == sum(n for n, x in zip(lw.nums, mask[r].tolist()) if x)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
