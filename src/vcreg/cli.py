@@ -19,7 +19,9 @@ of the stable descents' pieces is not eps-homogeneous); 2 input error (unknown
 or missing flags, flags the run does not read, malformed files, bad rationals,
 a `gen` instance too large for any engine), whose report has "subcommand":
 null if the parse refused the flags, a flag the run's mode does not read
-included. Only `--help` writes no report. A closed stdout ends it without a
+included; 3 an internal error, a bug: any other exception, MemoryError
+included, reported as error kind "internal" with its class name ("type").
+Only `--help` writes no report. A closed stdout ends it without a
 traceback. Handlers return (outputs, verification);
 `main` alone sets "ok", true when every verification entry is True or
 "skipped-large", except the data keys that carry figures (`DATA_KEYS`:
@@ -652,6 +654,10 @@ def main(argv=None) -> int:
             detail["tree"] = exc.tree
         report.update({"error": detail, "ok": False})
         code = 1
+    except Exception as exc:   # a bug, MemoryError included: a report, not a traceback
+        report.update({"error": {"kind": "internal", "type": type(exc).__name__,
+                                 "message": str(exc)}, "ok": False})
+        code = 3
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     _emit(report, getattr(args, "out", None))
     return code

@@ -17,16 +17,16 @@ The counting kernels live here once each:
   exact_dtype           the one arithmetic-regime rule: np.int64 while a
                         bound on every value and partial sum is below
                         INT64_SAFE = 2^62, object (Python integers) beyond;
-  SpaceWeights.sums     weight sums of boolean rows: int64 `mask @ nums` over
-                        row blocks of about ROW_BLOCK_BYTES, or per-row Python
-                        sums, by exact_dtype(den);
   box_counts            per-box weight and edge sums of a partition, from the
                         edge list: one np.add.at into exact_dtype(den) arrays
                         (the builders' kernel: the verifier recounts with
                         regularity.recount_boxes);
-  float_limbs           the weights as exact float64 limbs (one below 2^53),
-                        for weighted_inner's fiber Gram matrix and the stable
-                        descent's fiber masses, recombined in exact_dtype(den);
+  float_limbs,          every exact weight sum of 0/1 rows: the weights as
+  limb_sum              float64 limbs (one below 2^53), whose BLAS products
+                        limb_sum recombines in exact_dtype(den), for
+                        SpaceWeights.sums (row blocks of about ROW_BLOCK_BYTES),
+                        weighted_inner's fiber Gram matrix and the stable
+                        descent's fiber masses;
   boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
   row_keys              every distinct-rows step sorts (boolean only).
 
@@ -274,7 +274,8 @@ class SpaceWeights:
 
     Position p enumerates V_I row-major; nums[p] is the product of per-part
     numerators and den is the product of per-part denominators, so that
-    mass(S) = sum(nums[p] for p in S) / den exactly.
+    mass(S) = sum(nums[p] for p in S) / den exactly. `limbs` and `dt` are
+    float_limbs(nums, den, size) and exact_dtype(den), for limb_sum.
     """
 
     def __init__(self, measures, parts: tuple[int, ...], sizes: tuple[int, ...]):
@@ -286,22 +287,20 @@ class SpaceWeights:
         self.nums = [1]
         for nums, _ in per:
             self.nums = [a * b for a in self.nums for b in nums]
-        # nums as an int64 array when exact_dtype(den) is int64, else None
-        self.nums64 = (np.asarray(self.nums, np.int64)
-                       if exact_dtype(self.den) is np.int64 else None)
+        self.limbs = float_limbs(self.nums, self.den, self.size)
+        self.dt = exact_dtype(self.den)
 
     def sums(self, mask: np.ndarray):
         """Exact numerator sum of the positions a boolean row selects (an int),
-        or of each row of a boolean matrix (a list of ints). The int64 product
-        casts rows to int64, one block of about ROW_BLOCK_BYTES at a time."""
-        if self.nums64 is not None:
-            step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
-            if mask.ndim == 1 or len(mask) <= step:
-                return (mask @ self.nums64).tolist()
-            return np.concatenate([mask[s:s + step] @ self.nums64
-                                   for s in range(0, len(mask), step)]).tolist()
-        out = [sum(map(self.nums.__getitem__, np.flatnonzero(row).tolist()))
-               for row in np.atleast_2d(mask)]
+        or of each row of a boolean matrix (a list of ints): limb_sum over
+        float64 copies of the rows, one block of about ROW_BLOCK_BYTES at a time."""
+        rows = mask if mask.ndim > 1 else mask[None]
+        step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
+        if len(rows) > step:   # each block's float64 copy dies with its sums
+            return [x for s in range(0, len(rows), step) for x in self.sums(rows[s:s + step])]
+        # .dot, not @: no ufunc dispatch, 0.3 us of a call the pair check makes per fiber
+        out = limb_sum(self.limbs, self.dt, rows.astype(np.float64).dot)
+        out = out.astype(self.dt, copy=False).tolist()
         return out if mask.ndim > 1 else out[0]
 
 
@@ -322,19 +321,23 @@ def float_limbs(nums, den: int, width: int) -> list[tuple[int, np.ndarray]]:
             for shift in range(0, den.bit_length(), bits)]
 
 
+def limb_sum(limbs, dt, product) -> np.ndarray:
+    """sum(product(limb) << shift) over float_limbs, where each product is a
+    float64 one of 0/1 rows: that product itself with one limb, the products
+    cast to int64 and recombined in dt = exact_dtype(den) with several."""
+    if len(limbs) == 1:
+        return product(limbs[0][1])
+    return sum(product(limb).astype(np.int64).astype(dt, copy=False) << shift
+               for shift, limb in limbs)
+
+
 def weighted_inner(a: np.ndarray, b: np.ndarray, nums, den: int) -> np.ndarray:
     """Exact a . diag(nums) . b^T for boolean rows a and b over the same
-    positions, where the nonnegative integer nums sum to den: float64 with
-    one limb (den < 2^53), the limb products recombined in exact_dtype(den)
-    with several (float_limbs)."""
+    positions, where the nonnegative integer nums sum to den (limb_sum)."""
     af = a.astype(np.float64)
     bt = b.astype(np.float64).T
-    limbs = float_limbs(nums, den, a.shape[1])
-    if len(limbs) == 1:
-        return (af * limbs[0][1]) @ bt
-    dt = exact_dtype(den)
-    return sum(((af * limb) @ bt).astype(np.int64).astype(dt) << shift
-               for shift, limb in limbs)
+    return limb_sum(float_limbs(nums, den, a.shape[1]), exact_dtype(den),
+                    lambda limb: (af * limb) @ bt)
 
 
 class BinaryView:

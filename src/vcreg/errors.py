@@ -3,6 +3,8 @@
 InputError maps to CLI exit code 2 (malformed or out-of-contract inputs),
 VerificationError and its subclasses map to exit code 1 (a computed object
 failed its own exact verification, or an engine guarantee did not hold).
+Any other exception is a bug: the CLI reports it as an "internal" error with
+exit code 3.
 """
 
 

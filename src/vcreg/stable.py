@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
-                   exact_dtype, fiber_atoms, float_limbs, row_keys, tuples_at)
+                   fiber_atoms, limb_sum, row_keys, tuples_at)
 from .errors import DepthCapExceeded, RefinementFailed, VerificationError
 from .jsonio import require
 from .regularity import RegularPartition, band
@@ -163,22 +163,18 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
 
 class _PartFibers:
     """One part's distinct fibers in order of their first position `first`, as
-    boolean rows and a float64 copy, and its weights as core.float_limbs."""
+    boolean rows and a float64 copy, and its weights `lw`."""
 
     def __init__(self, view, lw: SpaceWeights):
         self.first = np.sort(np.unique(row_keys(view.fibers), return_index=True)[1]).tolist()
         self.rows = view.fibers[self.first]
         self.dense = self.rows.astype(np.float64)
-        self.limbs = float_limbs(lw.nums, lw.den, lw.size)
-        self.dt = exact_dtype(lw.den)
+        self.lw = lw
         self.right_sizes = view.right_sizes
 
     def hits(self, mask: np.ndarray) -> np.ndarray:
         """Each distinct fiber's exact numerator mass on the vertices of mask."""
-        if len(self.limbs) == 1:
-            return self.dense @ (self.limbs[0][1] * mask)
-        return sum((self.dense @ (limb * mask)).astype(np.int64).astype(self.dt, copy=False)
-                   << shift for shift, limb in self.limbs)
+        return limb_sum(self.lw.limbs, self.lw.dt, lambda limb: self.dense.dot(limb * mask))
 
 
 def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:

@@ -38,8 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import remember
-from .core import (MAX_DENSE_SPACE, ROW_BLOCK_BYTES, Hypergraph, Measure, binary_view,
-                   ceil_fraction, require_dense, row_keys, weighted_inner)
+from .core import (MAX_DENSE_SPACE, ROW_BLOCK_BYTES, Hypergraph, Measure, SpaceWeights,
+                   binary_view, ceil_fraction, require_dense, row_keys)
 from .errors import InputError
 from .jsonio import require
 
@@ -385,13 +385,9 @@ def epsilon_net(family: SetFamily, mu: Measure, eps: Fraction,
     weights, den = mu.numerators()
     require(len(weights) == family.ground_size, "measure length does not match the ground set")
     mat = family.matrix()
-    ones = np.ones((1, mat.shape[1]), dtype=bool)
-    # weighted_inner makes two float64 copies of its rows: one block at a time
-    step = max(1, ROW_BLOCK_BYTES // (16 * max(1, mat.shape[1])))
-    mass = np.concatenate([weighted_inner(mat[s:s + step], ones, weights, den)[:, 0]
-                           for s in range(0, max(1, mat.shape[0]), step)])
+    mass = SpaceWeights((mu,), (0,), (family.ground_size,)).sums(mat)
     # members are sorted tuples in sorted order, so the rows are in lex order
-    heavy = mat[mass >= min(ceil_fraction(eps * den), den + 1)]
+    heavy = mat[np.array(mass, dtype=object) >= min(ceil_fraction(eps * den), den + 1)]
     meta: dict = {"heavy_members": heavy.shape[0]}
     if strategy == "greedy":
         pts = greedy_net(heavy)

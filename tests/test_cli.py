@@ -941,15 +941,31 @@ def test_stable_partition_never_builds_the_edge_set(tmp_path, monkeypatch):
     assert code == 0 and rep["verification"]["all_boxes_exactly_homogeneous"] is True
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("kernel broke"), MemoryError()],
+                         ids=["RuntimeError", "MemoryError"])
+def test_an_internal_error_ends_in_a_report_not_a_traceback(exc, tmp_path, monkeypatch):
+    import vcreg.core
+
+    def broken(*args):
+        raise exc
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    monkeypatch.setattr(vcreg.core.SpaceWeights, "sums", broken)
+    code, out, err = run(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
+    assert code == 3 and "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["subcommand"] == "reg partition"
+    assert rep["error"] == {"kind": "internal", "type": type(exc).__name__,
+                            "message": str(exc)}
+
+
 def test_vc_net_recounts_the_masses_without_the_net_kernel(write_json, monkeypatch):
-    import numpy as np
     import vcreg.vc
     fam = write_json("f.json", {"ground_size": 12, "members": [[i, i + 1] for i in range(11)]})
     argv = ["vc", "net", "--in", fam, "--epsilon", "1/8"]
     code, rep = report(argv)
     assert code == 0 and rep["verification"]["verified_exhaustively"] is True
-    monkeypatch.setattr(vcreg.vc, "weighted_inner",
-                        lambda a, b, nums, den: np.zeros((len(a), len(b))))
+    monkeypatch.setattr(vcreg.vc.SpaceWeights, "sums", lambda self, mask: [0] * len(mask))
     code, rep = report(argv)
     assert rep["outputs"]["points"] == []
     assert code == 1 and rep["verification"]["verified_exhaustively"] is False

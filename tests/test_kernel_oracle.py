@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
 from vcreg import Hypergraph, Measure, core
-from vcreg.core import INT64_SAFE, SpaceWeights, atoms, box_counts, fiber_atoms, row_keys
+from vcreg.core import (INT64_SAFE, SpaceWeights, atoms, box_counts, exact_dtype, fiber_atoms,
+                        row_keys)
 from vcreg.oracles import brute_fiber_atoms, brute_set_mass, edge_set
 from vcreg.regularity import recount_boxes
 from vcreg.vc import _collapsed_columns
@@ -107,14 +108,15 @@ def test_weight_sums_match_oracle(seed, regime):
         assert lw.sums(rows) == want
 
 
-def test_weight_sums_hold_one_row_block_at_a_time():
-    """A 2,000 x 2,000 mask in the int64 regime: the product casts one row
-    block to int64 at a time, so the traced peak stays near the mask's bytes
-    (one cast of the whole mask is eight times them)."""
+@pytest.mark.parametrize("regime", ["int64", "bigint"])
+def test_weight_sums_hold_one_row_block_at_a_time(regime):
+    """A 2,000 x 2,000 mask in the int64 and bigint regimes: the product casts
+    one row block to float64 at a time, so the traced peak stays near the
+    mask's bytes (one cast of the whole mask is eight times them)."""
     rng = random.Random(7)
-    mu = Measure(0, _weights(rng, 2000, P_INT64))
+    mu = Measure(0, _weights(rng, 2000, P_INT64 if regime == "int64" else P_BIG))
     lw = SpaceWeights((mu,), (0,), (2000,))
-    assert lw.nums64 is not None
+    assert exact_dtype(lw.den) is (np.int64 if regime == "int64" else object)
     mask = np.random.default_rng(7).random((2000, 2000)) < 0.5
     tracemalloc.start()
     try:

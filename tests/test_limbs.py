@@ -1,10 +1,12 @@
 """The exact float64 limbs (core.float_limbs) at the edges of their regimes:
-the limbs recombined against Python sums, and the stable descent, which
+the limbs recombined against Python sums, SpaceWeights.sums, which sums
+every boolean row from them, and the stable descent, which
 computes every step's fiber masses from them, against oracles.brute_descent
 at the part denominators on either side of 2^53."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from test_descent_oracle import _outcome, _relation
 from test_net_oracle import _weights
 from vcreg import Hypergraph, Measure, good_descent_partition
-from vcreg.core import exact_dtype, float_limbs
+from vcreg.core import SpaceWeights, exact_dtype, float_limbs
 from vcreg.oracles import brute_descent
 
 P_BELOW = 2 ** 53 - 111   # the largest prime below 2^53: one limb, partial sums near 2^53
@@ -44,6 +46,27 @@ def test_limbs_recombine_to_python_sums(regime, width):
         want = [sum(n for n, x in zip(nums, row) if x) for row in rows]
         assert [int(x) for x in got] == want
         assert want[-1] == den
+
+
+@pytest.mark.parametrize("den", [P_BELOW, P_ABOVE, 2 ** 62 - 57, 2 ** 89 - 1],
+                         ids=["one-limb", "two-limbs", "int64", "bigint"])
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
+def test_weight_sums_at_the_limb_edges(den, width):
+    """SpaceWeights.sums, a row and a matrix, against Python sums: random
+    weights, and all the mass on one position, so a full row sums to den. The
+    numerators go in unreduced (a Measure would reduce den = nums[p] to 1)."""
+    rng = random.Random(width)
+    cuts = sorted(rng.randrange(1, den) for _ in range(width - 1))
+    heavy = [0] * width
+    heavy[rng.randrange(width)] = den
+    rows = np.array([[rng.random() < 0.5 for _ in range(width)] for _ in range(6)]
+                    + [[True] * width])
+    for nums in ([b - a for a, b in zip([0] + cuts, cuts + [den])], heavy):
+        lw = SpaceWeights((SimpleNamespace(numerators=lambda: (nums, den)),), (0,), (width,))
+        want = [sum(n for n, x in zip(nums, row) if x) for row in rows]
+        assert lw.sums(rows) == want and want[-1] == den
+        assert [lw.sums(row) for row in rows] == want
+        assert all(type(x) is int for x in lw.sums(rows) + [lw.sums(rows[-1])])
 
 
 @pytest.mark.parametrize("den", [P_BELOW, P_ABOVE], ids=["one-limb", "two-limbs"])

@@ -46,6 +46,18 @@ def test_delta_partition_pairwise_distance():
                 assert w0.mass(fb ^ fc) < eps
 
 
+def test_class_distance_check_catches_a_wrong_gram_matrix(monkeypatch):
+    """The pairwise check sums the XOR rows of each class itself, so a Gram
+    matrix of zeros (no heavy pair, one class) fails the partition built on it."""
+    from vcreg.errors import VerificationError
+    monkeypatch.setattr(regularity, "weighted_inner",
+                        lambda a, b, nums, den: np.zeros((len(a), len(b))))
+    H = half_graph(24)
+    with pytest.raises(VerificationError) as exc:
+        regular_partition(H, uniform_measures(H), Fraction(1, 4))
+    assert str(exc.value) == "class fiber distance 23/24 is not below eps=1/4"
+
+
 def _random_graph(seed, n0, n1):
     rng = random.Random(seed)
     edges = frozenset((i, j) for i in range(n0) for j in range(n1)
