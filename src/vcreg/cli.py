@@ -418,6 +418,8 @@ def _cmd_rodl_search(args, files):
 def _cmd_gen(args, files):
     from .core import Hypergraph, edge_array
     from .instances import GeneratorSpec, generate
+    # --out names the instance file; the report, whatever the outcome, goes to stdout
+    out, args.out = args.out, None
     params = dict(args.mode_flags)
     # dyadic-export reads --depth, whose flag type checked dyadic_hypergraph's range
     sizes = _parse_ints(params.pop("sizes"), "sizes") if "sizes" in params \
@@ -429,10 +431,8 @@ def _cmd_gen(args, files):
     verification = {"roundtrip_equal": back == g.hypergraph,
                     "edge_count": len(edge_array(g.hypergraph)),
                     "measured": g.measured}
-    if args.out:
-        # --out names the instance file; the report still goes to stdout
-        files["out"] = dump_json(outputs, args.out)
-        args.out = None
+    if out:
+        files["out"] = dump_json(outputs, out)
     return outputs, verification
 
 

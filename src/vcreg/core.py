@@ -25,8 +25,9 @@ The counting kernels live here once each:
   limb_sum              float64 limbs (one below 2^53), whose BLAS products
                         limb_sum recombines in exact_dtype(den), for
                         SpaceWeights.sums (row blocks of about ROW_BLOCK_BYTES),
-                        weighted_inner's fiber Gram matrix and the stable
-                        descent's fiber masses;
+                        weighted_inner's fiber Gram matrix, the delta
+                        partition's class check and the stable descent's
+                        fiber masses;
   boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
   row_keys              every distinct-rows step sorts (boolean only).
 
@@ -298,7 +299,7 @@ class SpaceWeights:
         step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
         if len(rows) > step:   # each block's float64 copy dies with its sums
             return [x for s in range(0, len(rows), step) for x in self.sums(rows[s:s + step])]
-        # .dot, not @: no ufunc dispatch, 0.3 us of a call the pair check makes per fiber
+        # .dot, not @: no ufunc dispatch, 0.3 us of a 1-2 us call on a few rows
         out = limb_sum(self.limbs, self.dt, rows.astype(np.float64).dot)
         out = out.astype(self.dt, copy=False).tolist()
         return out if mask.ndim > 1 else out[0]

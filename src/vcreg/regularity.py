@@ -37,10 +37,10 @@ from math import prod
 
 import numpy as np
 
-from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, Box, Hypergraph, Measure, SpaceWeights,
-                   atoms, binary_view, box_counts, boxes_mask, ceil_fraction, check_measures,
-                   edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys, tuples_at,
-                   weighted_inner)
+from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, ROW_BLOCK_BYTES, Box, Hypergraph, Measure,
+                   SpaceWeights, atoms, binary_view, box_counts, boxes_mask, ceil_fraction,
+                   check_measures, edge_array, edge_mass, exact_dtype, fiber_atoms, limb_sum,
+                   row_keys, tuples_at, weighted_inner)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 from .vc import sauer_bound, vc_dimension_matrix
@@ -52,15 +52,49 @@ FIBER_DIM_BUDGET = 200_000   # search nodes for the fiber family's VC dimension
 class DeltaPartition:
     classes: tuple[tuple[tuple[int, ...], ...], ...]   # each one's first member represents it
     params: tuple[tuple[int, ...], ...]
-    path: str                     # "net" | "trivial" | "single"
+    path: str                     # "net" | "trivial"
     max_pair_distance: Fraction
     meta: dict = field(default_factory=dict)
 
 
-def _pairwise_max_distance(rows: np.ndarray, lw: SpaceWeights) -> Fraction:
-    best = max((max(lw.sums(rows[i] ^ rows[i + 1:])) for i in range(len(rows) - 1)),
-               default=0)
-    return Fraction(best, lw.den)
+def _pairwise_max_distance(rows: np.ndarray, lw: SpaceWeights) -> int:
+    """The largest weighted distance between two of the boolean rows F, with
+    weights w, as a numerator over lw.den. A[i, j] = mass(f_i minus f_j),
+    the product (F w)(not F)^T, is a subset sum of each limb, so it is exact
+    like a row sum, and the distances are A + A^T. Both go by square tiles
+    of about ROW_BLOCK_BYTES over the upper triangle (limb_sum). It never
+    reads the Gram matrix the classes came from."""
+    x = rows.astype(np.float64)
+    nx = 1 - x
+    step = max(1, math.isqrt(ROW_BLOCK_BYTES // 8))
+
+    def minus(i: int, j: int):   # the tile of A at rows i and columns j
+        return limb_sum(lw.limbs, lw.dt, lambda limb: (x[i:i + step] * limb) @ nx[j:j + step].T)
+
+    best = 0
+    for i in range(0, len(rows), step):
+        for j in range(i, len(rows), step):
+            a = minus(i, j)
+            best = max(best, int((a + (a if i == j else minus(j, i)).T).max()))
+    return best
+
+
+def _class_max_distance(fibers: np.ndarray, fiber_of: list, classes, lw) -> Fraction:
+    """The largest _pairwise_max_distance within one class, over each class's
+    distinct rows of `fibers` (fiber_of[p] is the row of right position p),
+    so that equal fibers, however many, cost nothing."""
+    distinct = ({fiber_of[p] for p in ps} for ps in classes if len(ps) > 1)
+    return Fraction(max((_pairwise_max_distance(fibers[list(ids)], lw)
+                         for ids in distinct if len(ids) > 1), default=0), lw.den)
+
+
+def _fiber_matrix_bytes(m: int, w: int, den: int) -> int:
+    """The bytes delta_approx_partition's matrices over m distinct fibers of
+    w positions take, as core.MAX_DIFF_BYTES says; an m x m cell of Python
+    ints (exact_dtype object, past int64) holds a pointer and an int of up to
+    den's size."""
+    cell = 8 if exact_dtype(den) is np.int64 else 8 + sys.getsizeof(den)
+    return m * (3 * m * cell + 4 * w * 8)
 
 
 def net_param_bound(d: int, eps: Fraction) -> int:
@@ -76,10 +110,12 @@ def _pair_net(fibers: np.ndarray, heavy: np.ndarray) -> list[int]:
 
     With y = 1 - 2 * fibers, a pair (a, b) differs at q where y[a, q] y[b, q]
     is -1, so a count over pairs is (pairs - the sum of those products) / 2:
-    one float64 product over every heavy pair, then one per point over the
-    smaller side of each atom it splits, exact below m(m - 1)/2 < 2^44."""
-    y = 1 - 2 * fibers.astype(np.float64)
-    hits = (heavy.sum() - (y * (heavy.astype(np.float64) @ y)).sum(axis=0)) / 4
+    one float32 product over every heavy pair, then one per point over the
+    smaller side of each atom it splits. Every count and partial sum is an
+    integer of at most m^2 for m fibers, which the guard in
+    delta_approx_partition keeps below 2^24, so float32 holds it exactly."""
+    y = 1 - 2 * fibers.astype(np.float32)
+    hits = (heavy.sum() - (y * (heavy.astype(np.float32) @ y)).sum(axis=0)) / 4
     atom = np.zeros(len(fibers), np.intp)
     points, i = [], 0
     while i < len(fibers):
@@ -96,7 +132,7 @@ def _pair_net(fibers: np.ndarray, heavy: np.ndarray) -> list[int]:
         own, other = cnt[key], cnt[key ^ 1]
         # the smaller side of each atom p splits, ties to the side holding p
         small = np.flatnonzero((other > 0) & ((own < other) | ((own == other) & col)))
-        pairs = (heavy[small] & ((key[small, None] ^ 1) == key)).astype(np.float64)
+        pairs = (heavy[small] & ((key[small, None] ^ 1) == key)).astype(np.float32)
         hits -= (pairs.sum() - (y[small] * (pairs @ y)).sum(axis=0)) / 2
         atom = (np.cumsum(cnt > 0) - 1)[key]
     return points
@@ -111,7 +147,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     weighted distance matrix picks the heavy pairs, at distance >= eps/2,
     and _pair_net separates them. A heavy pair left inside one atom of the
     net, recounted apart from the greedy, is a VerificationError."""
-    require(isinstance(eps, Fraction) and eps > 0, "eps must be a positive Fraction")
+    require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     measures = check_measures(H, measures)
     left = tuple(sorted(measured_parts))
     require(len(left) < H.k, "measured side must leave something to split")
@@ -119,20 +155,17 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     lw = SpaceWeights(measures, view.left, H.part_sizes)
 
     rights = tuples_at(np.arange(view.right_size), view.right_sizes)
-    if eps > 1:
-        return DeltaPartition((tuple(rights),), (), "single",
-                              _pairwise_max_distance(view.fibers, lw))
+    _, first, fiber_of = np.unique(row_keys(view.fibers), return_index=True, return_inverse=True)
+    fibers, fiber_of = view.fibers[first], fiber_of.tolist()
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
         classes = tuple(tuple(rights[p] for p in ps) for ps in ordered)
-        worst = max((_pairwise_max_distance(view.fibers[list(ps)], lw)
-                     for ps in ordered if len(ps) > 1), default=Fraction(0))
+        worst = _class_max_distance(fibers, fiber_of, ordered, lw)
         if worst >= eps:
             raise VerificationError(
                 f"class fiber distance {worst} is not below eps={eps}")
         return DeltaPartition(classes, params, path, worst, meta)
 
-    fibers = view.fibers[np.unique(row_keys(view.fibers), return_index=True)[1]]
     dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
     d_bound = dim.value if not dim.budget_exhausted else max(
         dim.value, max(1, len(fibers)).bit_length() - 1)
@@ -141,10 +174,7 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
 
     if len(fibers) > 1:
         m, w = fibers.shape
-        # as core.MAX_DIFF_BYTES says; an m x m cell of Python ints (exact_dtype
-        # object, past int64) holds a pointer and an int of up to den's size
-        cell = 8 if exact_dtype(lw.den) is np.int64 else 8 + sys.getsizeof(lw.den)
-        need = m * (3 * m * cell + 4 * w * 8)
+        need = _fiber_matrix_bytes(m, w, lw.den)
         require(need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance matrices "
                 f"need about {need} bytes ({m} distinct fibers x {w} left positions), over "
                 f"the {MAX_DIFF_BYTES}-byte guard")
@@ -189,7 +219,7 @@ def _support_rect(support) -> tuple:
 def rectangular_approximation(H: Hypergraph, measures, eps: Fraction) -> RectApprox:
     """Union of boxes with definable sides within eps of the relation, with
     the parameter sets each side is definable over and the exact error."""
-    require(isinstance(eps, Fraction) and eps > 0, "eps must be a positive Fraction")
+    require(isinstance(eps, Fraction) and 0 < eps <= 1, "eps must be in (0, 1]")
     measures = check_measures(H, measures)
     boxes, params, error, levels = _rect_recurse(H, measures, eps)
     if error >= eps:

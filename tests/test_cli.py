@@ -1209,6 +1209,37 @@ def test_gen_refuses_an_unbuildable_instance_before_building(monkeypatch, argv):
     assert code == 2 and rep["error"]["kind"] == "input"
 
 
+def test_gen_input_error_report_goes_to_stdout_not_to_the_instance_path(tmp_path):
+    inst = tmp_path / "F.json"
+    code, rep = report(["gen", "half-graph", "--sizes", "0,4", "--out", str(inst)])
+    assert code == 2 and rep["subcommand"] == "gen"
+    assert rep["error"] == {"kind": "input", "message": "part sizes must be positive integers"}
+    assert not inst.exists()
+
+
+def test_gen_internal_error_report_leaves_the_instance_path_unchanged(tmp_path, monkeypatch):
+    import vcreg.instances
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("generator broke")
+    monkeypatch.setattr(vcreg.instances, "half_graph", broken)
+    inst = tmp_path / "F.json"
+    inst.write_text("an earlier instance\n")
+    code, rep = report(["gen", "half-graph", "--sizes", "4,4", "--out", str(inst)])
+    assert code == 3 and rep["subcommand"] == "gen"
+    assert rep["error"] == {"kind": "internal", "type": "RuntimeError",
+                            "message": "generator broke"}
+    assert inst.read_text() == "an earlier instance\n"
+
+
+def test_rect_refuses_eps_above_one(tmp_path):
+    inst = str(tmp_path / "h.json")
+    report(["gen", "half-graph", "--sizes", "8,8", "--out", inst])
+    code, rep = report(["reg", "rect", "--in", inst, "--epsilon", "2"])
+    assert code == 2 and rep["subcommand"] == "reg rect"
+    assert rep["error"] == {"kind": "input", "message": "eps must be in (0, 1]"}
+
+
 def test_closed_stdout_ends_without_traceback():
     # a 183 KB report: more than a pipe holds, so the writer sees the close
     proc = subprocess.Popen([sys.executable, "-m", "vcreg.cli", "gen", "half-graph",

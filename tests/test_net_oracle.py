@@ -4,6 +4,7 @@ oracles, in all three arithmetic regimes of the left-side denominator."""
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import (Hypergraph, Measure, SetFamily, delta_approx_partition,
-                   epsilon_net, vc)
-from vcreg.core import INT64_SAFE, SpaceWeights, weighted_inner
+                   epsilon_net, regularity, vc)
+from vcreg.core import INT64_SAFE, SpaceWeights, binary_view, row_keys, weighted_inner
 from vcreg.oracles import (brute_delta_partition, brute_greedy_net, brute_random_net,
                            brute_vc_dimension)
 
@@ -219,3 +220,71 @@ def test_greedy_net_counts_past_255_rows(shared, block):
     want, heavy = brute_greedy_net(fam.members, [Fraction(1, width)] * width, Fraction(1, width))
     assert heavy == len(fam.members) == 840
     assert got == want
+
+
+@pytest.mark.parametrize("block", [32, 8])   # tiles of 2 and 1 rows
+@pytest.mark.parametrize("regime", REGIMES)
+def test_class_check_matches_oracle_across_tiles(regime, block):
+    """The class check's largest distance against the oracle's, with the
+    tiles patched down so that a class's distinct fibers span several (the
+    other oracle tests run it on one tile)."""
+    step = math.isqrt(block // 8)
+    spanned = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
+        for seed in range(12):
+            H, measures, left = _many_fibers_instance(random.Random(seed), regime)
+            for eps in (Fraction(1, 2), Fraction(1)):
+                dp = delta_approx_partition(H, measures, eps, left)
+                _same_partition(dp, brute_delta_partition(H, measures, eps, left))
+                fibers = binary_view(H, left).fibers
+                spanned += any(len(np.unique(row_keys(fibers[[b for (b,) in cls]])))
+                               > step for cls in dp.classes)
+    assert spanned > 0
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_class_check_kernel_matches_pair_sums(regime):
+    """_pairwise_max_distance against the largest XOR row sum over every pair,
+    on 30 rows of 50 positions in tiles of one, two and all rows."""
+    rng = random.Random(3)
+    den = {"float64": 997, "int64": P_INT64, "bigint": P_BIG}[regime]
+    lw = SpaceWeights((Measure(0, _weights(rng, 50, den)),), (0,), (50,))
+    rows = np.array([[rng.random() < 0.5 for _ in range(50)] for _ in range(30)])
+    want = max(sum(n for n, x, y in zip(lw.nums, a, b) if x != y)
+               for a, b in itertools.combinations(rows.tolist(), 2))
+    for block in (8, 32, regularity.ROW_BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
+            assert regularity._pairwise_max_distance(rows, lw) == want
+
+
+def test_class_of_many_equal_fibers_allocates_no_square_matrix():
+    """4,096 fibers of two kinds, 1/8 apart, over 8 positions: no pair is
+    heavy at eps 1/2, so they form one class. The check reads its two
+    distinct fibers, not a 4,096 x 4,096 matrix (134 MB in float64)."""
+    n = 4096
+    H = Hypergraph((8, n), frozenset((a, b) for b in range(n) for a in range(4 + b % 2)))
+    measures = (Measure.uniform(0, 8), Measure.uniform(1, n))
+    binary_view(H, (0,))   # the cached fibers are the instance's, not the check's
+    tracemalloc.start()
+    try:
+        dp = delta_approx_partition(H, measures, Fraction(1, 2), (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dp.path == "net" and len(dp.classes) == 1 and len(dp.classes[0]) == n
+    assert dp.max_pair_distance == Fraction(1, 8)
+    assert peak < regularity.ROW_BLOCK_BYTES
+
+
+def test_pair_net_counts_are_exact_in_float32():
+    """_pair_net's counts and partial sums are integers of at most m^2 for m
+    distinct fibers; the guard of delta_approx_partition must keep m^2 below
+    2^24, where float32 stops holding every integer."""
+    lo, hi = 1, 1 << 20   # the guard admits lo fibers (of one position) and refuses hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if regularity._fiber_matrix_bytes(mid, 1, 2) \
+            <= regularity.MAX_DIFF_BYTES else (lo, mid)
+    assert lo * lo < 2 ** 24

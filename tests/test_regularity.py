@@ -47,8 +47,9 @@ def test_delta_partition_pairwise_distance():
 
 
 def test_class_distance_check_catches_a_wrong_gram_matrix(monkeypatch):
-    """The pairwise check sums the XOR rows of each class itself, so a Gram
-    matrix of zeros (no heavy pair, one class) fails the partition built on it."""
+    """The class check computes each class's fiber distances itself, from the
+    class's fibers and their complements, so a Gram matrix of zeros (no heavy
+    pair, one class) fails the partition built on it."""
     from vcreg.errors import VerificationError
     monkeypatch.setattr(regularity, "weighted_inner",
                         lambda a, b, nums, den: np.zeros((len(a), len(b))))
@@ -56,6 +57,16 @@ def test_class_distance_check_catches_a_wrong_gram_matrix(monkeypatch):
     with pytest.raises(VerificationError) as exc:
         regular_partition(H, uniform_measures(H), Fraction(1, 4))
     assert str(exc.value) == "class fiber distance 23/24 is not below eps=1/4"
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(2)])
+def test_delta_partition_and_rect_refuse_eps_outside_zero_one(eps):
+    H = half_graph(6)
+    mu = uniform_measures(H)
+    with pytest.raises(InputError, match=r"eps must be in \(0, 1\]"):
+        delta_approx_partition(H, mu, eps, (0,))
+    with pytest.raises(InputError, match=r"eps must be in \(0, 1\]"):
+        rectangular_approximation(H, mu, eps)
 
 
 def _random_graph(seed, n0, n1):
