@@ -70,7 +70,7 @@ from .dyadic import (EXPORT_DEPTHS, anti_homogeneity_bound_check, ball_family_se
                      parse_balls)
 from .errors import InputError, VerificationError
 from .jsonio import (KINDS, MAX_COMPLEXITY, canonical_dumps, decode_json, dump_json,
-                     load_json, parse_rational, read_bytes, require)
+                     load_json, parse_rational, read_bytes, require, write_bytes)
 
 
 def _parse_ints(s: str, what: str) -> tuple[int, ...]:
@@ -381,9 +381,10 @@ def _cmd_rodl_search(args, files):
                 verification["density_recomputed_equal"] = dens[rep.prefix_length] == rep.density
         return outputs, verification
 
-    from .core import edge_array
+    from .core import check_measures, edge_array
     from .homog import EXACT_TUPLE_BUDGET, definable_homogeneous_search
     H, measures = _load_instance(args.infile, files)
+    measures = check_measures(H, measures)
     budget = EXACT_TUPLE_BUDGET if args.budget is None else args.budget
     res = definable_homogeneous_search(H, measures[0], args.epsilon, args.m,
                                        budget=budget, seed=args.seed or 0)
@@ -427,12 +428,14 @@ def _cmd_gen(args, files):
     spec = GeneratorSpec(args.kind, sizes, len(sizes), args.seed or 0, tuple(params.items()))
     g = generate(spec)
     outputs = g.to_obj()
-    back = Hypergraph.from_obj(outputs["hypergraph"])
+    # the instance's bytes, encoded once; their relation read back as `--in` reads it
+    data = (canonical_dumps(outputs) + "\n").encode("utf-8")
+    back = decode_json(data, out or "gen", lambda obj: Hypergraph.from_obj(obj["hypergraph"]))
     verification = {"roundtrip_equal": back == g.hypergraph,
                     "edge_count": len(edge_array(g.hypergraph)),
                     "measured": g.measured}
     if out:
-        files["out"] = dump_json(outputs, out)
+        files["out"] = write_bytes(data, out)
     return outputs, verification
 
 

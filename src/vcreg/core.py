@@ -52,7 +52,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import InputError, ZeroMeasureBox
-from .jsonio import format_rational, rational_terms, require
+from .jsonio import rational_terms, require
 
 # Largest product space a box count accepts, and largest binary-view side.
 MAX_DENSE_SPACE = 1 << 22
@@ -169,7 +169,10 @@ class Hypergraph:
         try:
             sizes = tuple(obj["part_sizes"])
             edges = obj["edges"]
-            if not set(map(type, edges)) <= {list}:   # edge lists go in as they are
+            if isinstance(edges, np.ndarray):   # jsonio.decode_json's (n, k') int64 array
+                if edges.shape[1] != len(sizes):   # refused as the lists would be
+                    edges = edges.tolist()
+            elif not set(map(type, edges)) <= {list}:   # edge lists go in as they are
                 edges = list(map(tuple, edges))
         except TypeError:
             raise InputError("part_sizes must be a list of integers and edges "
@@ -223,7 +226,10 @@ class Measure:
         return Fraction(sum(nums[v] for v in subset), den)
 
     def to_obj(self) -> dict:
-        return {"part": self.part, "weights": [format_rational(w) for w in self.weights]}
+        # each weight reduced, as format_rational writes it, with no Fraction made
+        nums, den = self.num_den
+        gs = map(gcd, nums, itertools.repeat(den))
+        return {"part": self.part, "weights": [f"{n // g}/{den // g}" for n, g in zip(nums, gs)]}
 
     @staticmethod
     def from_obj(obj) -> "Measure":
