@@ -226,7 +226,7 @@ def _cmd_reg_verify(args, files):
     from .regularity import RegularPartition, verify_regular_partition
     H, measures = _load_instance(args.infile, files)
     pobj, files["partition"] = load_json(args.partition)
-    if isinstance(pobj, dict) and "outputs" in pobj:
+    if isinstance(pobj, dict) and isinstance(pobj.get("outputs"), dict):
         pobj = pobj["outputs"].get("partition", pobj)
     rp = RegularPartition.from_obj(pobj)
     if args.epsilon is not None and args.epsilon != rp.epsilon:

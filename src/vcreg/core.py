@@ -21,12 +21,12 @@ The counting kernels live here once each:
                         edge list: one np.add.at into exact_dtype(den) arrays
                         (the builders' kernel: the verifier recounts with
                         regularity.recount_boxes);
-  float_limbs,          every exact weight sum of 0/1 rows: the weights as
-  limb_sum              float64 limbs (one below 2^53), whose BLAS products
-                        limb_sum recombines in exact_dtype(den), for
-                        SpaceWeights.sums (row blocks of about ROW_BLOCK_BYTES),
-                        weighted_inner's fiber Gram matrix, the delta
-                        partition's class check and the stable descent's
+  SpaceWeights.inner    every exact weight sum of 0/1 rows: the weights split
+                        once into float64 limbs (float_limbs; one below 2^53),
+                        whose BLAS products it recombines in exact_dtype(den),
+                        for SpaceWeights.sums (row blocks of about
+                        ROW_BLOCK_BYTES), the delta partition's fiber Gram
+                        matrix and class check and the stable descent's
                         fiber masses;
   boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
   row_keys              every distinct-rows step sorts (boolean only).
@@ -257,10 +257,14 @@ def check_measures(H: Hypergraph, measures) -> tuple[Measure, ...]:
     require(len(measures) == H.k, f"need {H.k} measures, got {len(measures)}")
     for i, m in enumerate(measures):
         require(m.part == i, f"measure at position {i} is labeled part {m.part}")
-        n = len(m.numerators()[0])
-        require(n == H.part_sizes[i], f"measure on part {i} has {n} weights, part has "
-                f"{H.part_sizes[i]}")
+        check_weight_count(m, i, H.part_sizes[i])
     return measures
+
+
+def check_weight_count(m: Measure, i: int, size: int) -> None:
+    """Refuse a measure on part i whose weight count is not the part's size."""
+    n = len(m.numerators()[0])
+    require(n == size, f"measure on part {i} has {n} weights, part has {size}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,7 @@ class SpaceWeights:
     Position p enumerates V_I row-major; nums[p] is the product of per-part
     numerators and den is the product of per-part denominators, so that
     mass(S) = sum(nums[p] for p in S) / den exactly. `limbs` and `dt` are
-    float_limbs(nums, den, size) and exact_dtype(den), for limb_sum.
+    float_limbs(nums, den, size) and exact_dtype(den); only `inner` reads them.
     """
 
     def __init__(self, measures, parts: tuple[int, ...], sizes: tuple[int, ...]):
@@ -297,17 +301,28 @@ class SpaceWeights:
         self.limbs = float_limbs(self.nums, self.den, self.size)
         self.dt = exact_dtype(self.den)
 
+    def inner(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """Exact a . diag(nums) . b^T for float64 0/1 rows a against 0/1 rows
+        b, one 0/1 row b, or all ones (b None): the float64 product with one
+        limb, else each limb's cast to int64 and recombined, shifted, in dt."""
+        out = 0
+        for shift, limb in self.limbs:
+            # .dot, not @: no ufunc dispatch, 0.3 us of a 1-2 us call on a few rows
+            p = a.dot(limb if b is None else (limb * b).T)
+            if len(self.limbs) == 1:
+                return p
+            out = out + (p.astype(np.int64).astype(self.dt, copy=False) << shift)
+        return out
+
     def sums(self, mask: np.ndarray):
         """Exact numerator sum of the positions a boolean row selects (an int),
-        or of each row of a boolean matrix (a list of ints): limb_sum over
+        or of each row of a boolean matrix (a list of ints): inner over
         float64 copies of the rows, one block of about ROW_BLOCK_BYTES at a time."""
         rows = mask if mask.ndim > 1 else mask[None]
         step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
         if len(rows) > step:   # each block's float64 copy dies with its sums
             return [x for s in range(0, len(rows), step) for x in self.sums(rows[s:s + step])]
-        # .dot, not @: no ufunc dispatch, 0.3 us of a 1-2 us call on a few rows
-        out = limb_sum(self.limbs, self.dt, rows.astype(np.float64).dot)
-        out = out.astype(self.dt, copy=False).tolist()
+        out = list(map(int, self.inner(rows.astype(np.float64)).tolist()))
         return out if mask.ndim > 1 else out[0]
 
 
@@ -326,25 +341,6 @@ def float_limbs(nums, den: int, width: int) -> list[tuple[int, np.ndarray]]:
     low = (1 << bits) - 1
     return [(shift, np.asarray([(n >> shift) & low for n in nums], dtype=np.float64))
             for shift in range(0, den.bit_length(), bits)]
-
-
-def limb_sum(limbs, dt, product) -> np.ndarray:
-    """sum(product(limb) << shift) over float_limbs, where each product is a
-    float64 one of 0/1 rows: that product itself with one limb, the products
-    cast to int64 and recombined in dt = exact_dtype(den) with several."""
-    if len(limbs) == 1:
-        return product(limbs[0][1])
-    return sum(product(limb).astype(np.int64).astype(dt, copy=False) << shift
-               for shift, limb in limbs)
-
-
-def weighted_inner(a: np.ndarray, b: np.ndarray, nums, den: int) -> np.ndarray:
-    """Exact a . diag(nums) . b^T for boolean rows a and b over the same
-    positions, where the nonnegative integer nums sum to den (limb_sum)."""
-    af = a.astype(np.float64)
-    bt = b.astype(np.float64).T
-    return limb_sum(float_limbs(nums, den, a.shape[1]), exact_dtype(den),
-                    lambda limb: (af * limb) @ bt)
 
 
 class BinaryView:

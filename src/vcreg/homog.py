@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Hypergraph, Measure, binary_view, edge_array, exact_dtype
+from .core import Hypergraph, Measure, binary_view, check_weight_count, edge_array, exact_dtype
 from .jsonio import MAX_COMPLEXITY, require
 
 EXACT_TUPLE_BUDGET = 1_000_000
@@ -52,8 +52,9 @@ def definable_homogeneous_search(H: Hypergraph, mu: Measure, eps: Fraction,
             f"complexity cap is {MAX_COMPLEXITY}; the atom count grows double-exponentially")
     require(budget >= 1, f"budget must be >= 1, not {budget}")
     n = H.part_sizes[0]
-    m = min(m, n)
+    check_weight_count(mu, 0, n)
     nums, den = mu.numerators()
+    m = min(m, n)
     # every per-pattern sum of weights, squared weights and pair products is
     # at most den^2
     w = np.array(nums, exact_dtype(den * den))

@@ -39,8 +39,8 @@ import numpy as np
 
 from .core import (MAX_DENSE_SPACE, MAX_DIFF_BYTES, ROW_BLOCK_BYTES, Box, Hypergraph, Measure,
                    SpaceWeights, atoms, binary_view, box_counts, boxes_mask, ceil_fraction,
-                   check_measures, edge_array, edge_mass, exact_dtype, fiber_atoms, limb_sum,
-                   row_keys, tuples_at, weighted_inner)
+                   check_measures, edge_array, edge_mass, exact_dtype, fiber_atoms, row_keys,
+                   tuples_at)
 from .errors import InputError, VerificationError, ZeroMeasureBox
 from .jsonio import format_rational, parse_rational, require
 from .vc import sauer_bound, vc_dimension_matrix
@@ -57,34 +57,32 @@ class DeltaPartition:
     meta: dict = field(default_factory=dict)
 
 
-def _pairwise_max_distance(rows: np.ndarray, lw: SpaceWeights) -> int:
-    """The largest weighted distance between two of the boolean rows F, with
-    weights w, as a numerator over lw.den. A[i, j] = mass(f_i minus f_j),
+def _pairwise_max_distance(x: np.ndarray, lw: SpaceWeights) -> int:
+    """The largest weighted distance between two of the float64 0/1 rows F,
+    with weights w, as a numerator over lw.den. A[i, j] = mass(f_i minus f_j),
     the product (F w)(not F)^T, is a subset sum of each limb, so it is exact
     like a row sum, and the distances are A + A^T. Both go by square tiles
-    of about ROW_BLOCK_BYTES over the upper triangle (limb_sum). It never
-    reads the Gram matrix the classes came from."""
-    x = rows.astype(np.float64)
-    nx = 1 - x
+    of about ROW_BLOCK_BYTES over the upper triangle (SpaceWeights.inner). It
+    never reads the Gram matrix the classes came from."""
     step = max(1, math.isqrt(ROW_BLOCK_BYTES // 8))
 
     def minus(i: int, j: int):   # the tile of A at rows i and columns j
-        return limb_sum(lw.limbs, lw.dt, lambda limb: (x[i:i + step] * limb) @ nx[j:j + step].T)
+        return lw.inner(x[i:i + step], 1 - x[j:j + step])
 
     best = 0
-    for i in range(0, len(rows), step):
-        for j in range(i, len(rows), step):
+    for i in range(0, len(x), step):
+        for j in range(i, len(x), step):
             a = minus(i, j)
             best = max(best, int((a + (a if i == j else minus(j, i)).T).max()))
     return best
 
 
-def _class_max_distance(fibers: np.ndarray, fiber_of: list, classes, lw) -> Fraction:
+def _class_max_distance(x: np.ndarray, fiber_of: list, classes, lw) -> Fraction:
     """The largest _pairwise_max_distance within one class, over each class's
-    distinct rows of `fibers` (fiber_of[p] is the row of right position p),
-    so that equal fibers, however many, cost nothing."""
+    distinct rows of the float64 fibers `x` (fiber_of[p] is the row of right
+    position p), so that equal fibers, however many, cost nothing."""
     distinct = ({fiber_of[p] for p in ps} for ps in classes if len(ps) > 1)
-    return Fraction(max((_pairwise_max_distance(fibers[list(ids)], lw)
+    return Fraction(max((_pairwise_max_distance(x[list(ids)], lw)
                          for ids in distinct if len(ids) > 1), default=0), lw.den)
 
 
@@ -157,10 +155,18 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     rights = tuples_at(np.arange(view.right_size), view.right_sizes)
     _, first, fiber_of = np.unique(row_keys(view.fibers), return_index=True, return_inverse=True)
     fibers, fiber_of = view.fibers[first], fiber_of.tolist()
+    m, w = fibers.shape
+    need = _fiber_matrix_bytes(m, w, lw.den)
+    # refused before the fiber dimension search and every m x w float64 copy;
+    # one distinct fiber needs neither a distance matrix nor the class check
+    require(m < 2 or need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance "
+            f"matrices need about {need} bytes ({m} distinct fibers x {w} left positions), "
+            f"over the {MAX_DIFF_BYTES}-byte guard")
+    x = fibers.astype(np.float64) if m > 1 else fibers
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
         classes = tuple(tuple(rights[p] for p in ps) for ps in ordered)
-        worst = _class_max_distance(fibers, fiber_of, ordered, lw)
+        worst = _class_max_distance(x, fiber_of, ordered, lw)
         if worst >= eps:
             raise VerificationError(
                 f"class fiber distance {worst} is not below eps={eps}")
@@ -168,18 +174,13 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
 
     dim = vc_dimension_matrix(fibers, cap=8, budget=FIBER_DIM_BUDGET)
     d_bound = dim.value if not dim.budget_exhausted else max(
-        dim.value, max(1, len(fibers)).bit_length() - 1)
+        dim.value, max(1, m).bit_length() - 1)
     meta = {"fiber_dimension": dim.display(), "fiber_dimension_value": dim.value,
             "trivial_params": view.left_size}
 
-    if len(fibers) > 1:
-        m, w = fibers.shape
-        need = _fiber_matrix_bytes(m, w, lw.den)
-        require(need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance matrices "
-                f"need about {need} bytes ({m} distinct fibers x {w} left positions), over "
-                f"the {MAX_DIFF_BYTES}-byte guard")
+    if m > 1:
         # D[i, j] = m_i + m_j - 2 G[i, j], exact in every arithmetic regime
-        gram = weighted_inner(fibers, fibers, lw.nums, lw.den)
+        gram = lw.inner(x, x)
         mass = gram.diagonal()
         heavy = ((mass[:, None] - gram) + (mass[None, :] - gram)
                  >= min(ceil_fraction(eps / 2 * lw.den), lw.den + 1))

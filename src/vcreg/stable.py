@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (Hypergraph, SpaceWeights, binary_view, box_counts, check_measures,
-                   fiber_atoms, limb_sum, row_keys, tuples_at)
+                   fiber_atoms, row_keys, tuples_at)
 from .errors import DepthCapExceeded, RefinementFailed, VerificationError
 from .jsonio import require
 from .regularity import RegularPartition, band
@@ -174,7 +174,7 @@ class _PartFibers:
 
     def hits(self, mask: np.ndarray) -> np.ndarray:
         """Each distinct fiber's exact numerator mass on the vertices of mask."""
-        return limb_sum(self.lw.limbs, self.lw.dt, lambda limb: self.dense.dot(limb * mask))
+        return self.lw.inner(self.dense, mask)
 
 
 def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:

@@ -456,7 +456,7 @@ def test_difference_guard_is_input_error(tmp_path, monkeypatch):
     report(["gen", "half-graph", "--sizes", "24,24", "--out", inst])
     monkeypatch.setattr(vcreg.regularity, "MAX_DIFF_BYTES", 1000)
     # refused before the distance matrices are built
-    monkeypatch.setattr(vcreg.regularity, "weighted_inner", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(vcreg.core.SpaceWeights, "inner", lambda *a: pytest.fail("built"))
     code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/4"])
     assert code == 2
     assert rep["error"]["kind"] == "input"
@@ -480,7 +480,7 @@ def test_delta_partition_guard_counts_python_int_cells(tmp_path, write_json, mon
     monkeypatch.setattr(vcreg.regularity, "MAX_DIFF_BYTES", 4_000_000)
     code, rep = report(["reg", "partition", "--in", inst, "--epsilon", "1/8"])
     assert code == 0
-    monkeypatch.setattr(vcreg.regularity, "weighted_inner", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(vcreg.core.SpaceWeights, "inner", lambda *a: pytest.fail("built"))
     code, rep = report(["reg", "partition", "--in", big, "--epsilon", "1/8"])
     assert code == 2 and rep["error"]["kind"] == "input"
     assert "delta_approx_partition" in rep["error"]["message"]
@@ -830,6 +830,18 @@ def test_verify_rejects_labels_and_sigma_naming_no_box(tmp_path, write_json, cha
                         write_json("bad.json", {**part, **change(part)})])
     assert code == 2 and not rep["ok"]
     assert rep["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("outputs", [[], 5, None, "partition"])
+def test_verify_reads_a_report_without_an_outputs_object_as_a_partition(tmp_path, write_json,
+                                                                        outputs):
+    """Only an object under "outputs" is unwrapped; any other value leaves a
+    document that is not a partition, an input error."""
+    inst, _ = _half8_partition(tmp_path)
+    code, rep = report(["reg", "verify", "--in", inst, "--partition",
+                        write_json("p.json", {"outputs": outputs})])
+    assert code == 2 and rep["error"]["kind"] == "input"
+    assert rep["error"]["message"] == "partition JSON needs classes and epsilon"
 
 
 @pytest.mark.parametrize("where", ["file", "flag"])

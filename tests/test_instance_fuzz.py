@@ -1,11 +1,13 @@
-"""Malformed instance files through every `--in` subcommand: exit 0, 1 or 2,
-never 3, and every exit 2 a JSON error of kind "input"."""
+"""Malformed instance files through every `--in` subcommand, and malformed
+partition files through `reg verify --partition`: exit 0, 1 or 2, never 3,
+and every exit 2 a JSON error of kind "input"."""
 
 import contextlib
 import copy
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcreg import cli
@@ -94,3 +96,43 @@ def test_no_malformed_instance_ends_in_exit_3_or_a_traceback(tmp_path_factory, b
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, out, err)
         if code == 2:
             assert json.loads(out)["error"]["kind"] == "input", (argv, out)
+
+
+def _replace_node(doc, steps, value):
+    """doc with one node replaced by value: the walk from the root takes the
+    child steps[0] (modulo the node's keys in sorted order, or its items),
+    then steps[1], ..., and stops early at a scalar or an empty container."""
+    if not steps or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    doc = copy.copy(doc)
+    key = (sorted(doc) if isinstance(doc, dict) else range(len(doc)))[steps[0] % len(doc)]
+    doc[key] = _replace_node(doc[key], steps[1:], value)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def partition_report(tmp_path_factory):
+    """A valid instance, the report of its partition, and a path to write to."""
+    d = tmp_path_factory.mktemp("partition")
+    inst, part = str(d / "h.json"), str(d / "p.json")
+    with open(inst, "w") as fh:
+        json.dump(BASES[1], fh)
+    assert _main(["reg", "partition", "--in", inst, "--epsilon", "1/2", "--out", part])[0] == 0
+    with open(part) as fh:
+        return inst, json.load(fh), str(d / "bad.json")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wrapped=st.booleans(), steps=st.lists(st.integers(0, 20), max_size=5), value=values)
+def test_no_malformed_partition_ends_in_exit_3_or_a_traceback(partition_report, wrapped,
+                                                             steps, value):
+    """One node of the partition file, or of the report that wraps it,
+    replaced by a drawn JSON value."""
+    inst, rep, bad = partition_report
+    doc = _replace_node(rep if wrapped else rep["outputs"]["partition"], steps, value)
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = _main(["reg", "verify", "--in", inst, "--partition", bad])
+    assert code in (0, 1, 2) and "Traceback" not in err, (doc, code, out, err)
+    if code == 2:
+        assert json.loads(out)["error"]["kind"] == "input", (doc, out)

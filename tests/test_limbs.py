@@ -1,6 +1,6 @@
 """The exact float64 limbs (core.float_limbs) at the edges of their regimes:
-the limbs recombined against Python sums, SpaceWeights.sums, which sums
-every boolean row from them, and the stable descent, which
+the limbs recombined against Python sums, SpaceWeights.inner and .sums,
+which sum every 0/1 row from them, and the stable descent, which
 computes every step's fiber masses from them, against oracles.brute_descent
 at the part denominators on either side of 2^53."""
 
@@ -52,8 +52,9 @@ def test_limbs_recombine_to_python_sums(regime, width):
                          ids=["one-limb", "two-limbs", "int64", "bigint"])
 @pytest.mark.parametrize("width", [1, 63, 64, 65])
 def test_weight_sums_at_the_limb_edges(den, width):
-    """SpaceWeights.sums, a row and a matrix, against Python sums: random
-    weights, and all the mass on one position, so a full row sums to den. The
+    """SpaceWeights.sums, a row and a matrix, and SpaceWeights.inner, rows
+    against rows and against one row, against Python sums: random weights,
+    and all the mass on one position, so a full row sums to den. The
     numerators go in unreduced (a Measure would reduce den = nums[p] to 1)."""
     rng = random.Random(width)
     cuts = sorted(rng.randrange(1, den) for _ in range(width - 1))
@@ -67,6 +68,11 @@ def test_weight_sums_at_the_limb_edges(den, width):
         assert lw.sums(rows) == want and want[-1] == den
         assert [lw.sums(row) for row in rows] == want
         assert all(type(x) is int for x in lw.sums(rows) + [lw.sums(rows[-1])])
+        x = rows.astype(np.float64)
+        both = [[sum(n for n, p, q in zip(nums, a, b) if p and q) for b in rows] for a in rows]
+        assert [[int(v) for v in r] for r in lw.inner(x, x)] == both
+        for j, row in enumerate(x):
+            assert [int(v) for v in lw.inner(x, row)] == [r[j] for r in both]
 
 
 @pytest.mark.parametrize("den", [P_BELOW, P_ABOVE], ids=["one-limb", "two-limbs"])

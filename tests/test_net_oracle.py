@@ -6,14 +6,15 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcreg import (Hypergraph, Measure, SetFamily, delta_approx_partition,
+from vcreg import (Hypergraph, InputError, Measure, SetFamily, delta_approx_partition,
                    epsilon_net, regularity, vc)
-from vcreg.core import INT64_SAFE, SpaceWeights, binary_view, row_keys, weighted_inner
+from vcreg.core import INT64_SAFE, SpaceWeights, binary_view, row_keys
 from vcreg.oracles import (brute_delta_partition, brute_greedy_net, brute_random_net,
                            brute_vc_dimension)
 
@@ -64,16 +65,24 @@ def _instance(rng, regime):
                                         (3 ** 200, object)])
 @pytest.mark.parametrize("width", [1, 7, 300])
 def test_weighted_inner_is_exact(den, dtype, width):
+    """The weighted inner product SpaceWeights.inner of 0/1 rows against
+    rows, one row and all ones, in the dtype of each regime. The numerators
+    go in unreduced (a Measure would reduce width 1 to den 1)."""
     rng = random.Random(width)
     cuts = sorted(rng.randrange(den + 1) for _ in range(width - 1))
     nums = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    lw = SpaceWeights((SimpleNamespace(numerators=lambda: (nums, den)),), (0,), (width,))
     a = np.array([[rng.random() < 0.6 for _ in range(width)] for _ in range(5)])
     b = np.vstack([a[:2], np.ones((1, width), dtype=bool)])
-    got = weighted_inner(a, b, nums, den)
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    got = lw.inner(af, bf)
     assert got.dtype == dtype
     for i, j in itertools.product(range(len(a)), range(len(b))):
         want = sum(n for n, x, y in zip(nums, a[i], b[j]) if x and y)
         assert int(got[i, j]) == want
+    for j in range(len(b)):
+        assert [int(v) for v in lw.inner(af, bf[j])] == [int(v) for v in got[:, j]]
+    assert [int(v) for v in lw.inner(af)] == [int(v) for v in got[:, -1]]
 
 
 def _same_partition(dp, want):
@@ -246,7 +255,7 @@ def test_class_check_matches_oracle_across_tiles(regime, block):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_class_check_kernel_matches_pair_sums(regime):
     """_pairwise_max_distance against the largest XOR row sum over every pair,
-    on 30 rows of 50 positions in tiles of one, two and all rows."""
+    on 30 float64 0/1 rows of 50 positions in tiles of one, two and all rows."""
     rng = random.Random(3)
     den = {"float64": 997, "int64": P_INT64, "bigint": P_BIG}[regime]
     lw = SpaceWeights((Measure(0, _weights(rng, 50, den)),), (0,), (50,))
@@ -256,7 +265,7 @@ def test_class_check_kernel_matches_pair_sums(regime):
     for block in (8, 32, regularity.ROW_BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
-            assert regularity._pairwise_max_distance(rows, lw) == want
+            assert regularity._pairwise_max_distance(rows.astype(np.float64), lw) == want
 
 
 def test_class_of_many_equal_fibers_allocates_no_square_matrix():
@@ -276,6 +285,25 @@ def test_class_of_many_equal_fibers_allocates_no_square_matrix():
     assert dp.path == "net" and len(dp.classes) == 1 and len(dp.classes[0]) == n
     assert dp.max_pair_distance == Fraction(1, 8)
     assert peak < regularity.ROW_BLOCK_BYTES
+
+
+def test_guard_refuses_before_any_float64_fiber_matrix(monkeypatch):
+    """A 1,024 x 1,024 matching has 1,024 distinct fibers of 1,024 positions.
+    With the guard set below them, the refusal comes before the fiber
+    dimension search (about 22 MiB traced) and any m x w float64 matrix (8 MiB
+    each): about the boolean view and its deduplicated copy, 1 MiB each."""
+    n = 1024
+    H = Hypergraph((n, n), frozenset((a, a) for a in range(n)))
+    measures = (Measure.uniform(0, n), Measure.uniform(1, n))
+    monkeypatch.setattr(regularity, "MAX_DIFF_BYTES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="over the 1000-byte guard"):
+            delta_approx_partition(H, measures, Fraction(1, 4), (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n
 
 
 def test_pair_net_counts_are_exact_in_float32():

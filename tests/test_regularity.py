@@ -50,9 +50,11 @@ def test_class_distance_check_catches_a_wrong_gram_matrix(monkeypatch):
     """The class check computes each class's fiber distances itself, from the
     class's fibers and their complements, so a Gram matrix of zeros (no heavy
     pair, one class) fails the partition built on it."""
+    from vcreg.core import SpaceWeights
     from vcreg.errors import VerificationError
-    monkeypatch.setattr(regularity, "weighted_inner",
-                        lambda a, b, nums, den: np.zeros((len(a), len(b))))
+    inner = SpaceWeights.inner
+    monkeypatch.setattr(SpaceWeights, "inner", lambda lw, a, b=None:
+                        np.zeros((len(a), len(b))) if a is b else inner(lw, a, b))
     H = half_graph(24)
     with pytest.raises(VerificationError) as exc:
         regular_partition(H, uniform_measures(H), Fraction(1, 4))

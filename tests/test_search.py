@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_net_oracle import P_BIG, REGIMES, _regime, _weights
 from vcreg import (Hypergraph, InputError, Measure, ball_family_search,
                    ball_parity_report, definable_homogeneous_search)
+from vcreg.instances import block_pair_graph
 from vcreg.oracles import edge_set
 
 # the search sums pair products up to den^2: these denominators put den^2
@@ -96,6 +97,13 @@ def test_search_input_validation():
     with pytest.raises(InputError):
         definable_homogeneous_search(asym, Measure.uniform(0, 4),
                                      Fraction(1, 8), 1)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_search_refuses_a_measure_of_another_size(n):
+    H = block_pair_graph(6, 2, True)
+    with pytest.raises(InputError, match=f"^measure on part 0 has {n} weights, part has 6$"):
+        definable_homogeneous_search(H, Measure.uniform(0, n), Fraction(1, 8), 1)
 
 
 def test_ball_family_band_is_respected():
