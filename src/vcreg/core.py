@@ -22,12 +22,12 @@ The counting kernels live here once each:
                         (the builders' kernel: the verifier recounts with
                         regularity.recount_boxes);
   SpaceWeights.inner    every exact weight sum of 0/1 rows: the weights split
-                        once into float64 limbs (float_limbs; one below 2^53),
-                        whose BLAS products it recombines in exact_dtype(den),
-                        for SpaceWeights.sums (row blocks of about
-                        ROW_BLOCK_BYTES), the delta partition's fiber Gram
-                        matrix and class check and the stable descent's
-                        fiber masses;
+                        once into float limbs (float_limbs; one float32 limb
+                        below 2^24, float64 below 2^53), whose BLAS products
+                        on `cast` rows it recombines in exact_dtype(den), for
+                        SpaceWeights.sums (row blocks of ROW_BLOCK_BYTES), the
+                        delta partition's fiber Gram matrix and class check
+                        and the stable descent's fiber masses;
   boxes_mask, atoms,    box masks, fingerprint atoms and the packed row keys
   row_keys              every distinct-rows step sorts (boolean only).
 
@@ -58,9 +58,9 @@ from .jsonio import rational_terms, require
 MAX_DENSE_SPACE = 1 << 22
 # Largest dense matrix built at once, in bytes: a boolean one at one byte per
 # cell (the binary view's fibers, a set family's matrix), and the delta
-# partition's float64 ones over m distinct fibers of w positions, three m x m
-# and four m x w at 8 m (3 m + 4 w): 8.3 MB on the 384x384 half-graph. Past
-# int64 an m x m cell is a pointer plus a Python int, not 8 bytes.
+# partition's float ones over m distinct fibers of w positions, three m x m and
+# four m x w at float64's 8 m (3 m + 4 w): 8.3 MB on the 384x384 half-graph.
+# Past int64 an m x m cell is a pointer plus a Python int, not 8 bytes.
 MAX_DIFF_BYTES = 1 << 28
 # int64 sums and products stay exact while a bound on them is below this.
 INT64_SAFE = 1 << 62
@@ -286,7 +286,7 @@ class SpaceWeights:
     Position p enumerates V_I row-major; nums[p] is the product of per-part
     numerators and den is the product of per-part denominators, so that
     mass(S) = sum(nums[p] for p in S) / den exactly. `limbs` and `dt` are
-    float_limbs(nums, den, size) and exact_dtype(den); only `inner` reads them.
+    float_limbs(nums, den, size) and exact_dtype(den), read by inner and cast.
     """
 
     def __init__(self, measures, parts: tuple[int, ...], sizes: tuple[int, ...]):
@@ -301,9 +301,13 @@ class SpaceWeights:
         self.limbs = float_limbs(self.nums, self.den, self.size)
         self.dt = exact_dtype(self.den)
 
+    def cast(self, rows: np.ndarray) -> np.ndarray:
+        """0/1 rows as a copy in the limbs' float dtype, the rows inner takes."""
+        return rows.astype(self.limbs[0][1].dtype)
+
     def inner(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """Exact a . diag(nums) . b^T for float64 0/1 rows a against 0/1 rows
-        b, one 0/1 row b, or all ones (b None): the float64 product with one
+        """Exact a . diag(nums) . b^T for 0/1 rows a from cast against 0/1 rows
+        b, one 0/1 row b, or all ones (b None): the float product with one
         limb, else each limb's cast to int64 and recombined, shifted, in dt."""
         out = 0
         for shift, limb in self.limbs:
@@ -316,13 +320,13 @@ class SpaceWeights:
 
     def sums(self, mask: np.ndarray):
         """Exact numerator sum of the positions a boolean row selects (an int),
-        or of each row of a boolean matrix (a list of ints): inner over
-        float64 copies of the rows, one block of about ROW_BLOCK_BYTES at a time."""
+        or of each row of a boolean matrix (a list of ints): inner over cast
+        copies of the rows, one block of at most ROW_BLOCK_BYTES at a time."""
         rows = mask if mask.ndim > 1 else mask[None]
         step = max(1, ROW_BLOCK_BYTES // (8 * self.size))
-        if len(rows) > step:   # each block's float64 copy dies with its sums
+        if len(rows) > step:   # each block's float copy dies with its sums
             return [x for s in range(0, len(rows), step) for x in self.sums(rows[s:s + step])]
-        out = list(map(int, self.inner(rows.astype(np.float64)).tolist()))
+        out = list(map(int, self.inner(self.cast(rows)).tolist()))
         return out if mask.ndim > 1 else out[0]
 
 
@@ -331,12 +335,14 @@ def ceil_fraction(q: Fraction) -> int:
 
 
 def float_limbs(nums, den: int, width: int) -> list[tuple[int, np.ndarray]]:
-    """The nonnegative integer nums, summing to at most den, as float64 limbs
+    """The nonnegative integer nums, summing to at most den, as float limbs
     (shift, limb), nums = sum(limb << shift), whose product with a 0/1 row of
-    `width` positions is exact in float64: nums itself while den < 2^53, else
-    limbs of 53 - width.bit_length() bits, so that width * 2^bits <= 2^53."""
+    `width` positions is exact: nums itself, in float32 while den < 2^24 (each
+    value and partial sum is an integer <= den; BLAS runs it at about twice the
+    float64 speed) and in float64 while den < 2^53, else float64 limbs of
+    53 - width.bit_length() bits, so that width * 2^bits <= 2^53."""
     if den < (1 << 53):
-        return [(0, np.asarray(nums, dtype=np.float64))]
+        return [(0, np.asarray(nums, dtype=np.float32 if den < (1 << 24) else np.float64))]
     bits = 53 - max(1, width).bit_length()
     low = (1 << bits) - 1
     return [(shift, np.asarray([(n >> shift) & low for n in nums], dtype=np.float64))

@@ -58,12 +58,13 @@ class DeltaPartition:
 
 
 def _pairwise_max_distance(x: np.ndarray, lw: SpaceWeights) -> int:
-    """The largest weighted distance between two of the float64 0/1 rows F,
-    with weights w, as a numerator over lw.den. A[i, j] = mass(f_i minus f_j),
-    the product (F w)(not F)^T, is a subset sum of each limb, so it is exact
-    like a row sum, and the distances are A + A^T. Both go by square tiles
-    of about ROW_BLOCK_BYTES over the upper triangle (SpaceWeights.inner). It
-    never reads the Gram matrix the classes came from."""
+    """The largest weighted distance between two of the 0/1 rows F from
+    lw.cast, with weights w, as a numerator over lw.den. A[i, j] = mass(f_i
+    minus f_j), the product (F w)(not F)^T, is a subset sum of each limb, so
+    it is exact like a row sum, and so are the distances A + A^T, masses of at
+    most den. Both go by square tiles of about ROW_BLOCK_BYTES over the upper
+    triangle (SpaceWeights.inner). It never reads the Gram matrix the classes
+    came from."""
     step = max(1, math.isqrt(ROW_BLOCK_BYTES // 8))
 
     def minus(i: int, j: int):   # the tile of A at rows i and columns j
@@ -79,7 +80,7 @@ def _pairwise_max_distance(x: np.ndarray, lw: SpaceWeights) -> int:
 
 def _class_max_distance(x: np.ndarray, fiber_of: list, classes, lw) -> Fraction:
     """The largest _pairwise_max_distance within one class, over each class's
-    distinct rows of the float64 fibers `x` (fiber_of[p] is the row of right
+    distinct rows of the cast fibers `x` (fiber_of[p] is the row of right
     position p), so that equal fibers, however many, cost nothing."""
     distinct = ({fiber_of[p] for p in ps} for ps in classes if len(ps) > 1)
     return Fraction(max((_pairwise_max_distance(x[list(ids)], lw)
@@ -106,21 +107,23 @@ def _pair_net(fibers: np.ndarray, heavy: np.ndarray) -> list[int]:
     (i, j) in (i, j) order and adds the point of fibers[i] ^ fibers[j] that
     separates the most unhit pairs, ties to the largest.
 
-    With y = 1 - 2 * fibers, a pair (a, b) differs at q where y[a, q] y[b, q]
-    is -1, so a count over pairs is (pairs - the sum of those products) / 2:
-    one float32 product over every heavy pair, then one per point over the
-    smaller side of each atom it splits. Every count and partial sum is an
-    integer of at most m^2 for m fibers, which the guard in
-    delta_approx_partition keeps below 2^24, so float32 holds it exactly."""
+    degree[a] counts the unhit pairs holding a, so i is the first row of
+    nonzero degree (a partner before it would have one). With y = 1 - 2 *
+    fibers, a pair (a, b) differs at q where y[a, q] y[b, q] is -1, so a count
+    over pairs is (pairs - the sum of those products) / 2: one float32 product
+    over every heavy pair, then one per point over the pairs it cuts from the
+    smaller side of each atom it splits, whose row and column sums leave the
+    degrees. Every count and partial sum is an integer of at most m^2 for m
+    fibers, below 2^24 by the guard in delta_approx_partition, so exact."""
     y = 1 - 2 * fibers.astype(np.float32)
-    hits = (heavy.sum() - (y * (heavy.astype(np.float32) @ y)).sum(axis=0)) / 4
+    degree = heavy.sum(axis=1, dtype=np.float32)
+    hits = (degree.sum() - (y * (heavy.astype(np.float32) @ y)).sum(axis=0)) / 4
     atom = np.zeros(len(fibers), np.intp)
-    points, i = [], 0
-    while i < len(fibers):
+    points = []
+    for _ in range(fibers.shape[1]):   # a point is new each step: at most one per column
+        if not degree[i := int(np.argmax(degree > 0))]:
+            break
         unhit = heavy[i, i + 1:] & (atom[i + 1:] == atom[i])
-        if not unhit.any():
-            i += 1
-            continue
         cand = np.flatnonzero(fibers[i] != fibers[i + 1 + int(np.argmax(unhit))])
         p = int(cand[len(cand) - 1 - int(np.argmax(hits[cand][::-1]))])
         points.append(p)
@@ -130,8 +133,11 @@ def _pair_net(fibers: np.ndarray, heavy: np.ndarray) -> list[int]:
         own, other = cnt[key], cnt[key ^ 1]
         # the smaller side of each atom p splits, ties to the side holding p
         small = np.flatnonzero((other > 0) & ((own < other) | ((own == other) & col)))
-        pairs = (heavy[small] & ((key[small, None] ^ 1) == key)).astype(np.float32)
-        hits -= (pairs.sum() - (y[small] * (pairs @ y)).sum(axis=0)) / 2
+        cut = (heavy[small] & ((key[small, None] ^ 1) == key)).astype(np.float32)
+        per = cut.sum(axis=1)
+        degree[small] -= per
+        degree -= cut.sum(axis=0)
+        hits -= (per.sum() - (y[small] * (cut @ y)).sum(axis=0)) / 2
         atom = (np.cumsum(cnt > 0) - 1)[key]
     return points
 
@@ -157,12 +163,12 @@ def delta_approx_partition(H: Hypergraph, measures, eps: Fraction,
     fibers, fiber_of = view.fibers[first], fiber_of.tolist()
     m, w = fibers.shape
     need = _fiber_matrix_bytes(m, w, lw.den)
-    # refused before the fiber dimension search and every m x w float64 copy;
+    # refused before the fiber dimension search and every m x w float copy;
     # one distinct fiber needs neither a distance matrix nor the class check
     require(m < 2 or need <= MAX_DIFF_BYTES, f"delta_approx_partition: the fiber distance "
             f"matrices need about {need} bytes ({m} distinct fibers x {w} left positions), "
             f"over the {MAX_DIFF_BYTES}-byte guard")
-    x = fibers.astype(np.float64) if m > 1 else fibers
+    x = lw.cast(fibers) if m > 1 else fibers
 
     def finish(ordered: list, params: tuple, path: str, meta: dict) -> DeltaPartition:
         classes = tuple(tuple(rights[p] for p in ps) for ps in ordered)

@@ -163,12 +163,12 @@ def ladder_index(H: Hypergraph, parts, cap: int = 8, budget: int | None = None) 
 
 class _PartFibers:
     """One part's distinct fibers in order of their first position `first`, as
-    boolean rows and a float64 copy, and its weights `lw`."""
+    boolean rows and a copy lw.cast makes, and its weights `lw`."""
 
     def __init__(self, view, lw: SpaceWeights):
         self.first = np.sort(np.unique(row_keys(view.fibers), return_index=True)[1]).tolist()
         self.rows = view.fibers[self.first]
-        self.dense = self.rows.astype(np.float64)
+        self.dense = lw.cast(self.rows)
         self.lw = lw
         self.right_sizes = view.right_sizes
 
@@ -182,8 +182,9 @@ def _witness(hits: np.ndarray, a_num: int, eps: Fraction) -> int | None:
     eps nor above 1 - eps and sits closest to 1/2, ties to the least; None
     when every fiber is outside that band. The band, |2h - a| ed <= a (ed - 2 en)
     on Python ints (a ed passes 2^63 in the int64 regime), is monotone in
-    |2h - a|, so the first minimum of |2h - a| is in it if any fiber is. Float64
-    hits hold exact integers, and then |2h - a| <= a_num < 2^53."""
+    |2h - a|, so the first minimum of |2h - a| is in it if any fiber is. Float
+    hits hold exact integers, and |2h - a| <= a_num < 2^24 (2^53) in float32
+    (float64)."""
     dist = np.abs(2 * hits - a_num)
     r = int(dist.argmin())
     en, ed = eps.numerator, eps.denominator

@@ -1197,8 +1197,10 @@ def test_subcommand_help_marks_the_required_flags():
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen", "half-graph", "--sizes", "1048576,1048576"],   # 2^40 cells, over MAX_DIFF_BYTES
-    ["gen", "half-graph", "--sizes", "4194305,1"],         # a side over MAX_DENSE_SPACE
+    # over instances.MAX_GEN_CELLS: 2^40 cells, a side over MAX_DENSE_SPACE, 2^24 cells
+    ["gen", "half-graph", "--sizes", "1048576,1048576"],
+    ["gen", "half-graph", "--sizes", "4194305,1"],
+    ["gen", "half-graph", "--sizes", "4096,4096"],
     ["gen", "staircase", "--sizes", "1024,1024,1024"],
     ["gen", "dyadic-export", "--depth", "-1"],
     ["gen", "dyadic-export", "--depth", "11"],

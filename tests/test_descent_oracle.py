@@ -1,6 +1,6 @@
 """The array descent (stable.good_descent_partition and its witness rule)
-against the list-based per-fiber scan in oracles, in all three arithmetic
-regimes of the descended part's own denominator."""
+against the list-based per-fiber scan in oracles, in all four arithmetic
+regimes of the descended part's own denominator and at its float32 edge."""
 
 import itertools
 import random
@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_net_oracle import P_BIG, P_INT64, _regime, _weights
+from test_net_oracle import P_BIG, P_FLOAT64, P_INT64, _regime, _weights
 from vcreg import DepthCapExceeded, Hypergraph, Measure, good_descent_partition
 from vcreg.core import INT64_SAFE, SpaceWeights, binary_view, exact_dtype
 from vcreg.oracles import brute_descent, brute_witness
 from vcreg.stable import _witness
 
 P_EDGE = 2 ** 62 - 57    # prime: the largest int64-regime denominator, just under 2^62
-REGIMES = ("float64", "int64", "edge", "bigint")
+# part denominators: a small one (float32), P_FLOAT64, the three around 2^24
+# where the float32 limb becomes a float64 one, then int64, its edge and bigint
+PART_DENS = {"float64": P_FLOAT64, "below-2^24": 2 ** 24 - 3, "at-2^24": 2 ** 24,
+             "above-2^24": 2 ** 24 + 1, "int64": P_INT64, "edge": P_EDGE, "bigint": P_BIG}
+REGIMES = ("float32", *PART_DENS)
 
 
 def _relation(rng, sizes):
@@ -42,14 +46,16 @@ def _descent_instance(rng, regime):
     sizes = tuple(rng.randint(2, 12 if k < 3 else 4) for _ in range(k))
     part = rng.randrange(k)
     dens = [rng.randint(n, 40) for n in sizes]
-    dens[part] = {"float64": dens[part], "int64": P_INT64, "edge": P_EDGE,
-                  "bigint": P_BIG}[regime]
+    dens[part] = PART_DENS.get(regime, dens[part])
     measures = [Measure(i, _weights(rng, n, d)) for i, (n, d) in enumerate(zip(sizes, dens))]
+    # 2^24 and 2^24 + 1 are not primes: draw again until the weights keep them
+    while regime in PART_DENS and measures[part].numerators()[1] != dens[part]:
+        measures[part] = Measure(part, _weights(rng, sizes[part], dens[part]))
     eps = rng.choice((Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(3, 8),
                       Fraction(1, 4), Fraction(1, 6), Fraction(1, 16), Fraction(3, 64)))
     if regime == "edge":
         eps = Fraction(1, rng.choice((64, 100, 128)))
-    elif regime == "float64" and rng.random() < 0.5:
+    elif regime == "float32" and rng.random() < 0.5:
         # equal weights on a random support and a coarse eps: fiber masses
         # land on the band edges
         on = [rng.random() < 0.8 for _ in range(sizes[part])]
@@ -58,7 +64,8 @@ def _descent_instance(rng, regime):
         eps = rng.choice((Fraction(1), Fraction(2, 3), Fraction(1, 2)))
     measures = tuple(measures)
     den = SpaceWeights(measures, (part,), sizes).den
-    assert _regime(den) == ("int64" if regime == "edge" else regime)
+    assert _regime(den) == {"below-2^24": "float32", "at-2^24": "float64", "above-2^24":
+                            "float64", "edge": "int64"}.get(regime, regime)
     return Hypergraph(sizes, frozenset(_relation(rng, sizes))), measures, part, eps
 
 

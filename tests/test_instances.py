@@ -1,10 +1,12 @@
 """Seeded generators: reproducibility, measured invariants, file roundtrips."""
 
+import tracemalloc
+
 import pytest
 
 from vcreg import GeneratorSpec, Hypergraph, InputError, dyadic_hypergraph, generate
 from vcreg.cli import _load_instance
-from vcreg.instances import half_graph
+from vcreg.instances import MAX_GEN_CELLS, half_graph
 from vcreg.jsonio import canonical_dumps, dump_json
 from vcreg.oracles import edge_set
 
@@ -16,6 +18,25 @@ def test_spec_validation():
         GeneratorSpec("half-graph", (4, 4), 3)
     with pytest.raises(InputError):
         GeneratorSpec("half-graph", (0, 4), 2)
+
+
+@pytest.mark.parametrize("kind, sizes", [("half-graph", (4096, 4096)),
+                                         ("half-graph", (1024, 1025)),
+                                         ("staircase", (128, 128, 65))])
+def test_spec_past_the_cell_bound_is_refused_before_any_allocation(kind, sizes):
+    """A spec over MAX_GEN_CELLS is refused as it is made, so no generator
+    runs and nothing near an edge list's size is allocated (4096^2 half-graph
+    edges take 134 MB as an intp array); 1024^2 cells are accepted."""
+    assert GeneratorSpec("half-graph", (1024, 1024), 2).sizes == (1024, 1024)
+    assert MAX_GEN_CELLS == 1024 * 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"over the generators' {MAX_GEN_CELLS}"):
+            GeneratorSpec(kind, sizes, len(sizes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_spec_roundtrip():

@@ -1,5 +1,5 @@
 """The shared counting kernels of core (weight sums, box counts, fiber
-atoms, packed row keys) against the tuple-enumerating oracles, in all three arithmetic regimes
+atoms, packed row keys) against the tuple-enumerating oracles, in all four arithmetic regimes
 of the product-space denominator."""
 
 import itertools
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
+from test_net_oracle import P_BIG, P_INT64, PRIMES, REGIMES, _regime, _weights
 from vcreg import Hypergraph, Measure, core
 from vcreg.core import (INT64_SAFE, SpaceWeights, atoms, box_counts, exact_dtype, fiber_atoms,
                         row_keys)
@@ -29,8 +29,8 @@ def _instance(rng, regime, k=None):
     H = Hypergraph(sizes, frozenset(t for t in cells if rng.getrandbits(1)))
     # small cofactors keep the int64 regime's product below 2^62
     dens = [rng.randint(2, 8 if regime == "int64" else 40) for _ in sizes]
-    if regime != "float64":
-        dens[rng.randrange(k)] = P_INT64 if regime == "int64" else P_BIG
+    if regime in PRIMES:
+        dens[rng.randrange(k)] = PRIMES[regime]
     measures = tuple(Measure(i, _weights(rng, n, d))
                      for i, (n, d) in enumerate(zip(sizes, dens)))
     return H, measures
@@ -134,7 +134,7 @@ def test_weight_sums_hold_one_row_block_at_a_time(regime):
 @given(seed=st.integers(0, 10 ** 6))
 def test_fiber_atoms_match_oracle(seed):
     rng = random.Random(seed)
-    H, _ = _instance(rng, "float64")
+    H, _ = _instance(rng, "float32")
     part = rng.randrange(H.k)
     comp = [n for i, n in enumerate(H.part_sizes) if i != part]
     params = [tuple(rng.randrange(n) for n in comp) for _ in range(rng.randint(0, 5))]

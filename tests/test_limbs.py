@@ -1,4 +1,4 @@
-"""The exact float64 limbs (core.float_limbs) at the edges of their regimes:
+"""The exact float limbs (core.float_limbs) at the edges of their regimes:
 the limbs recombined against Python sums, SpaceWeights.inner and .sums,
 which sum every 0/1 row from them, and the stable descent, which
 computes every step's fiber masses from them, against oracles.brute_descent
@@ -48,12 +48,15 @@ def test_limbs_recombine_to_python_sums(regime, width):
         assert want[-1] == den
 
 
-@pytest.mark.parametrize("den", [P_BELOW, P_ABOVE, 2 ** 62 - 57, 2 ** 89 - 1],
-                         ids=["one-limb", "two-limbs", "int64", "bigint"])
+@pytest.mark.parametrize("den", [2 ** 24 - 3, 2 ** 24, 2 ** 24 + 1,
+                                 P_BELOW, P_ABOVE, 2 ** 62 - 57, 2 ** 89 - 1],
+                         ids=["float32", "2^24", "2^24+1", "one-limb", "two-limbs", "int64",
+                              "bigint"])
 @pytest.mark.parametrize("width", [1, 63, 64, 65])
 def test_weight_sums_at_the_limb_edges(den, width):
     """SpaceWeights.sums, a row and a matrix, and SpaceWeights.inner, rows
-    against rows and against one row, against Python sums: random weights,
+    against rows and against one row, against Python sums, on rows cast to
+    float32 below den 2^24 and to float64 from there: random weights,
     and all the mass on one position, so a full row sums to den. The
     numerators go in unreduced (a Measure would reduce den = nums[p] to 1)."""
     rng = random.Random(width)
@@ -68,7 +71,8 @@ def test_weight_sums_at_the_limb_edges(den, width):
         assert lw.sums(rows) == want and want[-1] == den
         assert [lw.sums(row) for row in rows] == want
         assert all(type(x) is int for x in lw.sums(rows) + [lw.sums(rows[-1])])
-        x = rows.astype(np.float64)
+        x = lw.cast(rows)
+        assert x.dtype == (np.float32 if den < 2 ** 24 else np.float64)
         both = [[sum(n for n, p, q in zip(nums, a, b) if p and q) for b in rows] for a in rows]
         assert [[int(v) for v in r] for r in lw.inner(x, x)] == both
         for j, row in enumerate(x):

@@ -1,5 +1,5 @@
 """The matrix eps-net and delta-partition kernels against the set-based
-oracles, in all three arithmetic regimes of the left-side denominator."""
+oracles, in all four arithmetic regimes of the left-side denominator."""
 
 import itertools
 import math
@@ -19,13 +19,17 @@ from vcreg.oracles import (brute_delta_partition, brute_greedy_net, brute_random
                            brute_vc_dimension)
 
 # primes, so weights n/p with 0 < n < p keep the denominator p in lowest terms
+P_FLOAT64 = 2 ** 31 - 1    # left denominators in [2^24, 2^53): one float64 limb
 P_INT64 = 2 ** 55 - 55     # left denominators in [2^53, 2^62)
 P_BIG = 2 ** 63 - 25       # left denominators >= 2^62 (Python integers)
-REGIMES = ("float64", "int64", "bigint")
+# below 2^24 (every small test denominator) one float32 limb
+REGIMES = ("float32", "float64", "int64", "bigint")
+PRIMES = {"float64": P_FLOAT64, "int64": P_INT64, "bigint": P_BIG}
 
 
 def _regime(den: int) -> str:
-    return "float64" if den < 2 ** 53 else "int64" if den < INT64_SAFE else "bigint"
+    return ("float32" if den < 2 ** 24 else "float64" if den < 2 ** 53
+            else "int64" if den < INT64_SAFE else "bigint")
 
 
 def _weights(rng, n, den):
@@ -52,15 +56,15 @@ def _instance(rng, regime):
         edges = {t for t in cells if t[0] <= t[-1] + rng.randint(-1, 1)}
     H = Hypergraph(sizes, frozenset(edges))
     dens = [rng.randint(n, 40) for n in sizes]
-    if regime != "float64":
-        dens[left[0]] = P_INT64 if regime == "int64" else P_BIG
+    dens[left[0]] = PRIMES.get(regime, dens[left[0]])
     measures = tuple(Measure(i, _weights(rng, n, d))
                      for i, (n, d) in enumerate(zip(sizes, dens)))
     assert _regime(SpaceWeights(measures, left, sizes).den) == regime
     return H, measures, left
 
 
-@pytest.mark.parametrize("den, dtype", [(2 ** 53 - 1, np.float64),
+@pytest.mark.parametrize("den, dtype", [(2 ** 24 - 3, np.float32),
+                                        (2 ** 53 - 1, np.float64),
                                         (INT64_SAFE - 1, np.int64),
                                         (3 ** 200, object)])
 @pytest.mark.parametrize("width", [1, 7, 300])
@@ -74,7 +78,7 @@ def test_weighted_inner_is_exact(den, dtype, width):
     lw = SpaceWeights((SimpleNamespace(numerators=lambda: (nums, den)),), (0,), (width,))
     a = np.array([[rng.random() < 0.6 for _ in range(width)] for _ in range(5)])
     b = np.vstack([a[:2], np.ones((1, width), dtype=bool)])
-    af, bf = a.astype(np.float64), b.astype(np.float64)
+    af, bf = lw.cast(a), lw.cast(b)
     got = lw.inner(af, bf)
     assert got.dtype == dtype
     for i, j in itertools.product(range(len(a)), range(len(b))):
@@ -109,9 +113,9 @@ def test_delta_partition_matches_oracle(seed, regime, eps):
        eps=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(2, 7)]))
 def test_greedy_net_matches_oracle(seed, regime, n, count, eps):
     rng = random.Random(seed)
-    if regime != "float64":
+    if regime != "float32":
         n = max(n, 2)
-    den = {"float64": rng.randint(n, 60), "int64": P_INT64, "bigint": P_BIG}[regime]
+    den = PRIMES.get(regime, rng.randint(n, 60))
     mu = Measure(0, _weights(rng, n, den))
     fam = SetFamily.from_sets(n, [[v for v in range(n) if rng.random() < 0.4]
                                   for _ in range(count)])
@@ -126,7 +130,7 @@ def test_random_strategy_matches_oracle():
     rng = random.Random(5)
     for regime in REGIMES:
         n = 8
-        den = {"float64": 24, "int64": P_INT64, "bigint": P_BIG}[regime]
+        den = PRIMES.get(regime, 24)
         mu = Measure(0, _weights(rng, n, den))
         fam = SetFamily.from_sets(n, [[v for v in range(n) if rng.random() < 0.5]
                                       for _ in range(12)])
@@ -159,8 +163,7 @@ def _wide_instance(rng, regime):
         edges = {t for t in cells if spans[t[-1]][0] <= pos[t] <= spans[t[-1]][1]}
     H = Hypergraph(sizes, frozenset(edges))
     dens = [rng.randint(n, 40) for n in sizes]
-    if regime != "float64":
-        dens[left[0]] = P_INT64 if regime == "int64" else P_BIG
+    dens[left[0]] = PRIMES.get(regime, dens[left[0]])
     measures = tuple(Measure(i, _weights(rng, n, d))
                      for i, (n, d) in enumerate(zip(sizes, dens)))
     assert _regime(SpaceWeights(measures, left, sizes).den) == regime
@@ -184,7 +187,7 @@ def _many_fibers_instance(rng, regime):
     p = rng.random()
     H = Hypergraph(sizes, frozenset(t for t in itertools.product(*map(range, sizes))
                                     if rng.random() < p))
-    den = {"float64": rng.randint(sizes[0], 40), "int64": P_INT64, "bigint": P_BIG}[regime]
+    den = PRIMES.get(regime, rng.randint(sizes[0], 40))
     measures = (Measure(0, _weights(rng, sizes[0], den)), Measure.uniform(1, sizes[1]))
     assert _regime(measures[0].numerators()[1]) == regime
     return H, measures, (0,)
@@ -255,9 +258,9 @@ def test_class_check_matches_oracle_across_tiles(regime, block):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_class_check_kernel_matches_pair_sums(regime):
     """_pairwise_max_distance against the largest XOR row sum over every pair,
-    on 30 float64 0/1 rows of 50 positions in tiles of one, two and all rows."""
+    on 30 0/1 rows of 50 positions in tiles of one, two and all rows."""
     rng = random.Random(3)
-    den = {"float64": 997, "int64": P_INT64, "bigint": P_BIG}[regime]
+    den = PRIMES.get(regime, 997)
     lw = SpaceWeights((Measure(0, _weights(rng, 50, den)),), (0,), (50,))
     rows = np.array([[rng.random() < 0.5 for _ in range(50)] for _ in range(30)])
     want = max(sum(n for n, x, y in zip(lw.nums, a, b) if x != y)
@@ -265,7 +268,7 @@ def test_class_check_kernel_matches_pair_sums(regime):
     for block in (8, 32, regularity.ROW_BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regularity, "ROW_BLOCK_BYTES", block)
-            assert regularity._pairwise_max_distance(rows.astype(np.float64), lw) == want
+            assert regularity._pairwise_max_distance(lw.cast(rows), lw) == want
 
 
 def test_class_of_many_equal_fibers_allocates_no_square_matrix():
@@ -316,3 +319,38 @@ def test_pair_net_counts_are_exact_in_float32():
         lo, hi = (mid, hi) if regularity._fiber_matrix_bytes(mid, 1, 2) \
             <= regularity.MAX_DIFF_BYTES else (lo, mid)
     assert lo * lo < 2 ** 24
+
+
+def _row_scan_net(fibers, heavy):
+    """_pair_net by its definition: row i is scanned for a partner j > i in
+    its atom until none is left, and each point's count of separated unhit
+    pairs is recounted over the whole pair matrix."""
+    m, points = len(fibers), []
+    for i in range(m):
+        while True:
+            sig = fibers[:, points]
+            unhit = np.triu(heavy & (sig[:, None] == sig[None, :]).all(axis=2), 1)
+            if not unhit[i].any():
+                break
+            j = int(np.argmax(unhit[i]))
+            counts = [int((unhit & (fibers[:, q, None] != fibers[None, :, q])).sum())
+                      for q in range(fibers.shape[1])]
+            points.append(max(np.flatnonzero(fibers[i] != fibers[j]).tolist(),
+                              key=lambda q: (counts[q], q)))
+    return points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 200), width=st.integers(8, 14),
+       p=st.sampled_from((0.02, 0.1, 0.5, 0.9)), late=st.sampled_from((0, 0.5, 0.9, 1)))
+def test_pair_net_matches_row_scan(seed, m, width, p, late):
+    """_pair_net against _row_scan_net on m distinct fibers and a drawn
+    symmetric heavy matrix. The rows before late * m (all but the last two
+    at late = 1) hold no heavy pair, so the first unhit row can come late."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(1 << width, size=m, replace=False)
+    fibers = (keys[:, None] >> np.arange(width) & 1).astype(bool)
+    heavy = np.triu(rng.random((m, m)) < p, 1)
+    heavy[:min(int(late * m), m - 2)] = False
+    heavy |= heavy.T
+    assert regularity._pair_net(fibers, heavy) == _row_scan_net(fibers, heavy)

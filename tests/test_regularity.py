@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_cli import report, run
 from test_kernel_oracle import _instance
-from test_net_oracle import P_BIG, P_INT64, REGIMES, _regime, _weights
+from test_net_oracle import P_BIG, P_FLOAT64, P_INT64, REGIMES, _regime, _weights
 from vcreg import regularity
 from vcreg import (Box, Hypergraph, InputError, Measure, RegularPartition,
                    delta_approx_partition, density, find_dense_box,
@@ -285,7 +285,10 @@ def test_dense_box_premise_checked():
 
 
 # primes p with p^k in [2^53, 2^62) for k = 1, 2, 3 parts
-_INT64_PRIMES = {1: P_INT64, 2: 2 ** 28 - 57, 3: 2 ** 19 - 1}
+# per-part primes whose k-th power, the product denominator, lies in the regime
+_PRIMES_BY_K = {"float64": {1: P_FLOAT64, 2: 2 ** 17 - 1, 3: 2 ** 13 - 1},
+                "int64": {1: P_INT64, 2: 2 ** 28 - 57, 3: 2 ** 19 - 1},
+                "bigint": dict.fromkeys((1, 2, 3), P_BIG)}
 
 
 def _symmetric_instance(rng, regime):
@@ -297,7 +300,7 @@ def _symmetric_instance(rng, regime):
              if rng.getrandbits(1)}
     H = Hypergraph((n,) * k, frozenset(p for t in edges for p in itertools.permutations(t)),
                    symmetric=True)
-    den = {"float64": rng.randint(2, 40), "int64": _INT64_PRIMES[k], "bigint": P_BIG}[regime]
+    den = _PRIMES_BY_K.get(regime, {}).get(k, rng.randint(2, 40))
     w = _weights(rng, n, den)
     return H, tuple(Measure(i, w) for i in range(k))
 

@@ -14,9 +14,9 @@ from vcreg.instances import block_pair_graph
 from vcreg.oracles import edge_set
 
 # the search sums pair products up to den^2: these denominators put den^2
-# below 2^53, in [2^53, 2^62) and at or above 2^62 (a prime, so the weights
-# keep it in lowest terms; None draws a small one)
-SEARCH_DENS = {"float64": None, "int64": 2 ** 29 - 3, "bigint": P_BIG}
+# below 2^24, in [2^24, 2^53), in [2^53, 2^62) and at or above 2^62 (a prime,
+# so the weights keep it in lowest terms; None draws a small one)
+SEARCH_DENS = {"float32": None, "float64": 2 ** 13 - 1, "int64": 2 ** 29 - 3, "bigint": P_BIG}
 
 
 def two_cliques(n=16):
